@@ -10,6 +10,7 @@ with a small missing count admit an exact enumeration oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -143,8 +144,12 @@ def ri1_enumeration(obs: BinomialObserved, theta_null: float, *,
                     theta_alt: float | None = None,
                     draw_theta: float | None = None,
                     cap: int = ENUMERATION_CAP) -> float:
-    """RI1 with the denominator expectation computed by exact enumeration."""
-    model = binomial_model()
+    """RI1 with the denominator expectation computed by exact enumeration.
+
+    Lods are evaluated directly as x log(p1/p0) + (n - x) log((1-p1)/(1-p0))
+    rather than as a difference of two log-likelihoods, which would cancel
+    when p0 is close to p1.
+    """
     theta_hat = _mle(obs)
     if not 0.0 < theta_hat < 1.0:
         raise BoundaryError("observed MLE on the boundary; RI1 refused")
@@ -152,10 +157,11 @@ def ri1_enumeration(obs: BinomialObserved, theta_null: float, *,
         theta_alt = theta_hat
     if draw_theta is None:
         draw_theta = theta_hat
-    lod_ob = float(_log_likelihood(theta_alt, obs) - _log_likelihood(theta_null, obs))
-    denom = enumerate_expectation(
-        obs, draw_theta,
-        lambda co: float(_log_likelihood(theta_alt, co) - _log_likelihood(theta_null, co)),
-        cap=cap,
-    )
-    return lod_ob / denom
+    log_ratio_success = math.log(theta_alt / theta_null)
+    log_ratio_failure = math.log((1.0 - theta_alt) / (1.0 - theta_null))
+
+    def lod(data) -> float:
+        x, n = _counts(data)
+        return float(x * log_ratio_success + (n - x) * log_ratio_failure)
+
+    return lod(obs) / enumerate_expectation(obs, draw_theta, lod, cap=cap)

@@ -102,12 +102,14 @@ def read_survival_csv(path: str) -> cox.SurvivalDataset:
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
         row = []
         for col, cell in enumerate(cells, start=1):
+            where = f"{path}:{lineno}: column {col} ({header[col - 1]})"
             try:
-                row.append(float(cell))
+                value = float(cell)
             except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{lineno}: column {col} ({header[col - 1]}): "
-                    f"not a number: {cell.strip()!r}") from exc
+                raise ValidationError(f"{where}: not a number: {cell.strip()!r}") from exc
+            if not math.isfinite(value):
+                raise ValidationError(f"{where}: not a finite number: {cell.strip()!r}")
+            row.append(value)
         times.append(row[0])
         if row[1] not in (0.0, 1.0):
             raise ValidationError(f"{path}:{lineno}: column 2 (status): must be 0 or 1")

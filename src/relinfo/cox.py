@@ -12,12 +12,12 @@ above 1).  Both are implemented here so the contrast is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import mc
 from .core import Method, RelInfoResult
@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     EstimationFailureError,
     InstabilityError,
+    OracleUnavailableError,
     RankDeficiencyError,
     SeparationError,
     UndefinedMeasureError,
@@ -41,6 +42,22 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_GRAD_TOL = 1e-8
 _SEPARATION_NORM = 50.0
 
+# Relative hazards are exponentiated after shifting eta by its maximum.
+# While eta spans at most this much, every shifted weight is a normal
+# double (exp(-600) ~ 1e-261) and risk-set sums keep full precision; risk
+# sets further below are summed again from their own maximum (_risk_sums).
+_EXP_SPAN = 600.0
+
+# Cap on the elements of one (draws x subjects) sub-block of the Cox
+# completion kernel, which bounds its memory whatever the sample size.
+_BLOCK_ELEMENTS = 2**14
+
+# Stream tag of the Cox completion draws (see mc.stream_uniforms).
+_COX_STREAM_TAG = 1
+
+#: Most augmented orders the exact correct-conditioning oracle will sum.
+PL_ENUMERATION_CAP = 20_000
+
 
 @dataclass(frozen=True)
 class SurvivalRecord:
@@ -49,10 +66,12 @@ class SurvivalRecord:
     covariates: tuple[float, ...]
 
     def __post_init__(self):
-        if self.time <= 0:
-            raise ValidationError("time must be positive")
+        if not math.isfinite(self.time) or self.time <= 0:
+            raise ValidationError("time must be finite and positive")
         if self.status not in (EVENT, CENSORED):
             raise ValidationError("status must be 0 (censored) or 1 (event)")
+        if not all(math.isfinite(c) for c in self.covariates):
+            raise ValidationError("covariates must be finite")
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,10 @@ class SurvivalDataset:
         z = np.atleast_2d(np.asarray(covariates, dtype=float))
         if z.shape[0] != times.size:
             z = z.T
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("times must be finite")
+        if not np.all(np.isfinite(z)):
+            raise ValidationError("covariates must be finite")
         records = tuple(
             SurvivalRecord(float(t), int(s), tuple(row))
             for t, s, row in zip(times, status, z)
@@ -91,18 +114,39 @@ class SurvivalDataset:
 
 @dataclass(frozen=True, eq=False)
 class RankData:
-    """Cox's partial data: failure identities in order, plus risk sets."""
+    """Cox's partial data as one stable sort of the subjects by time.
 
-    failure_order: tuple[int, ...]
-    risk_sets: tuple[frozenset[int], ...]
-    covariates: np.ndarray  # (n_subjects, covariate_dim)
+    ``order`` lists subject indices by (time, index).  In that sorted order,
+    ``tie_start[p]`` is the first position whose time equals position p's,
+    so the risk set of an event at position p is ``order[tie_start[p]:]``
+    (every subject with time >= its time, tied events sharing it: the
+    Breslow convention), and ``event`` marks the events.
+    """
+
+    order: np.ndarray
+    tie_start: np.ndarray
+    event: np.ndarray
+    covariates: np.ndarray  # (n_subjects, covariate_dim), in subject order
 
     def __post_init__(self):
-        if len(self.failure_order) != len(self.risk_sets):
-            raise ValidationError("one risk set per failure is required")
-        for subject, risk in zip(self.failure_order, self.risk_sets):
-            if subject not in risk:
-                raise ValidationError("each risk set must contain its failing subject")
+        n = self.covariates.shape[0]
+        if not (self.order.shape == self.tie_start.shape == self.event.shape == (n,)):
+            raise ValidationError("order, tie_start and event need one entry per subject")
+        if not np.array_equal(np.sort(self.order), np.arange(n)):
+            raise ValidationError("order must be a permutation of the subjects")
+        if np.any(self.tie_start < 0) or np.any(self.tie_start > np.arange(n)):
+            raise ValidationError("each risk set must contain its failing subject")
+
+    @property
+    def failure_order(self) -> tuple[int, ...]:
+        """Failing subjects in order of failure (ties by subject index)."""
+        return tuple(int(i) for i in self.order[self.event])
+
+    @property
+    def risk_sets(self) -> tuple[frozenset[int], ...]:
+        """The subjects at risk at each failure, in failure order."""
+        return tuple(frozenset(self.order[p:].tolist())
+                     for p in self.tie_start[self.event])
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +157,7 @@ class BaselineHazard:
     between jump times (starting from 0) and extends past the last jump at
     a constant rate equal to the last increment divided by the last gap.
     That continuous, strictly increasing version is what gets inverted when
-    simulating times.
+    simulating times.  Its knots are computed once, at construction.
     """
 
     jump_times: np.ndarray
@@ -128,11 +172,8 @@ class BaselineHazard:
             raise ValidationError("jump_times must be increasing and positive")
         if np.any(s <= 0):
             raise ValidationError("jump_sizes must be positive")
-
-    def _knots(self):
-        t = np.concatenate(([0.0], self.jump_times))
-        h = np.concatenate(([0.0], np.cumsum(self.jump_sizes)))
-        return t, h
+        object.__setattr__(self, "_knot_times", np.concatenate(([0.0], t)))
+        object.__setattr__(self, "_knot_hazards", np.concatenate(([0.0], np.cumsum(s))))
 
     @property
     def tail_rate(self) -> float:
@@ -143,13 +184,13 @@ class BaselineHazard:
         return float(self.jump_sizes[-1] / last_gap)
 
     def cumulative(self, times) -> np.ndarray:
-        t, h = self._knots()
+        t, h = self._knot_times, self._knot_hazards
         times = np.asarray(times, dtype=float)
         inside = np.interp(times, t, h)
         return np.where(times > t[-1], h[-1] + (times - t[-1]) * self.tail_rate, inside)
 
     def inverse(self, hazards) -> np.ndarray:
-        t, h = self._knots()
+        t, h = self._knot_times, self._knot_hazards
         hazards = np.asarray(hazards, dtype=float)
         inside = np.interp(hazards, h, t)
         return np.where(hazards > h[-1], t[-1] + (hazards - h[-1]) / self.tail_rate, inside)
@@ -158,6 +199,20 @@ class BaselineHazard:
         if factor <= 0:
             raise DomainError("rescaling factor must be positive")
         return BaselineHazard(self.jump_times, self.jump_sizes * factor)
+
+
+def _tie_starts(sorted_times: np.ndarray) -> np.ndarray:
+    """Flat index of the first entry of each entry's tie group.
+
+    Rows are sorted along the last axis and never tie with each other; for
+    one row the flat indices are positions.
+    """
+    flat = sorted_times.ravel()
+    same = flat[1:] == flat[:-1]
+    same[sorted_times.shape[-1] - 1::sorted_times.shape[-1]] = False
+    pos = np.arange(flat.size)
+    pos[1:][same] = 0
+    return np.maximum.accumulate(pos).reshape(sorted_times.shape)
 
 
 def extract_rank_data(data: SurvivalDataset) -> RankData:
@@ -169,27 +224,93 @@ def extract_rank_data(data: SurvivalDataset) -> RankData:
     themselves by subject index.
     """
     times, status, z = data.arrays()
-    event_ids = np.flatnonzero(status == EVENT)
-    if event_ids.size == 0:
+    if not np.any(status == EVENT):
         raise DegenerateDataError("at least one event is required")
-    order = event_ids[np.lexsort((event_ids, times[event_ids]))]
-    risk_sets = tuple(frozenset(np.flatnonzero(times >= times[i]).tolist()) for i in order)
-    return RankData(failure_order=tuple(int(i) for i in order),
-                    risk_sets=risk_sets, covariates=z)
+    order = np.argsort(times, kind="stable")
+    return RankData(order=order, tie_start=_tie_starts(times[order]),
+                    event=status[order] == EVENT, covariates=z)
 
 
-def _rank_terms(rank: RankData):
-    fail = np.array(rank.failure_order, dtype=int)
-    risks = [np.array(sorted(r), dtype=int) for r in rank.risk_sets]
-    return fail, risks
+def _risk_sums(eta: np.ndarray, *values: np.ndarray):
+    """Risk-set sums of exp(eta) from each position to the end of the last axis.
+
+    Returns the log of each reverse cumulative sum and, for every array in
+    ``values`` (last axis aligned with eta's), the matching exp(eta)-weighted
+    means.  Weights are shifted by the maximum of eta.  Positions whose
+    remaining weights all fall more than ``_EXP_SPAN`` below the shift are
+    recomputed with the largest of them as the shift, level by level, so
+    the sums stay exact whatever the span of eta.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        top = eta.max()
+        log_total, means = _shifted_sums(eta, values, top)
+        if top - eta.min() <= _EXP_SPAN:
+            return log_total, means
+        suffix_top = np.maximum.accumulate(eta[..., ::-1], axis=-1)[..., ::-1]
+        todo = suffix_top < top - _EXP_SPAN
+        while np.any(todo):
+            # Weights above the new shift overflow, but they only enter the
+            # sums of earlier positions, which are already done.
+            top = suffix_top[todo].max()
+            level_total, level_means = _shifted_sums(eta, values, top)
+            here = todo & (suffix_top >= top - _EXP_SPAN)
+            np.copyto(log_total, level_total, where=here)
+            for out, level in zip(means, level_means):
+                np.copyto(out, level, where=here)
+            todo &= ~here
+        return log_total, means
+
+
+def _shifted_sums(eta: np.ndarray, values, top: float):
+    w = np.exp(eta - top)
+    total = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    means = [np.cumsum((w * v)[..., ::-1], axis=-1)[..., ::-1] / total for v in values]
+    return np.log(total) + top, means
+
+
+def _sorted_loglik(order: np.ndarray, tie_start: np.ndarray, event: np.ndarray,
+                   eta: np.ndarray) -> np.ndarray:
+    """Breslow partial log-likelihood of each row of a sort (last axis).
+
+    ``order`` sorts the subjects by time, ``event`` marks the events in
+    that order and ``tie_start`` holds flat first-of-tie indices (see
+    ``_tie_starts``).
+    """
+    e = eta[order]
+    log_risk, _ = _risk_sums(e)
+    return np.where(event, e - np.take(log_risk, tie_start), 0.0).sum(axis=-1)
+
+
+def _lod_rows(times: np.ndarray, status: np.ndarray,
+              eta_alt: np.ndarray, eta_null: np.ndarray) -> np.ndarray:
+    """Partial-likelihood lod of each row of a (..., subjects) time array.
+
+    One row-wise stable sort serves both parameters; subject j of every row
+    has status ``status[j]`` and linear predictors ``eta_alt[j]``, ``eta_null[j]``.
+    """
+    order = np.argsort(times, axis=-1, kind="stable")
+    row_offset = np.arange(0, times.size, times.shape[-1]).reshape(times.shape[:-1] + (1,))
+    tie_start = _tie_starts(np.take(times, order + row_offset))
+    event = status[order] == EVENT
+    return (_sorted_loglik(order, tie_start, event, eta_alt)
+            - _sorted_loglik(order, tie_start, event, eta_null))
+
+
+def _partial_lod_times(times: np.ndarray, status: np.ndarray,
+                       eta_alt: np.ndarray, eta_null: np.ndarray) -> float:
+    """Partial-likelihood lod computed directly from (time, status, eta) arrays.
+
+    Equivalent to extracting rank data and evaluating the Breslow-form
+    partial likelihood at both parameters, but shares one sort.
+    """
+    return float(_lod_rows(times, status, eta_alt, eta_null))
 
 
 def partial_log_likelihood(rank: RankData, beta) -> float:
     """Breslow-form partial log-likelihood at beta."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     eta = rank.covariates @ beta
-    fail, risks = _rank_terms(rank)
-    return float(sum(eta[i] - special.logsumexp(eta[r]) for i, r in zip(fail, risks)))
+    return float(_sorted_loglik(rank.order, rank.tie_start, rank.event, eta))
 
 
 def partial_lod(rank: RankData, beta_alt, beta_null) -> float:
@@ -198,18 +319,16 @@ def partial_lod(rank: RankData, beta_alt, beta_null) -> float:
 
 def _score_and_information(rank: RankData, beta):
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    eta = rank.covariates @ beta
-    fail, risks = _rank_terms(rank)
-    d = rank.covariates.shape[1]
-    score = np.zeros(d)
-    info = np.zeros((d, d))
-    for i, r in zip(fail, risks):
-        w = special.softmax(eta[r])
-        zr = rank.covariates[r]
-        zbar = w @ zr
-        score += rank.covariates[i] - zbar
-        centered = zr - zbar
-        info += (centered * w[:, None]).T @ centered
+    # Centering the covariates leaves score and information unchanged and
+    # keeps the second-moment difference below well conditioned.
+    z = rank.covariates - rank.covariates.mean(axis=0)
+    z = z[rank.order]
+    zz = z[:, :, None] * z[:, None, :]
+    _, (mean, second) = _risk_sums(z @ beta, z.T, zz.transpose(1, 2, 0))
+    start = rank.tie_start[rank.event]
+    m = mean[:, start]
+    score = (z[rank.event].T - m).sum(axis=-1)
+    info = second[:, :, start].sum(axis=-1) - m @ m.T
     return score, info
 
 
@@ -266,24 +385,62 @@ def breslow_baseline(data: SurvivalDataset, beta) -> BaselineHazard:
         raise DomainError("beta must be finite")
     times, status, z = data.arrays()
     eta = z @ beta
-    w = np.exp(eta)
-    event_times = np.unique(times[status == EVENT])
-    sizes = np.empty(event_times.size)
-    for k, t in enumerate(event_times):
-        at_risk = times >= t
-        denom = float(w[at_risk].sum())
-        if denom <= 0.0 or not np.any(at_risk):
-            raise DataIntegrityError(f"empty risk set at event time {t}")
-        sizes[k] = np.sum((times == t) & (status == EVENT)) / denom
-    return BaselineHazard(jump_times=event_times, jump_sizes=sizes)
+    order = np.argsort(times, kind="stable")
+    sorted_times = times[order]
+    start = _tie_starts(sorted_times)[status[order] == EVENT]
+    if start.size == 0:
+        return BaselineHazard(jump_times=np.zeros(0), jump_sizes=np.zeros(0))
+    # One increment per distinct event time: tied events share a tie start.
+    first, deaths = np.unique(start, return_counts=True)
+    log_risk, _ = _risk_sums(eta[order])
+    sizes = deaths * np.exp(-log_risk[first])
+    if not np.all(np.isfinite(sizes) & (sizes > 0)):
+        raise DataIntegrityError("baseline hazard increments are outside the range of doubles")
+    return BaselineHazard(jump_times=sorted_times[first], jump_sizes=sizes)
 
 
-def _risk_rates(rank: RankData, beta) -> np.ndarray:
+def _log_risk_rates(rank: RankData, beta) -> np.ndarray:
+    """Log total relative hazard of each failure's risk set, in failure order."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     eta = rank.covariates @ beta
-    w = np.exp(eta)
-    _, risks = _rank_terms(rank)
-    return np.array([w[r].sum() for r in risks])
+    log_risk, _ = _risk_sums(eta[rank.order])
+    return log_risk[rank.tie_start[rank.event]]
+
+
+def _relative_rates(log_rates: np.ndarray, baseline: BaselineHazard):
+    """Rates exp(log_rates) and the baseline, both relative to the largest rate.
+
+    Completion times are baseline.inverse(E / rate), which scaling every
+    rate down and the baseline up by one factor leaves unchanged; this
+    factor keeps both finite when the linear predictor is large.
+    """
+    shift = log_rates.max()
+    rates = np.exp(log_rates - shift)
+    sizes = np.exp(np.log(baseline.jump_sizes) + shift)
+    if not (np.all(rates > 0) and np.all(np.isfinite(sizes))):
+        raise DataIntegrityError("relative hazards span more than the range of doubles")
+    return rates, BaselineHazard(baseline.jump_times, sizes)
+
+
+def _completion_times(exponentials: np.ndarray, rates: np.ndarray,
+                      new_rates: np.ndarray, baseline: BaselineHazard) -> np.ndarray:
+    """Map standard exponentials to rank-conditional and new subjects' times.
+
+    Along the last axis, the first ``rates.size`` exponentials are the
+    inter-failure gaps on the cumulative-hazard scale, the k-th scaled by
+    the k-th risk set's total relative hazard; their running sums keep the
+    observed failure order.  The remaining ones, scaled by each new
+    subject's relative hazard, are new subjects' hazards.  All map back
+    through the (continuous working) baseline.
+    """
+    k = rates.size
+    hazards = exponentials / np.concatenate([rates, new_rates])
+    hazards[..., :k] = np.cumsum(hazards[..., :k], axis=-1)
+    times = baseline.inverse(hazards)
+    if (np.any(np.diff(hazards[..., :k], axis=-1) <= 0)
+            or np.any(np.diff(times[..., :k], axis=-1) < 0)):
+        raise AssertionError("rank-conditional draw does not reproduce the failure order")
+    return times
 
 
 def sample_times_given_ranks(rank: RankData, beta, baseline: BaselineHazard,
@@ -295,36 +452,12 @@ def sample_times_given_ranks(rank: RankData, beta, baseline: BaselineHazard,
     hazard, and the k-th failure's identity is fixed to the observed
     order; mapping the running sums back through the (continuous working)
     baseline gives the times.  Returned times re-rank to ``failure_order``
-    by construction, which is asserted on every draw.
+    by construction, which is asserted on every draw.  The Cox completion
+    kernel uses the same mapping.
     """
-    rates = _risk_rates(rank, beta)
-    gaps = rng.exponential(scale=1.0 / rates)
-    hazards = np.cumsum(gaps)
-    times = baseline.inverse(hazards)
-    if np.any(np.diff(hazards) <= 0) or np.any(np.diff(times) < 0):
-        raise AssertionError("rank-conditional draw does not reproduce the failure order")
-    return times
-
-
-def _partial_lod_times(times: np.ndarray, status: np.ndarray,
-                       eta_alt: np.ndarray, eta_null: np.ndarray) -> float:
-    """Partial-likelihood lod computed directly from (time, status, eta) arrays.
-
-    Equivalent to extracting rank data and evaluating the Breslow-form
-    partial likelihood at both parameters, but shares one sort.
-    """
-    order = np.argsort(times, kind="stable")
-    t = times[order]
-    s = status[order]
-    first_of_tie = np.searchsorted(t, t, side="left")
-
-    def loglik(eta):
-        e = eta[order]
-        w = np.exp(e)
-        risk = np.cumsum(w[::-1])[::-1]
-        return float(np.sum((e - np.log(risk[first_of_tie]))[s == EVENT]))
-
-    return loglik(eta_alt) - loglik(eta_null)
+    rates, baseline = _relative_rates(_log_risk_rates(rank, beta), baseline)
+    return _completion_times(rng.standard_exponential(rates.size), rates,
+                             np.zeros(0), baseline)
 
 
 def _validate_new_covariates(new_covariates, n_new: int, dim: int) -> np.ndarray:
@@ -355,8 +488,81 @@ def _augmentation_setup(data: SurvivalDataset, n_new: int, new_covariates,
     return rank, beta_hat, beta_null, times, status, z, z_new, lod_ob
 
 
-def _ratio_result(lod_ob: float, est: mc.MCEstimate, config: MCConfig,
+@dataclass(frozen=True, eq=False)
+class _Completion:
+    """How one Cox augmentation turns standard exponentials into lods.
+
+    ``draw_times`` maps a (draws, per_draw) block of standard exponentials
+    to the (draws, subjects) augmented time matrix; subject j of every row
+    has status ``status[j]`` and linear predictors ``eta_alt[j]``, ``eta_null[j]``.
+    """
+
+    per_draw: int
+    draw_times: Callable[[np.ndarray], np.ndarray]
+    status: np.ndarray
+    eta_alt: np.ndarray
+    eta_null: np.ndarray
+
+    def lods(self, seed: int, lo: int, hi: int) -> np.ndarray:
+        """Augmented lods of draws lo..hi-1, in sub-blocks of bounded size.
+
+        Draw i's exponentials are counter block i of the Cox stream, so its
+        lod does not depend on how the draws are grouped.
+        """
+        rows = max(1, _BLOCK_ELEMENTS // self.status.size)
+        out = np.empty(hi - lo)
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            u = mc.stream_uniforms(seed, b - a, self.per_draw, _COX_STREAM_TAG, start=a)
+            times = self.draw_times(-np.log1p(-u.reshape(b - a, self.per_draw)))
+            out[a - lo:b - lo] = _lod_rows(times, self.status, self.eta_alt, self.eta_null)
+        return out
+
+
+def _correct_completion(rank: RankData, beta_hat, beta_null, times, z, z_new,
+                        baseline: BaselineHazard) -> _Completion:
+    # Columns: failures in failure order, then censored subjects by time,
+    # then new subjects; each row is then nearly sorted already.
+    fail_ids = rank.order[rank.event]
+    cens_ids = rank.order[~rank.event]
+    cens_times = times[cens_ids]
+    k = fail_ids.size
+    rates, baseline = _relative_rates(
+        np.concatenate([_log_risk_rates(rank, beta_hat), z_new @ beta_hat]), baseline)
+
+    def draw_times(exponentials):
+        t = _completion_times(exponentials, rates[:k], rates[k:], baseline)
+        fixed = np.broadcast_to(cens_times, (t.shape[0], cens_times.size))
+        return np.concatenate([t[:, :k], fixed, t[:, k:]], axis=1)
+
+    merged_z = np.vstack([z[fail_ids], z[cens_ids], z_new])
+    status = np.concatenate([np.ones(k, dtype=int), np.zeros(cens_ids.size, dtype=int),
+                             np.ones(z_new.shape[0], dtype=int)])
+    return _Completion(k + z_new.shape[0], draw_times, status,
+                       merged_z @ beta_hat, merged_z @ beta_null)
+
+
+def _naive_completion(rank: RankData, beta_hat, beta_null, times, status, z, z_new,
+                      baseline: BaselineHazard) -> _Completion:
+    # Columns: existing subjects by time, then new subjects.
+    new_rates, baseline = _relative_rates(z_new @ beta_hat, baseline)
+    fixed_times = times[rank.order]
+
+    def draw_times(exponentials):
+        t_new = baseline.inverse(exponentials / new_rates)
+        fixed = np.broadcast_to(fixed_times, (t_new.shape[0], fixed_times.size))
+        return np.concatenate([fixed, t_new], axis=1)
+
+    merged_z = np.vstack([z[rank.order], z_new])
+    merged_status = np.concatenate([status[rank.order], np.ones(z_new.shape[0], dtype=int)])
+    return _Completion(z_new.shape[0], draw_times, merged_status,
+                       merged_z @ beta_hat, merged_z @ beta_null)
+
+
+def _ratio_result(lod_ob: float, completion: _Completion, config: MCConfig,
                   conditioning: str) -> RelInfoResult:
+    values = mc.collect_blocks(lambda lo, hi: completion.lods(config.seed, lo, hi), config)
+    est = mc.estimate_from_values(values)
     if est.mean <= 0.0:
         raise InstabilityError(
             "Monte Carlo denominator estimate is nonpositive",
@@ -387,7 +593,8 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
     rank order, holds censoring times fixed, draws the new subjects'
     times unconditionally from the fitted proportional-hazards model
     (Breslow baseline estimated from the censored data), and evaluates
-    the partial-likelihood lod on the augmented ranks.
+    the partial-likelihood lod on the augmented ranks.  Draws are
+    evaluated vectorized, so ``worker_hint`` has no effect.
     """
     if mc_config is None:
         raise ValidationError("ri1_cox_correct requires an MCConfig")
@@ -395,31 +602,9 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
         data, n_new, new_covariates, theta_null_beta)
     if baseline is None:
         baseline = breslow_baseline(data, beta_hat)
-
-    rates = _risk_rates(rank, beta_hat)
-    fail_ids = np.array(rank.failure_order, dtype=int)
-    cens_ids = np.flatnonzero(status == CENSORED)
-    cens_times = times[cens_ids]
-    hazard_scale_new = np.exp(z_new @ beta_hat)
-
-    merged_z = np.vstack([z[fail_ids], z[cens_ids], z_new])
-    eta_alt = merged_z @ beta_hat
-    eta_null = merged_z @ beta_null
-    merged_status = np.concatenate([
-        np.ones(fail_ids.size, dtype=int),
-        np.zeros(cens_ids.size, dtype=int),
-        np.ones(n_new, dtype=int),
-    ])
-
-    def draw(index: int, rng: np.random.Generator) -> float:
-        gaps = rng.exponential(scale=1.0 / rates)
-        t_fail = baseline.inverse(np.cumsum(gaps))
-        t_new = baseline.inverse(rng.exponential(size=n_new) / hazard_scale_new)
-        merged_times = np.concatenate([t_fail, cens_times, t_new])
-        return _partial_lod_times(merged_times, merged_status, eta_alt, eta_null)
-
-    est = mc.mc_expectation(draw, float, mc_config)
-    return _ratio_result(lod_ob, est, mc_config, conditioning="rank data (partial data)")
+    completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new, baseline)
+    return _ratio_result(lod_ob, completion, mc_config,
+                         conditioning="rank data (partial data)")
 
 
 def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
@@ -428,7 +613,8 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
     """Relative information with the censored-data conditioning.
 
     Existing subjects' observed times are held fixed; only the new
-    subjects are simulated.  The resulting measure may exceed 1.
+    subjects are simulated.  The resulting measure may exceed 1.  Draws
+    are evaluated vectorized, so ``worker_hint`` has no effect.
     """
     rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
@@ -445,21 +631,53 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
         raise ValidationError("ri1_cox_naive requires an MCConfig when n_new > 0")
     if baseline is None:
         baseline = breslow_baseline(data, beta_hat)
-
-    hazard_scale_new = np.exp(z_new @ beta_hat)
-    merged_z = np.vstack([z, z_new])
-    eta_alt = merged_z @ beta_hat
-    eta_null = merged_z @ beta_null
-    merged_status = np.concatenate([status, np.ones(n_new, dtype=int)])
-
-    def draw(index: int, rng: np.random.Generator) -> float:
-        t_new = baseline.inverse(rng.exponential(size=n_new) / hazard_scale_new)
-        merged_times = np.concatenate([times, t_new])
-        return _partial_lod_times(merged_times, merged_status, eta_alt, eta_null)
-
-    est = mc.mc_expectation(draw, float, mc_config)
-    return _ratio_result(lod_ob, est, mc_config,
+    completion = _naive_completion(rank, beta_hat, beta_null, times, status, z, z_new,
+                                   baseline)
+    return _ratio_result(lod_ob, completion, mc_config,
                          conditioning="censored data (observed times fixed)")
+
+
+def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariates,
+                                theta_null_beta=None) -> float:
+    """Exact ``ri1_cox_correct`` for uncensored data without ties.
+
+    Under proportional hazards the joint failure order of the n existing
+    and m new subjects is Plackett-Luce with weights exp(z . beta_hat),
+    whatever the baseline.  Conditioning on the existing subjects' observed
+    order leaves the (n + m)! / n! orders that keep it, each with weight
+    proportional to its Plackett-Luce probability, so the expected
+    augmented lod is a finite weighted sum.
+    """
+    times, status, _ = data.arrays()
+    if np.any(status != EVENT):
+        raise OracleUnavailableError("the enumeration oracle needs uncensored data")
+    if np.unique(times).size != times.size:
+        raise OracleUnavailableError("the enumeration oracle needs untied times")
+    n = data.n
+    n_orders = math.perm(n + n_new, n_new)
+    if n_orders > PL_ENUMERATION_CAP:
+        raise OracleUnavailableError(
+            f"{n_orders} augmented orders exceed the enumeration cap {PL_ENUMERATION_CAP}")
+    rank, beta_hat, beta_null, _, _, z, z_new, lod_ob = _augmentation_setup(
+        data, n_new, new_covariates, theta_null_beta)
+
+    # Each row lists subjects (existing 0..n-1, new n..n+m-1) in failure order.
+    orders = np.empty((n_orders, n + n_new), dtype=int)
+    row = 0
+    for slots in itertools.combinations(range(n + n_new), n_new):
+        existing = np.ones(n + n_new, dtype=bool)
+        existing[list(slots)] = False
+        for new in itertools.permutations(range(n, n + n_new)):
+            orders[row, existing] = rank.order
+            orders[row, ~existing] = new
+            row += 1
+    merged_z = np.vstack([z, z_new])
+    events = np.ones(orders.shape, dtype=bool)
+    untied = np.arange(orders.size).reshape(orders.shape)
+    ll_alt = _sorted_loglik(orders, untied, events, merged_z @ beta_hat)
+    ll_null = _sorted_loglik(orders, untied, events, merged_z @ beta_null)
+    weights = np.exp(ll_alt - ll_alt.max())
+    return lod_ob / float(weights @ (ll_alt - ll_null) / weights.sum())
 
 
 def ri_w_wald(observed_stat: float, observed_var: float, complete_stat_mean: float,

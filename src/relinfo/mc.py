@@ -1,8 +1,12 @@
 """Seeded, deterministic-parallel Monte Carlo estimation.
 
-Every draw gets its own counter-based substream keyed by (seed, draw index),
-so results are bit-identical no matter how draws are scheduled across
-workers.  Reduction uses numpy's pairwise summation over the index-ordered
+Draw i's randomness never depends on how draws are scheduled.  Per-draw
+samplers get their own counter-based substream keyed by (seed, draw index);
+vectorized samplers, the binomial completions and the Cox measures, read
+draw i's uniforms from counter block i of one keyed Philox stream
+(:func:`stream_uniforms`), where ``start`` selects the first block, so any
+range of draws [lo, hi) is bit-identical to the same rows of a one-shot
+run.  Reduction uses numpy's pairwise summation over the index-ordered
 value array, which is likewise scheduling-independent.
 """
 
@@ -21,7 +25,8 @@ from .errors import EstimationFailureError, ValidationError
 DEFAULT_SEED = 20090417
 
 #: Recorded in report provenance for reproducibility audits.
-GENERATOR_ID = "philox4x64, substream key = (seed, draw_index)"
+GENERATOR_ID = ("philox4x64, substream key = (seed, draw_index)"
+                " or vector key = (seed, tag) at counter block draw_index")
 
 # Vectorized samplers read a single keyed stream at counter positions
 # [i*per_draw, (i+1)*per_draw); the tag offset keeps those stream keys
@@ -71,13 +76,24 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stream_uniforms(seed: int, n_draws: int, per_draw: int = 1, tag: int = 0) -> np.ndarray:
+def stream_uniforms(seed: int, n_draws: int, per_draw: int = 1, tag: int = 0,
+                    start: int = 0) -> np.ndarray:
     """Uniforms for vectorized samplers; draw i owns a fixed counter block.
 
-    Returns shape (n_draws,) when per_draw == 1, else (n_draws, per_draw).
+    Returns the blocks of draws ``start`` .. ``start + n_draws - 1``, equal
+    to those rows of a run from draw 0.  Shape is (n_draws,) when
+    per_draw == 1, else (n_draws, per_draw).
     """
     key = np.array([seed, _VECTOR_STREAM_BASE + tag], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random(n_draws * per_draw)
+    bit_generator = np.random.Philox(key=key)
+    skip = start * per_draw
+    if skip:
+        # One Philox counter step yields four 64-bit outputs, one per uniform.
+        bit_generator.advance(skip // 4)
+    gen = np.random.Generator(bit_generator)
+    if skip % 4:
+        gen.random(skip % 4)
+    u = gen.random(n_draws * per_draw)
     return u if per_draw == 1 else u.reshape(n_draws, per_draw)
 
 
@@ -141,24 +157,22 @@ def _evaluate_indices(draw: Callable, functional: Callable, seed: int,
     return out
 
 
-def collect_values(draw: Callable, functional: Callable, config: MCConfig) -> np.ndarray:
-    """Evaluate functional(draw(i, rng_i)) for i = 0..n-1, index-ordered.
+def collect_blocks(evaluate: Callable[[int, int], np.ndarray],
+                   config: MCConfig) -> np.ndarray:
+    """Values of draws 0..n-1, where ``evaluate(lo, hi)`` returns draws lo..hi-1.
 
     When ``max_relative_se`` is set, evaluation proceeds in fixed batches
     (still in index order, so stopping is scheduling-independent) and stops
     once the running relative standard error falls below the target.
     """
-    workers = max(config.worker_hint, 1)
     if config.max_relative_se is None:
-        return _evaluate_indices(draw, functional, config.seed,
-                                 np.arange(config.n_draws), workers)
+        return evaluate(0, config.n_draws)
 
     chunks: list[np.ndarray] = []
     done = 0
     while done < config.n_draws:
         hi = min(done + _ADAPTIVE_BATCH, config.n_draws)
-        chunks.append(_evaluate_indices(draw, functional, config.seed,
-                                        np.arange(done, hi), workers))
+        chunks.append(evaluate(done, hi))
         done = hi
         values = np.concatenate(chunks)
         kept = values[np.isfinite(values)]
@@ -169,6 +183,15 @@ def collect_values(draw: Callable, functional: Callable, config: MCConfig) -> np
         if mean != 0.0 and se / abs(mean) <= config.max_relative_se:
             break
     return np.concatenate(chunks)
+
+
+def collect_values(draw: Callable, functional: Callable, config: MCConfig) -> np.ndarray:
+    """Evaluate functional(draw(i, rng_i)) for i = 0..n-1, index-ordered."""
+    workers = max(config.worker_hint, 1)
+    return collect_blocks(
+        lambda lo, hi: _evaluate_indices(draw, functional, config.seed,
+                                         np.arange(lo, hi), workers),
+        config)
 
 
 def mc_expectation(draw: Callable, functional: Callable, config: MCConfig) -> MCEstimate:

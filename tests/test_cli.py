@@ -147,6 +147,23 @@ class TestCoxRi:
         assert code == 2
         assert f"{path}:3" in err and "column 2" in err and "status" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_time_reports_location(self, capsys, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,status,cov1\n1.0,1,0.5\n{cell},1,0.3\n")
+        code = cli.run(["cox-ri", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:3: column 1 (time)" in err
+
+    def test_nonfinite_covariate_reports_location(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,status,cov1\n1.0,1,nan\n2.0,1,0.3\n")
+        code = cli.run(["cox-ri", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:2: column 3 (cov1)" in err
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code = cli.run(["cox-ri", "--data", str(tmp_path / "nope.csv")])
         capsys.readouterr()

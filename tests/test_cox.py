@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from relinfo import cox, mc
 from relinfo.cox import (
     BaselineHazard,
     SurvivalDataset,
+    SurvivalRecord,
     breslow_baseline,
     extract_rank_data,
     fit_partial_likelihood,
@@ -21,7 +24,9 @@ from relinfo.cox import (
 from relinfo.errors import (
     DegenerateDataError,
     DomainError,
+    OracleUnavailableError,
     RankDeficiencyError,
+    SeparationError,
     ValidationError,
 )
 from relinfo.mc import MCConfig
@@ -311,3 +316,236 @@ def test_partial_lod_times_matches_rank_computation():
     times, status, z = censored.arrays()
     fast = cox._partial_lod_times(times, status, z @ beta_a, z @ beta_0)
     assert fast == pytest.approx(partial_lod(rank, beta_a, beta_0), rel=1e-12)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            SurvivalRecord(bad, 1, (0.0,))
+        with pytest.raises(ValidationError):
+            dataset([1.0, bad, 3.0], [1, 1, 1], [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_covariate_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            SurvivalRecord(1.0, 1, (bad,))
+        with pytest.raises(ValidationError):
+            dataset([1.0, 2.0, 3.0], [1, 1, 1], [0.0, bad, 0.0])
+
+    def test_extreme_linear_predictor_gives_finite_lod(self):
+        # exp(800) overflows unless eta is shifted before exponentiating.
+        z = np.array([0.0, 800.0, 0.0, 800.0])
+        data = dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], z)
+        times, status, _ = data.arrays()
+        lod = cox._partial_lod_times(times, status, z, np.zeros(4))
+        assert math.isfinite(lod)
+        assert lod == pytest.approx(partial_lod(extract_rank_data(data), [1.0], [0.0]),
+                                    rel=1e-12)
+
+    def test_risk_sets_far_below_the_maximum_keep_their_weight(self):
+        # Once subject 0 fails, every remaining weight is exp(-800) relative
+        # to the maximum, below the range of doubles.
+        z = np.array([800.0, 0.0, 0.0, 0.0])
+        data = dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], z)
+        expected = (800.0 - (800.0 + math.log1p(3.0 * math.exp(-800.0)))
+                    - math.log(3.0) - math.log(2.0) + math.log(24.0))
+        rank = extract_rank_data(data)
+        times, status, _ = data.arrays()
+        assert partial_lod(rank, [1.0], [0.0]) == pytest.approx(expected, rel=1e-12)
+        assert cox._partial_lod_times(times, status, z, np.zeros(4)) == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_risk_sums_are_exact_over_any_span(self):
+        # Rows of one batch reach their far-below risk sets at different
+        # positions; each level of shifts must serve every row.
+        rng = np.random.default_rng(127)
+        eta = rng.uniform(-1500.0, 1500.0, size=(40, 12))
+        eta[:, -3:] = rng.uniform(-5.0, 5.0, size=(40, 3))
+        log_total, (mean,) = cox._risk_sums(eta, eta)
+        expected = np.logaddexp.accumulate(eta[:, ::-1], axis=-1)[:, ::-1]
+        np.testing.assert_allclose(log_total, expected, rtol=1e-13, atol=1e-12)
+        for row in range(40):
+            for p in range(12):
+                w = np.exp(eta[row, p:] - eta[row, p:].max())
+                assert mean[row, p] == pytest.approx(w @ eta[row, p:] / w.sum(), rel=1e-12)
+
+    def test_score_and_information_over_a_wide_eta_span(self):
+        # At beta = 0.8 the first failure's eta is 800 above all later ones.
+        z = np.array([1000.0, 30.0, 0.0, 20.0, 10.0, 25.0, 5.0, 15.0, 40.0, 35.0])
+        data = dataset(np.arange(1.0, 11.0), np.ones(10, dtype=int), z)
+        rank = extract_rank_data(data)
+        beta, h = 0.8, 1e-7
+        score, info = cox._score_and_information(rank, [beta])
+        numeric_score = (partial_log_likelihood_at(rank, beta + h)
+                         - partial_log_likelihood_at(rank, beta - h)) / (2 * h)
+        upper, _ = cox._score_and_information(rank, [beta + h])
+        lower, _ = cox._score_and_information(rank, [beta - h])
+        assert np.all(np.isfinite(score)) and np.all(np.isfinite(info))
+        assert score[0] == pytest.approx(numeric_score, rel=1e-5, abs=1e-5)
+        assert info[0, 0] == pytest.approx(-(upper[0] - lower[0]) / (2 * h), rel=1e-4, abs=1e-4)
+
+
+    @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
+    def test_covariate_offset_leaves_the_measure_unchanged(self, measure):
+        # An offset of 720 / beta_hat puts eta near 720, where exp(eta)
+        # overflows and the Breslow increments are subnormal; the partial
+        # likelihood and the completion times do not see the offset.
+        rng = np.random.default_rng(113)
+        censored, _ = simulate_ph_binary(20, 0.5, rng, 0.25)
+        z_new = rng.integers(0, 2, size=5).astype(float)[:, None]
+        times, status, z = censored.arrays()
+        offset = 720.0 / fit_partial_likelihood(extract_rank_data(censored))[0][0]
+        shifted = SurvivalDataset.from_arrays(times, status, z + offset)
+        config = MCConfig(n_draws=2000, seed=7)
+        a = measure(censored, 5, z_new, mc_config=config)
+        b = measure(shifted, 5, z_new + offset, mc_config=config)
+        assert b.estimate == pytest.approx(a.estimate, rel=1e-6)
+
+
+def partial_log_likelihood_at(rank, beta):
+    return cox.partial_log_likelihood(rank, [beta])
+
+
+def test_fit_converges_on_large_sample():
+    # Step halving used to give up on this n=2000 sample without converging.
+    n = 2000
+    rng = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
+    z = rng.integers(0, 2, size=n).astype(float)
+    t_fail = rng.exponential(size=n) / np.exp(0.5 * z)
+    censor = rng.exponential(scale=1.0 / 0.25, size=n)
+    data = SurvivalDataset.from_arrays(np.minimum(t_fail, censor),
+                                       (t_fail <= censor).astype(int), z[:, None])
+    start = time.monotonic()
+    beta, se = fit_partial_likelihood(extract_rank_data(data))
+    assert time.monotonic() - start < 1.0
+    res = optimize.minimize_scalar(
+        lambda b: -explicit_partial_loglik(data, b), bounds=(0.0, 1.0),
+        method="bounded", options={"xatol": 1e-10})
+    assert abs(beta[0] - float(res.x)) <= 1e-6
+    assert se[0] > 0
+
+
+def brute_force_correct_ri1(data, z_new, beta, beta_null=0.0):
+    """Independent oracle: every order of all subjects, kept when it agrees
+    with the observed order, weighted by its Plackett-Luce probability."""
+    times, _, z = data.arrays()
+    n, m = times.size, z_new.size
+    eta = np.concatenate([z[:, 0], z_new]) * beta
+    eta0 = np.concatenate([z[:, 0], z_new]) * beta_null
+    observed = list(np.argsort(times))
+
+    def log_pl(order, e):
+        return sum(e[s] - math.log(sum(math.exp(e[r]) for r in order[k:]))
+                   for k, s in enumerate(order))
+
+    total = weighted = 0.0
+    for order in itertools.permutations(range(n + m)):
+        if [s for s in order if s < n] != observed:
+            continue
+        p = math.exp(log_pl(order, eta))
+        total += p
+        weighted += p * (log_pl(order, eta) - log_pl(order, eta0))
+    lod_ob = log_pl(observed, eta[:n]) - log_pl(observed, eta0[:n])
+    return lod_ob / (weighted / total)
+
+
+def fitted_uncensored(n, n_new, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        _, uncensored = simulate_ph_binary(n, 0.8, rng, 0.0)
+        z_new = rng.integers(0, 2, size=n_new).astype(float)[:, None]
+        try:
+            beta, _ = fit_partial_likelihood(extract_rank_data(uncensored))
+        except (SeparationError, RankDeficiencyError):
+            continue
+        if abs(beta[0]) <= 3.0:  # near-separated fits make every draw's lod alike
+            return uncensored, z_new, beta
+
+
+class TestCorrectEnumerationOracle:
+    def test_matches_brute_force_over_all_orders(self):
+        data, z_new, beta = fitted_uncensored(4, 2, 81)
+        exact = cox.ri1_cox_correct_enumeration(data, 2, z_new)
+        assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
+                                      rel=1e-10)
+
+    @pytest.mark.parametrize("n, n_new, seed", [(6, 2, 83), (5, 2, 89), (6, 1, 97), (4, 2, 101)])
+    def test_monte_carlo_within_three_se_of_exact(self, n, n_new, seed):
+        data, z_new, _ = fitted_uncensored(n, n_new, seed)
+        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        result = ri1_cox_correct(data, n_new, z_new,
+                                 mc_config=MCConfig(n_draws=20_000, seed=seed))
+        assert abs(result.estimate - exact) <= 3 * result.mc_standard_error
+
+    def test_exact_value_never_exceeds_one(self):
+        rng = np.random.default_rng(103)
+        for _ in range(25):
+            n, n_new = int(rng.integers(3, 7)), int(rng.integers(1, 3))
+            data, z_new, _ = fitted_uncensored(n, n_new, int(rng.integers(2**31)))
+            assert 0.0 < cox.ri1_cox_correct_enumeration(data, n_new, z_new) <= 1.0
+
+    def test_no_new_subjects_is_one(self):
+        data, _, _ = fitted_uncensored(5, 0, 107)
+        assert cox.ri1_cox_correct_enumeration(data, 0, None) == pytest.approx(1.0, rel=1e-12)
+
+    def test_refuses_censoring_ties_and_large_cases(self):
+        data = dataset([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], [0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(OracleUnavailableError):
+            cox.ri1_cox_correct_enumeration(data, 1, [[1.0]])
+        data = dataset([1.0, 2.0, 2.0, 4.0], [1, 1, 1, 1], [0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(OracleUnavailableError):
+            cox.ri1_cox_correct_enumeration(data, 1, [[1.0]])
+        data, z_new, _ = fitted_uncensored(20, 4, 109)  # 255,024 augmented orders
+        with pytest.raises(OracleUnavailableError):
+            cox.ri1_cox_correct_enumeration(data, 4, z_new)
+
+
+def kernel_case():
+    """Censored data with tied times, so both sort paths are exercised."""
+    rng = np.random.default_rng(61)
+    censored, _ = simulate_ph_binary(30, 0.5, rng, 0.3)
+    times, status, z = censored.arrays()
+    data = SurvivalDataset.from_arrays(np.round(times, 1) + 0.1, status, z)
+    z_new = rng.integers(0, 2, size=4).astype(float)[:, None]
+    return data, z_new
+
+
+def kernel_completions():
+    data, z_new = kernel_case()
+    rank, beta_hat, beta_null, times, status, z, z_new, _ = cox._augmentation_setup(
+        data, 4, z_new, None)
+    baseline = breslow_baseline(data, beta_hat)
+    return {
+        "correct": cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new,
+                                           baseline),
+        "naive": cox._naive_completion(rank, beta_hat, beta_null, times, status, z, z_new,
+                                       baseline),
+    }
+
+
+class TestBlockKernelDeterminism:
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_draws_do_not_depend_on_grouping(self, monkeypatch, mode):
+        completion = kernel_completions()[mode]
+        n = 700
+        one_block = completion.lods(5, 0, n)
+        assert np.all(np.isfinite(one_block))
+        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 3 * completion.status.size)
+        small_blocks = completion.lods(5, 0, n)
+        pieces = np.concatenate([completion.lods(5, 0, 123), completion.lods(5, 123, n)])
+        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 2**24)
+        first_half = completion.lods(5, 0, 2 * n)[:n]
+        for other in (small_blocks, pieces, first_half):
+            np.testing.assert_array_equal(one_block, other)
+
+    @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
+    def test_adaptive_stop_does_not_depend_on_sub_block_size(self, monkeypatch, measure):
+        data, z_new = kernel_case()
+        config = MCConfig(n_draws=20 * 1024, seed=9, max_relative_se=0.004)
+        a = measure(data, 4, z_new, mc_config=config)
+        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 1000)
+        b = measure(data, 4, z_new, mc_config=config)
+        assert a.n_draws == b.n_draws
+        assert 1024 < a.n_draws < config.n_draws
+        assert (a.estimate, a.mc_standard_error) == (b.estimate, b.mc_standard_error)

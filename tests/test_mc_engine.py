@@ -49,6 +49,27 @@ def test_stream_uniforms_shapes_and_determinism():
     assert mc.stream_uniforms(7, 10, per_draw=3).shape == (10, 3)
 
 
+@pytest.mark.parametrize("per_draw", [1, 3, 4, 7])
+def test_stream_uniforms_start_selects_rows_of_one_shot_run(per_draw):
+    full = mc.stream_uniforms(11, 40, per_draw=per_draw, tag=2)
+    for lo, n in [(0, 40), (1, 5), (3, 17), (13, 27), (39, 1)]:
+        block = mc.stream_uniforms(11, n, per_draw=per_draw, tag=2, start=lo)
+        np.testing.assert_array_equal(block, full[lo:lo + n])
+
+
+def test_collect_blocks_stops_at_the_same_draw_as_collect_values():
+    config = MCConfig(n_draws=100_000, seed=6, max_relative_se=0.02)
+
+    def evaluate(lo, hi):
+        return np.array([mc.substream(config.seed, i).normal(10.0, 5.0)
+                         for i in range(lo, hi)])
+
+    blocks = mc.collect_blocks(evaluate, config)
+    values = mc.collect_values(lambda i, rng: rng.normal(10.0, 5.0), float, config)
+    np.testing.assert_array_equal(blocks, values)
+    assert blocks.size % 1024 == 0 and blocks.size < config.n_draws
+
+
 def test_sentinels_excluded_and_counted():
     values = np.array([1.0, np.inf, 2.0, np.nan, 3.0])
     est = mc.estimate_from_values(values)
