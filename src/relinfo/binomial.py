@@ -71,16 +71,12 @@ def _mle(data):
     return x / n
 
 
-def _draw_completion(observed: BinomialObserved, theta, rng: np.random.Generator):
-    extra = rng.binomial(observed.n_missing, theta) if observed.n_missing else 0
-    return BinomialComplete(observed.successes + extra, observed.n_total)
-
-
-def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int):
+def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
+                            start: int = 0):
     if observed.n_missing == 0:
         extra = np.zeros(n_draws)
     else:
-        u = stream_uniforms(seed, n_draws)
+        u = stream_uniforms(seed, n_draws, start=start)
         extra = stats.binom.ppf(u, observed.n_missing, theta)
     return BinomialComplete(observed.successes + extra, observed.n_total)
 
@@ -90,21 +86,14 @@ def _impute_completion(observed: BinomialObserved, theta):
                             observed.n_total)
 
 
-def _sufficient_statistic(data):
-    x, n = _counts(data)
-    return np.array([x, n], dtype=float)
-
-
 def binomial_model() -> ModelContract:
     """Contract for the binomial with the success probability restricted to (0, 1)."""
     return ModelContract(
         name="binomial",
         log_likelihood=_log_likelihood,
         mle=_mle,
-        draw_completion=_draw_completion,
-        sufficient_statistic=_sufficient_statistic,
-        impute_completion=_impute_completion,
         draw_completions_batch=_draw_completions_batch,
+        impute_completion=_impute_completion,
         in_domain=lambda p: 0.0 < p < 1.0,
         is_boundary=lambda p: not 0.0 < p < 1.0,
     )

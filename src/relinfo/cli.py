@@ -14,7 +14,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -65,14 +64,6 @@ class Report:
         if out:
             Path(out).write_text(text)
         sys.stdout.write(text)
-
-
-def _worker_hint() -> int:
-    raw = os.environ.get("RELINFO_WORKERS", "0")
-    try:
-        return max(int(raw), 0)
-    except ValueError as exc:
-        raise ValidationError(f"RELINFO_WORKERS must be an integer, got {raw!r}") from exc
 
 
 def _scale(value: float, log10: bool) -> float:
@@ -255,8 +246,7 @@ def _cmd_binom_ri(args, report: Report) -> None:
     ri0 = core.ri0(model, obs, args.p0)
     report.add_result("result.ri0", ri0)
     if args.draws:
-        engine = mc.MCConfig(n_draws=args.draws, seed=args.seed,
-                             worker_hint=_worker_hint())
+        engine = mc.MCConfig(n_draws=args.draws, seed=args.seed)
         mc_result = core.ri1(model, obs, args.p0, engine,
                              theta_alt=args.p1, method="monte_carlo")
         report.add_result("result.ri1_monte_carlo", mc_result)
@@ -286,8 +276,7 @@ def _cmd_lod_var(args, report: Report) -> None:
     model = binomial.binomial_model()
     for key in ("x", "n_obs", "n_missing", "p0", "draws"):
         report.add(f"input.{key}", getattr(args, key))
-    result = core.lod_ratio_variance(model, obs, args.p0, args.draws, args.seed,
-                                     worker_hint=_worker_hint())
+    result = core.lod_ratio_variance(model, obs, args.p0, args.draws, args.seed)
     report.add_result("result.lod_ratio_variance", result)
 
 
@@ -301,7 +290,7 @@ def _cmd_cox_ri(args, report: Report) -> None:
     if args.beta0:
         beta0 = np.array([float(v) for v in args.beta0.split(",")])
     z_new = _parse_new_covariates(args.new_covariates, args.n_new, data.covariate_dim)
-    config = mc.MCConfig(n_draws=args.draws, seed=args.seed, worker_hint=_worker_hint())
+    config = mc.MCConfig(n_draws=args.draws, seed=args.seed)
     fn = cox.ri1_cox_correct if args.mode == "correct" else cox.ri1_cox_naive
     result = fn(data, args.n_new, z_new, beta0, config)
     report.add_result("result.ri1", result)

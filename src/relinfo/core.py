@@ -60,22 +60,23 @@ class LodScore:
 class ModelContract:
     """Pluggable likelihood machinery a model must provide.
 
-    ``impute_completion`` is present only for exponential-family models: it
-    returns pseudo-complete data whose sufficient statistic equals the
-    conditional expectation of the complete-data sufficient statistic given
-    the observed data at the supplied parameter.  ``draw_completions_batch``
-    is an optional vectorized sampler returning one data object whose
-    fields are arrays over draw index; it must derive draw i's randomness
-    from the counter block owned by i (see :func:`relinfo.mc.stream_uniforms`).
+    ``draw_completions_batch(observed, theta, n_draws, seed, start=0)``
+    returns completions ``start`` .. ``start + n_draws - 1`` as one data
+    object whose fields are arrays over draw index; it must derive draw i's
+    randomness from the counter block owned by i (see
+    :func:`relinfo.mc.stream_uniforms`), so any range of draws equals the
+    same rows of a run from draw 0.  ``impute_completion`` is present only
+    for exponential-family models: it returns pseudo-complete data whose
+    sufficient statistic equals the conditional expectation of the
+    complete-data sufficient statistic given the observed data at the
+    supplied parameter.
     """
 
     name: str
     log_likelihood: Callable[[Any, Any], Any]
     mle: Callable[[Any], Any]
-    draw_completion: Callable[[Any, Any, np.random.Generator], Any]
-    sufficient_statistic: Callable[[Any], np.ndarray] | None = None
+    draw_completions_batch: Callable[..., Any]
     impute_completion: Callable[[Any, Any], Any] | None = None
-    draw_completions_batch: Callable[[Any, Any, int, int], Any] | None = None
     in_domain: Callable[[Any], bool] | None = None
     is_boundary: Callable[[Any], bool] | None = None
 
@@ -159,17 +160,43 @@ def _observed_setup(model: ModelContract, observed, theta_null):
 
 
 def _completion_lods(model: ModelContract, observed, draw_theta,
-                     theta_alt, theta_null, n_draws: int, seed: int,
-                     worker_hint: int = 0) -> np.ndarray:
-    """Per-draw lod(theta_alt, theta_null | Y_co) for completions at draw_theta."""
-    if model.draw_completions_batch is not None:
-        completed = model.draw_completions_batch(observed, draw_theta, n_draws, seed)
+                     theta_alt, theta_null, seed: int) -> Callable[[int, int], np.ndarray]:
+    """Block evaluator of lod(theta_alt, theta_null | Y_co) for completions at draw_theta."""
+    def evaluate(lo: int, hi: int) -> np.ndarray:
+        completed = model.draw_completions_batch(observed, draw_theta, hi - lo, seed, start=lo)
         return np.asarray(_lod_value(model, theta_alt, theta_null, completed), dtype=float)
-    config = MCConfig(n_draws=n_draws, seed=seed, worker_hint=worker_hint)
-    return mc.collect_values(
-        lambda i, rng: model.draw_completion(observed, draw_theta, rng),
-        lambda y_co: _lod_value(model, theta_alt, theta_null, y_co),
-        config,
+    return evaluate
+
+
+def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], np.ndarray],
+                    config: MCConfig, **diagnostics) -> RelInfoResult:
+    """Observed lod over the Monte Carlo mean of the complete-data lods.
+
+    ``evaluate(lo, hi)`` returns the complete-data lods of draws lo..hi-1;
+    the mean honours ``config.max_relative_se`` (see :func:`relinfo.mc.collect_blocks`).
+    ``diagnostics`` are added to the result's own.
+    """
+    est = mc.mc_expectation(evaluate, config)
+    if est.mean <= 0.0:
+        raise InstabilityError(
+            "Monte Carlo denominator estimate is nonpositive",
+            {"denominator_mean": est.mean, "denominator_se": est.standard_error,
+             "n_effective": est.n_effective, "sentinel_count": est.sentinel_count},
+        )
+    # Delta method for a ratio with a fixed numerator.
+    se = abs(lod_ob) * est.standard_error / est.mean**2
+    return RelInfoResult(
+        estimate=lod_ob / est.mean, mc_standard_error=se,
+        n_draws=est.n_draws, seed=config.seed, method=Method.MONTE_CARLO,
+        diagnostics={
+            "lod_observed": lod_ob,
+            "denominator_mean": est.mean,
+            "denominator_se": est.standard_error,
+            "sentinel_count": est.sentinel_count,
+            "se_method": "delta-method ratio, fixed numerator",
+            "generator": mc.GENERATOR_ID,
+            **diagnostics,
+        },
     )
 
 
@@ -217,29 +244,10 @@ def ri1(model: ModelContract, observed, theta_null, engine: MCConfig | None = No
     if engine is None:
         raise ValidationError("Monte Carlo ri1 requires an MCConfig engine")
 
-    values = _completion_lods(model, observed, draw_theta, theta_alt, theta_null,
-                              engine.n_draws, engine.seed, engine.worker_hint)
-    est = mc.estimate_from_values(values)
-    if est.mean <= 0.0:
-        raise InstabilityError(
-            "Monte Carlo denominator estimate is nonpositive",
-            {"denominator_mean": est.mean, "denominator_se": est.standard_error,
-             "n_effective": est.n_effective, "sentinel_count": est.sentinel_count},
-        )
-    # Delta method for a ratio with a fixed numerator.
-    se = abs(lod_ob) * est.standard_error / est.mean**2
-    return RelInfoResult(
-        estimate=lod_ob / est.mean, mc_standard_error=se,
-        n_draws=est.n_draws, seed=engine.seed, method=Method.MONTE_CARLO,
-        diagnostics={
-            "lod_observed": lod_ob,
-            "denominator_mean": est.mean,
-            "denominator_se": est.standard_error,
-            "sentinel_count": est.sentinel_count,
-            "se_method": "delta-method ratio, fixed numerator",
-            "generator": mc.GENERATOR_ID,
-        },
-    )
+    return ri1_monte_carlo(
+        lod_ob, _completion_lods(model, observed, draw_theta, theta_alt, theta_null,
+                                 engine.seed),
+        engine)
 
 
 def ri0(model: ModelContract, observed, theta_null) -> RelInfoResult:
@@ -282,14 +290,14 @@ def ri_y_samples(model: ModelContract, observed, pair: HypothesisPair,
     theta_hat = model.mle(observed)
     lod_ob = _as_scalar(lod(model, pair, observed).value)
     lods_co = _completion_lods(model, observed, theta_hat,
-                               pair.theta_alt, pair.theta_null, n_draws, seed)
+                               pair.theta_alt, pair.theta_null, seed)(0, n_draws)
     with np.errstate(divide="ignore"):
         samples = np.where(lods_co == 0.0, np.inf, lod_ob / lods_co)
     return samples
 
 
 def lod_ratio_variance(model: ModelContract, observed, theta_null,
-                       n_draws: int, seed: int, *, worker_hint: int = 0) -> RelInfoResult:
+                       n_draws: int, seed: int) -> RelInfoResult:
     """Conditional variance of the complete-data lod over the squared observed lod.
 
     Each draw's lod is evaluated at that draw's own complete-data MLE.
@@ -299,19 +307,9 @@ def lod_ratio_variance(model: ModelContract, observed, theta_null,
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero; measure undefined")
 
-    if model.draw_completions_batch is not None:
-        completed = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
-        theta_co = model.mle(completed)
-        values = np.asarray(_lod_value(model, theta_co, theta_null, completed), dtype=float)
-        var = mc.variance_from_values(values)
-    else:
-        config = MCConfig(n_draws=n_draws, seed=seed, worker_hint=worker_hint)
-
-        def lod_at_own_mle(y_co):
-            return _lod_value(model, model.mle(y_co), theta_null, y_co)
-
-        var = mc.mc_variance(lambda i, rng: model.draw_completion(observed, theta_hat, rng),
-                             lod_at_own_mle, config)
+    completed = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
+    var = mc.variance_from_values(
+        _lod_value(model, model.mle(completed), theta_null, completed))
 
     scale = lod_ob**2
     return RelInfoResult(
@@ -346,19 +344,10 @@ def expected_lod_gap(model: ModelContract, observed, theta_null,
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero")
 
-    if model.draw_completions_batch is not None:
-        completed = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
-        theta_co = model.mle(completed)
-        at_mle = np.asarray(_lod_value(model, theta_co, theta_null, completed), dtype=float)
-        at_fixed = np.asarray(_lod_value(model, theta_hat, theta_null, completed), dtype=float)
-    else:
-        at_mle = np.empty(n_draws)
-        at_fixed = np.empty(n_draws)
-        for i in range(n_draws):
-            y_co = model.draw_completion(observed, theta_hat, mc.substream(seed, i))
-            at_mle[i] = _lod_value(model, model.mle(y_co), theta_null, y_co)
-            at_fixed[i] = _lod_value(model, theta_hat, theta_null, y_co)
-
+    completed = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
+    at_mle = np.asarray(_lod_value(model, model.mle(completed), theta_null, completed),
+                        dtype=float)
+    at_fixed = np.asarray(_lod_value(model, theta_hat, theta_null, completed), dtype=float)
     diff = at_mle - at_fixed
     violations = int(np.sum(diff < -_DOMINANCE_TOL))
     return ExpectedLodGap(

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import mc
-from .core import Method, RelInfoResult
+from .core import Method, RelInfoResult, ri1_monte_carlo
 from .errors import (
     DataIntegrityError,
     DegenerateDataError,
@@ -378,25 +378,32 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
     raise EstimationFailureError("partial-likelihood Newton did not converge")
 
 
-def breslow_baseline(data: SurvivalDataset, beta) -> BaselineHazard:
-    """Breslow cumulative-hazard increments d_t / sum_{at risk} exp(beta.z)."""
+def _breslow_log_increments(data: SurvivalDataset, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct event times and the log Breslow increments at them.
+
+    The increment at t is d_t / sum_{at risk} exp(beta.z); its log,
+    log d_t minus the log risk-set sum, is finite for any linear predictor.
+    """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if not np.all(np.isfinite(beta)):
         raise DomainError("beta must be finite")
     times, status, z = data.arrays()
-    eta = z @ beta
     order = np.argsort(times, kind="stable")
     sorted_times = times[order]
     start = _tie_starts(sorted_times)[status[order] == EVENT]
-    if start.size == 0:
-        return BaselineHazard(jump_times=np.zeros(0), jump_sizes=np.zeros(0))
     # One increment per distinct event time: tied events share a tie start.
     first, deaths = np.unique(start, return_counts=True)
-    log_risk, _ = _risk_sums(eta[order])
-    sizes = deaths * np.exp(-log_risk[first])
+    log_risk, _ = _risk_sums((z @ beta)[order])
+    return sorted_times[first], np.log(deaths) - log_risk[first]
+
+
+def breslow_baseline(data: SurvivalDataset, beta) -> BaselineHazard:
+    """Breslow cumulative-hazard increments d_t / sum_{at risk} exp(beta.z)."""
+    jump_times, log_sizes = _breslow_log_increments(data, beta)
+    sizes = np.exp(log_sizes)
     if not np.all(np.isfinite(sizes) & (sizes > 0)):
         raise DataIntegrityError("baseline hazard increments are outside the range of doubles")
-    return BaselineHazard(jump_times=sorted_times[first], jump_sizes=sizes)
+    return BaselineHazard(jump_times=jump_times, jump_sizes=sizes)
 
 
 def _log_risk_rates(rank: RankData, beta) -> np.ndarray:
@@ -407,19 +414,21 @@ def _log_risk_rates(rank: RankData, beta) -> np.ndarray:
     return log_risk[rank.tie_start[rank.event]]
 
 
-def _relative_rates(log_rates: np.ndarray, baseline: BaselineHazard):
+def _relative_rates(log_rates: np.ndarray, jump_times: np.ndarray,
+                    log_sizes: np.ndarray):
     """Rates exp(log_rates) and the baseline, both relative to the largest rate.
 
     Completion times are baseline.inverse(E / rate), which scaling every
-    rate down and the baseline up by one factor leaves unchanged; this
-    factor keeps both finite when the linear predictor is large.
+    rate down and the baseline up by one factor leaves unchanged.  The
+    factor is applied to the log increments ``log_sizes`` before they are
+    exponentiated, which keeps both finite when the linear predictor is large.
     """
     shift = log_rates.max()
     rates = np.exp(log_rates - shift)
-    sizes = np.exp(np.log(baseline.jump_sizes) + shift)
+    sizes = np.exp(log_sizes + shift)
     if not (np.all(rates > 0) and np.all(np.isfinite(sizes))):
         raise DataIntegrityError("relative hazards span more than the range of doubles")
-    return rates, BaselineHazard(baseline.jump_times, sizes)
+    return rates, BaselineHazard(jump_times, sizes)
 
 
 def _completion_times(exponentials: np.ndarray, rates: np.ndarray,
@@ -455,7 +464,8 @@ def sample_times_given_ranks(rank: RankData, beta, baseline: BaselineHazard,
     by construction, which is asserted on every draw.  The Cox completion
     kernel uses the same mapping.
     """
-    rates, baseline = _relative_rates(_log_risk_rates(rank, beta), baseline)
+    rates, baseline = _relative_rates(_log_risk_rates(rank, beta), baseline.jump_times,
+                                      np.log(baseline.jump_sizes))
     return _completion_times(rng.standard_exponential(rates.size), rates,
                              np.zeros(0), baseline)
 
@@ -520,7 +530,7 @@ class _Completion:
 
 
 def _correct_completion(rank: RankData, beta_hat, beta_null, times, z, z_new,
-                        baseline: BaselineHazard) -> _Completion:
+                        log_baseline) -> _Completion:
     # Columns: failures in failure order, then censored subjects by time,
     # then new subjects; each row is then nearly sorted already.
     fail_ids = rank.order[rank.event]
@@ -528,7 +538,7 @@ def _correct_completion(rank: RankData, beta_hat, beta_null, times, z, z_new,
     cens_times = times[cens_ids]
     k = fail_ids.size
     rates, baseline = _relative_rates(
-        np.concatenate([_log_risk_rates(rank, beta_hat), z_new @ beta_hat]), baseline)
+        np.concatenate([_log_risk_rates(rank, beta_hat), z_new @ beta_hat]), *log_baseline)
 
     def draw_times(exponentials):
         t = _completion_times(exponentials, rates[:k], rates[k:], baseline)
@@ -543,9 +553,9 @@ def _correct_completion(rank: RankData, beta_hat, beta_null, times, z, z_new,
 
 
 def _naive_completion(rank: RankData, beta_hat, beta_null, times, status, z, z_new,
-                      baseline: BaselineHazard) -> _Completion:
+                      log_baseline) -> _Completion:
     # Columns: existing subjects by time, then new subjects.
-    new_rates, baseline = _relative_rates(z_new @ beta_hat, baseline)
+    new_rates, baseline = _relative_rates(z_new @ beta_hat, *log_baseline)
     fixed_times = times[rank.order]
 
     def draw_times(exponentials):
@@ -559,29 +569,11 @@ def _naive_completion(rank: RankData, beta_hat, beta_null, times, status, z, z_n
                        merged_z @ beta_hat, merged_z @ beta_null)
 
 
-def _ratio_result(lod_ob: float, completion: _Completion, config: MCConfig,
-                  conditioning: str) -> RelInfoResult:
-    values = mc.collect_blocks(lambda lo, hi: completion.lods(config.seed, lo, hi), config)
-    est = mc.estimate_from_values(values)
-    if est.mean <= 0.0:
-        raise InstabilityError(
-            "Monte Carlo denominator estimate is nonpositive",
-            {"denominator_mean": est.mean, "denominator_se": est.standard_error},
-        )
-    se = abs(lod_ob) * est.standard_error / est.mean**2
-    return RelInfoResult(
-        estimate=lod_ob / est.mean, mc_standard_error=se,
-        n_draws=est.n_draws, seed=config.seed, method=Method.MONTE_CARLO,
-        diagnostics={
-            "lod_observed": lod_ob,
-            "denominator_mean": est.mean,
-            "denominator_se": est.standard_error,
-            "sentinel_count": est.sentinel_count,
-            "conditioning": conditioning,
-            "se_method": "delta-method ratio, fixed numerator",
-            "generator": mc.GENERATOR_ID,
-        },
-    )
+def _log_baseline(data: SurvivalDataset, beta_hat, baseline: BaselineHazard | None):
+    """Jump times and log increments of the given baseline, else of the Breslow one."""
+    if baseline is None:
+        return _breslow_log_increments(data, beta_hat)
+    return baseline.jump_times, np.log(baseline.jump_sizes)
 
 
 def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
@@ -593,18 +585,16 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
     rank order, holds censoring times fixed, draws the new subjects'
     times unconditionally from the fitted proportional-hazards model
     (Breslow baseline estimated from the censored data), and evaluates
-    the partial-likelihood lod on the augmented ranks.  Draws are
-    evaluated vectorized, so ``worker_hint`` has no effect.
+    the partial-likelihood lod on the augmented ranks.
     """
     if mc_config is None:
         raise ValidationError("ri1_cox_correct requires an MCConfig")
     rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
-    if baseline is None:
-        baseline = breslow_baseline(data, beta_hat)
-    completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new, baseline)
-    return _ratio_result(lod_ob, completion, mc_config,
-                         conditioning="rank data (partial data)")
+    completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new,
+                                     _log_baseline(data, beta_hat, baseline))
+    return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
+                           mc_config, conditioning="rank data (partial data)")
 
 
 def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
@@ -613,8 +603,7 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
     """Relative information with the censored-data conditioning.
 
     Existing subjects' observed times are held fixed; only the new
-    subjects are simulated.  The resulting measure may exceed 1.  Draws
-    are evaluated vectorized, so ``worker_hint`` has no effect.
+    subjects are simulated.  The resulting measure may exceed 1.
     """
     rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
@@ -629,12 +618,10 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
         )
     if mc_config is None:
         raise ValidationError("ri1_cox_naive requires an MCConfig when n_new > 0")
-    if baseline is None:
-        baseline = breslow_baseline(data, beta_hat)
     completion = _naive_completion(rank, beta_hat, beta_null, times, status, z, z_new,
-                                   baseline)
-    return _ratio_result(lod_ob, completion, mc_config,
-                         conditioning="censored data (observed times fixed)")
+                                   _log_baseline(data, beta_hat, baseline))
+    return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
+                           mc_config, conditioning="censored data (observed times fixed)")
 
 
 def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariates,

@@ -4,7 +4,6 @@ Each test prints ``ACCEPTANCE <n> <name>: PASS`` after its assertions;
 a failing assertion surfaces through pytest as usual.
 """
 
-import dataclasses
 import math
 import time
 
@@ -221,24 +220,37 @@ def test_criterion_9_combine_oracle():
     report(9, "weighted harmonic combination equals the pooled measure")
 
 
-def test_criterion_10_worker_hint_determinism():
+def test_criterion_10_block_determinism(monkeypatch):
     obs, p0 = BinomialObserved(30, 50, 50), 0.4
-    scalar_model = dataclasses.replace(MODEL, draw_completions_batch=None)
 
     rng = np.random.default_rng(523)
     _, uncensored = simulate_ph_binary(15, 0.5, rng, 0.0)
     z_new = rng.integers(0, 2, size=4).astype(float)[:, None]
 
-    binom_runs, cox_runs = [], []
-    for hint in (1, 4, 8):
-        engine = MCConfig(n_draws=5_000, seed=601, worker_hint=hint)
-        r = core.ri1(scalar_model, obs, p0, engine, method="monte_carlo")
-        binom_runs.append((r.estimate, r.mc_standard_error, r.n_draws))
-        c = ri1_cox_correct(uncensored, 4, z_new,
-                            mc_config=MCConfig(n_draws=2_000, seed=601,
-                                               worker_hint=hint))
-        cox_runs.append((c.estimate, c.mc_standard_error, c.n_draws))
+    # Record the per-draw values each measure hands to the reduction.
+    recorded = []
+    collect_blocks = mc.collect_blocks
 
-    assert binom_runs[0] == binom_runs[1] == binom_runs[2]
-    assert cox_runs[0] == cox_runs[1] == cox_runs[2]
-    report(10, "worker hint never changes a single bit of any estimate")
+    def recording(evaluate, config):
+        recorded.append(collect_blocks(evaluate, config))
+        return recorded[-1]
+
+    monkeypatch.setattr(mc, "collect_blocks", recording)
+    measures = [
+        (5_000, lambda config: core.ri1(MODEL, obs, p0, config, method="monte_carlo")),
+        (2_000, lambda config: ri1_cox_correct(uncensored, 4, z_new, mc_config=config)),
+    ]
+    for n, measure in measures:
+        recorded.clear()
+        one_block = measure(MCConfig(n_draws=n, seed=601))
+        # A target no run reaches makes collect_blocks evaluate every draw in
+        # 1024-draw blocks from their own start, the last block shorter.
+        blocks = measure(MCConfig(n_draws=n, seed=601, max_relative_se=1e-9))
+        measure(MCConfig(n_draws=2 * n, seed=601))
+        draws_one, draws_blocks, draws_double = recorded
+        assert draws_one.size == n
+        np.testing.assert_array_equal(draws_blocks, draws_one)
+        np.testing.assert_array_equal(draws_double[:n], draws_one)
+        assert ((blocks.estimate, blocks.mc_standard_error, blocks.n_draws)
+                == (one_block.estimate, one_block.mc_standard_error, one_block.n_draws))
+    report(10, "draws 0..N-1 are bit-identical in one block, in blocks and in 2N draws")

@@ -33,17 +33,14 @@ def test_mle_is_sample_proportion():
 
 def test_completion_with_no_missing_returns_data_back():
     obs = BinomialObserved(4, 9, 0)
-    co = MODEL.draw_completion(obs, 0.4, mc.substream(0, 0))
-    assert co.successes_total == obs.successes
+    co = MODEL.draw_completions_batch(obs, 0.4, 1, 0)
+    assert np.all(co.successes_total == obs.successes)
     assert co.n_total == obs.n_observed
 
 
 def test_completion_mean_matches_binomial_mean():
     obs = BinomialObserved(30, 50, 50)
-    draws = np.array([
-        MODEL.draw_completion(obs, 0.6, mc.substream(11, i)).successes_total - 30
-        for i in range(4_000)
-    ])
+    draws = MODEL.draw_completions_batch(obs, 0.6, 4_000, 11).successes_total - 30
     se = np.std(draws, ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 30.0) <= 3 * se
 
@@ -55,6 +52,14 @@ def test_batch_completion_is_deterministic_and_reduces_correctly():
     np.testing.assert_array_equal(a.successes_total, b.successes_total)
     assert np.all(a.successes_total >= obs.successes)
     assert np.all(a.successes_total <= obs.n_total)
+
+
+def test_batch_completion_start_selects_rows_of_one_shot_run():
+    obs = BinomialObserved(30, 50, 50)
+    full = MODEL.draw_completions_batch(obs, 0.6, 100, 3).successes_total
+    for lo, n in [(0, 100), (1, 5), (37, 63), (99, 1)]:
+        block = MODEL.draw_completions_batch(obs, 0.6, n, 3, start=lo).successes_total
+        np.testing.assert_array_equal(block, full[lo:lo + n])
 
 
 def test_enumerate_expectation_normalization():

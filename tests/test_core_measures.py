@@ -15,7 +15,6 @@ from relinfo.errors import (
 )
 
 MODEL = binomial_model()
-SCALAR_MODEL = dataclasses.replace(MODEL, draw_completions_batch=None)
 
 
 def binom_lod(theta_alt, theta_null, x, n):
@@ -70,12 +69,16 @@ class TestRi1:
         assert result.n_draws == 10_000
         assert abs(result.estimate - 0.5) <= 3 * result.mc_standard_error
 
-    def test_scalar_path_matches_contract(self):
-        # Generic per-draw path (no vectorized sampler) also lands within 3 SE.
+    def test_monte_carlo_honours_max_relative_se(self):
         obs = BinomialObserved(30, 50, 50)
-        engine = mc.MCConfig(n_draws=4_000, seed=29)
-        result = core.ri1(SCALAR_MODEL, obs, 0.5, engine, method="monte_carlo")
-        assert abs(result.estimate - 0.5) <= 3 * result.mc_standard_error
+        adaptive = core.ri1(MODEL, obs, 0.5,
+                            mc.MCConfig(n_draws=100_000, seed=6, max_relative_se=0.05),
+                            method="monte_carlo")
+        assert adaptive.n_draws % 1024 == 0 and adaptive.n_draws < 100_000
+        fixed = core.ri1(MODEL, obs, 0.5, mc.MCConfig(n_draws=adaptive.n_draws, seed=6),
+                         method="monte_carlo")
+        assert (adaptive.diagnostics["denominator_mean"]
+                == fixed.diagnostics["denominator_mean"])
 
     def test_zero_observed_lod_rejected(self):
         with pytest.raises(UndefinedMeasureError):
@@ -112,8 +115,7 @@ class TestRi0:
             core.ri0(MODEL, BinomialObserved(25, 50, 10), 0.5)
 
     def test_non_exponential_family_rejected(self):
-        stripped = dataclasses.replace(MODEL, impute_completion=None,
-                                       sufficient_statistic=None)
+        stripped = dataclasses.replace(MODEL, impute_completion=None)
         with pytest.raises(UnsupportedModelError):
             core.ri0(stripped, BinomialObserved(30, 50, 50), 0.5)
 
@@ -193,11 +195,6 @@ class TestExpectedLodGap:
         assert abs(small_gap.at_fixed_alt.mean - exact_fixed) \
             <= 3 * small_gap.at_fixed_alt.standard_error
 
-    def test_dominance_holds_per_draw_on_scalar_path(self):
-        gap = core.expected_lod_gap(SCALAR_MODEL, BinomialObserved(30, 50, 15),
-                                    0.5, 500, 53)
-        assert gap.dominance_violations == 0
-
 
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
@@ -208,16 +205,23 @@ class TestDeterminism:
         assert a.estimate == b.estimate
         assert a.mc_standard_error == b.mc_standard_error
 
-    def test_worker_hint_irrelevant_on_scalar_path(self):
+    def test_grouping_of_completion_draws_irrelevant(self):
         obs = BinomialObserved(30, 50, 50)
-        results = [
-            core.ri1(SCALAR_MODEL, obs, 0.5,
-                     mc.MCConfig(n_draws=1_000, seed=67, worker_hint=w),
-                     method="monte_carlo")
-            for w in (1, 4, 8)
-        ]
-        assert results[0].estimate == results[1].estimate == results[2].estimate
-        assert results[0].mc_standard_error == results[2].mc_standard_error
+        draw = MODEL.draw_completions_batch
+
+        def in_uneven_pieces(observed, theta, n_draws, seed, start=0):
+            edges = [start, start + 1, start + 8, start + 333, start + n_draws]
+            pieces = [draw(observed, theta, hi - lo, seed, start=lo)
+                      for lo, hi in zip(edges, edges[1:])]
+            return binomial.BinomialComplete(
+                np.concatenate([p.successes_total for p in pieces]), pieces[0].n_total)
+
+        split_model = dataclasses.replace(MODEL, draw_completions_batch=in_uneven_pieces)
+        config = mc.MCConfig(n_draws=1_000, seed=67)
+        whole = core.ri1(MODEL, obs, 0.5, config, method="monte_carlo")
+        split = core.ri1(split_model, obs, 0.5, config, method="monte_carlo")
+        assert whole.estimate == split.estimate
+        assert whole.mc_standard_error == split.mc_standard_error
 
 
 def test_ri1_range_property_randomized():

@@ -386,16 +386,18 @@ class TestInputValidation:
         assert info[0, 0] == pytest.approx(-(upper[0] - lower[0]) / (2 * h), rel=1e-4, abs=1e-4)
 
 
+    @pytest.mark.parametrize("eta", [720.0, 1000.0])
     @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
-    def test_covariate_offset_leaves_the_measure_unchanged(self, measure):
-        # An offset of 720 / beta_hat puts eta near 720, where exp(eta)
-        # overflows and the Breslow increments are subnormal; the partial
-        # likelihood and the completion times do not see the offset.
+    def test_covariate_offset_leaves_the_measure_unchanged(self, measure, eta):
+        # An offset of eta / beta_hat puts eta near the target, where exp(eta)
+        # overflows and the Breslow increments are subnormal (720) or zero
+        # (1000); the partial likelihood and the completion times do not see
+        # the offset.
         rng = np.random.default_rng(113)
         censored, _ = simulate_ph_binary(20, 0.5, rng, 0.25)
         z_new = rng.integers(0, 2, size=5).astype(float)[:, None]
         times, status, z = censored.arrays()
-        offset = 720.0 / fit_partial_likelihood(extract_rank_data(censored))[0][0]
+        offset = eta / fit_partial_likelihood(extract_rank_data(censored))[0][0]
         shifted = SurvivalDataset.from_arrays(times, status, z + offset)
         config = MCConfig(n_draws=2000, seed=7)
         a = measure(censored, 5, z_new, mc_config=config)
@@ -515,12 +517,12 @@ def kernel_completions():
     data, z_new = kernel_case()
     rank, beta_hat, beta_null, times, status, z, z_new, _ = cox._augmentation_setup(
         data, 4, z_new, None)
-    baseline = breslow_baseline(data, beta_hat)
+    log_baseline = cox._log_baseline(data, beta_hat, None)
     return {
         "correct": cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new,
-                                           baseline),
+                                           log_baseline),
         "naive": cox._naive_completion(rank, beta_hat, beta_null, times, status, z, z_new,
-                                       baseline),
+                                       log_baseline),
     }
 
 

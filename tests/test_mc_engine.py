@@ -6,13 +6,22 @@ from relinfo.errors import EstimationFailureError, ValidationError
 from relinfo.mc import MCConfig
 
 
-def bernoulli_draw(index, rng):
-    return float(rng.random() < 0.5)
+def per_draw(seed, sample):
+    """Block evaluator whose draw i is sample(substream(seed, i))."""
+    return lambda lo, hi: np.array([float(sample(mc.substream(seed, i)))
+                                    for i in range(lo, hi)])
+
+
+def bernoulli_draw(rng):
+    return rng.random() < 0.5
+
+
+def constant(value):
+    return lambda lo, hi: np.full(hi - lo, value)
 
 
 def test_constant_functional_has_zero_se():
-    est = mc.mc_expectation(lambda i, rng: None, lambda _: 3.25,
-                            MCConfig(n_draws=100, seed=1))
+    est = mc.mc_expectation(constant(3.25), MCConfig(n_draws=100, seed=1))
     assert est.mean == 3.25
     assert est.standard_error == 0.0
     assert est.n_effective == 100
@@ -20,17 +29,20 @@ def test_constant_functional_has_zero_se():
 
 
 def test_bernoulli_mean_within_three_se():
-    est = mc.mc_expectation(bernoulli_draw, float, MCConfig(n_draws=10_000, seed=2))
+    est = mc.mc_expectation(per_draw(2, bernoulli_draw), MCConfig(n_draws=10_000, seed=2))
     assert abs(est.mean - 0.5) <= 3 * est.standard_error
 
 
-def test_worker_hint_does_not_change_results():
-    results = [
-        mc.mc_expectation(bernoulli_draw, float,
-                          MCConfig(n_draws=2_000, seed=3, worker_hint=w))
-        for w in (1, 8)
-    ]
-    assert results[0] == results[1]
+def test_block_grouping_does_not_change_results():
+    def evaluate(lo, hi):
+        return (mc.stream_uniforms(3, hi - lo, start=lo) < 0.5).astype(float)
+
+    def in_uneven_pieces(lo, hi):
+        edges = [lo, min(lo + 1, hi), min(lo + 9, hi), min(lo + 700, hi), hi]
+        return np.concatenate([evaluate(a, b) for a, b in zip(edges, edges[1:])])
+
+    config = MCConfig(n_draws=2_000, seed=3)
+    assert mc.mc_expectation(evaluate, config) == mc.mc_expectation(in_uneven_pieces, config)
 
 
 def test_substreams_are_independent_of_each_other():
@@ -57,15 +69,11 @@ def test_stream_uniforms_start_selects_rows_of_one_shot_run(per_draw):
         np.testing.assert_array_equal(block, full[lo:lo + n])
 
 
-def test_collect_blocks_stops_at_the_same_draw_as_collect_values():
+def test_collect_blocks_stops_at_a_block_boundary():
     config = MCConfig(n_draws=100_000, seed=6, max_relative_se=0.02)
-
-    def evaluate(lo, hi):
-        return np.array([mc.substream(config.seed, i).normal(10.0, 5.0)
-                         for i in range(lo, hi)])
-
+    evaluate = per_draw(config.seed, lambda rng: rng.normal(10.0, 5.0))
     blocks = mc.collect_blocks(evaluate, config)
-    values = mc.collect_values(lambda i, rng: rng.normal(10.0, 5.0), float, config)
+    values = mc.collect_blocks(evaluate, MCConfig(n_draws=blocks.size, seed=config.seed))
     np.testing.assert_array_equal(blocks, values)
     assert blocks.size % 1024 == 0 and blocks.size < config.n_draws
 
@@ -84,18 +92,19 @@ def test_all_sentinels_raise():
 
 
 def test_variance_constant_is_zero():
-    est = mc.mc_variance(lambda i, rng: None, lambda _: 1.5, MCConfig(n_draws=50, seed=4))
+    est = mc.variance_from_values(mc.collect_blocks(constant(1.5), MCConfig(n_draws=50, seed=4)))
     assert est.mean == 0.0
 
 
 def test_variance_bernoulli_quarter():
-    est = mc.mc_variance(bernoulli_draw, float, MCConfig(n_draws=20_000, seed=5))
+    est = mc.variance_from_values(
+        mc.collect_blocks(per_draw(5, bernoulli_draw), MCConfig(n_draws=20_000, seed=5)))
     assert abs(est.mean - 0.25) <= 3 * est.standard_error
 
 
 def test_adaptive_stop_reports_at_least_two_draws():
     config = MCConfig(n_draws=100_000, seed=6, max_relative_se=0.5)
-    values = mc.collect_values(lambda i, rng: rng.normal(10.0), float, config)
+    values = mc.collect_blocks(per_draw(config.seed, lambda rng: rng.normal(10.0)), config)
     assert 2 <= values.size <= 100_000
     est = mc.estimate_from_values(values)
     assert est.n_effective >= 2
