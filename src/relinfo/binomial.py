@@ -6,6 +6,11 @@ a plain binomial on n_observed + n_missing trials.  Because the family is
 exponential with sufficient statistic (successes, trials), sufficient-
 statistic imputation is exact for every linear functional, and instances
 with a small missing count admit an exact enumeration oracle.
+
+Monte Carlo completions draw the missing successes by exact inversion: one
+binary search per block of uniforms in a table of the Binomial(n_missing,
+theta) cdf, over a window of counts that brackets the block's uniforms.
+Each draw is the smallest count k with cdf(k) >= u, so u = 0 gives 0.
 """
 
 from __future__ import annotations
@@ -71,13 +76,33 @@ def _mle(data):
     return x / n
 
 
+def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
+    """Binomial(n, theta) quantiles of u: the smallest count k with cdf(k) >= u.
+
+    The cdf is tabulated over the counts that boost's quantiles of u.min()
+    and u.max() bracket, widened by one count on each side, and each uniform
+    is placed in the table by binary search; when the window does not
+    bracket the extreme uniforms, the whole support 0..n is tabulated
+    instead.  The cost follows the spread of the block's quantiles, not n.
+    A uniform of exactly 0 maps to 0 (scipy's ``binom.ppf(0)`` is -1).
+    """
+    lo, hi = stats.binom.ppf([u.min(), u.max()], n, theta)
+    lo, hi = max(int(lo) - 1, 0), min(int(hi) + 1, n)
+    # Tabulated from lo - 1 so that cdf[0] checks the lower edge (cdf(-1) = 0).
+    cdf = stats.binom.cdf(np.arange(lo - 1, hi + 1), n, theta)
+    if (lo > 0 and cdf[0] >= u.min()) or cdf[-1] < u.max():
+        lo = 0
+        cdf = stats.binom.cdf(np.arange(-1, n + 1), n, theta)
+    return lo + np.searchsorted(cdf[1:], u, side="left")
+
+
 def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
                             start: int = 0):
-    if observed.n_missing == 0:
+    if observed.n_missing == 0 or n_draws == 0:
         extra = np.zeros(n_draws)
     else:
         u = stream_uniforms(seed, n_draws, start=start)
-        extra = stats.binom.ppf(u, observed.n_missing, theta)
+        extra = _inverse_cdf(u, observed.n_missing, theta).astype(float)
     return BinomialComplete(observed.successes + extra, observed.n_total)
 
 

@@ -576,6 +576,17 @@ def _log_baseline(data: SurvivalDataset, beta_hat, baseline: BaselineHazard | No
     return baseline.jump_times, np.log(baseline.jump_sizes)
 
 
+def _no_new_subjects(lod_ob: float, mc_config: MCConfig | None,
+                     conditioning: str) -> RelInfoResult:
+    """Without new subjects the augmented data are the observed data: exactly 1."""
+    return RelInfoResult(
+        estimate=1.0, mc_standard_error=0.0, n_draws=0,
+        seed=mc_config.seed if mc_config is not None else 0,
+        method=Method.CLOSED_FORM,
+        diagnostics={"lod_observed": lod_ob, "conditioning": conditioning},
+    )
+
+
 def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
                     theta_null_beta=None, mc_config: MCConfig | None = None,
                     *, baseline: BaselineHazard | None = None) -> RelInfoResult:
@@ -585,12 +596,16 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
     rank order, holds censoring times fixed, draws the new subjects'
     times unconditionally from the fitted proportional-hazards model
     (Breslow baseline estimated from the censored data), and evaluates
-    the partial-likelihood lod on the augmented ranks.
+    the partial-likelihood lod on the augmented ranks.  With no new
+    subjects the augmented data are the observed data and the measure is
+    exactly 1.
     """
     if mc_config is None:
         raise ValidationError("ri1_cox_correct requires an MCConfig")
     rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
+    if n_new == 0:
+        return _no_new_subjects(lod_ob, mc_config, "rank data (partial data)")
     completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new,
                                      _log_baseline(data, beta_hat, baseline))
     return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
@@ -608,14 +623,7 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
     rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
     if n_new == 0:
-        # Augmented data equal the observed data; no randomness at all.
-        return RelInfoResult(
-            estimate=1.0, mc_standard_error=0.0, n_draws=0,
-            seed=mc_config.seed if mc_config is not None else 0,
-            method=Method.CLOSED_FORM,
-            diagnostics={"lod_observed": lod_ob,
-                         "conditioning": "censored data (observed times fixed)"},
-        )
+        return _no_new_subjects(lod_ob, mc_config, "censored data (observed times fixed)")
     if mc_config is None:
         raise ValidationError("ri1_cox_naive requires an MCConfig when n_new > 0")
     completion = _naive_completion(rank, beta_hat, beta_null, times, status, z, z_new,

@@ -1,9 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from relinfo import binomial, core, mc
 from relinfo.binomial import BinomialComplete, BinomialObserved, binomial_model
@@ -57,9 +59,70 @@ def test_batch_completion_is_deterministic_and_reduces_correctly():
 def test_batch_completion_start_selects_rows_of_one_shot_run():
     obs = BinomialObserved(30, 50, 50)
     full = MODEL.draw_completions_batch(obs, 0.6, 100, 3).successes_total
-    for lo, n in [(0, 100), (1, 5), (37, 63), (99, 1)]:
+    for lo, n in [(0, 100), (1, 5), (37, 63), (99, 1), (50, 0)]:
         block = MODEL.draw_completions_batch(obs, 0.6, n, 3, start=lo).successes_total
         np.testing.assert_array_equal(block, full[lo:lo + n])
+
+
+def smallest_count_reaching(u, n, theta):
+    """Reference inverse cdf: a scan of the whole support for each uniform."""
+    cdf = stats.binom.cdf(np.arange(n + 1), n, theta)
+    return np.array([np.flatnonzero(cdf >= v)[0] for v in u])
+
+
+def test_zero_uniform_completes_within_support(monkeypatch):
+    # scipy's binom.ppf(0) is -1, one success fewer than observed.
+    obs = BinomialObserved(30, 50, 50)
+    u = np.array([0.0, 0.25, 0.0, 0.75, 1.0 - 2.0**-53])
+    monkeypatch.setattr(binomial, "stream_uniforms", lambda seed, n, start=0: u[start:start + n])
+    successes = MODEL.draw_completions_batch(obs, 0.6, u.size, 0).successes_total
+    assert np.all(successes >= obs.successes)
+    assert np.all(successes <= obs.n_total)
+    assert successes[0] == successes[2] == obs.successes
+
+
+@pytest.mark.parametrize("n_missing", [1, 2, 25, 500, 10**5])
+@pytest.mark.parametrize("theta", [1e-4, 0.1, 0.5, 0.55, 0.9, 1 - 1e-4])
+def test_inverse_cdf_equals_scipy_ppf_on_stream_uniforms(n_missing, theta):
+    for seed, start, n_draws in [(0, 0, 20_000), (5, 3_001, 1_024), (9, 77, 1)]:
+        u = mc.stream_uniforms(seed, n_draws, start=start)
+        np.testing.assert_array_equal(binomial._inverse_cdf(u, n_missing, theta),
+                                      stats.binom.ppf(u, n_missing, theta))
+
+
+@pytest.mark.parametrize("n_missing, theta", [(500, 0.5), (500, 0.55), (25, 0.9), (1, 1e-4)])
+def test_inverse_cdf_is_smallest_count_at_knots_and_near_one(n_missing, theta):
+    # boost's quantile drifts here: at n=500, theta=0.5 it maps 1 - 2**-53
+    # to 341, although cdf(340) already equals that uniform.
+    knots = stats.binom.cdf(np.arange(n_missing + 1), n_missing, theta)
+    knots = knots[(knots > 0) & (knots < 1)]
+    u = np.concatenate([knots, np.nextafter(knots, 0), np.nextafter(knots, 1),
+                        1.0 - 2.0**-53 * np.arange(1, 9), [0.0]])
+    u = u[u < 1]
+    expected = smallest_count_reaching(u, n_missing, theta)
+    np.testing.assert_array_equal(binomial._inverse_cdf(u, n_missing, theta), expected)
+    singles = [binomial._inverse_cdf(u[i:i + 1], n_missing, theta)[0] for i in range(u.size)]
+    np.testing.assert_array_equal(singles, expected)
+
+
+@pytest.mark.parametrize("bracket", [lambda u, n: (0.0, 0.0), lambda u, n: (n, n)])
+def test_inverse_cdf_falls_back_to_the_whole_support(monkeypatch, bracket):
+    u = mc.stream_uniforms(4, 2_000)
+    expected = binomial._inverse_cdf(u, 500, 0.55)
+    wrong = types.SimpleNamespace(ppf=lambda q, n, theta: bracket(q, n),
+                                  cdf=stats.binom.cdf)
+    monkeypatch.setattr(binomial, "stats", types.SimpleNamespace(binom=wrong))
+    np.testing.assert_array_equal(binomial._inverse_cdf(u, 500, 0.55), expected)
+
+
+def test_uneven_blocks_equal_one_shot_rows_at_large_missing_count():
+    # Each block tabulates the cdf over its own uniforms' quantile window.
+    obs = BinomialObserved(550, 1000, 10**5)
+    full = MODEL.draw_completions_batch(obs, 0.55, 5_000, 8).successes_total
+    edges = [0, 1, 8, 1_032, 1_033, 4_000, 5_000]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = MODEL.draw_completions_batch(obs, 0.55, hi - lo, 8, start=lo).successes_total
+        np.testing.assert_array_equal(block, full[lo:hi])
 
 
 def test_enumerate_expectation_normalization():
@@ -140,3 +203,27 @@ def test_imputation_exact_for_linear_functionals():
             obs, theta, lambda co: a * co.successes_total + b * co.n_total)
         assert exact == pytest.approx(a * pseudo.successes_total + b * pseudo.n_total,
                                       rel=1e-12)
+
+
+@st.composite
+def interior_observations(draw):
+    n_ob = draw(st.integers(2, 500))
+    return BinomialObserved(draw(st.integers(1, n_ob - 1)), n_ob, draw(st.integers(0, 2000)))
+
+
+@given(obs=interior_observations())
+@example(obs=BinomialObserved(30, 50, 50))
+@example(obs=BinomialObserved(550, 1000, 500))
+@settings(max_examples=60, deadline=None)
+def test_em_rate_equals_fraction_of_missing_information(obs):
+    # Dempster, Laird & Rubin (1977): EM's rate of convergence is the
+    # fraction of missing information, here 1 - ri1.
+    theta_hat = obs.successes / obs.n_observed
+    rate = 1.0 - binomial.ri1_closed_form(obs)
+    for theta in (0.001, 0.3, 0.999):
+        error = theta - theta_hat
+        while abs(error) > 1e-4:
+            theta = MODEL.mle(MODEL.impute_completion(obs, theta))
+            next_error = theta - theta_hat
+            assert next_error / error == pytest.approx(rate, abs=1e-10)
+            error = next_error

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from relinfo import cox, mc
@@ -26,6 +28,7 @@ from relinfo.errors import (
     DomainError,
     OracleUnavailableError,
     RankDeficiencyError,
+    RelInfoError,
     SeparationError,
     ValidationError,
 )
@@ -551,3 +554,63 @@ class TestBlockKernelDeterminism:
         assert a.n_draws == b.n_draws
         assert 1024 < a.n_draws < config.n_draws
         assert (a.estimate, a.mc_standard_error) == (b.estimate, b.mc_standard_error)
+
+
+# (times, status, covariates, new subjects' covariates)
+EDGE_CASES = {
+    "tied event times": ([1, 2, 2, 2, 3, 4, 5, 6], [1] * 8, [0, 1, 0, 1, 1, 0, 1, 0], [0, 1]),
+    "censoring at event times": ([1, 2, 2, 3, 4, 4, 5, 6], [1, 1, 0, 1, 1, 0, 1, 0],
+                                 [0, 1, 0, 1, 1, 0, 1, 0], [0, 1]),
+    "covariates at 1e3": ([1, 2, 2, 3, 4, 4, 5, 6], [1, 1, 0, 1, 1, 0, 1, 0],
+                          [0, 1e3, 0, 1e3, 1e3, 0, 1e3, 0], [0, 1e3]),
+    "no new subjects, censored": ([1, 2, 2, 3, 4, 4, 5, 6], [1, 1, 0, 1, 1, 0, 1, 0],
+                                  [0, 1, 0, 1, 1, 0, 1, 0], []),
+    "no new subjects, uncensored": ([1, 2, 3, 4, 5, 6], [1] * 6, [0, 1, 0, 1, 1, 0], []),
+    # The one event's covariate lies inside its risk set's range, so the
+    # partial likelihood has an interior maximum.
+    "single event": ([1, 2, 3, 4, 5], [0, 0, 1, 0, 0], [5, 5, 1, 0, 3], [1, 3]),
+}
+
+
+def edge_measure(measure, times, status, z, z_new):
+    data = dataset(np.asarray(times, float), status, z)
+    new = np.asarray(z_new, float)[:, None] if z_new else None
+    return measure(data, len(z_new), new, mc_config=MCConfig(n_draws=256, seed=3))
+
+
+def assert_finite_measure(result, n_new):
+    # A dropped draw would be a silent sentinel.
+    assert math.isfinite(result.estimate) and math.isfinite(result.mc_standard_error)
+    assert result.diagnostics.get("sentinel_count", 0) == 0
+    if n_new == 0:
+        assert result.estimate == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+@pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
+def test_edge_cases_give_a_finite_measure(measure, case):
+    assert_finite_measure(edge_measure(measure, *case), len(case[3]))
+
+
+@st.composite
+def edge_case_samples(draw):
+    """Small samples on a coarse time grid: tied events, censoring at event
+    times and single-event data are common; covariates reach 1e3."""
+    n = draw(st.integers(2, 8))
+    times = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    z = [scale * v for v in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
+    z_new = [scale * v for v in draw(st.lists(st.integers(-2, 2), max_size=3))]
+    return times, status, z, z_new
+
+
+@given(case=edge_case_samples())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
+def test_edge_cases_never_give_a_silent_sentinel(measure, case):
+    try:
+        result = edge_measure(measure, *case)
+    except RelInfoError:
+        return
+    assert_finite_measure(result, len(case[3]))
