@@ -295,8 +295,9 @@ def _cmd_cox_ri(args, report: Report) -> None:
     result = fn(data, args.n_new, z_new, beta0, config)
     report.add_result("result.ri1", result)
     if args.mode == "correct":
-        report.warn("under censoring, existing failures are resampled given ranks "
-                    "with censoring times held fixed (documented choice)")
+        report.warn("no baseline is used; a censored subject stays at risk through the "
+                    "last failure at or before its time and leaves just after it "
+                    "(Kalbfleisch-Prentice rank convention)")
 
 
 def _cmd_combine(args, report: Report) -> None:

@@ -4,10 +4,12 @@ Three nested views of a survival sample are distinguished: the full
 uncensored data, the observed censored data, and the partial (rank) data
 actually consumed by Cox's partial likelihood.  Relative information for
 an augmented study can condition either on the rank data (the correct
-conditioning, which keeps the measure at or below 1 whenever the partial
-likelihood is a genuine likelihood) or on the censored data with observed
-times held fixed (the naive conditioning, which can push the measure
-above 1).  Both are implemented here so the contrast is reproducible.
+conditioning, which keeps the measure at or below 1) or on the censored
+data with observed times held fixed (the naive conditioning, which can
+push the measure above 1).  Both draw cumulative-hazard levels, not times.
+The correct one needs no baseline: under Kalbfleisch and Prentice's
+censoring convention the partial likelihood is the exact likelihood of the
+ranks, which are all it draws.
 """
 
 from __future__ import annotations
@@ -156,8 +158,9 @@ class BaselineHazard:
     The working cumulative hazard interpolates the step function linearly
     between jump times (starting from 0) and extends past the last jump at
     a constant rate equal to the last increment divided by the last gap.
-    That continuous, strictly increasing version is what gets inverted when
-    simulating times.  Its knots are computed once, at construction.
+    That continuous, strictly increasing version gives the naive
+    completion its levels and is inverted when simulating times.  Its
+    knots are computed once, at construction.
     """
 
     jump_times: np.ndarray
@@ -194,11 +197,6 @@ class BaselineHazard:
         hazards = np.asarray(hazards, dtype=float)
         inside = np.interp(hazards, h, t)
         return np.where(hazards > h[-1], t[-1] + (hazards - h[-1]) / self.tail_rate, inside)
-
-    def rescaled(self, factor: float) -> "BaselineHazard":
-        if factor <= 0:
-            raise DomainError("rescaling factor must be positive")
-        return BaselineHazard(self.jump_times, self.jump_sizes * factor)
 
 
 def _tie_starts(sorted_times: np.ndarray) -> np.ndarray:
@@ -281,19 +279,24 @@ def _sorted_loglik(order: np.ndarray, tie_start: np.ndarray, event: np.ndarray,
     return np.where(event, e - np.take(log_risk, tie_start), 0.0).sum(axis=-1)
 
 
+def _sort_rows(times: np.ndarray, status: np.ndarray):
+    """Stable sort of each row of a (..., subjects) time array, as ``_sorted_loglik`` takes it."""
+    order = np.argsort(times, axis=-1, kind="stable")
+    row_offset = np.arange(0, times.size, times.shape[-1]).reshape(times.shape[:-1] + (1,))
+    tie_start = _tie_starts(np.take(times, order + row_offset))
+    return order, tie_start, status[order] == EVENT
+
+
 def _lod_rows(times: np.ndarray, status: np.ndarray,
               eta_alt: np.ndarray, eta_null: np.ndarray) -> np.ndarray:
     """Partial-likelihood lod of each row of a (..., subjects) time array.
 
     One row-wise stable sort serves both parameters; subject j of every row
     has status ``status[j]`` and linear predictors ``eta_alt[j]``, ``eta_null[j]``.
+    Any monotone scale serves as time, such as cumulative-hazard levels.
     """
-    order = np.argsort(times, axis=-1, kind="stable")
-    row_offset = np.arange(0, times.size, times.shape[-1]).reshape(times.shape[:-1] + (1,))
-    tie_start = _tie_starts(np.take(times, order + row_offset))
-    event = status[order] == EVENT
-    return (_sorted_loglik(order, tie_start, event, eta_alt)
-            - _sorted_loglik(order, tie_start, event, eta_null))
+    rows = _sort_rows(times, status)
+    return _sorted_loglik(*rows, eta_alt) - _sorted_loglik(*rows, eta_null)
 
 
 def _partial_lod_times(times: np.ndarray, status: np.ndarray,
@@ -332,6 +335,19 @@ def _score_and_information(rank: RankData, beta):
     return score, info
 
 
+def _standard_errors(info: np.ndarray) -> np.ndarray:
+    # Without covariate contrast in any risk set the information is zero up
+    # to rounding: singular, or with a negative "variance".
+    try:
+        variance = np.diag(np.linalg.inv(info))
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("singular information at the optimum") from exc
+    if not np.all(variance > 0):
+        raise RankDeficiencyError("information at the optimum is not positive definite "
+                                  "(no covariate contrast)")
+    return np.sqrt(variance)
+
+
 def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
     """Damped-Newton maximizer of the partial likelihood, with SEs.
 
@@ -345,11 +361,7 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(_NEWTON_MAX_ITER):
         score, info = _score_and_information(rank, beta)
         if float(np.linalg.norm(score)) < _NEWTON_GRAD_TOL:
-            try:
-                cov = np.linalg.inv(info)
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficiencyError("singular information at the optimum") from exc
-            return beta, np.sqrt(np.diag(cov))
+            return beta, _standard_errors(info)
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
@@ -366,11 +378,7 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
             # No step improves the likelihood: at a machine-precision
             # optimum the gradient is tiny but above the strict tolerance.
             if float(np.linalg.norm(score)) < 1e-6:
-                try:
-                    cov = np.linalg.inv(info)
-                except np.linalg.LinAlgError as exc:
-                    raise RankDeficiencyError("singular information at the optimum") from exc
-                return beta, np.sqrt(np.diag(cov))
+                return beta, _standard_errors(info)
             raise EstimationFailureError("Newton step failed to increase the partial likelihood")
         beta, ll = candidate, cand_ll
         if float(np.linalg.norm(beta)) > _SEPARATION_NORM:
@@ -418,10 +426,10 @@ def _relative_rates(log_rates: np.ndarray, jump_times: np.ndarray,
                     log_sizes: np.ndarray):
     """Rates exp(log_rates) and the baseline, both relative to the largest rate.
 
-    Completion times are baseline.inverse(E / rate), which scaling every
-    rate down and the baseline up by one factor leaves unchanged.  The
-    factor is applied to the log increments ``log_sizes`` before they are
-    exponentiated, which keeps both finite when the linear predictor is large.
+    Levels E / rate against baseline.cumulative(t), and times
+    baseline.inverse(E / rate), are unchanged when every rate is scaled
+    down and the baseline up by one factor.  It is applied to ``log_sizes``
+    before exponentiating, which keeps both finite for large predictors.
     """
     shift = log_rates.max()
     rates = np.exp(log_rates - shift)
@@ -429,27 +437,6 @@ def _relative_rates(log_rates: np.ndarray, jump_times: np.ndarray,
     if not (np.all(rates > 0) and np.all(np.isfinite(sizes))):
         raise DataIntegrityError("relative hazards span more than the range of doubles")
     return rates, BaselineHazard(jump_times, sizes)
-
-
-def _completion_times(exponentials: np.ndarray, rates: np.ndarray,
-                      new_rates: np.ndarray, baseline: BaselineHazard) -> np.ndarray:
-    """Map standard exponentials to rank-conditional and new subjects' times.
-
-    Along the last axis, the first ``rates.size`` exponentials are the
-    inter-failure gaps on the cumulative-hazard scale, the k-th scaled by
-    the k-th risk set's total relative hazard; their running sums keep the
-    observed failure order.  The remaining ones, scaled by each new
-    subject's relative hazard, are new subjects' hazards.  All map back
-    through the (continuous working) baseline.
-    """
-    k = rates.size
-    hazards = exponentials / np.concatenate([rates, new_rates])
-    hazards[..., :k] = np.cumsum(hazards[..., :k], axis=-1)
-    times = baseline.inverse(hazards)
-    if (np.any(np.diff(hazards[..., :k], axis=-1) <= 0)
-            or np.any(np.diff(times[..., :k], axis=-1) < 0)):
-        raise AssertionError("rank-conditional draw does not reproduce the failure order")
-    return times
 
 
 def sample_times_given_ranks(rank: RankData, beta, baseline: BaselineHazard,
@@ -461,13 +448,16 @@ def sample_times_given_ranks(rank: RankData, beta, baseline: BaselineHazard,
     hazard, and the k-th failure's identity is fixed to the observed
     order; mapping the running sums back through the (continuous working)
     baseline gives the times.  Returned times re-rank to ``failure_order``
-    by construction, which is asserted on every draw.  The Cox completion
-    kernel uses the same mapping.
+    by construction, which is asserted on every draw.  The correct Cox
+    completion draws the same levels and stops before the mapping.
     """
     rates, baseline = _relative_rates(_log_risk_rates(rank, beta), baseline.jump_times,
                                       np.log(baseline.jump_sizes))
-    return _completion_times(rng.standard_exponential(rates.size), rates,
-                             np.zeros(0), baseline)
+    hazards = np.cumsum(rng.standard_exponential(rates.size) / rates)
+    times = baseline.inverse(hazards)
+    if np.any(np.diff(hazards) <= 0) or np.any(np.diff(times) < 0):
+        raise AssertionError("rank-conditional draw does not reproduce the failure order")
+    return times
 
 
 def _validate_new_covariates(new_covariates, n_new: int, dim: int) -> np.ndarray:
@@ -498,17 +488,35 @@ def _augmentation_setup(data: SurvivalDataset, n_new: int, new_covariates,
     return rank, beta_hat, beta_null, times, status, z, z_new, lod_ob
 
 
+def _censored_slots(rank: RankData, times: np.ndarray) -> np.ndarray:
+    """For each censored subject (by time), the number of failures at or before it."""
+    return np.searchsorted(times[rank.order[rank.event]], times[rank.order[~rank.event]],
+                           side="right")
+
+
+def _kp_levels(failures: np.ndarray, slots: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Augmented levels: failures in failure order, censored subjects, new subjects.
+
+    A subject censored between failures k and k+1 is at risk at failure k
+    and leaves just after it (Kalbfleisch and Prentice), so it sits at
+    failure k's level, or at 0 before the first failure.
+    """
+    censored = np.concatenate([np.zeros((failures.shape[0], 1)), failures], axis=1)[:, slots]
+    return np.concatenate([failures, censored, new], axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class _Completion:
     """How one Cox augmentation turns standard exponentials into lods.
 
-    ``draw_times`` maps a (draws, per_draw) block of standard exponentials
-    to the (draws, subjects) augmented time matrix; subject j of every row
-    has status ``status[j]`` and linear predictors ``eta_alt[j]``, ``eta_null[j]``.
+    ``draw_levels`` maps a (draws, per_draw) block of standard exponentials
+    to the (draws, subjects) matrix of augmented cumulative-hazard levels;
+    subject j of every row has status ``status[j]`` and linear predictors
+    ``eta_alt[j]``, ``eta_null[j]``.
     """
 
     per_draw: int
-    draw_times: Callable[[np.ndarray], np.ndarray]
+    draw_levels: Callable[[np.ndarray], np.ndarray]
     status: np.ndarray
     eta_alt: np.ndarray
     eta_null: np.ndarray
@@ -524,56 +532,51 @@ class _Completion:
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             u = mc.stream_uniforms(seed, b - a, self.per_draw, _COX_STREAM_TAG, start=a)
-            times = self.draw_times(-np.log1p(-u.reshape(b - a, self.per_draw)))
-            out[a - lo:b - lo] = _lod_rows(times, self.status, self.eta_alt, self.eta_null)
+            levels = self.draw_levels(-np.log1p(-u.reshape(b - a, self.per_draw)))
+            out[a - lo:b - lo] = _lod_rows(levels, self.status, self.eta_alt, self.eta_null)
         return out
 
 
-def _correct_completion(rank: RankData, beta_hat, beta_null, times, z, z_new,
-                        log_baseline) -> _Completion:
+def _correct_completion(rank: RankData, beta_hat, beta_null, times, z, z_new) -> _Completion:
     # Columns: failures in failure order, then censored subjects by time,
     # then new subjects; each row is then nearly sorted already.
     fail_ids = rank.order[rank.event]
     cens_ids = rank.order[~rank.event]
-    cens_times = times[cens_ids]
     k = fail_ids.size
-    rates, baseline = _relative_rates(
-        np.concatenate([_log_risk_rates(rank, beta_hat), z_new @ beta_hat]), *log_baseline)
+    slots = _censored_slots(rank, times)
+    # Only ratios of rates matter; past this span E / rate overflows.
+    log_rates = np.concatenate([_log_risk_rates(rank, beta_hat), z_new @ beta_hat])
+    if log_rates.max() - log_rates.min() > _EXP_SPAN:
+        raise DataIntegrityError("relative hazards span more than the range of doubles")
+    rates = np.exp(log_rates - log_rates.max())
 
-    def draw_times(exponentials):
-        t = _completion_times(exponentials, rates[:k], rates[k:], baseline)
-        fixed = np.broadcast_to(cens_times, (t.shape[0], cens_times.size))
-        return np.concatenate([t[:, :k], fixed, t[:, k:]], axis=1)
+    def draw_levels(exponentials):
+        # Failure gaps are exponential with each risk set's total rate.
+        return _kp_levels(np.cumsum(exponentials[:, :k] / rates[:k], axis=1), slots,
+                          exponentials[:, k:] / rates[k:])
 
     merged_z = np.vstack([z[fail_ids], z[cens_ids], z_new])
     status = np.concatenate([np.ones(k, dtype=int), np.zeros(cens_ids.size, dtype=int),
                              np.ones(z_new.shape[0], dtype=int)])
-    return _Completion(k + z_new.shape[0], draw_times, status,
+    return _Completion(k + z_new.shape[0], draw_levels, status,
                        merged_z @ beta_hat, merged_z @ beta_null)
 
 
-def _naive_completion(rank: RankData, beta_hat, beta_null, times, status, z, z_new,
-                      log_baseline) -> _Completion:
+def _naive_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
+                      times, status, z, z_new) -> _Completion:
     # Columns: existing subjects by time, then new subjects.
-    new_rates, baseline = _relative_rates(z_new @ beta_hat, *log_baseline)
-    fixed_times = times[rank.order]
+    new_rates, baseline = _relative_rates(z_new @ beta_hat,
+                                          *_breslow_log_increments(data, beta_hat))
+    fixed_levels = baseline.cumulative(times[rank.order])
 
-    def draw_times(exponentials):
-        t_new = baseline.inverse(exponentials / new_rates)
-        fixed = np.broadcast_to(fixed_times, (t_new.shape[0], fixed_times.size))
-        return np.concatenate([fixed, t_new], axis=1)
+    def draw_levels(exponentials):
+        fixed = np.broadcast_to(fixed_levels, (exponentials.shape[0], fixed_levels.size))
+        return np.concatenate([fixed, exponentials / new_rates], axis=1)
 
     merged_z = np.vstack([z[rank.order], z_new])
     merged_status = np.concatenate([status[rank.order], np.ones(z_new.shape[0], dtype=int)])
-    return _Completion(z_new.shape[0], draw_times, merged_status,
+    return _Completion(z_new.shape[0], draw_levels, merged_status,
                        merged_z @ beta_hat, merged_z @ beta_null)
-
-
-def _log_baseline(data: SurvivalDataset, beta_hat, baseline: BaselineHazard | None):
-    """Jump times and log increments of the given baseline, else of the Breslow one."""
-    if baseline is None:
-        return _breslow_log_increments(data, beta_hat)
-    return baseline.jump_times, np.log(baseline.jump_sizes)
 
 
 def _no_new_subjects(lod_ob: float, mc_config: MCConfig | None,
@@ -588,17 +591,17 @@ def _no_new_subjects(lod_ob: float, mc_config: MCConfig | None,
 
 
 def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
-                    theta_null_beta=None, mc_config: MCConfig | None = None,
-                    *, baseline: BaselineHazard | None = None) -> RelInfoResult:
+                    theta_null_beta=None, mc_config: MCConfig | None = None) -> RelInfoResult:
     """Relative information with the rank-data (partial-data) conditioning.
 
-    Each draw resamples the existing failures' times given their observed
-    rank order, holds censoring times fixed, draws the new subjects'
-    times unconditionally from the fitted proportional-hazards model
-    (Breslow baseline estimated from the censored data), and evaluates
-    the partial-likelihood lod on the augmented ranks.  With no new
-    subjects the augmented data are the observed data and the measure is
-    exactly 1.
+    Each draw places cumulative-hazard levels and needs no baseline: the
+    existing failures in their observed order (the k-th gap exponential
+    with the k-th risk set's total relative hazard), each censored subject
+    at its preceding failure's level (Kalbfleisch and Prentice), and the
+    new subjects unconditionally.  The partial-likelihood lod of the
+    augmented ranks is their exact likelihood, so the exact measure is at
+    most 1, and it is exactly 1 with no new subjects.  Relative hazards
+    spanning more than exp(``_EXP_SPAN``) raise DataIntegrityError.
     """
     if mc_config is None:
         raise ValidationError("ri1_cox_correct requires an MCConfig")
@@ -606,19 +609,18 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
         data, n_new, new_covariates, theta_null_beta)
     if n_new == 0:
         return _no_new_subjects(lod_ob, mc_config, "rank data (partial data)")
-    completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new,
-                                     _log_baseline(data, beta_hat, baseline))
+    completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new)
     return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
                            mc_config, conditioning="rank data (partial data)")
 
 
 def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
-                  theta_null_beta=None, mc_config: MCConfig | None = None,
-                  *, baseline: BaselineHazard | None = None) -> RelInfoResult:
+                  theta_null_beta=None, mc_config: MCConfig | None = None) -> RelInfoResult:
     """Relative information with the censored-data conditioning.
 
-    Existing subjects' observed times are held fixed; only the new
-    subjects are simulated.  The resulting measure may exceed 1.
+    Existing subjects' observed times are held fixed, as their levels
+    under the Breslow cumulative hazard, computed once; only the new
+    subjects' levels are simulated.  The resulting measure may exceed 1.
     """
     rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
@@ -626,51 +628,47 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
         return _no_new_subjects(lod_ob, mc_config, "censored data (observed times fixed)")
     if mc_config is None:
         raise ValidationError("ri1_cox_naive requires an MCConfig when n_new > 0")
-    completion = _naive_completion(rank, beta_hat, beta_null, times, status, z, z_new,
-                                   _log_baseline(data, beta_hat, baseline))
+    completion = _naive_completion(data, rank, beta_hat, beta_null, times, status, z, z_new)
     return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
                            mc_config, conditioning="censored data (observed times fixed)")
 
 
 def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariates,
                                 theta_null_beta=None) -> float:
-    """Exact ``ri1_cox_correct`` for uncensored data without ties.
+    """Exact ``ri1_cox_correct`` for data without tied times.
 
-    Under proportional hazards the joint failure order of the n existing
-    and m new subjects is Plackett-Luce with weights exp(z . beta_hat),
-    whatever the baseline.  Conditioning on the existing subjects' observed
-    order leaves the (n + m)! / n! orders that keep it, each with weight
-    proportional to its Plackett-Luce probability, so the expected
-    augmented lod is a finite weighted sum.
+    Under proportional hazards the joint failure order of the K existing
+    failures and m new subjects is Plackett-Luce with weights
+    exp(z . beta_hat), whatever the baseline.  Each of the (K + m)! / K!
+    orders that keep the observed one gives the failures levels 1..K+m,
+    censored subjects placed as ``ri1_cox_correct`` places them.  Its
+    probability is proportional to exp of its partial log-likelihood at
+    beta_hat, so the expected augmented lod is a finite weighted sum.
     """
     times, status, _ = data.arrays()
-    if np.any(status != EVENT):
-        raise OracleUnavailableError("the enumeration oracle needs uncensored data")
     if np.unique(times).size != times.size:
         raise OracleUnavailableError("the enumeration oracle needs untied times")
-    n = data.n
-    n_orders = math.perm(n + n_new, n_new)
+    n_fail = int(np.count_nonzero(status == EVENT))
+    n_orders = math.perm(n_fail + n_new, n_new)
     if n_orders > PL_ENUMERATION_CAP:
         raise OracleUnavailableError(
             f"{n_orders} augmented orders exceed the enumeration cap {PL_ENUMERATION_CAP}")
     rank, beta_hat, beta_null, _, _, z, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
+    completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new)
 
-    # Each row lists subjects (existing 0..n-1, new n..n+m-1) in failure order.
-    orders = np.empty((n_orders, n + n_new), dtype=int)
-    row = 0
-    for slots in itertools.combinations(range(n + n_new), n_new):
-        existing = np.ones(n + n_new, dtype=bool)
+    positions = np.arange(1.0, n_fail + n_new + 1)
+    failures, new = np.empty((n_orders, n_fail)), np.empty((n_orders, n_new))
+    orders = itertools.product(itertools.combinations(range(n_fail + n_new), n_new),
+                               itertools.permutations(range(n_new)))
+    for row, (slots, new_order) in enumerate(orders):
+        existing = np.ones(n_fail + n_new, dtype=bool)
         existing[list(slots)] = False
-        for new in itertools.permutations(range(n, n + n_new)):
-            orders[row, existing] = rank.order
-            orders[row, ~existing] = new
-            row += 1
-    merged_z = np.vstack([z, z_new])
-    events = np.ones(orders.shape, dtype=bool)
-    untied = np.arange(orders.size).reshape(orders.shape)
-    ll_alt = _sorted_loglik(orders, untied, events, merged_z @ beta_hat)
-    ll_null = _sorted_loglik(orders, untied, events, merged_z @ beta_null)
+        failures[row], new[row, list(new_order)] = positions[existing], positions[~existing]
+    levels = _kp_levels(failures, _censored_slots(rank, times), new)
+    rows = _sort_rows(levels, completion.status)
+    ll_alt = _sorted_loglik(*rows, completion.eta_alt)
+    ll_null = _sorted_loglik(*rows, completion.eta_null)
     weights = np.exp(ll_alt - ll_alt.max())
     return lod_ob / float(weights @ (ll_alt - ll_null) / weights.sum())
 

@@ -24,6 +24,7 @@ from relinfo.cox import (
     simulate_ph_binary,
 )
 from relinfo.errors import (
+    DataIntegrityError,
     DegenerateDataError,
     DomainError,
     OracleUnavailableError,
@@ -105,6 +106,14 @@ class TestExtractRankData:
 class TestFit:
     def test_constant_covariate_is_degenerate(self):
         data = dataset([1.0, 2.0, 3.0], [1, 1, 1], [1.0, 1.0, 1.0])
+        with pytest.raises(RankDeficiencyError):
+            fit_partial_likelihood(extract_rank_data(data))
+
+    def test_contrast_only_outside_every_risk_set_is_rank_deficient(self):
+        # The one nonzero covariate is censored before the first event, so
+        # the information is a rounding residue that once gave a NaN SE.
+        data = dataset([2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0], [1, 0, 0, 0, 0, 1, 1],
+                       [0.0, 0.0, 0.0, 0.0, 30.0, 0.0, 0.0])
         with pytest.raises(RankDeficiencyError):
             fit_partial_likelihood(extract_rank_data(data))
 
@@ -260,20 +269,6 @@ class TestAugmentationMeasures:
         assert result.estimate > 0.0
         assert result.estimate <= 1.0 + 3 * result.mc_standard_error
 
-    def test_correct_invariant_to_baseline_rescaling(self):
-        rng = np.random.default_rng(27)
-        _, uncensored = simulate_ph_binary(12, 0.6, rng, 0.0)
-        z_new = rng.integers(0, 2, size=4).astype(float)[:, None]
-        config = MCConfig(n_draws=500, seed=3)
-        rank = extract_rank_data(uncensored)
-        beta, _ = fit_partial_likelihood(rank)
-        bl = breslow_baseline(uncensored, beta)
-        a = ri1_cox_correct(uncensored, 4, z_new, mc_config=config, baseline=bl)
-        b = ri1_cox_correct(uncensored, 4, z_new, mc_config=config,
-                            baseline=bl.rescaled(3.7))
-        # Common random numbers make the rank distribution literally identical.
-        assert a.estimate == b.estimate
-
     def test_naive_and_correct_differ_when_resampling_moves_mass(self):
         rng = np.random.default_rng(29)
         _, uncensored = simulate_ph_binary(20, 0.8, rng, 0.0)
@@ -407,6 +402,20 @@ class TestInputValidation:
         b = measure(shifted, 5, z_new + offset, mc_config=config)
         assert b.estimate == pytest.approx(a.estimate, rel=1e-6)
 
+    def test_correct_refuses_rates_whose_levels_overflow(self):
+        # A new subject at z = 1000 has eta = 729, so the last risk set's
+        # rate is exp(-729) relative to it: E / rate would overflow to inf,
+        # tie the last failures and return a measure above 1 with SE 0.
+        rng = np.random.default_rng(5049)
+        n, m = int(rng.integers(5, 60)), int(rng.integers(1, 6))
+        _, uncensored = simulate_ph_binary(n, 0.5, rng, 0.3)
+        z_new = (rng.integers(0, 2, size=m) * 1e3)[:, None]
+        assert (n, m) == (54, 1) and z_new[0, 0] == 1e3
+        beta, _ = fit_partial_likelihood(extract_rank_data(uncensored))
+        assert beta[0] == pytest.approx(0.7286, abs=1e-4)
+        with pytest.raises(DataIntegrityError):
+            ri1_cox_correct(uncensored, m, z_new, mc_config=MCConfig(n_draws=256, seed=1))
+
 
 def partial_log_likelihood_at(rank, beta):
     return cox.partial_log_likelihood(rank, [beta])
@@ -432,52 +441,86 @@ def test_fit_converges_on_large_sample():
 
 
 def brute_force_correct_ri1(data, z_new, beta, beta_null=0.0):
-    """Independent oracle: every order of all subjects, kept when it agrees
-    with the observed order, weighted by its Plackett-Luce probability."""
-    times, _, z = data.arrays()
+    """Independent oracle: every order of the failing subjects, kept when it
+    agrees with the observed failure order, weighted by its Plackett-Luce
+    probability.  A censored subject is at risk up to and including the last
+    observed failure at or before its time (Kalbfleisch and Prentice)."""
+    times, status, z = data.arrays()
     n, m = times.size, z_new.size
     eta = np.concatenate([z[:, 0], z_new]) * beta
     eta0 = np.concatenate([z[:, 0], z_new]) * beta_null
-    observed = list(np.argsort(times))
+    observed = [int(i) for i in np.argsort(times) if status[i] == 1]
+    # Censored subject -> the number of observed failures at or before it.
+    censored = {i: sum(times[f] <= times[i] for f in observed)
+                for i in range(n) if status[i] == 0}
 
     def log_pl(order, e):
-        return sum(e[s] - math.log(sum(math.exp(e[r]) for r in order[k:]))
-                   for k, s in enumerate(order))
+        total, done = 0.0, 0  # done: observed failures before this step
+        for k, s in enumerate(order):
+            at_risk = list(order[k:]) + [c for c, last in censored.items() if done < last]
+            total += e[s] - math.log(sum(math.exp(e[r]) for r in at_risk))
+            done += s < n
+        return total
 
     total = weighted = 0.0
-    for order in itertools.permutations(range(n + m)):
+    for order in itertools.permutations(observed + list(range(n, n + m))):
         if [s for s in order if s < n] != observed:
             continue
         p = math.exp(log_pl(order, eta))
         total += p
         weighted += p * (log_pl(order, eta) - log_pl(order, eta0))
-    lod_ob = log_pl(observed, eta[:n]) - log_pl(observed, eta0[:n])
+    lod_ob = log_pl(observed, eta) - log_pl(observed, eta0)
     return lod_ob / (weighted / total)
 
 
-def fitted_uncensored(n, n_new, seed):
+def fitted_sample(n, n_new, seed, censoring_rate=0.0):
+    """A fitted PH sample; with a censoring rate, one with some censoring."""
     rng = np.random.default_rng(seed)
     while True:
-        _, uncensored = simulate_ph_binary(n, 0.8, rng, 0.0)
+        data, _ = simulate_ph_binary(n, 0.8, rng, censoring_rate)
         z_new = rng.integers(0, 2, size=n_new).astype(float)[:, None]
-        try:
-            beta, _ = fit_partial_likelihood(extract_rank_data(uncensored))
-        except (SeparationError, RankDeficiencyError):
+        if censoring_rate > 0 and all(r.status for r in data.records):
             continue
-        if abs(beta[0]) <= 3.0:  # near-separated fits make every draw's lod alike
-            return uncensored, z_new, beta
+        try:
+            beta, _ = fit_partial_likelihood(extract_rank_data(data))
+        except (SeparationError, RankDeficiencyError, DegenerateDataError):
+            continue
+        # Near-separated fits make every draw's lod alike; at beta_hat = 0
+        # the observed lod is 0 and the measure is undefined.
+        if 0.0 < abs(beta[0]) <= 3.0:
+            return data, z_new, beta
+
+
+# (n, n_new, seed) of censored samples, censoring rate 0.6.
+CENSORED_CASES = [(5, 1, 211), (5, 2, 223), (6, 1, 227), (6, 2, 229),
+                  (7, 1, 233), (7, 2, 239), (6, 2, 241), (7, 2, 251)]
 
 
 class TestCorrectEnumerationOracle:
     def test_matches_brute_force_over_all_orders(self):
-        data, z_new, beta = fitted_uncensored(4, 2, 81)
+        data, z_new, beta = fitted_sample(4, 2, 81)
         exact = cox.ri1_cox_correct_enumeration(data, 2, z_new)
+        assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
+                                      rel=1e-10)
+
+    @pytest.mark.parametrize("n, n_new, seed", [(5, 2, 83), (6, 2, 89), (7, 1, 97)])
+    def test_matches_brute_force_on_censored_data(self, n, n_new, seed):
+        data, z_new, beta = fitted_sample(n, n_new, seed, 0.6)
+        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
         assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
                                       rel=1e-10)
 
     @pytest.mark.parametrize("n, n_new, seed", [(6, 2, 83), (5, 2, 89), (6, 1, 97), (4, 2, 101)])
     def test_monte_carlo_within_three_se_of_exact(self, n, n_new, seed):
-        data, z_new, _ = fitted_uncensored(n, n_new, seed)
+        data, z_new, _ = fitted_sample(n, n_new, seed)
+        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        result = ri1_cox_correct(data, n_new, z_new,
+                                 mc_config=MCConfig(n_draws=20_000, seed=seed))
+        assert abs(result.estimate - exact) <= 3 * result.mc_standard_error
+
+    @pytest.mark.parametrize("n, n_new, seed", CENSORED_CASES)
+    def test_monte_carlo_within_three_se_of_exact_on_censored_data(self, n, n_new, seed):
+        data, z_new, _ = fitted_sample(n, n_new, seed, 0.6)
         exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
         result = ri1_cox_correct(data, n_new, z_new,
                                  mc_config=MCConfig(n_draws=20_000, seed=seed))
@@ -487,21 +530,25 @@ class TestCorrectEnumerationOracle:
         rng = np.random.default_rng(103)
         for _ in range(25):
             n, n_new = int(rng.integers(3, 7)), int(rng.integers(1, 3))
-            data, z_new, _ = fitted_uncensored(n, n_new, int(rng.integers(2**31)))
+            data, z_new, _ = fitted_sample(n, n_new, int(rng.integers(2**31)))
+            assert 0.0 < cox.ri1_cox_correct_enumeration(data, n_new, z_new) <= 1.0
+
+    def test_exact_value_never_exceeds_one_on_censored_data(self):
+        rng = np.random.default_rng(263)
+        for _ in range(25):
+            n, n_new = int(rng.integers(3, 9)), int(rng.integers(1, 3))
+            data, z_new, _ = fitted_sample(n, n_new, int(rng.integers(2**31)), 0.6)
             assert 0.0 < cox.ri1_cox_correct_enumeration(data, n_new, z_new) <= 1.0
 
     def test_no_new_subjects_is_one(self):
-        data, _, _ = fitted_uncensored(5, 0, 107)
+        data, _, _ = fitted_sample(5, 0, 107)
         assert cox.ri1_cox_correct_enumeration(data, 0, None) == pytest.approx(1.0, rel=1e-12)
 
-    def test_refuses_censoring_ties_and_large_cases(self):
-        data = dataset([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], [0.0, 1.0, 1.0, 0.0])
-        with pytest.raises(OracleUnavailableError):
-            cox.ri1_cox_correct_enumeration(data, 1, [[1.0]])
+    def test_refuses_ties_and_large_cases(self):
         data = dataset([1.0, 2.0, 2.0, 4.0], [1, 1, 1, 1], [0.0, 1.0, 1.0, 0.0])
         with pytest.raises(OracleUnavailableError):
             cox.ri1_cox_correct_enumeration(data, 1, [[1.0]])
-        data, z_new, _ = fitted_uncensored(20, 4, 109)  # 255,024 augmented orders
+        data, z_new, _ = fitted_sample(20, 4, 109)  # 255,024 augmented orders
         with pytest.raises(OracleUnavailableError):
             cox.ri1_cox_correct_enumeration(data, 4, z_new)
 
@@ -520,13 +567,32 @@ def kernel_completions():
     data, z_new = kernel_case()
     rank, beta_hat, beta_null, times, status, z, z_new, _ = cox._augmentation_setup(
         data, 4, z_new, None)
-    log_baseline = cox._log_baseline(data, beta_hat, None)
     return {
-        "correct": cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new,
-                                           log_baseline),
-        "naive": cox._naive_completion(rank, beta_hat, beta_null, times, status, z, z_new,
-                                       log_baseline),
+        "correct": cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new),
+        "naive": cox._naive_completion(data, rank, beta_hat, beta_null, times, status, z,
+                                       z_new),
     }
+
+
+def test_correct_draws_keep_the_observed_partial_data():
+    # Restricted to the existing subjects, every drawn row has the observed
+    # failure order and risk sets, so its lod is the observed one.  Two
+    # subjects are censored at event times and one before the first event.
+    rng = np.random.default_rng(67)
+    censored, _ = simulate_ph_binary(25, 0.5, rng, 0.5)
+    times, status, z = censored.arrays()
+    cens, fails = np.flatnonzero(status == 0), np.flatnonzero(status == 1)
+    times[cens[:3]] = times[fails[0]], times[fails[3]], times.min() / 2
+    data = SurvivalDataset.from_arrays(times, status, z)
+    z_new = rng.integers(0, 2, size=3).astype(float)[:, None]
+    rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = cox._augmentation_setup(
+        data, 3, z_new, None)
+    completion = cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new)
+    levels = completion.draw_levels(rng.standard_exponential((500, completion.per_draw)))
+    n = data.n  # columns: failures, censored subjects, then new subjects
+    lods = cox._lod_rows(levels[:, :n], completion.status[:n],
+                         completion.eta_alt[:n], completion.eta_null[:n])
+    np.testing.assert_allclose(lods, lod_ob, rtol=1e-12)
 
 
 class TestBlockKernelDeterminism:
