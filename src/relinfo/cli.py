@@ -70,6 +70,18 @@ def _scale(value: float, log10: bool) -> float:
     return value / LN10 if log10 else value
 
 
+def _raise_for_bad_cell(path: str, lineno: int, header: list[str], cells: list[str]):
+    """Raise for the first cell of a row that is not a finite number."""
+    for col, cell in enumerate(cells, start=1):
+        where = f"{path}:{lineno}: column {col} ({header[col - 1]})"
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: not a number: {cell.strip()!r}") from exc
+        if not math.isfinite(value):
+            raise ValidationError(f"{where}: not a finite number: {cell.strip()!r}")
+
+
 def read_survival_csv(path: str) -> cox.SurvivalDataset:
     """Read the survival schema: header ``time,status,cov1..covK``.
 
@@ -91,16 +103,12 @@ def read_survival_csv(path: str) -> cox.SurvivalDataset:
         if len(cells) != len(header):
             raise ValidationError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
-        row = []
-        for col, cell in enumerate(cells, start=1):
-            where = f"{path}:{lineno}: column {col} ({header[col - 1]})"
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise ValidationError(f"{where}: not a number: {cell.strip()!r}") from exc
-            if not math.isfinite(value):
-                raise ValidationError(f"{where}: not a finite number: {cell.strip()!r}")
-            row.append(value)
+        try:
+            row = [float(cell) for cell in cells]
+        except ValueError:
+            row = None
+        if row is None or not all(map(math.isfinite, row)):
+            _raise_for_bad_cell(path, lineno, header, cells)
         times.append(row[0])
         if row[1] not in (0.0, 1.0):
             raise ValidationError(f"{path}:{lineno}: column 2 (status): must be 0 or 1")

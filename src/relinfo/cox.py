@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -50,9 +49,10 @@ _SEPARATION_NORM = 50.0
 # sets further below are summed again from their own maximum (_risk_sums).
 _EXP_SPAN = 600.0
 
-# Cap on the elements of one (draws x subjects) sub-block of the Cox
-# completion kernel, which bounds its memory whatever the sample size.
-_BLOCK_ELEMENTS = 2**14
+# Cap on the elements of one sub-block of the Cox completion kernel, counted
+# as draws x (existing events + exponentials per draw); it bounds the
+# kernel's memory whatever the sample size.
+_BLOCK_ELEMENTS = 2**15
 
 # Stream tag of the Cox completion draws (see mc.stream_uniforms).
 _COX_STREAM_TAG = 1
@@ -433,7 +433,8 @@ def _relative_rates(log_rates: np.ndarray, jump_times: np.ndarray,
     """
     shift = log_rates.max()
     rates = np.exp(log_rates - shift)
-    sizes = np.exp(log_sizes + shift)
+    with np.errstate(over="ignore"):
+        sizes = np.exp(log_sizes + shift)
     if not (np.all(rates > 0) and np.all(np.isfinite(sizes))):
         raise DataIntegrityError("relative hazards span more than the range of doubles")
     return rates, BaselineHazard(jump_times, sizes)
@@ -488,38 +489,145 @@ def _augmentation_setup(data: SurvivalDataset, n_new: int, new_covariates,
     return rank, beta_hat, beta_null, times, status, z, z_new, lod_ob
 
 
-def _censored_slots(rank: RankData, times: np.ndarray) -> np.ndarray:
-    """For each censored subject (by time), the number of failures at or before it."""
-    return np.searchsorted(times[rank.order[rank.event]], times[rank.order[~rank.event]],
-                           side="right")
+def _kp_order(rank: RankData, times: np.ndarray):
+    """Correct mode's order of the existing subjects, with their anchors.
 
-
-def _kp_levels(failures: np.ndarray, slots: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Augmented levels: failures in failure order, censored subjects, new subjects.
-
-    A subject censored between failures k and k+1 is at risk at failure k
-    and leaves just after it (Kalbfleisch and Prentice), so it sits at
-    failure k's level, or at 0 before the first failure.
+    Failure k (in failure order) sits at anchor k + 1, and each censored
+    subject directly after the last failure at or before its time, at that
+    failure's anchor (0 before the first failure).  Returns the subjects in
+    that order, their anchors and their event flags.
     """
-    censored = np.concatenate([np.zeros((failures.shape[0], 1)), failures], axis=1)[:, slots]
-    return np.concatenate([failures, censored, new], axis=1)
+    fail_ids = rank.order[rank.event]
+    slots = np.searchsorted(times[fail_ids], times[rank.order[~rank.event]], side="right")
+    anchor_of = np.concatenate([np.arange(1, fail_ids.size + 1), slots])
+    order = np.argsort(anchor_of, kind="stable")
+    return (np.concatenate([fail_ids, rank.order[~rank.event]])[order], anchor_of[order],
+            order < fail_ids.size)
+
+
+def _kp_levels(failures: np.ndarray, anchor_of: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Explicit augmented levels of a correct completion, in its column order.
+
+    Existing subject i sits at anchor ``anchor_of[i]``: 0, or the level of
+    failure j - 1 for anchor j.  A subject censored between failures k and
+    k+1 is at risk at failure k and leaves just after it (Kalbfleisch and
+    Prentice), so it shares failure k's level, or 0 before the first
+    failure.  The new subjects' levels follow.
+    """
+    anchors = np.concatenate([np.zeros((failures.shape[0], 1)), failures], axis=1)
+    return np.concatenate([anchors[:, anchor_of], new], axis=1)
+
+
+def _place(anchors: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many anchors lie below each x, and how many at or below it.
+
+    ``x`` is a (rows, m) array.  ``anchors`` is one sorted vector shared by
+    every row, searched with ``np.searchsorted``, or one sorted row per row
+    of ``x``, bisected all at once in log2(width) steps on a (rows, m)
+    array.  Either is padded with +inf, rows to a power-of-two width.
+    """
+    if anchors.ndim == 1:
+        def count(before):
+            return np.searchsorted(anchors, x, "left" if before is np.less else "right")
+        row_start = 0
+    else:
+        flat = anchors.ravel()
+        row_start = np.arange(0, flat.size, anchors.shape[1])[:, None]
+
+        def count(before):
+            # Flat index of the last anchor known to lie before x (-1: none).
+            last = np.repeat(row_start - 1, x.shape[1], axis=1)
+            step = anchors.shape[1] // 2
+            while step:
+                last += step * before(flat[last + step], x)
+                step //= 2
+            return last + 1 - row_start
+
+    below = count(np.less)
+    # A new level equal to an anchor is rare; only then search again.
+    if np.any(anchors.ravel()[below + row_start] == x):
+        return below, count(np.less_equal)
+    return below, below
 
 
 @dataclass(frozen=True, eq=False)
 class _Completion:
     """How one Cox augmentation turns standard exponentials into lods.
 
-    ``draw_levels`` maps a (draws, per_draw) block of standard exponentials
-    to the (draws, subjects) matrix of augmented cumulative-hazard levels;
-    subject j of every row has status ``status[j]`` and linear predictors
-    ``eta_alt[j]``, ``eta_null[j]``.
+    Under proportional hazards only the new subjects' places among the
+    existing ones are random.  The existing subjects keep one sorted order
+    in every draw, each at one of J anchor levels: the fixed Breslow levels
+    (naive mode, J = n), or 0 and the running failure levels (correct mode,
+    J = K + 1 for K failures).  ``status``, ``eta_alt`` and ``eta_null``
+    list the existing subjects in that order, then the new subjects;
+    ``anchor_of`` gives each existing subject's anchor, non-decreasing.
+    Naive mode passes ``fixed_levels``, correct mode the rates of the K
+    failure gaps.  A draw's exponentials are the K gaps times their rates,
+    then the new subjects' levels times ``new_rates``.
+
+    What depends only on the existing subjects is computed once here, per
+    parameter: their log risk sums, the events' tie starts and the partial
+    log-likelihood without new subjects.  So that the linear scale of
+    ``_insert`` stays exact, it refuses a new subject whose relative hazard
+    exceeds another new subject's, or an existing event's risk sum, by
+    more than exp(``_EXP_SPAN``).
     """
 
-    per_draw: int
-    draw_levels: Callable[[np.ndarray], np.ndarray]
     status: np.ndarray
     eta_alt: np.ndarray
     eta_null: np.ndarray
+    anchor_of: np.ndarray
+    new_rates: np.ndarray
+    gap_rates: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    fixed_levels: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = self.anchor_of.size
+        n_anchors = n if self.fixed_levels is not None else self.gap_rates.size + 1
+        eta = np.stack([self.eta_alt, self.eta_null])
+        event = self.status[:n] == EVENT
+        event_anchor = self.anchor_of[event]
+        # first_at[j]: position of the first existing subject at anchor j or
+        # later; events_before[j]: the number of events at anchors below j.
+        first_at = np.searchsorted(self.anchor_of, np.arange(n_anchors + 1))
+        log_risk = np.concatenate([_risk_sums(eta[:, :n])[0], np.full((2, 1), -np.inf)], axis=1)
+        tie_start = (np.arange(n_anchors) if self.fixed_levels is None
+                     else _tie_starts(self.fixed_levels))
+        event_log_risk = log_risk[:, first_at[tie_start[event_anchor]]]
+        new_eta = eta[:, n:]
+        shift = new_eta.max(axis=1, keepdims=True)
+        if (np.any(shift - new_eta.min(axis=1, keepdims=True) > _EXP_SPAN)
+                or np.any(shift - event_log_risk.min(axis=1, keepdims=True) > _EXP_SPAN)):
+            raise DataIntegrityError("relative hazards span more than the range of doubles")
+        # Existing risk sums in units of exp(shift), capped at exp(_EXP_SPAN),
+        # where the new weights (at most m) vanish beside them; the log of
+        # what the cap removes is kept apart, with the shift.
+        capped = np.minimum(log_risk - shift, _EXP_SPAN)
+        with np.errstate(invalid="ignore"):  # -inf - -inf past the last subject
+            removed = np.where(capped < _EXP_SPAN, 0.0, log_risk - shift - capped)
+        for name, value in {
+            "_anchors": (None if self.fixed_levels is None
+                         else np.append(self.fixed_levels, np.inf)),
+            "_first_at": first_at,
+            "_events_before": np.searchsorted(event_anchor, np.arange(n_anchors + 1)),
+            "_event_anchor": event_anchor,
+            "_log_risk": log_risk,
+            "_event_log_risk": event_log_risk,
+            "_shift": shift[:, :, None],
+            "_new_weight": np.exp(new_eta - shift),
+            "_event_factor": np.exp(shift - event_log_risk)[:, None, :],
+            "_risk_capped": np.exp(capped),
+            "_risk_removed": removed + shift,
+            # Partial log-likelihood of the existing subjects alone, plus the
+            # new subjects' own eta.
+            "_base": (eta[:, :n][:, event].sum(axis=1) - event_log_risk.sum(axis=1)
+                      + new_eta.sum(axis=1))[:, None],
+        }.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def per_draw(self) -> int:
+        return self.gap_rates.size + self.new_rates.size
 
     def lods(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Augmented lods of draws lo..hi-1, in sub-blocks of bounded size.
@@ -527,56 +635,98 @@ class _Completion:
         Draw i's exponentials are counter block i of the Cox stream, so its
         lod does not depend on how the draws are grouped.
         """
-        rows = max(1, _BLOCK_ELEMENTS // self.status.size)
+        rows = max(1, _BLOCK_ELEMENTS // (self._event_anchor.size + self.per_draw))
         out = np.empty(hi - lo)
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             u = mc.stream_uniforms(seed, b - a, self.per_draw, _COX_STREAM_TAG, start=a)
-            levels = self.draw_levels(-np.log1p(-u.reshape(b - a, self.per_draw)))
-            out[a - lo:b - lo] = _lod_rows(levels, self.status, self.eta_alt, self.eta_null)
+            # -log1p(-u), in place: fresh large temporaries cost more here.
+            np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+            out[a - lo:b - lo] = self._insert(u.reshape(b - a, self.per_draw))
         return out
+
+    def _insert(self, exponentials: np.ndarray) -> np.ndarray:
+        """Lods of a (draws, per_draw) block of standard exponentials.
+
+        Equal to ``_lod_rows`` on the explicit augmented levels, Breslow
+        ties included: an event's risk set is every subject at its level or
+        above.  Only the m new levels x are placed.  Existing event e's risk
+        sum S_e gains c_e, the new weight alive at its level, so its term
+        changes by -log1p(c_e / S_e).  A new subject's risk set is the
+        existing and the new subjects at its level or above.
+        """
+        rows, k = exponentials.shape[0], self.gap_rates.size
+        m = self.new_rates.size
+        anchors = self._anchors
+        if anchors is None:
+            anchors = np.empty((rows, 1 << (k + 1).bit_length()))
+            anchors[:, 0], anchors[:, k + 1:] = 0.0, np.inf
+            failures = np.divide(exponentials[:, :k], self.gap_rates, out=anchors[:, 1:k + 1])
+            np.cumsum(failures, axis=1, out=failures)
+        x = exponentials[:, k:] / self.new_rates
+        by_level = np.argsort(x, axis=1)
+        x = x.ravel()[by_level + np.arange(0, x.size, m)[:, None]]
+        below, at_most = _place(anchors, x)
+
+        factor, base = self._event_factor, self._base
+        if anchors.ndim == 2 and np.any(anchors[:, 1:k + 1] == anchors[:, :k]):
+            # Failures tied by a zero gap share the earlier one's risk set.
+            row_start = np.arange(0, rows * (k + 1), k + 1)[:, None]
+            tie_start = _tie_starts(anchors[:, :k + 1]) - row_start
+            event_log_risk = self._log_risk[:, self._first_at[tie_start[:, self._event_anchor]]]
+            factor = np.exp(self._shift - event_log_risk)
+            base = self._base + (self._event_log_risk[:, None, :] - event_log_risk).sum(axis=2)
+
+        # pieces[..., i]: the new weight at sorted new subject i's level or
+        # above.  It is alive at the events between those that new subjects
+        # i - 1 and i outlive; past the last new subject none is alive.
+        pieces = np.zeros((2, rows, m + 1))
+        np.cumsum(np.take(self._new_weight, by_level[:, ::-1], axis=1), axis=2,
+                  out=pieces[:, :, 1:])
+        pieces = pieces[:, :, ::-1]
+        bounds = np.empty((rows, m + 2), dtype=np.intp)
+        bounds[:, 0], bounds[:, -1] = 0, self._event_anchor.size
+        bounds[:, 1:-1] = self._events_before[at_most]
+        alive = np.repeat(pieces.reshape(2, -1), np.diff(bounds).ravel(), axis=1)
+        alive = alive.reshape(2, rows, -1)
+        event_terms = np.log1p(np.multiply(alive, factor, out=alive), out=alive).sum(axis=2)
+
+        own = pieces[:, :, :m]
+        if np.any(x[:, 1:] == x[:, :-1]):
+            # New subjects tied in level share the first one's new weight.
+            first = _tie_starts(x)
+            own = np.take(pieces.reshape(2, -1), first + first // m, axis=1)
+        at_or_above = self._first_at[below]
+        new_terms = (np.take(self._risk_removed, at_or_above, axis=1)
+                     + np.log(np.take(self._risk_capped, at_or_above, axis=1) + own)).sum(axis=2)
+        ll = base - event_terms - new_terms
+        return ll[0] - ll[1]
 
 
 def _correct_completion(rank: RankData, beta_hat, beta_null, times, z, z_new) -> _Completion:
-    # Columns: failures in failure order, then censored subjects by time,
-    # then new subjects; each row is then nearly sorted already.
-    fail_ids = rank.order[rank.event]
-    cens_ids = rank.order[~rank.event]
-    k = fail_ids.size
-    slots = _censored_slots(rank, times)
+    k = int(np.count_nonzero(rank.event))
     # Only ratios of rates matter; past this span E / rate overflows.
     log_rates = np.concatenate([_log_risk_rates(rank, beta_hat), z_new @ beta_hat])
     if log_rates.max() - log_rates.min() > _EXP_SPAN:
         raise DataIntegrityError("relative hazards span more than the range of doubles")
     rates = np.exp(log_rates - log_rates.max())
-
-    def draw_levels(exponentials):
-        # Failure gaps are exponential with each risk set's total rate.
-        return _kp_levels(np.cumsum(exponentials[:, :k] / rates[:k], axis=1), slots,
-                          exponentials[:, k:] / rates[k:])
-
-    merged_z = np.vstack([z[fail_ids], z[cens_ids], z_new])
-    status = np.concatenate([np.ones(k, dtype=int), np.zeros(cens_ids.size, dtype=int),
-                             np.ones(z_new.shape[0], dtype=int)])
-    return _Completion(k + z_new.shape[0], draw_levels, status,
-                       merged_z @ beta_hat, merged_z @ beta_null)
+    ids, anchor_of, event = _kp_order(rank, times)
+    merged_z = np.vstack([z[ids], z_new])
+    status = np.concatenate([event, np.ones(z_new.shape[0], dtype=bool)]).astype(int)
+    return _Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of, rates[k:],
+                       gap_rates=rates[:k])
 
 
 def _naive_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
                       times, status, z, z_new) -> _Completion:
-    # Columns: existing subjects by time, then new subjects.
+    # Existing subjects by time, each at its own fixed level.
     new_rates, baseline = _relative_rates(z_new @ beta_hat,
                                           *_breslow_log_increments(data, beta_hat))
-    fixed_levels = baseline.cumulative(times[rank.order])
-
-    def draw_levels(exponentials):
-        fixed = np.broadcast_to(fixed_levels, (exponentials.shape[0], fixed_levels.size))
-        return np.concatenate([fixed, exponentials / new_rates], axis=1)
-
     merged_z = np.vstack([z[rank.order], z_new])
     merged_status = np.concatenate([status[rank.order], np.ones(z_new.shape[0], dtype=int)])
-    return _Completion(z_new.shape[0], draw_levels, merged_status,
-                       merged_z @ beta_hat, merged_z @ beta_null)
+    return _Completion(merged_status, merged_z @ beta_hat, merged_z @ beta_null,
+                       np.arange(data.n), new_rates,
+                       fixed_levels=baseline.cumulative(times[rank.order]))
 
 
 def _no_new_subjects(lod_ob: float, mc_config: MCConfig | None,
@@ -635,19 +785,21 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
 
 def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariates,
                                 theta_null_beta=None) -> float:
-    """Exact ``ri1_cox_correct`` for data without tied times.
+    """Exact ``ri1_cox_correct`` for data without tied event times.
 
     Under proportional hazards the joint failure order of the K existing
     failures and m new subjects is Plackett-Luce with weights
     exp(z . beta_hat), whatever the baseline.  Each of the (K + m)! / K!
     orders that keep the observed one gives the failures levels 1..K+m,
-    censored subjects placed as ``ri1_cox_correct`` places them.  Its
+    censored subjects placed as ``ri1_cox_correct`` places them (one
+    censored at an event time is at risk at that failure).  Its
     probability is proportional to exp of its partial log-likelihood at
     beta_hat, so the expected augmented lod is a finite weighted sum.
     """
     times, status, _ = data.arrays()
-    if np.unique(times).size != times.size:
-        raise OracleUnavailableError("the enumeration oracle needs untied times")
+    event_times = times[status == EVENT]
+    if np.unique(event_times).size != event_times.size:
+        raise OracleUnavailableError("the enumeration oracle needs untied event times")
     n_fail = int(np.count_nonzero(status == EVENT))
     n_orders = math.perm(n_fail + n_new, n_new)
     if n_orders > PL_ENUMERATION_CAP:
@@ -655,7 +807,9 @@ def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariate
             f"{n_orders} augmented orders exceed the enumeration cap {PL_ENUMERATION_CAP}")
     rank, beta_hat, beta_null, _, _, z, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
-    completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new)
+    ids, anchor_of, event = _kp_order(rank, times)
+    merged_z = np.vstack([z[ids], z_new])
+    status = np.concatenate([event, np.ones(n_new, dtype=bool)]).astype(int)
 
     positions = np.arange(1.0, n_fail + n_new + 1)
     failures, new = np.empty((n_orders, n_fail)), np.empty((n_orders, n_new))
@@ -665,10 +819,9 @@ def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariate
         existing = np.ones(n_fail + n_new, dtype=bool)
         existing[list(slots)] = False
         failures[row], new[row, list(new_order)] = positions[existing], positions[~existing]
-    levels = _kp_levels(failures, _censored_slots(rank, times), new)
-    rows = _sort_rows(levels, completion.status)
-    ll_alt = _sorted_loglik(*rows, completion.eta_alt)
-    ll_null = _sorted_loglik(*rows, completion.eta_null)
+    rows = _sort_rows(_kp_levels(failures, anchor_of, new), status)
+    ll_alt = _sorted_loglik(*rows, merged_z @ beta_hat)
+    ll_null = _sorted_loglik(*rows, merged_z @ beta_null)
     weights = np.exp(ll_alt - ll_alt.max())
     return lod_ob / float(weights @ (ll_alt - ll_null) / weights.sum())
 
@@ -748,12 +901,16 @@ class ConditioningStudy:
 
     @property
     def max_correct_excess_se(self) -> float:
-        """Max of (estimate - 1) / SE over correct-conditioning runs."""
-        ok = np.isfinite(self.correct_estimates) & (self.correct_ses > 0)
-        if not np.any(ok):
-            return -math.inf
-        excess = (self.correct_estimates[ok] - 1.0) / self.correct_ses[ok]
-        return float(np.max(excess))
+        """Max of (estimate - 1) / SE over correct-conditioning runs.
+
+        A run with SE 0 counts as +inf above 1 and as -inf at or below 1.
+        """
+        ok = np.isfinite(self.correct_estimates) & np.isfinite(self.correct_ses)
+        estimate, se = self.correct_estimates[ok], self.correct_ses[ok]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = np.where(se > 0, (estimate - 1.0) / se,
+                              np.where(estimate > 1.0, math.inf, -math.inf))
+        return float(np.max(excess, initial=-math.inf))
 
 
 def conditioning_anomaly_study(n_datasets: int = 100, n_subjects: int = 20,

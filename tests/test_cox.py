@@ -11,6 +11,7 @@ from scipy import optimize
 from relinfo import cox, mc
 from relinfo.cox import (
     BaselineHazard,
+    ConditioningStudy,
     SurvivalDataset,
     SurvivalRecord,
     breslow_baseline,
@@ -288,6 +289,28 @@ class TestAugmentationMeasures:
                           mc_config=MCConfig(n_draws=10, seed=1))
 
 
+def correct_study(estimates, ses):
+    n = len(estimates)
+    return ConditioningStudy(naive_estimates=np.ones(n), naive_ses=np.ones(n),
+                             correct_estimates=np.array(estimates, float),
+                             correct_ses=np.array(ses, float), failures=0, seed=0)
+
+
+class TestConditioningStudy:
+    def test_excess_in_standard_errors(self):
+        study = correct_study([0.9, 1.02, math.nan], [0.1, 0.01, math.nan])
+        assert study.max_correct_excess_se == pytest.approx(2.0)
+
+    def test_zero_se_above_one_is_an_infinite_excess(self):
+        assert correct_study([0.9, 1.2], [0.1, 0.0]).max_correct_excess_se == math.inf
+
+    def test_zero_se_at_or_below_one_does_not_raise_the_maximum(self):
+        study = correct_study([0.95, 1.0, 0.5], [0.1, 0.0, 0.0])
+        assert study.max_correct_excess_se == pytest.approx(-0.5)
+        assert correct_study([1.0, 0.5], [0.0, 0.0]).max_correct_excess_se == -math.inf
+        assert correct_study([], []).max_correct_excess_se == -math.inf
+
+
 class TestWaldMeasure:
     def test_complete_equals_observed_gives_one(self):
         assert ri_w_wald(2.0, 1.5, 2.0, 0.0, 0.0) == pytest.approx(1.0)
@@ -416,6 +439,22 @@ class TestInputValidation:
         with pytest.raises(DataIntegrityError):
             ri1_cox_correct(uncensored, m, z_new, mc_config=MCConfig(n_draws=256, seed=1))
 
+    def test_naive_refuses_new_weights_far_above_every_risk_set(self):
+        # The same sample and new subject as above.  Uncensored, the Breslow
+        # increments rescaled to the new subject's rate overflow (refused
+        # with no numpy overflow warning).  Censored, the new subject's
+        # weight exceeds an event's risk sum by more than exp(_EXP_SPAN),
+        # past which the insertion kernel's linear scale would lose that
+        # sum; the measure used to come out with SE 0.
+        rng = np.random.default_rng(5049)
+        n, m = int(rng.integers(5, 60)), int(rng.integers(1, 6))
+        censored, uncensored = simulate_ph_binary(n, 0.5, rng, 0.3)
+        z_new = (rng.integers(0, 2, size=m) * 1e3)[:, None]
+        assert (n, m) == (54, 1) and z_new[0, 0] == 1e3
+        for data in (uncensored, censored):
+            with pytest.raises(DataIntegrityError):
+                ri1_cox_naive(data, m, z_new, mc_config=MCConfig(n_draws=256, seed=1))
+
 
 def partial_log_likelihood_at(rank, beta):
     return cox.partial_log_likelihood(rank, [beta])
@@ -491,6 +530,31 @@ def fitted_sample(n, n_new, seed, censoring_rate=0.0):
             return data, z_new, beta
 
 
+def censored_at_event_times(n, n_new, seed):
+    """A fitted censored sample in which censored subjects share event times.
+
+    Each censored subject with an event after it moves to the next event's
+    time, where it stays at risk (Breslow and Kalbfleisch-Prentice alike).
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        data, z_new, _ = fitted_sample(n, n_new, int(rng.integers(2**31)), 0.6)
+        times, status, z = data.arrays()
+        events = np.sort(times[status == 1])
+        later = np.searchsorted(events, times, side="right")
+        moved = (status == 0) & (later < events.size)
+        if not np.any(moved):
+            continue
+        times[moved] = events[later[moved]]
+        tied = SurvivalDataset.from_arrays(times, status, z)
+        try:
+            beta, _ = fit_partial_likelihood(extract_rank_data(tied))
+        except (SeparationError, RankDeficiencyError):
+            continue
+        if 0.0 < abs(beta[0]) <= 3.0:
+            return tied, z_new, beta
+
+
 # (n, n_new, seed) of censored samples, censoring rate 0.6.
 CENSORED_CASES = [(5, 1, 211), (5, 2, 223), (6, 1, 227), (6, 2, 229),
                   (7, 1, 233), (7, 2, 239), (6, 2, 241), (7, 2, 251)]
@@ -510,6 +574,13 @@ class TestCorrectEnumerationOracle:
         assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
                                       rel=1e-10)
 
+    @pytest.mark.parametrize("n, n_new, seed", [(5, 2, 307), (6, 2, 311), (7, 1, 313)])
+    def test_matches_brute_force_with_censoring_at_event_times(self, n, n_new, seed):
+        data, z_new, beta = censored_at_event_times(n, n_new, seed)
+        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
+                                      rel=1e-10)
+
     @pytest.mark.parametrize("n, n_new, seed", [(6, 2, 83), (5, 2, 89), (6, 1, 97), (4, 2, 101)])
     def test_monte_carlo_within_three_se_of_exact(self, n, n_new, seed):
         data, z_new, _ = fitted_sample(n, n_new, seed)
@@ -521,6 +592,15 @@ class TestCorrectEnumerationOracle:
     @pytest.mark.parametrize("n, n_new, seed", CENSORED_CASES)
     def test_monte_carlo_within_three_se_of_exact_on_censored_data(self, n, n_new, seed):
         data, z_new, _ = fitted_sample(n, n_new, seed, 0.6)
+        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        result = ri1_cox_correct(data, n_new, z_new,
+                                 mc_config=MCConfig(n_draws=20_000, seed=seed))
+        assert abs(result.estimate - exact) <= 3 * result.mc_standard_error
+
+    @pytest.mark.parametrize("n, n_new, seed", [(6, 2, 317), (7, 2, 331), (7, 1, 337)])
+    def test_monte_carlo_within_three_se_of_exact_with_censoring_at_event_times(
+            self, n, n_new, seed):
+        data, z_new, _ = censored_at_event_times(n, n_new, seed)
         exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
         result = ri1_cox_correct(data, n_new, z_new,
                                  mc_config=MCConfig(n_draws=20_000, seed=seed))
@@ -574,6 +654,28 @@ def kernel_completions():
     }
 
 
+def explicit_levels(completion, exponentials):
+    """Every augmented subject's level, in the completion's column order.
+
+    The reference for the insertion kernel: ``cox._lod_rows`` sorts these
+    levels whole, as the kernel did before it placed only the new subjects.
+    """
+    k = completion.gap_rates.size
+    new = exponentials[:, k:] / completion.new_rates
+    if completion.fixed_levels is None:
+        failures = np.cumsum(exponentials[:, :k] / completion.gap_rates, axis=1)
+        return cox._kp_levels(failures, completion.anchor_of, new)
+    existing = np.broadcast_to(completion.fixed_levels, (new.shape[0], completion.anchor_of.size))
+    return np.concatenate([existing, new], axis=1)
+
+
+def assert_insertion_matches_explicit_levels(completion, exponentials):
+    fast = completion._insert(exponentials)
+    slow = cox._lod_rows(explicit_levels(completion, exponentials), completion.status,
+                         completion.eta_alt, completion.eta_null)
+    np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+
+
 def test_correct_draws_keep_the_observed_partial_data():
     # Restricted to the existing subjects, every drawn row has the observed
     # failure order and risk sets, so its lod is the observed one.  Two
@@ -588,11 +690,71 @@ def test_correct_draws_keep_the_observed_partial_data():
     rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = cox._augmentation_setup(
         data, 3, z_new, None)
     completion = cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new)
-    levels = completion.draw_levels(rng.standard_exponential((500, completion.per_draw)))
-    n = data.n  # columns: failures, censored subjects, then new subjects
+    levels = explicit_levels(completion, rng.standard_exponential((500, completion.per_draw)))
+    n = data.n  # columns: the existing subjects, then the new ones
     lods = cox._lod_rows(levels[:, :n], completion.status[:n],
                          completion.eta_alt[:n], completion.eta_null[:n])
     np.testing.assert_allclose(lods, lod_ob, rtol=1e-12)
+
+
+class TestInsertionKernel:
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_matches_explicit_levels(self, mode):
+        completion = kernel_completions()[mode]
+        rng = np.random.default_rng(71)
+        assert_insertion_matches_explicit_levels(
+            completion, rng.standard_exponential((300, completion.per_draw)))
+
+    def test_exact_ties_in_naive_mode(self):
+        # Levels are powers of two, so new levels hit them exactly: tied
+        # fixed levels, new subjects at an existing level (at an event and at
+        # a censoring), below every one, beyond every one, and at one level.
+        levels = np.array([0.25, 0.5, 0.5, 1.0, 2.0, 2.0])
+        status = np.array([1, 1, 0, 1, 0, 1, 1, 1, 1])
+        eta = np.array([0.3, -1.0, 2.0, 0.0, 1.5, -0.5, 0.7, -0.2, 1.1])
+        new_rates = np.array([1.0, 0.5, 2.0])
+        completion = cox._Completion(status, eta, 0.4 * eta[::-1], np.arange(6), new_rates,
+                                     fixed_levels=levels)
+        new_levels = np.array([[0.5, 0.5, 0.5], [2.0, 1.0, 0.125], [4.0, 0.25, 2.0],
+                               [0.0, 0.0, 8.0], [1.0, 0.75, 1.0], [2.0, 2.0, 0.5]])
+        assert_insertion_matches_explicit_levels(completion, new_levels * new_rates)
+
+    def test_new_weights_far_below_the_existing_risk_sums(self):
+        # exp(800) overflows: the existing risk sums enter the new subjects'
+        # own terms on the log scale.
+        levels = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+        status = np.array([1, 1, 0, 1, 1, 1, 1])
+        eta = np.array([800.0, 0.0, 810.0, -5.0, 790.0, 0.0, 2.0])
+        new_rates = np.array([1.0, 2.0])
+        completion = cox._Completion(status, eta, 0.5 * eta, np.arange(5), new_rates,
+                                     fixed_levels=levels)
+        exponentials = np.random.default_rng(73).standard_exponential((200, 2)) * 2.0
+        assert_insertion_matches_explicit_levels(completion, exponentials)
+
+    def test_refuses_new_weights_spanning_more_than_the_double_range(self):
+        # Each new weight is within exp(_EXP_SPAN) of every event's risk sum,
+        # but not of the other new weight.
+        status = np.array([1, 1, 1, 1])
+        eta = np.array([0.0, 700.0, 0.0, 700.0])
+        with pytest.raises(DataIntegrityError):
+            cox._Completion(status, eta, np.zeros(4), np.arange(2), np.ones(2),
+                            fixed_levels=np.array([1.0, 2.0]))
+
+    def test_exact_ties_in_correct_mode(self):
+        # Zero gaps tie failures with each other and with the censored
+        # subject at level 0; new levels land on failure levels and on 0.
+        anchor_of = np.array([0, 1, 2, 2, 3, 4])
+        status = np.array([0, 1, 1, 0, 1, 1, 1, 1])
+        eta = np.array([0.3, -1.0, 2.0, 0.0, 1.5, -0.5, 0.7, -0.2])
+        gap_rates = np.array([1.0, 0.5, 0.25, 0.125])
+        new_rates = np.array([0.5, 2.0])
+        completion = cox._Completion(status, eta, -0.3 * eta, anchor_of, new_rates,
+                                     gap_rates=gap_rates)
+        gaps = np.array([[0.0, 0.25, 0.0, 0.125], [0.5, 0.0, 0.25, 0.0],
+                         [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]])
+        new_levels = np.array([[0.0, 0.5], [0.5, 0.5], [1.5, 0.25], [0.0, 0.0]])
+        assert_insertion_matches_explicit_levels(
+            completion, np.concatenate([gaps * gap_rates, new_levels * new_rates], axis=1))
 
 
 class TestBlockKernelDeterminism:
@@ -680,3 +842,31 @@ def test_edge_cases_never_give_a_silent_sentinel(measure, case):
     except RelInfoError:
         return
     assert_finite_measure(result, len(case[3]))
+
+
+@given(case=edge_case_samples(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)  # most small samples fail the fit
+@pytest.mark.parametrize("mode", ["correct", "naive"])
+def test_insertion_kernel_matches_explicit_levels(mode, case, seed):
+    times, status, z, z_new = case
+    if not z_new:
+        return
+    data = dataset(np.asarray(times, float), status, z)
+    try:
+        rank, beta_hat, beta_null, times, status, z, z_new, _ = cox._augmentation_setup(
+            data, len(z_new), np.asarray(z_new, float)[:, None], None)
+        completion = (
+            cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new)
+            if mode == "correct" else
+            cox._naive_completion(data, rank, beta_hat, beta_null, times, status, z, z_new))
+    except RelInfoError:
+        return
+    rng = np.random.default_rng(seed)
+    exponentials = rng.standard_exponential((64, completion.per_draw))
+    # Forced ties: zero exponentials (tied failures, new subjects at level
+    # 0), and in every other row two new subjects at one level.
+    exponentials[rng.random(exponentials.shape) < 0.1] = 0.0
+    k = completion.gap_rates.size
+    if len(z_new) >= 2:
+        exponentials[::2, k:k + 2] = 0.5 * completion.new_rates[:2]
+    assert_insertion_matches_explicit_levels(completion, exponentials)
