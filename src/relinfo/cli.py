@@ -109,6 +109,8 @@ def read_survival_csv(path: str) -> cox.SurvivalDataset:
             row = None
         if row is None or not all(map(math.isfinite, row)):
             _raise_for_bad_cell(path, lineno, header, cells)
+        if row[0] <= 0:
+            raise ValidationError(f"{path}:{lineno}: column 1 (time): must be positive")
         times.append(row[0])
         if row[1] not in (0.0, 1.0):
             raise ValidationError(f"{path}:{lineno}: column 2 (status): must be 0 or 1")

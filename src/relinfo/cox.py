@@ -61,57 +61,57 @@ _COX_STREAM_TAG = 1
 PL_ENUMERATION_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    time: float
-    status: int  # 1 = event, 0 = censored
-    covariates: tuple[float, ...]
-
-    def __post_init__(self):
-        if not math.isfinite(self.time) or self.time <= 0:
-            raise ValidationError("time must be finite and positive")
-        if self.status not in (EVENT, CENSORED):
-            raise ValidationError("status must be 0 (censored) or 1 (event)")
-        if not all(math.isfinite(c) for c in self.covariates):
-            raise ValidationError("covariates must be finite")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalDataset:
-    records: tuple[SurvivalRecord, ...]
-    covariate_dim: int
+    """The observed (censored) sample, one entry per subject.
+
+    ``times`` are finite and positive, ``status`` is 1 for an event and 0
+    for a censored subject, and ``covariates`` holds one finite row per
+    subject.  Each field is a read-only copy of its input, validated here,
+    once, whichever way the dataset is built.
+    """
+
+    times: np.ndarray
+    status: np.ndarray
+    covariates: np.ndarray  # (n_subjects, covariate_dim)
 
     def __post_init__(self):
-        for r in self.records:
-            if len(r.covariates) != self.covariate_dim:
-                raise ValidationError("covariate dimension must be constant across records")
+        times = np.array(self.times, dtype=float)
+        status = np.array(self.status)
+        z = np.array(self.covariates, dtype=float, order="C")
+        if not (times.ndim == 1 and status.shape == times.shape
+                and z.ndim == 2 and z.shape[0] == times.size):
+            raise ValidationError("times, status and covariate rows must all have length n")
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("times must be finite")
+        if not np.all(times > 0):
+            raise ValidationError("time must be finite and positive")
+        if not np.all(np.isin(status, (EVENT, CENSORED))):
+            raise ValidationError("status must be 0 (censored) or 1 (event)")
+        if not np.all(np.isfinite(z)):
+            raise ValidationError("covariates must be finite")
+        for name, value in (("times", times), ("status", status.astype(int)), ("covariates", z)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_arrays(cls, times, status, covariates) -> "SurvivalDataset":
-        times = np.asarray(times, dtype=float)
-        status = np.asarray(status, dtype=int)
+        """A dataset from array-likes; 1-D or (dim, n) covariates become (n, dim)."""
         z = np.atleast_2d(np.asarray(covariates, dtype=float))
-        if z.shape[0] != times.size:
+        if z.shape[0] != np.size(times):
             z = z.T
-        if not np.all(np.isfinite(times)):
-            raise ValidationError("times must be finite")
-        if not np.all(np.isfinite(z)):
-            raise ValidationError("covariates must be finite")
-        records = tuple(
-            SurvivalRecord(float(t), int(s), tuple(row))
-            for t, s, row in zip(times, status, z)
-        )
-        return cls(records=records, covariate_dim=z.shape[1])
+        return cls(times, status, z)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.times.size
+
+    @property
+    def covariate_dim(self) -> int:
+        return self.covariates.shape[1]
 
     def arrays(self):
-        times = np.array([r.time for r in self.records])
-        status = np.array([r.status for r in self.records])
-        z = np.array([r.covariates for r in self.records], dtype=float)
-        return times, status, z
+        return self.times, self.status, self.covariates
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +221,11 @@ def extract_rank_data(data: SurvivalDataset) -> RankData:
     share the joint risk set (Breslow convention) and are ordered among
     themselves by subject index.
     """
-    times, status, z = data.arrays()
-    if not np.any(status == EVENT):
+    if not np.any(data.status == EVENT):
         raise DegenerateDataError("at least one event is required")
-    order = np.argsort(times, kind="stable")
-    return RankData(order=order, tie_start=_tie_starts(times[order]),
-                    event=status[order] == EVENT, covariates=z)
+    order = np.argsort(data.times, kind="stable")
+    return RankData(order=order, tie_start=_tie_starts(data.times[order]),
+                    event=data.status[order] == EVENT, covariates=data.covariates)
 
 
 def _risk_sums(eta: np.ndarray, *values: np.ndarray):
@@ -297,16 +296,6 @@ def _lod_rows(times: np.ndarray, status: np.ndarray,
     """
     rows = _sort_rows(times, status)
     return _sorted_loglik(*rows, eta_alt) - _sorted_loglik(*rows, eta_null)
-
-
-def _partial_lod_times(times: np.ndarray, status: np.ndarray,
-                       eta_alt: np.ndarray, eta_null: np.ndarray) -> float:
-    """Partial-likelihood lod computed directly from (time, status, eta) arrays.
-
-    Equivalent to extracting rank data and evaluating the Breslow-form
-    partial likelihood at both parameters, but shares one sort.
-    """
-    return float(_lod_rows(times, status, eta_alt, eta_null))
 
 
 def partial_log_likelihood(rank: RankData, beta) -> float:
@@ -386,28 +375,27 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
     raise EstimationFailureError("partial-likelihood Newton did not converge")
 
 
-def _breslow_log_increments(data: SurvivalDataset, beta) -> tuple[np.ndarray, np.ndarray]:
+def _breslow_log_increments(rank: RankData, times: np.ndarray,
+                            beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct event times and the log Breslow increments at them.
 
     The increment at t is d_t / sum_{at risk} exp(beta.z); its log,
     log d_t minus the log risk-set sum, is finite for any linear predictor.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if not np.all(np.isfinite(beta)):
-        raise DomainError("beta must be finite")
-    times, status, z = data.arrays()
-    order = np.argsort(times, kind="stable")
-    sorted_times = times[order]
-    start = _tie_starts(sorted_times)[status[order] == EVENT]
     # One increment per distinct event time: tied events share a tie start.
-    first, deaths = np.unique(start, return_counts=True)
-    log_risk, _ = _risk_sums((z @ beta)[order])
-    return sorted_times[first], np.log(deaths) - log_risk[first]
+    first, deaths = np.unique(rank.tie_start[rank.event], return_counts=True)
+    log_risk, _ = _risk_sums((rank.covariates @ beta)[rank.order])
+    return times[rank.order[first]], np.log(deaths) - log_risk[first]
 
 
 def breslow_baseline(data: SurvivalDataset, beta) -> BaselineHazard:
     """Breslow cumulative-hazard increments d_t / sum_{at risk} exp(beta.z)."""
-    jump_times, log_sizes = _breslow_log_increments(data, beta)
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    if not np.all(np.isfinite(beta)):
+        raise DomainError("beta must be finite")
+    if not np.any(data.status == EVENT):
+        return BaselineHazard(jump_times=np.zeros(0), jump_sizes=np.zeros(0))
+    jump_times, log_sizes = _breslow_log_increments(extract_rank_data(data), data.times, beta)
     sizes = np.exp(log_sizes)
     if not np.all(np.isfinite(sizes) & (sizes > 0)):
         raise DataIntegrityError("baseline hazard increments are outside the range of doubles")
@@ -481,28 +469,32 @@ def _augmentation_setup(data: SurvivalDataset, n_new: int, new_covariates,
                  else np.atleast_1d(np.asarray(theta_null_beta, dtype=float)))
     if beta_null.shape != beta_hat.shape:
         raise ValidationError("null beta dimension mismatch")
-    times, status, z = data.arrays()
     z_new = _validate_new_covariates(new_covariates, n_new, dim)
-    lod_ob = _partial_lod_times(times, status, z @ beta_hat, z @ beta_null)
+    lod_ob = partial_lod(rank, beta_hat, beta_null)
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed partial-likelihood lod is zero")
-    return rank, beta_hat, beta_null, times, status, z, z_new, lod_ob
+    return rank, beta_hat, beta_null, z_new, lod_ob
 
 
-def _kp_order(rank: RankData, times: np.ndarray):
-    """Correct mode's order of the existing subjects, with their anchors.
+def _kp_columns(data: SurvivalDataset, rank: RankData, z_new: np.ndarray):
+    """Correct mode's columns: the existing subjects in order, then the new ones.
 
     Failure k (in failure order) sits at anchor k + 1, and each censored
     subject directly after the last failure at or before its time, at that
-    failure's anchor (0 before the first failure).  Returns the subjects in
-    that order, their anchors and their event flags.
+    failure's anchor (0 before the first failure).  Returns every column's
+    status and covariates, and the existing subjects' anchors.
     """
-    fail_ids = rank.order[rank.event]
-    slots = np.searchsorted(times[fail_ids], times[rank.order[~rank.event]], side="right")
-    anchor_of = np.concatenate([np.arange(1, fail_ids.size + 1), slots])
-    order = np.argsort(anchor_of, kind="stable")
-    return (np.concatenate([fail_ids, rank.order[~rank.event]])[order], anchor_of[order],
-            order < fail_ids.size)
+    fail_ids, cens_ids = rank.order[rank.event], rank.order[~rank.event]
+    slots = np.searchsorted(data.times[fail_ids], data.times[cens_ids], side="right")
+    # Merged by anchor, failures first: censored subject c follows c
+    # censored subjects and slots[c] failures, and every subject's anchor
+    # is the number of failures up to and including it.
+    event = np.ones(data.n, dtype=bool)
+    event[slots + np.arange(slots.size)] = False
+    ids = np.empty_like(rank.order)
+    ids[event], ids[~event] = fail_ids, cens_ids
+    status = np.concatenate([event, np.ones(z_new.shape[0], dtype=bool)]).astype(int)
+    return status, np.vstack([data.covariates[ids], z_new]), np.cumsum(event)
 
 
 def _kp_levels(failures: np.ndarray, anchor_of: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -703,30 +695,29 @@ class _Completion:
         return ll[0] - ll[1]
 
 
-def _correct_completion(rank: RankData, beta_hat, beta_null, times, z, z_new) -> _Completion:
+def _correct_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
+                        z_new) -> _Completion:
     k = int(np.count_nonzero(rank.event))
     # Only ratios of rates matter; past this span E / rate overflows.
     log_rates = np.concatenate([_log_risk_rates(rank, beta_hat), z_new @ beta_hat])
     if log_rates.max() - log_rates.min() > _EXP_SPAN:
         raise DataIntegrityError("relative hazards span more than the range of doubles")
     rates = np.exp(log_rates - log_rates.max())
-    ids, anchor_of, event = _kp_order(rank, times)
-    merged_z = np.vstack([z[ids], z_new])
-    status = np.concatenate([event, np.ones(z_new.shape[0], dtype=bool)]).astype(int)
+    status, merged_z, anchor_of = _kp_columns(data, rank, z_new)
     return _Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of, rates[k:],
                        gap_rates=rates[:k])
 
 
 def _naive_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
-                      times, status, z, z_new) -> _Completion:
+                      z_new) -> _Completion:
     # Existing subjects by time, each at its own fixed level.
-    new_rates, baseline = _relative_rates(z_new @ beta_hat,
-                                          *_breslow_log_increments(data, beta_hat))
-    merged_z = np.vstack([z[rank.order], z_new])
-    merged_status = np.concatenate([status[rank.order], np.ones(z_new.shape[0], dtype=int)])
+    new_rates, baseline = _relative_rates(
+        z_new @ beta_hat, *_breslow_log_increments(rank, data.times, beta_hat))
+    merged_z = np.vstack([data.covariates[rank.order], z_new])
+    merged_status = np.concatenate([data.status[rank.order], np.ones(z_new.shape[0], dtype=int)])
     return _Completion(merged_status, merged_z @ beta_hat, merged_z @ beta_null,
                        np.arange(data.n), new_rates,
-                       fixed_levels=baseline.cumulative(times[rank.order]))
+                       fixed_levels=baseline.cumulative(data.times[rank.order]))
 
 
 def _no_new_subjects(lod_ob: float, mc_config: MCConfig | None,
@@ -755,11 +746,11 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
     """
     if mc_config is None:
         raise ValidationError("ri1_cox_correct requires an MCConfig")
-    rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = _augmentation_setup(
+    rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
     if n_new == 0:
         return _no_new_subjects(lod_ob, mc_config, "rank data (partial data)")
-    completion = _correct_completion(rank, beta_hat, beta_null, times, z, z_new)
+    completion = _correct_completion(data, rank, beta_hat, beta_null, z_new)
     return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
                            mc_config, conditioning="rank data (partial data)")
 
@@ -772,13 +763,13 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
     under the Breslow cumulative hazard, computed once; only the new
     subjects' levels are simulated.  The resulting measure may exceed 1.
     """
-    rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = _augmentation_setup(
+    rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
     if n_new == 0:
         return _no_new_subjects(lod_ob, mc_config, "censored data (observed times fixed)")
     if mc_config is None:
         raise ValidationError("ri1_cox_naive requires an MCConfig when n_new > 0")
-    completion = _naive_completion(data, rank, beta_hat, beta_null, times, status, z, z_new)
+    completion = _naive_completion(data, rank, beta_hat, beta_null, z_new)
     return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
                            mc_config, conditioning="censored data (observed times fixed)")
 
@@ -796,20 +787,17 @@ def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariate
     probability is proportional to exp of its partial log-likelihood at
     beta_hat, so the expected augmented lod is a finite weighted sum.
     """
-    times, status, _ = data.arrays()
-    event_times = times[status == EVENT]
+    event_times = data.times[data.status == EVENT]
     if np.unique(event_times).size != event_times.size:
         raise OracleUnavailableError("the enumeration oracle needs untied event times")
-    n_fail = int(np.count_nonzero(status == EVENT))
+    n_fail = event_times.size
     n_orders = math.perm(n_fail + n_new, n_new)
     if n_orders > PL_ENUMERATION_CAP:
         raise OracleUnavailableError(
             f"{n_orders} augmented orders exceed the enumeration cap {PL_ENUMERATION_CAP}")
-    rank, beta_hat, beta_null, _, _, z, z_new, lod_ob = _augmentation_setup(
+    rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
-    ids, anchor_of, event = _kp_order(rank, times)
-    merged_z = np.vstack([z[ids], z_new])
-    status = np.concatenate([event, np.ones(n_new, dtype=bool)]).astype(int)
+    status, merged_z, anchor_of = _kp_columns(data, rank, z_new)
 
     positions = np.arange(1.0, n_fail + n_new + 1)
     failures, new = np.empty((n_orders, n_fail)), np.empty((n_orders, n_new))
@@ -938,7 +926,7 @@ def conditioning_anomaly_study(n_datasets: int = 100, n_subjects: int = 20,
             rng = mc.substream(data_seed, attempt)
             censored, uncensored = simulate_ph_binary(
                 n_subjects, beta_true, rng, censoring_rate)
-            if int(sum(r.status for r in censored.records)) < 2:
+            if censored.status.sum() < 2:
                 continue
             z_new = mc.substream(cov_seed, attempt).integers(0, 2, size=n_new)
             z_new = z_new.astype(float)[:, None]

@@ -156,6 +156,15 @@ class TestCoxRi:
         assert code == 2
         assert f"{path}:3: column 1 (time)" in err
 
+    @pytest.mark.parametrize("cell", ["0", "0.0", "-1.5"])
+    def test_nonpositive_time_reports_location(self, capsys, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,status,cov1\n1.0,1,0.5\n{cell},1,0.3\n")
+        code = cli.run(["cox-ri", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:3: column 1 (time): must be positive" in err
+
     def test_nonfinite_covariate_reports_location(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,status,cov1\n1.0,1,nan\n2.0,1,0.3\n")

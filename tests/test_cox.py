@@ -13,7 +13,6 @@ from relinfo.cox import (
     BaselineHazard,
     ConditioningStudy,
     SurvivalDataset,
-    SurvivalRecord,
     breslow_baseline,
     extract_rank_data,
     fit_partial_likelihood,
@@ -329,37 +328,83 @@ class TestWaldMeasure:
             ri_w_wald(1.0, 1.0, 1.0, 0.1, 0.0, complete_model_var=0.0)
 
 
-def test_partial_lod_times_matches_rank_computation():
+def test_lod_rows_matches_rank_computation():
+    # One row through the reference sort gives the rank-data lod bit for
+    # bit, on censored samples with tied times.
     rng = np.random.default_rng(33)
-    censored, _ = simulate_ph_binary(14, 0.5, rng, 0.25)
-    rank = extract_rank_data(censored)
     beta_a, beta_0 = np.array([0.6]), np.array([0.0])
-    times, status, z = censored.arrays()
-    fast = cox._partial_lod_times(times, status, z @ beta_a, z @ beta_0)
-    assert fast == pytest.approx(partial_lod(rank, beta_a, beta_0), rel=1e-12)
+    for _ in range(20):
+        censored, _ = simulate_ph_binary(14, 0.5, rng, 0.25)
+        data = SurvivalDataset.from_arrays(np.round(censored.times, 1) + 0.1, censored.status,
+                                           censored.covariates)
+        z = data.covariates
+        lod = cox._lod_rows(data.times, data.status, z @ beta_a, z @ beta_0)
+        assert float(lod) == partial_lod(extract_rank_data(data), beta_a, beta_0)
 
 
 class TestInputValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_time_rejected(self, bad):
         with pytest.raises(ValidationError):
-            SurvivalRecord(bad, 1, (0.0,))
+            dataset([bad], [1], [0.0])
         with pytest.raises(ValidationError):
+            dataset([1.0, bad, 3.0], [1, 1, 1], [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+    def test_nonpositive_time_rejected(self, bad):
+        with pytest.raises(ValidationError, match="positive"):
             dataset([1.0, bad, 3.0], [1, 1, 1], [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_covariate_rejected(self, bad):
         with pytest.raises(ValidationError):
-            SurvivalRecord(1.0, 1, (bad,))
+            dataset([1.0], [1], [bad])
         with pytest.raises(ValidationError):
             dataset([1.0, 2.0, 3.0], [1, 1, 1], [0.0, bad, 0.0])
+
+    @pytest.mark.parametrize("bad", [0.7, 1.5, 2, -1, math.nan])
+    def test_status_other_than_zero_or_one_rejected(self, bad):
+        with pytest.raises(ValidationError, match="status"):
+            dataset([1.0, 2.0, 3.0], [1, bad, 0], [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("times, status, z", [
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1], [0.0, 1.0, 0.0, 1.0, 0.0]),
+        ([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1, 0], [0.0, 1.0, 0.0, 1.0]),
+        ([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1], [0.0, 1.0, 0.0, 1.0, 0.0]),
+        ([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1], [[0.0, 1.0, 0.0]] * 3),
+    ])
+    def test_unequal_lengths_rejected(self, times, status, z):
+        with pytest.raises(ValidationError, match="length n"):
+            SurvivalDataset.from_arrays(times, status, np.asarray(z))
+
+    def test_covariate_layouts(self):
+        rows = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]])
+        for z in (rows, rows.T):
+            data = SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], z)
+            np.testing.assert_array_equal(data.covariates, rows)
+            assert (data.n, data.covariate_dim) == (3, 2)
+        one = SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(one.covariates, rows[:, :1])
+
+    def test_dataset_holds_read_only_copies(self):
+        times, status = np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1])
+        z = np.array([[0.0], [1.0], [0.0]])
+        data = SurvivalDataset.from_arrays(times, status, z)
+        times[0], status[0], z[0, 0] = -1.0, 7, math.nan
+        np.testing.assert_array_equal(data.times, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(data.status, [1, 0, 1])
+        np.testing.assert_array_equal(data.covariates, [[0.0], [1.0], [0.0]])
+        for field in data.arrays():
+            with pytest.raises(ValueError):
+                field[0] = 0
+        with pytest.raises(AttributeError):
+            data.times = times
 
     def test_extreme_linear_predictor_gives_finite_lod(self):
         # exp(800) overflows unless eta is shifted before exponentiating.
         z = np.array([0.0, 800.0, 0.0, 800.0])
         data = dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], z)
-        times, status, _ = data.arrays()
-        lod = cox._partial_lod_times(times, status, z, np.zeros(4))
+        lod = float(cox._lod_rows(data.times, data.status, z, np.zeros(4)))
         assert math.isfinite(lod)
         assert lod == pytest.approx(partial_lod(extract_rank_data(data), [1.0], [0.0]),
                                     rel=1e-12)
@@ -372,9 +417,8 @@ class TestInputValidation:
         expected = (800.0 - (800.0 + math.log1p(3.0 * math.exp(-800.0)))
                     - math.log(3.0) - math.log(2.0) + math.log(24.0))
         rank = extract_rank_data(data)
-        times, status, _ = data.arrays()
         assert partial_lod(rank, [1.0], [0.0]) == pytest.approx(expected, rel=1e-12)
-        assert cox._partial_lod_times(times, status, z, np.zeros(4)) == pytest.approx(
+        assert float(cox._lod_rows(data.times, data.status, z, np.zeros(4))) == pytest.approx(
             expected, rel=1e-12)
 
     def test_risk_sums_are_exact_over_any_span(self):
@@ -518,7 +562,7 @@ def fitted_sample(n, n_new, seed, censoring_rate=0.0):
     while True:
         data, _ = simulate_ph_binary(n, 0.8, rng, censoring_rate)
         z_new = rng.integers(0, 2, size=n_new).astype(float)[:, None]
-        if censoring_rate > 0 and all(r.status for r in data.records):
+        if censoring_rate > 0 and np.all(data.status == 1):
             continue
         try:
             beta, _ = fit_partial_likelihood(extract_rank_data(data))
@@ -539,7 +583,7 @@ def censored_at_event_times(n, n_new, seed):
     rng = np.random.default_rng(seed)
     while True:
         data, z_new, _ = fitted_sample(n, n_new, int(rng.integers(2**31)), 0.6)
-        times, status, z = data.arrays()
+        times, status, z = data.times.copy(), data.status, data.covariates
         events = np.sort(times[status == 1])
         later = np.searchsorted(events, times, side="right")
         moved = (status == 0) & (later < events.size)
@@ -645,12 +689,10 @@ def kernel_case():
 
 def kernel_completions():
     data, z_new = kernel_case()
-    rank, beta_hat, beta_null, times, status, z, z_new, _ = cox._augmentation_setup(
-        data, 4, z_new, None)
+    rank, beta_hat, beta_null, z_new, _ = cox._augmentation_setup(data, 4, z_new, None)
     return {
-        "correct": cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new),
-        "naive": cox._naive_completion(data, rank, beta_hat, beta_null, times, status, z,
-                                       z_new),
+        "correct": cox._correct_completion(data, rank, beta_hat, beta_null, z_new),
+        "naive": cox._naive_completion(data, rank, beta_hat, beta_null, z_new),
     }
 
 
@@ -682,14 +724,13 @@ def test_correct_draws_keep_the_observed_partial_data():
     # subjects are censored at event times and one before the first event.
     rng = np.random.default_rng(67)
     censored, _ = simulate_ph_binary(25, 0.5, rng, 0.5)
-    times, status, z = censored.arrays()
+    times, status, z = censored.times.copy(), censored.status, censored.covariates
     cens, fails = np.flatnonzero(status == 0), np.flatnonzero(status == 1)
     times[cens[:3]] = times[fails[0]], times[fails[3]], times.min() / 2
     data = SurvivalDataset.from_arrays(times, status, z)
     z_new = rng.integers(0, 2, size=3).astype(float)[:, None]
-    rank, beta_hat, beta_null, times, status, z, z_new, lod_ob = cox._augmentation_setup(
-        data, 3, z_new, None)
-    completion = cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new)
+    rank, beta_hat, beta_null, z_new, lod_ob = cox._augmentation_setup(data, 3, z_new, None)
+    completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
     levels = explicit_levels(completion, rng.standard_exponential((500, completion.per_draw)))
     n = data.n  # columns: the existing subjects, then the new ones
     lods = cox._lod_rows(levels[:, :n], completion.status[:n],
@@ -853,12 +894,10 @@ def test_insertion_kernel_matches_explicit_levels(mode, case, seed):
         return
     data = dataset(np.asarray(times, float), status, z)
     try:
-        rank, beta_hat, beta_null, times, status, z, z_new, _ = cox._augmentation_setup(
+        rank, beta_hat, beta_null, z_new, _ = cox._augmentation_setup(
             data, len(z_new), np.asarray(z_new, float)[:, None], None)
-        completion = (
-            cox._correct_completion(rank, beta_hat, beta_null, times, z, z_new)
-            if mode == "correct" else
-            cox._naive_completion(data, rank, beta_hat, beta_null, times, status, z, z_new))
+        build = cox._correct_completion if mode == "correct" else cox._naive_completion
+        completion = build(data, rank, beta_hat, beta_null, z_new)
     except RelInfoError:
         return
     rng = np.random.default_rng(seed)
