@@ -7,10 +7,15 @@ exponential with sufficient statistic (successes, trials), sufficient-
 statistic imputation is exact for every linear functional, and instances
 with a small missing count admit an exact enumeration oracle.
 
-Monte Carlo completions draw the missing successes by exact inversion: one
-binary search per block of uniforms in a table of the Binomial(n_missing,
-theta) cdf, over a window of counts that brackets the block's uniforms.
-Each draw is the smallest count k with cdf(k) >= u, so u = 0 gives 0.
+Monte Carlo completions draw the missing successes by exact inversion in a
+table of the Binomial(n_missing, theta) cdf, over a window of counts that
+brackets the block's uniforms; a guide table indexed by u * G gives each
+uniform a start at or below its count (Chen and Asau 1974).  Each draw is
+the smallest count k with cdf(k) >= u, so u = 0 gives 0.  A block of draws
+comes back as its support table, one complete-data row per count from the
+smallest to the largest the block reaches, plus each draw's row index, so
+a functional of the complete data is evaluated once per distinct count and
+gathered per draw.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ class BinomialObserved:
 @dataclass(frozen=True)
 class BinomialComplete:
     """Complete data; successes_total may be fractional (imputation) or an
-    array over Monte Carlo draws (vectorized completion)."""
+    array whose rows are the support table of a block of Monte Carlo draws
+    (see :class:`relinfo.core.ModelContract`)."""
 
     successes_total: float | np.ndarray
     n_total: int
@@ -80,11 +86,20 @@ def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     """Binomial(n, theta) quantiles of u: the smallest count k with cdf(k) >= u.
 
     The cdf is tabulated over the counts that boost's quantiles of u.min()
-    and u.max() bracket, widened by one count on each side, and each uniform
-    is placed in the table by binary search; when the window does not
-    bracket the extreme uniforms, the whole support 0..n is tabulated
-    instead.  The cost follows the spread of the block's quantiles, not n.
-    A uniform of exactly 0 maps to 0 (scipy's ``binom.ppf(0)`` is -1).
+    and u.max() bracket, widened by one count on each side; when the window
+    does not bracket the extreme uniforms, the whole support 0..n is
+    tabulated instead.  The cost follows the spread of the block's
+    quantiles, not n.  Each uniform is placed by a guide-table search (Chen
+    and Asau 1974; Devroye 1986, III.2): guide entry g is the first
+    tabulated count whose cdf reaches g / G, a start at or below the answer
+    of every u in [g / G, (g + 1) / G).  A draw takes one step forward if
+    the cdf at its start is still below u; the few draws still below after
+    that, in the tails where one guide interval spans many counts, are
+    placed by binary search in the table.  G is a power of two, so u * G is
+    exact: the smallest one reaching twice the window's length or the
+    block's draw count, whichever is less, so that building the guide costs
+    no more than about the searches it saves.  A uniform of exactly 0 maps
+    to 0 (scipy's ``binom.ppf(0)`` is -1).
     """
     lo, hi = stats.binom.ppf([u.min(), u.max()], n, theta)
     lo, hi = max(int(lo) - 1, 0), min(int(hi) + 1, n)
@@ -93,17 +108,28 @@ def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     if (lo > 0 and cdf[0] >= u.min()) or cdf[-1] < u.max():
         lo = 0
         cdf = stats.binom.cdf(np.arange(-1, n + 1), n, theta)
-    return lo + np.searchsorted(cdf[1:], u, side="left")
+    table = cdf[1:]
+    size = 1 << (min(2 * table.size, u.size) - 1).bit_length()
+    guide = np.searchsorted(table, np.arange(size) / size, side="left")
+    k = guide[(u * size).astype(np.intp)]
+    behind = np.flatnonzero(table[k] < u)
+    k[behind] += 1
+    behind = behind[table[k[behind]] < u[behind]]
+    k[behind] = np.searchsorted(table, u[behind], side="left")
+    return lo + k
 
 
 def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
                             start: int = 0):
     if observed.n_missing == 0 or n_draws == 0:
-        extra = np.zeros(n_draws)
+        counts = np.zeros(n_draws, dtype=np.intp)
     else:
-        u = stream_uniforms(seed, n_draws, start=start)
-        extra = _inverse_cdf(u, observed.n_missing, theta).astype(float)
-    return BinomialComplete(observed.successes + extra, observed.n_total)
+        counts = _inverse_cdf(stream_uniforms(seed, n_draws, start=start),
+                              observed.n_missing, theta)
+    first, last = (int(counts.min()), int(counts.max())) if n_draws else (0, -1)
+    support = BinomialComplete(observed.successes + np.arange(first, last + 1, dtype=float),
+                               observed.n_total)
+    return support, counts - first
 
 
 def _impute_completion(observed: BinomialObserved, theta):

@@ -61,11 +61,16 @@ class ModelContract:
     """Pluggable likelihood machinery a model must provide.
 
     ``draw_completions_batch(observed, theta, n_draws, seed, start=0)``
-    returns completions ``start`` .. ``start + n_draws - 1`` as one data
-    object whose fields are arrays over draw index; it must derive draw i's
-    randomness from the counter block owned by i (see
-    :func:`relinfo.mc.stream_uniforms`), so any range of draws equals the
-    same rows of a run from draw 0.  ``impute_completion`` is present only
+    returns completions ``start`` .. ``start + n_draws - 1`` as a pair
+    ``(support, index)``: ``support`` is one data object whose fields are
+    arrays over rows, such as the distinct completions the block reaches,
+    and ``index`` gives each draw's row.  Measures evaluate a functional of
+    the complete data once per row and gather it per draw with ``[index]``,
+    which equals evaluating it on each draw's own completion.  Draw i's
+    completion must derive from the counter block owned by i (see
+    :func:`relinfo.mc.stream_uniforms`), so any range of draws gives the
+    same completions as those draws of a run from draw 0; the support's
+    rows may differ.  ``impute_completion`` is present only
     for exponential-family models: it returns pseudo-complete data whose
     sufficient statistic equals the conditional expectation of the
     complete-data sufficient statistic given the observed data at the
@@ -163,8 +168,9 @@ def _completion_lods(model: ModelContract, observed, draw_theta,
                      theta_alt, theta_null, seed: int) -> Callable[[int, int], np.ndarray]:
     """Block evaluator of lod(theta_alt, theta_null | Y_co) for completions at draw_theta."""
     def evaluate(lo: int, hi: int) -> np.ndarray:
-        completed = model.draw_completions_batch(observed, draw_theta, hi - lo, seed, start=lo)
-        return np.asarray(_lod_value(model, theta_alt, theta_null, completed), dtype=float)
+        support, index = model.draw_completions_batch(observed, draw_theta, hi - lo, seed,
+                                                      start=lo)
+        return np.asarray(_lod_value(model, theta_alt, theta_null, support), dtype=float)[index]
     return evaluate
 
 
@@ -287,13 +293,15 @@ def ri_y_samples(model: ModelContract, observed, pair: HypothesisPair,
     fixed (the sharp-alternative setting).  Draws whose complete-data lod
     is exactly zero are recorded as +inf sentinels.
     """
+    MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
     theta_hat = model.mle(observed)
     lod_ob = _as_scalar(lod(model, pair, observed).value)
-    lods_co = _completion_lods(model, observed, theta_hat,
-                               pair.theta_alt, pair.theta_null, seed)(0, n_draws)
+    support, index = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
+    lods_co = np.asarray(_lod_value(model, pair.theta_alt, pair.theta_null, support),
+                         dtype=float)
     with np.errstate(divide="ignore"):
-        samples = np.where(lods_co == 0.0, np.inf, lod_ob / lods_co)
-    return samples
+        ratios = np.where(lods_co == 0.0, np.inf, lod_ob / lods_co)
+    return ratios[index]
 
 
 def lod_ratio_variance(model: ModelContract, observed, theta_null,
@@ -302,14 +310,15 @@ def lod_ratio_variance(model: ModelContract, observed, theta_null,
 
     Each draw's lod is evaluated at that draw's own complete-data MLE.
     """
+    MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
     theta_hat = _observed_setup(model, observed, theta_null)
     lod_ob = _as_scalar(_lod_value(model, theta_hat, theta_null, observed))
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero; measure undefined")
 
-    completed = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
-    var = mc.variance_from_values(
-        _lod_value(model, model.mle(completed), theta_null, completed))
+    support, index = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
+    lods = np.asarray(_lod_value(model, model.mle(support), theta_null, support), dtype=float)
+    var = mc.variance_from_values(lods[index])
 
     scale = lod_ob**2
     return RelInfoResult(
@@ -339,20 +348,21 @@ def expected_lod_gap(model: ModelContract, observed, theta_null,
     nonnegative draw by draw (MLE maximality) and its mean is the gap that
     breaks the naive identity between the two conditional expectations.
     """
+    MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
     theta_hat = _observed_setup(model, observed, theta_null)
     lod_ob = _as_scalar(_lod_value(model, theta_hat, theta_null, observed))
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero")
 
-    completed = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
-    at_mle = np.asarray(_lod_value(model, model.mle(completed), theta_null, completed),
+    support, index = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
+    at_mle = np.asarray(_lod_value(model, model.mle(support), theta_null, support),
                         dtype=float)
-    at_fixed = np.asarray(_lod_value(model, theta_hat, theta_null, completed), dtype=float)
-    diff = at_mle - at_fixed
+    at_fixed = np.asarray(_lod_value(model, theta_hat, theta_null, support), dtype=float)
+    diff = (at_mle - at_fixed)[index]
     violations = int(np.sum(diff < -_DOMINANCE_TOL))
     return ExpectedLodGap(
-        at_draw_mle=mc.estimate_from_values(at_mle),
-        at_fixed_alt=mc.estimate_from_values(at_fixed),
+        at_draw_mle=mc.estimate_from_values(at_mle[index]),
+        at_fixed_alt=mc.estimate_from_values(at_fixed[index]),
         paired_diff=mc.estimate_from_values(diff),
         dominance_violations=violations,
     )

@@ -912,6 +912,9 @@ def conditioning_anomaly_study(n_datasets: int = 100, n_subjects: int = 20,
     same failure times.  Datasets where the fit degenerates (separation,
     too few events) are resimulated from the next substream.
     """
+    if n_datasets < 1:
+        raise ValidationError("n_datasets must be >= 1")
+    MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
     child = np.random.SeedSequence(seed).generate_state(4 * n_datasets, np.uint64)
     child = child.reshape(n_datasets, 4)
     naive_est = np.full(n_datasets, np.nan)

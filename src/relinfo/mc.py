@@ -125,7 +125,8 @@ def variance_from_values(values: np.ndarray) -> MCEstimate:
     d = kept - np.mean(kept)
     n = n_eff
     s2 = float(d @ d / (n - 1))
-    m4 = float(np.mean(d**4))
+    squares = d * d
+    m4 = float(np.mean(squares * squares))
     var_s2 = (m4 - (n - 3) / (n - 1) * s2 * s2) / n
     se = math.sqrt(max(var_s2, 0.0))
     return MCEstimate(mean=s2, standard_error=se, n_effective=n, sentinel_count=sentinels)

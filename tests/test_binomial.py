@@ -33,35 +33,66 @@ def test_mle_is_sample_proportion():
     assert MODEL.mle(BinomialComplete(55, 100)) == pytest.approx(0.55)
 
 
+def drawn_successes(*args, **kwargs):
+    """Per-draw success totals: the support's rows gathered by the draw index."""
+    support, index = MODEL.draw_completions_batch(*args, **kwargs)
+    return support.successes_total[index]
+
+
 def test_completion_with_no_missing_returns_data_back():
     obs = BinomialObserved(4, 9, 0)
-    co = MODEL.draw_completions_batch(obs, 0.4, 1, 0)
-    assert np.all(co.successes_total == obs.successes)
-    assert co.n_total == obs.n_observed
+    support, index = MODEL.draw_completions_batch(obs, 0.4, 1, 0)
+    assert np.all(support.successes_total[index] == obs.successes)
+    assert support.n_total == obs.n_observed
 
 
 def test_completion_mean_matches_binomial_mean():
     obs = BinomialObserved(30, 50, 50)
-    draws = MODEL.draw_completions_batch(obs, 0.6, 4_000, 11).successes_total - 30
+    draws = drawn_successes(obs, 0.6, 4_000, 11) - 30
     se = np.std(draws, ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 30.0) <= 3 * se
 
 
 def test_batch_completion_is_deterministic_and_reduces_correctly():
     obs = BinomialObserved(30, 50, 50)
-    a = MODEL.draw_completions_batch(obs, 0.6, 1_000, 3)
-    b = MODEL.draw_completions_batch(obs, 0.6, 1_000, 3)
-    np.testing.assert_array_equal(a.successes_total, b.successes_total)
-    assert np.all(a.successes_total >= obs.successes)
-    assert np.all(a.successes_total <= obs.n_total)
+    a = drawn_successes(obs, 0.6, 1_000, 3)
+    b = drawn_successes(obs, 0.6, 1_000, 3)
+    np.testing.assert_array_equal(a, b)
+    assert np.all(a >= obs.successes)
+    assert np.all(a <= obs.n_total)
 
 
 def test_batch_completion_start_selects_rows_of_one_shot_run():
     obs = BinomialObserved(30, 50, 50)
-    full = MODEL.draw_completions_batch(obs, 0.6, 100, 3).successes_total
+    full = drawn_successes(obs, 0.6, 100, 3)
     for lo, n in [(0, 100), (1, 5), (37, 63), (99, 1), (50, 0)]:
-        block = MODEL.draw_completions_batch(obs, 0.6, n, 3, start=lo).successes_total
+        block = drawn_successes(obs, 0.6, n, 3, start=lo)
         np.testing.assert_array_equal(block, full[lo:lo + n])
+
+
+@pytest.mark.parametrize("obs, theta, n_draws, start", [
+    (BinomialObserved(30, 50, 50), 0.6, 1_000, 0),
+    (BinomialObserved(30, 50, 50), 0.6, 1, 77),
+    (BinomialObserved(550, 1000, 500), 0.55, 20_000, 4_096),
+    (BinomialObserved(550, 1000, 10**5), 0.55, 1_024, 3_001),
+    (BinomialObserved(3, 10, 5), 1e-4, 2_000, 0),
+    (BinomialObserved(4, 9, 0), 0.4, 100, 5),
+    (BinomialObserved(30, 50, 50), 0.6, 0, 9),
+])
+def test_support_is_exactly_the_reached_counts(obs, theta, n_draws, start):
+    support, index = MODEL.draw_completions_batch(obs, theta, n_draws, 13, start=start)
+    counts = stats.binom.ppf(mc.stream_uniforms(13, n_draws, start=start),
+                             obs.n_missing, theta)
+    assert index.shape == (n_draws,) and np.issubdtype(index.dtype, np.integer)
+    assert support.n_total == obs.n_total
+    if n_draws == 0:
+        assert support.successes_total.size == 0
+        return
+    assert index.min() == 0 and index.max() == support.successes_total.size - 1
+    np.testing.assert_array_equal(
+        support.successes_total,
+        obs.successes + np.arange(counts.min(), counts.max() + 1))
+    np.testing.assert_array_equal(support.successes_total[index], obs.successes + counts)
 
 
 def smallest_count_reaching(u, n, theta):
@@ -75,7 +106,7 @@ def test_zero_uniform_completes_within_support(monkeypatch):
     obs = BinomialObserved(30, 50, 50)
     u = np.array([0.0, 0.25, 0.0, 0.75, 1.0 - 2.0**-53])
     monkeypatch.setattr(binomial, "stream_uniforms", lambda seed, n, start=0: u[start:start + n])
-    successes = MODEL.draw_completions_batch(obs, 0.6, u.size, 0).successes_total
+    successes = drawn_successes(obs, 0.6, u.size, 0)
     assert np.all(successes >= obs.successes)
     assert np.all(successes <= obs.n_total)
     assert successes[0] == successes[2] == obs.successes
@@ -118,10 +149,10 @@ def test_inverse_cdf_falls_back_to_the_whole_support(monkeypatch, bracket):
 def test_uneven_blocks_equal_one_shot_rows_at_large_missing_count():
     # Each block tabulates the cdf over its own uniforms' quantile window.
     obs = BinomialObserved(550, 1000, 10**5)
-    full = MODEL.draw_completions_batch(obs, 0.55, 5_000, 8).successes_total
+    full = drawn_successes(obs, 0.55, 5_000, 8)
     edges = [0, 1, 8, 1_032, 1_033, 4_000, 5_000]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        block = MODEL.draw_completions_batch(obs, 0.55, hi - lo, 8, start=lo).successes_total
+        block = drawn_successes(obs, 0.55, hi - lo, 8, start=lo)
         np.testing.assert_array_equal(block, full[lo:hi])
 
 

@@ -113,6 +113,22 @@ class TestRiYAndLodVar:
         assert code == 0
         assert float(pairs["result.lod_ratio_variance.estimate"]) >= 0.0
 
+    @pytest.mark.parametrize("argv", [
+        ["lod-var", "--draws", "-3"],
+        ["lod-var", "--seed", "-1"],
+        ["lod-var", "--seed", str(2**64)],
+        ["lod-var", "--draws", "0"],
+        ["ri-y", "--p1", "0.55", "--draws", "0"],
+        ["ri-y", "--p1", "0.55", "--draws", "1"],
+    ])
+    def test_bad_draws_or_seed_is_usage_error(self, capsys, argv):
+        code = cli.run([*argv, "--x", "550", "--n-obs", "1000", "--n-missing", "500",
+                        "--p0", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestCoxRi:
     @pytest.fixture()
@@ -234,3 +250,14 @@ def test_doss_replication_tiny_smoke(capsys):
     assert code == 0
     assert 0.0 <= float(pairs["result.fraction_naive_above_one"]) <= 1.0
     assert int(pairs["result.n_usable_datasets"]) >= 1
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2**64)],
+                                   ["--n-datasets", "0"]])
+def test_doss_replication_bad_input_is_usage_error(capsys, flags):
+    code = cli.run(["doss-replication", "--n-datasets", "3", "--n-subjects", "12",
+                    "--n-new", "2", "--draws", "200", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -211,10 +211,12 @@ class TestDeterminism:
 
         def in_uneven_pieces(observed, theta, n_draws, seed, start=0):
             edges = [start, start + 1, start + 8, start + 333, start + n_draws]
-            pieces = [draw(observed, theta, hi - lo, seed, start=lo)
-                      for lo, hi in zip(edges, edges[1:])]
-            return binomial.BinomialComplete(
-                np.concatenate([p.successes_total for p in pieces]), pieces[0].n_total)
+            supports, indexes = zip(*(draw(observed, theta, hi - lo, seed, start=lo)
+                                      for lo, hi in zip(edges, edges[1:])))
+            rows = [s.successes_total for s in supports]
+            offsets = np.cumsum([0] + [r.size for r in rows[:-1]])
+            return (binomial.BinomialComplete(np.concatenate(rows), supports[0].n_total),
+                    np.concatenate([i + o for i, o in zip(indexes, offsets)]))
 
         split_model = dataclasses.replace(MODEL, draw_completions_batch=in_uneven_pieces)
         config = mc.MCConfig(n_draws=1_000, seed=67)
@@ -222,6 +224,58 @@ class TestDeterminism:
         split = core.ri1(split_model, obs, 0.5, config, method="monte_carlo")
         assert whole.estimate == split.estimate
         assert whole.mc_standard_error == split.mc_standard_error
+
+
+def one_row_per_draw(model):
+    """The model with each block's support expanded to one row per draw."""
+    def expanded(observed, theta, n_draws, seed, start=0):
+        support, index = model.draw_completions_batch(observed, theta, n_draws, seed,
+                                                      start=start)
+        return (binomial.BinomialComplete(support.successes_total[index], support.n_total),
+                np.arange(n_draws))
+    return dataclasses.replace(model, draw_completions_batch=expanded)
+
+
+@pytest.mark.parametrize("obs, p0, p1, seed", [
+    (BinomialObserved(30, 50, 50), 0.5, 0.65, 3),
+    (BinomialObserved(550, 1000, 500), 0.5, 0.55, 31),
+    (BinomialObserved(7, 10, 0), 0.5, 0.7, 1),
+    # Completions with 10 successes in 20 trials have a lod of exactly 0.
+    (BinomialObserved(6, 10, 10), 0.25, 0.75, 5),
+])
+def test_gathering_from_the_support_equals_one_row_per_draw(obs, p0, p1, seed):
+    per_draw = one_row_per_draw(MODEL)
+    config = mc.MCConfig(n_draws=5_000, seed=seed)
+    assert (core.ri1(MODEL, obs, p0, config, method="monte_carlo")
+            == core.ri1(per_draw, obs, p0, config, method="monte_carlo"))
+    pair = HypothesisPair(theta_null=p0, theta_alt=p1)
+    np.testing.assert_array_equal(core.ri_y_samples(MODEL, obs, pair, 5_000, seed),
+                                  core.ri_y_samples(per_draw, obs, pair, 5_000, seed))
+    assert (core.expected_lod_gap(MODEL, obs, p0, 5_000, seed)
+            == core.expected_lod_gap(per_draw, obs, p0, 5_000, seed))
+    assert (core.lod_ratio_variance(MODEL, obs, p0, 5_000, seed)
+            == core.lod_ratio_variance(per_draw, obs, p0, 5_000, seed))
+
+
+def test_ri_y_zero_lod_draws_are_sentinels():
+    obs = BinomialObserved(6, 10, 10)
+    samples = core.ri_y_samples(MODEL, obs, HypothesisPair(0.25, 0.75), 5_000, 5)
+    support, index = MODEL.draw_completions_batch(obs, 0.6, 5_000, 5)
+    tied = support.successes_total[index] == 10
+    assert 0 < tied.sum() < samples.size
+    assert np.all(np.isinf(samples[tied])) and np.all(np.isfinite(samples[~tied]))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda n, seed: core.ri_y_samples(MODEL, BinomialObserved(30, 50, 50),
+                                      HypothesisPair(0.5, 0.65), n, seed),
+    lambda n, seed: core.lod_ratio_variance(MODEL, BinomialObserved(30, 50, 50), 0.5, n, seed),
+    lambda n, seed: core.expected_lod_gap(MODEL, BinomialObserved(30, 50, 50), 0.5, n, seed),
+])
+@pytest.mark.parametrize("n_draws, seed", [(1, 3), (0, 3), (-3, 3), (100, -1), (100, 2**64)])
+def test_draw_count_and_seed_validated(measure, n_draws, seed):
+    with pytest.raises(ValidationError):
+        measure(n_draws, seed)
 
 
 def test_ri1_range_property_randomized():
