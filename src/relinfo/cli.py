@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, binomial, combine, core, cox, design, mc
-from .errors import RelInfoError, ValidationError
+from .errors import EstimationFailureError, RelInfoError, ValidationError
 
 LN10 = math.log(10.0)
 
@@ -344,10 +344,14 @@ def _cmd_doss_replication(args, report: Report) -> None:
         n_draws=args.draws, seed=args.seed)
     for key, value in study.params.items():
         report.add(f"input.{key}", value)
+    ok = np.isfinite(study.naive_estimates)
+    if not np.any(ok):
+        raise EstimationFailureError(
+            f"all {study.failures} simulated datasets failed to give a measure "
+            "(separation, rank deficiency or too few events on every resimulation)")
     report.add("result.fraction_naive_above_one", study.fraction_naive_above_one)
     report.add("result.max_correct_excess_se", study.max_correct_excess_se)
     report.add("result.simulation_failures", study.failures)
-    ok = np.isfinite(study.naive_estimates)
     report.add("result.n_usable_datasets", int(ok.sum()))
     report.add("result.naive_ri1_max", float(np.max(study.naive_estimates[ok])))
     report.add("result.correct_ri1_max",

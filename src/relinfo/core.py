@@ -296,6 +296,8 @@ def ri_y_samples(model: ModelContract, observed, pair: HypothesisPair,
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
     theta_hat = model.mle(observed)
     lod_ob = _as_scalar(lod(model, pair, observed).value)
+    if lod_ob == 0.0:
+        raise UndefinedMeasureError("observed lod is zero; measure undefined")
     support, index = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     lods_co = np.asarray(_lod_value(model, pair.theta_alt, pair.theta_null, support),
                          dtype=float)

@@ -6,10 +6,13 @@ actually consumed by Cox's partial likelihood.  Relative information for
 an augmented study can condition either on the rank data (the correct
 conditioning, which keeps the measure at or below 1) or on the censored
 data with observed times held fixed (the naive conditioning, which can
-push the measure above 1).  Both draw cumulative-hazard levels, not times.
-The correct one needs no baseline: under Kalbfleisch and Prentice's
-censoring convention the partial likelihood is the exact likelihood of the
-ranks, which are all it draws.
+push the measure above 1).  A draw is where the new subjects fall among
+the existing ones: the naive conditioning draws their cumulative-hazard
+levels against the fixed ones, the correct one walks the Plackett-Luce
+lattice of their places among the existing failures.  The correct one
+needs no baseline: under Kalbfleisch and Prentice's censoring convention
+the partial likelihood is the exact likelihood of the ranks, which are all
+it draws.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ _SEPARATION_NORM = 50.0
 _EXP_SPAN = 600.0
 
 # Cap on the elements of one sub-block of the Cox completion kernel, counted
-# as draws x (existing events + exponentials per draw); it bounds the
-# kernel's memory whatever the sample size.
-_BLOCK_ELEMENTS = 2**15
+# as draws x uniforms per draw, and of the tables it builds at once, counted
+# as states x table length; it bounds the kernel's memory whatever the
+# sample size and the number of new subjects.
+_BLOCK_ELEMENTS = 2**17
 
 # Stream tag of the Cox completion draws (see mc.stream_uniforms).
 _COX_STREAM_TAG = 1
@@ -510,59 +514,86 @@ def _kp_levels(failures: np.ndarray, anchor_of: np.ndarray, new: np.ndarray) -> 
     return np.concatenate([anchors[:, anchor_of], new], axis=1)
 
 
-def _place(anchors: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """How many anchors lie below each x, and how many at or below it.
+def _leave(key: np.ndarray, counts: np.ndarray, group: np.ndarray):
+    """Each draw's alive state after one new subject of ``group`` fails.
 
-    ``x`` is a (rows, m) array.  ``anchors`` is one sorted vector shared by
-    every row, searched with ``np.searchsorted``, or one sorted row per row
-    of ``x``, bisected all at once in log2(width) steps on a (rows, m)
-    array.  Either is padded with +inf, rows to a power-of-two width.
+    A state is a row of ``counts``, the new subjects still alive in each
+    group, and draw r is in state ``counts[key[r]]``.  Returns the new keys
+    and the distinct states they index.
     """
-    if anchors.ndim == 1:
-        def count(before):
-            return np.searchsorted(anchors, x, "left" if before is np.less else "right")
-        row_start = 0
-    else:
-        flat = anchors.ravel()
-        row_start = np.arange(0, flat.size, anchors.shape[1])[:, None]
+    n_groups = counts.shape[1]
+    pair = key * n_groups + group
+    present = np.flatnonzero(np.bincount(pair, minlength=counts.size))
+    after = counts[present // n_groups]
+    after[np.arange(present.size), present % n_groups] -= 1
+    # Different (state, group) pairs can leave the same state.
+    order = np.lexsort(after.T)
+    after = after[order]
+    distinct = np.ones(present.size, dtype=bool)
+    distinct[1:] = np.any(after[1:] != after[:-1], axis=1)
+    index = np.empty(counts.size, dtype=np.intp)
+    index[present[order]] = np.cumsum(distinct) - 1
+    return index[pair], after[distinct]
 
-        def count(before):
-            # Flat index of the last anchor known to lie before x (-1: none).
-            last = np.repeat(row_start - 1, x.shape[1], axis=1)
-            step = anchors.shape[1] // 2
-            while step:
-                last += step * before(flat[last + step], x)
-                step //= 2
-            return last + 1 - row_start
 
-    below = count(np.less)
-    # A new level equal to an anchor is rare; only then search again.
-    if np.any(anchors.ravel()[below + row_start] == x):
-        return below, count(np.less_equal)
-    return below, below
+def _runs(key: np.ndarray, n_states: int, width: int):
+    """Runs of states whose tables, ``width`` doubles each, fit the element budget.
+
+    Yields each run's first and past-the-last state and the entries of
+    ``key`` in it: all of them when one run holds every state.
+    """
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for lo in range(0, n_states, step):
+        hi = min(lo + step, n_states)
+        yield lo, hi, slice(None) if n_states <= step else (key >= lo) & (key < hi)
+
+
+def _last_at_most(table: np.ndarray, row: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The last entry of ``table[row[i]]`` at or below ``target[i]`` (-1: none).
+
+    Each row of ``table`` is sorted and ends in at least one +inf, and its
+    width is a power of two, so one bisection serves every draw at once,
+    whatever its row.
+    """
+    width = table.shape[1]
+    flat, start = table.ravel(), row * width
+    last = start - 1  # flat index of the last entry found so far
+    step = width // 2
+    while step:
+        more = last + step
+        np.copyto(last, more, where=np.take(flat, more) <= target)
+        step //= 2
+    return last - start
 
 
 @dataclass(frozen=True, eq=False)
 class _Completion:
-    """How one Cox augmentation turns standard exponentials into lods.
+    """How one Cox augmentation turns uniforms into lods.
 
-    Under proportional hazards only the new subjects' places among the
-    existing ones are random.  The existing subjects keep one sorted order
-    in every draw, each at one of J anchor levels: the fixed Breslow levels
-    (naive mode, J = n), or 0 and the running failure levels (correct mode,
-    J = K + 1 for K failures).  ``status``, ``eta_alt`` and ``eta_null``
-    list the existing subjects in that order, then the new subjects;
-    ``anchor_of`` gives each existing subject's anchor, non-decreasing.
-    Naive mode passes ``fixed_levels``, correct mode the rates of the K
-    failure gaps.  A draw's exponentials are the K gaps times their rates,
-    then the new subjects' levels times ``new_rates``.
+    Under proportional hazards only where the m new subjects fall among the
+    existing subjects is random.  The existing subjects keep one sorted
+    order in every draw, each at one of J anchors: the fixed Breslow levels
+    (naive mode, J = n), or 0 and the K failures (correct mode, J = K + 1).
+    ``status``, ``eta_alt`` and ``eta_null`` list the existing subjects in
+    that order, then the new subjects; ``anchor_of`` gives each existing
+    subject's anchor, non-decreasing.  Naive mode passes ``fixed_levels``
+    and draws each new subject's level E / ``new_rates``.  Correct mode
+    passes ``gap_rates``, the K failures' risk-set rates r_i, and walks
+    the Plackett-Luce lattice (i, S) of Kalbfleisch and Prentice: i
+    failures done, S the new subjects alive.  From (i, S) failure i comes
+    next with probability r_i / (r_i + V_S), V_S the alive new rate, which
+    is the law of independent exponential levels, by memorylessness.
 
-    What depends only on the existing subjects is computed once here, per
-    parameter: their log risk sums, the events' tie starts and the partial
-    log-likelihood without new subjects.  So that the linear scale of
-    ``_insert`` stays exact, it refuses a new subject whose relative hazard
-    exceeds another new subject's, or an existing event's risk sum, by
-    more than exp(``_EXP_SPAN``).
+    New subjects whose linear predictors are equal under both parameters
+    are exchangeable, so a state S counts the alive subjects of each such
+    group.  Each existing event e's term changes by -log1p(W_S f_e) while
+    S is alive at it, W_S the alive new weight and f_e the inverse of its
+    risk sum.  Once per state a block of draws reaches, a prefix table
+    L_S(e) of those terms makes each draw's event terms m differences, so
+    per-draw work depends on m, not on n.  So that this linear scale stays
+    exact, it refuses a new subject whose relative hazard exceeds another
+    new subject's, or an existing event's risk sum, by more than
+    exp(``_EXP_SPAN``).
     """
 
     status: np.ndarray
@@ -597,101 +628,189 @@ class _Completion:
         capped = np.minimum(log_risk - shift, _EXP_SPAN)
         with np.errstate(invalid="ignore"):  # -inf - -inf past the last subject
             removed = np.where(capped < _EXP_SPAN, 0.0, log_risk - shift - capped)
+        _, first_of, group, size = np.unique(new_eta.T, axis=0, return_index=True,
+                                             return_inverse=True, return_counts=True)
         for name, value in {
             "_anchors": (None if self.fixed_levels is None
                          else np.append(self.fixed_levels, np.inf)),
             "_first_at": first_at,
             "_events_before": np.searchsorted(event_anchor, np.arange(n_anchors + 1)),
-            "_event_anchor": event_anchor,
-            "_log_risk": log_risk,
-            "_event_log_risk": event_log_risk,
-            "_shift": shift[:, :, None],
-            "_new_weight": np.exp(new_eta - shift),
-            "_event_factor": np.exp(shift - event_log_risk)[:, None, :],
+            "_event_factor": np.exp(shift - event_log_risk),
             "_risk_capped": np.exp(capped),
             "_risk_removed": removed + shift,
             # Partial log-likelihood of the existing subjects alone, plus the
             # new subjects' own eta.
             "_base": (eta[:, :n][:, event].sum(axis=1) - event_log_risk.sum(axis=1)
                       + new_eta.sum(axis=1))[:, None],
+            "_group": group.reshape(-1),
+            "_group_size": size[None, :],
+            "_group_weight": np.exp(new_eta - shift)[:, first_of],
+            "_group_rate": self.new_rates[first_of],
         }.items():
             object.__setattr__(self, name, value)
 
     @property
     def per_draw(self) -> int:
-        return self.gap_rates.size + self.new_rates.size
+        """Uniforms per draw: a level per new subject, or two per walk round but the last."""
+        m = self.new_rates.size
+        return m if self.fixed_levels is not None else 2 * m - 1
 
     def lods(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Augmented lods of draws lo..hi-1, in sub-blocks of bounded size.
 
-        Draw i's exponentials are counter block i of the Cox stream, so its
-        lod does not depend on how the draws are grouped.
+        Draw i's uniforms are counter block i of the Cox stream, so its lod
+        does not depend on how the draws are grouped.
         """
-        rows = max(1, _BLOCK_ELEMENTS // (self._event_anchor.size + self.per_draw))
+        rows = max(1, _BLOCK_ELEMENTS // self.per_draw)
         out = np.empty(hi - lo)
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             u = mc.stream_uniforms(seed, b - a, self.per_draw, _COX_STREAM_TAG, start=a)
-            # -log1p(-u), in place: fresh large temporaries cost more here.
-            np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
-            out[a - lo:b - lo] = self._insert(u.reshape(b - a, self.per_draw))
+            u = u.reshape(b - a, self.per_draw)
+            if self.fixed_levels is None:
+                placed = self._walk(u.T)
+            else:
+                # -log1p(-u) / rate, in place: fresh large temporaries cost more here.
+                np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+                placed = self._place_new(np.divide(u, self.new_rates, out=u))
+            out[a - lo:b - lo] = self._lods(*placed)
         return out
 
-    def _insert(self, exponentials: np.ndarray) -> np.ndarray:
-        """Lods of a (draws, per_draw) block of standard exponentials.
+    def _place_new(self, x: np.ndarray):
+        """Naive mode's placements of a (draws, m) block of new levels ``x``.
 
-        Equal to ``_lod_rows`` on the explicit augmented levels, Breslow
-        ties included: an event's risk set is every subject at its level or
-        above.  Only the m new levels x are placed.  Existing event e's risk
-        sum S_e gains c_e, the new weight alive at its level, so its term
-        changes by -log1p(c_e / S_e).  A new subject's risk set is the
-        existing and the new subjects at its level or above.
+        Returns what ``_lods`` takes, one row per new subject in order of
+        level: each draw's alive states, how many fixed levels lie below
+        each new level and at or below it, and the first of each one's ties
+        among the new levels (None without ties).
         """
-        rows, k = exponentials.shape[0], self.gap_rates.size
-        m = self.new_rates.size
-        anchors = self._anchors
-        if anchors is None:
-            anchors = np.empty((rows, 1 << (k + 1).bit_length()))
-            anchors[:, 0], anchors[:, k + 1:] = 0.0, np.inf
-            failures = np.divide(exponentials[:, :k], self.gap_rates, out=anchors[:, 1:k + 1])
-            np.cumsum(failures, axis=1, out=failures)
-        x = exponentials[:, k:] / self.new_rates
+        m = x.shape[1]
         by_level = np.argsort(x, axis=1)
         x = x.ravel()[by_level + np.arange(0, x.size, m)[:, None]]
-        below, at_most = _place(anchors, x)
+        first = (_tie_starts(x) % m).T if np.any(x[:, 1:] == x[:, :-1]) else None
+        x = x.T
+        below = at_most = np.searchsorted(self._anchors, x, "left")
+        # A new level equal to a fixed one is rare; only then search again.
+        if np.any(self._anchors[below] == x):
+            at_most = np.searchsorted(self._anchors, x, "right")
+        return self._states(self._group[by_level.T]), below, at_most, first
 
-        factor, base = self._event_factor, self._base
-        if anchors.ndim == 2 and np.any(anchors[:, 1:k + 1] == anchors[:, :k]):
-            # Failures tied by a zero gap share the earlier one's risk set.
-            row_start = np.arange(0, rows * (k + 1), k + 1)[:, None]
-            tie_start = _tie_starts(anchors[:, :k + 1]) - row_start
-            event_log_risk = self._log_risk[:, self._first_at[tie_start[:, self._event_anchor]]]
-            factor = np.exp(self._shift - event_log_risk)
-            base = self._base + (self._event_log_risk[:, None, :] - event_log_risk).sum(axis=2)
+    def _states(self, groups: np.ndarray) -> list:
+        """Each draw's alive state before each new subject fails, in the order of ``groups``.
 
-        # pieces[..., i]: the new weight at sorted new subject i's level or
-        # above.  It is alive at the events between those that new subjects
-        # i - 1 and i outlive; past the last new subject none is alive.
-        pieces = np.zeros((2, rows, m + 1))
-        np.cumsum(np.take(self._new_weight, by_level[:, ::-1], axis=1), axis=2,
-                  out=pieces[:, :, 1:])
-        pieces = pieces[:, :, ::-1]
-        bounds = np.empty((rows, m + 2), dtype=np.intp)
-        bounds[:, 0], bounds[:, -1] = 0, self._event_anchor.size
-        bounds[:, 1:-1] = self._events_before[at_most]
-        alive = np.repeat(pieces.reshape(2, -1), np.diff(bounds).ravel(), axis=1)
-        alive = alive.reshape(2, rows, -1)
-        event_terms = np.log1p(np.multiply(alive, factor, out=alive), out=alive).sum(axis=2)
+        ``groups`` is (m, draws).  Entry t is (key, counts): draw r is in
+        the state ``counts[key[r]]`` before new subject t fails.
+        """
+        states = [(np.zeros(groups.shape[1], dtype=np.intp), self._group_size)]
+        for group in groups[:-1]:
+            states.append(_leave(*states[-1], group))
+        return states
 
-        own = pieces[:, :, :m]
-        if np.any(x[:, 1:] == x[:, :-1]):
-            # New subjects tied in level share the first one's new weight.
-            first = _tie_starts(x)
-            own = np.take(pieces.reshape(2, -1), first + first // m, axis=1)
-        at_or_above = self._first_at[below]
-        new_terms = (np.take(self._risk_removed, at_or_above, axis=1)
-                     + np.log(np.take(self._risk_capped, at_or_above, axis=1) + own)).sum(axis=2)
-        ll = base - event_terms - new_terms
+    def _walk(self, u: np.ndarray):
+        """Correct mode's placements: each draw's walk on the lattice (i, S).
+
+        ``u`` is (2m - 1, draws), and round t reads rows 2t and 2t + 1.  The
+        first, as an Exp(1) variate E, gives the failures passed before the
+        next new subject fails: from (i, S), the last i' with A_S(i') <=
+        A_S(i) + E, where A_S(i') = sum_{l < i'} log1p(V_S / r_l), so that at
+        least j are passed with probability prod_{l < j} r_{i+l} / (r_{i+l}
+        + V_S).  The second, times V_S, picks the alive group that fails; the
+        last round needs none.  The walk never ties levels.  Returns what
+        ``_lods`` takes.
+        """
+        m, rows = self.new_rates.size, u.shape[1]
+        exps, picks = -np.log1p(-u[0::2]), u[1::2]
+        passed = np.empty((m, rows), dtype=np.intp)
+        pos = np.zeros(rows, dtype=np.intp)
+        states = [(np.zeros(rows, dtype=np.intp), self._group_size)]
+        for t in range(m):
+            key, counts = states[-1]
+            # A padded skip table row holds at most 2 (K + 1) doubles.
+            for lo, hi, here in _runs(key, counts.shape[0], 2 * (self.gap_rates.size + 1)):
+                table = self._skip_table(counts[lo:hi])
+                row = key[here] - lo
+                target = np.take(table, row * table.shape[1] + pos[here]) + exps[t, here]
+                pos[here] = _last_at_most(table, row, target)
+            passed[t] = pos
+            if t + 1 < m:
+                # The group that fails: how many of the running alive rates
+                # before V_S lie at or below pick * V_S.
+                alive = np.cumsum(counts * self._group_rate, axis=1)
+                level = np.take(alive[:, -1], key) * picks[t]
+                cuts = np.full((alive.shape[0], 1 << (alive.shape[1] - 1).bit_length()), np.inf)
+                cuts[:, :alive.shape[1] - 1] = alive[:, :-1]
+                states.append(_leave(key, counts, _last_at_most(cuts, key, level) + 1))
+        # Past i failures, a new subject has the anchors 0..i below it.
+        return states, passed + 1, passed + 1, None
+
+    def _skip_table(self, counts: np.ndarray) -> np.ndarray:
+        """A_S(i) = sum_{l < i} log1p(V_S / r_l), i = 0..K, for each state (row of ``counts``).
+
+        Rows are padded with +inf to a power-of-two width, for ``_last_at_most``.
+        """
+        k = self.gap_rates.size
+        rate = (counts * self._group_rate).sum(axis=1)
+        table = np.full((counts.shape[0], 1 << (k + 1).bit_length()), np.inf)
+        table[:, 0] = 0.0
+        np.cumsum(np.log1p(rate[:, None] / self.gap_rates), axis=1, out=table[:, 1:k + 1])
+        return table
+
+    def _alive_weight(self, counts: np.ndarray) -> np.ndarray:
+        """W_S of each state, per parameter, in units of exp(shift): (2, states)."""
+        return (counts * self._group_weight[:, None, :]).sum(axis=2)
+
+    def _event_terms(self, counts: np.ndarray, key: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray) -> np.ndarray:
+        """Sums over existing events lo..hi-1 of log1p(W_S f_e), S = ``counts[key]``.
+
+        One prefix table L_S per state gives each sum as L_S(hi) - L_S(lo);
+        at most the element budget's worth of tables exists at once.
+        """
+        width = self._event_factor.shape[1] + 1
+        out = np.empty((2,) + key.shape)
+        for a, b, here in _runs(key, counts.shape[0], 2 * width):
+            weight = self._alive_weight(counts[a:b])
+            table = np.empty(weight.shape + (width,))
+            table[:, :, 0] = 0.0
+            terms = np.multiply(weight[:, :, None], self._event_factor[:, None, :],
+                                out=table[:, :, 1:])
+            np.cumsum(np.log1p(terms, out=terms), axis=2, out=terms)
+            table = table.reshape(2, -1)
+            row = (key[here] - a) * width
+            out[:, here] = (np.take(table, row + hi[here], axis=1)
+                            - np.take(table, row + lo[here], axis=1))
+        return out
+
+    def _lods(self, states: list, below: np.ndarray, at_most: np.ndarray,
+              first: np.ndarray | None = None) -> np.ndarray:
+        """Lods of a block of draws, given where their new subjects fall.
+
+        The new subjects are taken in the order they fail, one row each.
+        ``states[t]`` is each draw's alive state S_t before new subject t
+        fails (see ``_states``); ``below`` and ``at_most`` (m, draws) count
+        the anchors below its level and at or below it; ``first``, when
+        given, is the first of its ties in level among the new subjects.
+        Equal to ``_lod_rows`` on the explicit augmented levels, Breslow
+        ties included: an event's risk set is every subject at its level or
+        above.  The existing events between new subjects t - 1 and t see
+        W_{S_t}, and new subject t's own risk set is the existing subjects
+        at or above its level plus W_{S_t} (the first tied one's S_t).
+        """
+        # States of different rounds differ in size: index them all at once.
+        offset = np.cumsum([0] + [counts.shape[0] for _, counts in states[:-1]])
+        key = np.stack([key + o for (key, _), o in zip(states, offset)])
+        counts = np.concatenate([counts for _, counts in states])
+        bounds = self._events_before[at_most]
+        start = np.zeros_like(bounds)
+        start[1:] = bounds[:-1]
+        event_terms = self._event_terms(counts, key, start, bounds).sum(axis=1)
+        own = np.take(self._alive_weight(counts), key, axis=1)
+        if first is not None:
+            own = own[:, first, np.arange(key.shape[1])]
+        above = self._first_at[below]
+        new_terms = (np.take(self._risk_removed, above, axis=1)
+                     + np.log(np.take(self._risk_capped, above, axis=1) + own)).sum(axis=1)
+        ll = self._base - event_terms - new_terms
         return ll[0] - ll[1]
 
 
@@ -735,14 +854,16 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
                     theta_null_beta=None, mc_config: MCConfig | None = None) -> RelInfoResult:
     """Relative information with the rank-data (partial-data) conditioning.
 
-    Each draw places cumulative-hazard levels and needs no baseline: the
-    existing failures in their observed order (the k-th gap exponential
-    with the k-th risk set's total relative hazard), each censored subject
-    at its preceding failure's level (Kalbfleisch and Prentice), and the
-    new subjects unconditionally.  The partial-likelihood lod of the
-    augmented ranks is their exact likelihood, so the exact measure is at
-    most 1, and it is exactly 1 with no new subjects.  Relative hazards
-    spanning more than exp(``_EXP_SPAN``) raise DataIntegrityError.
+    Each draw keeps the existing failures in their observed order, each
+    censored subject at risk through its preceding failure (Kalbfleisch and
+    Prentice), and places the new subjects among the failures by a walk on
+    the Plackett-Luce lattice: with i failures done and the new subjects S
+    alive, failure i comes next with probability r_i / (r_i + V_S), r_i
+    the total relative hazard of its risk set and V_S that of S.  It needs
+    no baseline.  The partial-likelihood lod of the augmented ranks is
+    their exact likelihood, so the exact measure is at most 1, and it is
+    exactly 1 with no new subjects.  Relative hazards spanning more than
+    exp(``_EXP_SPAN``) raise DataIntegrityError.
     """
     if mc_config is None:
         raise ValidationError("ri1_cox_correct requires an MCConfig")
@@ -761,7 +882,9 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
 
     Existing subjects' observed times are held fixed, as their levels
     under the Breslow cumulative hazard, computed once; only the new
-    subjects' levels are simulated.  The resulting measure may exceed 1.
+    subjects' levels are simulated, each exponential with its relative
+    hazard as rate, and placed among the fixed levels.  The resulting
+    measure may exceed 1.
     """
     rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
@@ -914,6 +1037,14 @@ def conditioning_anomaly_study(n_datasets: int = 100, n_subjects: int = 20,
     """
     if n_datasets < 1:
         raise ValidationError("n_datasets must be >= 1")
+    if n_subjects < 2:
+        raise ValidationError("n_subjects must be >= 2")
+    if n_new < 0:
+        raise ValidationError("n_new must be >= 0")
+    if not (math.isfinite(censoring_rate) and censoring_rate >= 0):
+        raise ValidationError("censoring_rate must be a finite exponential rate >= 0 (0: none)")
+    if not math.isfinite(beta_true):
+        raise ValidationError("beta_true must be finite")
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
     child = np.random.SeedSequence(seed).generate_state(4 * n_datasets, np.uint64)
     child = child.reshape(n_datasets, 4)

@@ -25,6 +25,7 @@ from relinfo.cox import (
     extract_rank_data,
     fit_partial_likelihood,
     ri1_cox_correct,
+    ri1_cox_naive,
     sample_times_given_ranks,
     simulate_ph_binary,
 )
@@ -239,6 +240,7 @@ def test_criterion_10_block_determinism(monkeypatch):
     measures = [
         (5_000, lambda config: core.ri1(MODEL, obs, p0, config, method="monte_carlo")),
         (2_000, lambda config: ri1_cox_correct(uncensored, 4, z_new, mc_config=config)),
+        (2_000, lambda config: ri1_cox_naive(uncensored, 4, z_new, mc_config=config)),
     ]
     for n, measure in measures:
         recorded.clear()

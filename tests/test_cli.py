@@ -252,8 +252,12 @@ def test_doss_replication_tiny_smoke(capsys):
     assert int(pairs["result.n_usable_datasets"]) >= 1
 
 
-@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2**64)],
-                                   ["--n-datasets", "0"]])
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"], ["--seed", str(2**64)], ["--n-datasets", "0"],
+    ["--n-subjects", "0"], ["--n-subjects", "1"], ["--n-new", "-1"],
+    ["--censoring-rate", "-1"], ["--censoring-rate", "nan"], ["--censoring-rate", "inf"],
+    ["--beta-true", "nan"], ["--beta-true", "inf"],
+])
 def test_doss_replication_bad_input_is_usage_error(capsys, flags):
     code = cli.run(["doss-replication", "--n-datasets", "3", "--n-subjects", "12",
                     "--n-new", "2", "--draws", "200", *flags])
@@ -261,3 +265,21 @@ def test_doss_replication_bad_input_is_usage_error(capsys, flags):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_doss_replication_censoring_rate_is_a_rate_not_a_share(capsys):
+    code, pairs = run_report(capsys, [
+        "doss-replication", "--n-datasets", "2", "--n-subjects", "12",
+        "--n-new", "2", "--draws", "200", "--censoring-rate", "1.5", "--seed", "101"])
+    assert code == 0
+    assert float(pairs["input.censoring_rate"]) == 1.5
+
+
+def test_doss_replication_with_every_dataset_failing_is_a_measure_error(capsys):
+    # At this censoring rate no simulated dataset keeps two events.
+    code = cli.run(["doss-replication", "--n-datasets", "2", "--n-subjects", "5",
+                    "--n-new", "2", "--draws", "200", "--censoring-rate", "1e9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: all 2 simulated datasets failed")

@@ -257,6 +257,13 @@ def test_gathering_from_the_support_equals_one_row_per_draw(obs, p0, p1, seed):
             == core.lod_ratio_variance(per_draw, obs, p0, 5_000, seed))
 
 
+def test_ri_y_refuses_an_observed_lod_of_zero():
+    # 5 of 10 at p0 = 0.25 against p1 = 0.75: the observed lod is exactly 0.
+    with pytest.raises(UndefinedMeasureError):
+        core.ri_y_samples(MODEL, BinomialObserved(5, 10, 10), HypothesisPair(0.25, 0.75),
+                          5_000, 5)
+
+
 def test_ri_y_zero_lod_draws_are_sentinels():
     obs = BinomialObserved(6, 10, 10)
     samples = core.ri_y_samples(MODEL, obs, HypothesisPair(0.25, 0.75), 5_000, 5)

@@ -677,6 +677,64 @@ class TestCorrectEnumerationOracle:
             cox.ri1_cox_correct_enumeration(data, 4, z_new)
 
 
+def walk_paths(completion):
+    """Every path of the correct-mode walk, with its probability read from the sampler's tables.
+
+    From (i, S) the walk passes failures i..j-1, then a new subject of group
+    g fails, with probability (P(>= j - i) - P(>= j - i + 1)) c_g v_g / V_S:
+    searching A_S(i) + E for an Exp(1) E passes at least l failures with
+    probability P(>= l) = exp(-(A_S(i + l) - A_S(i))).  Returns each path's
+    groups and failures passed, as (m, paths) arrays, and its probability.
+    """
+    k = completion.gap_rates.size
+    paths = []
+
+    def extend(counts, i, steps, p):
+        if not counts.any():
+            paths.append((steps, p))
+            return
+        table = completion._skip_table(counts[None])[0, :k + 1]
+        at_least = np.append(np.exp(-(table[i:] - table[i])), 0.0)
+        rates = counts * completion._group_rate
+        for j in range(i, k + 1):
+            for g in np.flatnonzero(counts):
+                after = counts.copy()
+                after[g] -= 1
+                extend(after, j, steps + [(g, j)], p * (at_least[j - i] - at_least[j - i + 1])
+                       * rates[g] / rates.sum())
+
+    extend(completion._group_size[0].copy(), 0, [], 1.0)
+    steps = np.array([path for path, _ in paths])
+    return steps[:, :, 0].T, steps[:, :, 1].T, np.array([p for _, p in paths])
+
+
+# Samples for the walk's exact law: one or two groups of new subjects.
+WALK_LAW_CASES = {
+    "uncensored, one group": lambda: fitted_sample(4, 2, 81),
+    "uncensored, two groups": lambda: fitted_sample(6, 2, 83),
+    "uncensored, one new subject": lambda: fitted_sample(6, 1, 97),
+    "censored, one group": lambda: fitted_sample(5, 2, 83, 0.6),
+    "censored, two groups": lambda: fitted_sample(6, 2, 241, 0.6),
+    "censored at event times, one group": lambda: censored_at_event_times(5, 2, 307),
+    "censored at event times, two groups": lambda: censored_at_event_times(6, 2, 317),
+}
+
+
+@pytest.mark.parametrize("sample", WALK_LAW_CASES.values(), ids=WALK_LAW_CASES.keys())
+def test_walk_law_gives_the_exact_measure(sample):
+    # Summing every walk path's lod, weighted by the sampler's own
+    # transition probabilities, must give the Plackett-Luce expectation.
+    data, z_new, _ = sample()
+    m = z_new.shape[0]
+    rank, beta_hat, beta_null, z_new, lod_ob = cox._augmentation_setup(data, m, z_new, None)
+    completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
+    groups, passed, prob = walk_paths(completion)
+    assert prob.sum() == pytest.approx(1.0, rel=1e-12)
+    lods = completion._lods(completion._states(groups), passed + 1, passed + 1)
+    exact = cox.ri1_cox_correct_enumeration(data, m, z_new)
+    assert lod_ob / (prob @ lods) == pytest.approx(exact, rel=1e-10)
+
+
 def kernel_case():
     """Censored data with tied times, so both sort paths are exercised."""
     rng = np.random.default_rng(61)
@@ -696,11 +754,16 @@ def kernel_completions():
     }
 
 
+def n_levels(completion):
+    """Explicit exponentials per draw: one per failure gap (correct mode), one per new subject."""
+    return completion.gap_rates.size + completion.new_rates.size
+
+
 def explicit_levels(completion, exponentials):
     """Every augmented subject's level, in the completion's column order.
 
-    The reference for the insertion kernel: ``cox._lod_rows`` sorts these
-    levels whole, as the kernel did before it placed only the new subjects.
+    The reference for the kernel: ``cox._lod_rows`` sorts these levels
+    whole, as the kernel did before it placed only the new subjects.
     """
     k = completion.gap_rates.size
     new = exponentials[:, k:] / completion.new_rates
@@ -711,8 +774,29 @@ def explicit_levels(completion, exponentials):
     return np.concatenate([existing, new], axis=1)
 
 
+def kernel_placements(completion, exponentials):
+    """Where the new subjects fall among explicit levels, as ``_lods`` takes it.
+
+    Naive mode places them as the kernel does.  In correct mode each draw
+    has its own failure levels, and each new level's anchors (0, then the
+    failures) are counted row by row.
+    """
+    k = completion.gap_rates.size
+    new = exponentials[:, k:] / completion.new_rates
+    if completion.fixed_levels is not None:
+        return completion._place_new(new)
+    by_level = np.argsort(new, axis=1, kind="stable")
+    new = np.take_along_axis(new, by_level, axis=1)
+    failures = np.cumsum(exponentials[:, :k] / completion.gap_rates, axis=1)
+    anchors = np.concatenate([np.zeros((new.shape[0], 1)), failures], axis=1)
+    below = np.array([np.searchsorted(a, x, "left") for a, x in zip(anchors, new)])
+    at_most = np.array([np.searchsorted(a, x, "right") for a, x in zip(anchors, new)])
+    first = np.array([np.searchsorted(x, x, "left") for x in new])
+    return completion._states(completion._group[by_level.T]), below.T, at_most.T, first.T
+
+
 def assert_insertion_matches_explicit_levels(completion, exponentials):
-    fast = completion._insert(exponentials)
+    fast = completion._lods(*kernel_placements(completion, exponentials))
     slow = cox._lod_rows(explicit_levels(completion, exponentials), completion.status,
                          completion.eta_alt, completion.eta_null)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
@@ -731,7 +815,7 @@ def test_correct_draws_keep_the_observed_partial_data():
     z_new = rng.integers(0, 2, size=3).astype(float)[:, None]
     rank, beta_hat, beta_null, z_new, lod_ob = cox._augmentation_setup(data, 3, z_new, None)
     completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
-    levels = explicit_levels(completion, rng.standard_exponential((500, completion.per_draw)))
+    levels = explicit_levels(completion, rng.standard_exponential((500, n_levels(completion))))
     n = data.n  # columns: the existing subjects, then the new ones
     lods = cox._lod_rows(levels[:, :n], completion.status[:n],
                          completion.eta_alt[:n], completion.eta_null[:n])
@@ -744,7 +828,7 @@ class TestInsertionKernel:
         completion = kernel_completions()[mode]
         rng = np.random.default_rng(71)
         assert_insertion_matches_explicit_levels(
-            completion, rng.standard_exponential((300, completion.per_draw)))
+            completion, rng.standard_exponential((300, n_levels(completion))))
 
     def test_exact_ties_in_naive_mode(self):
         # Levels are powers of two, so new levels hit them exactly: tied
@@ -782,8 +866,8 @@ class TestInsertionKernel:
                             fixed_levels=np.array([1.0, 2.0]))
 
     def test_exact_ties_in_correct_mode(self):
-        # Zero gaps tie failures with each other and with the censored
-        # subject at level 0; new levels land on failure levels and on 0.
+        # New levels land on failure levels, on each other and on 0, where a
+        # censored subject sits.  (The walk never ties failures.)
         anchor_of = np.array([0, 1, 2, 2, 3, 4])
         status = np.array([0, 1, 1, 0, 1, 1, 1, 1])
         eta = np.array([0.3, -1.0, 2.0, 0.0, 1.5, -0.5, 0.7, -0.2])
@@ -791,8 +875,8 @@ class TestInsertionKernel:
         new_rates = np.array([0.5, 2.0])
         completion = cox._Completion(status, eta, -0.3 * eta, anchor_of, new_rates,
                                      gap_rates=gap_rates)
-        gaps = np.array([[0.0, 0.25, 0.0, 0.125], [0.5, 0.0, 0.25, 0.0],
-                         [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]])
+        gaps = np.array([[0.5, 0.25, 0.125, 0.125], [0.5, 0.5, 0.25, 0.25],
+                         [0.25, 0.25, 0.25, 0.25], [1.0, 0.5, 0.5, 0.5]])
         new_levels = np.array([[0.0, 0.5], [0.5, 0.5], [1.5, 0.25], [0.0, 0.0]])
         assert_insertion_matches_explicit_levels(
             completion, np.concatenate([gaps * gap_rates, new_levels * new_rates], axis=1))
@@ -901,11 +985,12 @@ def test_insertion_kernel_matches_explicit_levels(mode, case, seed):
     except RelInfoError:
         return
     rng = np.random.default_rng(seed)
-    exponentials = rng.standard_exponential((64, completion.per_draw))
-    # Forced ties: zero exponentials (tied failures, new subjects at level
-    # 0), and in every other row two new subjects at one level.
-    exponentials[rng.random(exponentials.shape) < 0.1] = 0.0
+    exponentials = rng.standard_exponential((64, n_levels(completion)))
+    # Forced ties: zero exponentials (tied fixed levels in naive mode, new
+    # subjects at level 0), and in every other row two new subjects at one
+    # level.  The correct-mode walk never ties failures: its gaps stay.
     k = completion.gap_rates.size
+    exponentials[:, k:][rng.random((64, len(z_new))) < 0.1] = 0.0
     if len(z_new) >= 2:
         exponentials[::2, k:k + 2] = 0.5 * completion.new_rates[:2]
     assert_insertion_matches_explicit_levels(completion, exponentials)
