@@ -163,7 +163,7 @@ class BaselineHazard:
     between jump times (starting from 0) and extends past the last jump at
     a constant rate equal to the last increment divided by the last gap.
     That continuous, strictly increasing version gives the naive
-    completion its levels and is inverted when simulating times.  Its
+    completion its levels, and ``inverse`` maps levels back to times.  Its
     knots are computed once, at construction.
     """
 
@@ -341,14 +341,35 @@ def _standard_errors(info: np.ndarray) -> np.ndarray:
     return np.sqrt(variance)
 
 
+def _refuse_monotone(rank: RankData) -> None:
+    """Raise SeparationError if a one-covariate partial likelihood is monotone.
+
+    It increases in beta (or decreases) iff every event's covariate is the
+    maximum (minimum) of its risk set; it is then strictly monotone unless
+    no risk set has contrast, which is left to the rank-deficiency check.
+    """
+    z = rank.covariates[rank.order, 0]
+    top = np.maximum.accumulate(z[::-1])[::-1]
+    bottom = np.minimum.accumulate(z[::-1])[::-1]
+    # Tied events share their tie group's risk set.
+    risk = rank.tie_start[rank.event]
+    z, top, bottom = z[rank.event], top[risk], bottom[risk]
+    if np.any(top > bottom) and (np.all(z == top) or np.all(z == bottom)):
+        raise SeparationError("monotone partial likelihood: every event's covariate is "
+                              "the extreme of its risk set")
+
+
 def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
     """Damped-Newton maximizer of the partial likelihood, with SEs.
 
-    Step halving enforces a likelihood increase at every iteration; a
-    diverging coefficient norm is reported as monotone-likelihood
-    separation, a singular information matrix as rank deficiency.
+    Step halving enforces a likelihood increase at every iteration.  A
+    monotone likelihood is reported as separation: exactly, before Newton,
+    for one covariate, and for several by a diverging coefficient norm.  A
+    singular information matrix is reported as rank deficiency.
     """
     d = rank.covariates.shape[1]
+    if d == 1:
+        _refuse_monotone(rank)
     beta = np.zeros(d)
     ll = partial_log_likelihood(rank, beta)
     for _ in range(_NEWTON_MAX_ITER):
@@ -418,42 +439,23 @@ def _relative_rates(log_rates: np.ndarray, jump_times: np.ndarray,
                     log_sizes: np.ndarray):
     """Rates exp(log_rates) and the baseline, both relative to the largest rate.
 
-    Levels E / rate against baseline.cumulative(t), and times
-    baseline.inverse(E / rate), are unchanged when every rate is scaled
-    down and the baseline up by one factor.  It is applied to ``log_sizes``
-    before exponentiating, which keeps both finite for large predictors.
+    Levels E / rate against baseline.cumulative(t) are unchanged when every
+    rate is scaled down and the baseline up by one factor.  It is applied
+    to ``log_sizes`` before exponentiating, which keeps both finite and
+    positive for large predictors, or refuses the rates.
     """
     shift = log_rates.max()
     rates = np.exp(log_rates - shift)
     with np.errstate(over="ignore"):
         sizes = np.exp(log_sizes + shift)
-    if not (np.all(rates > 0) and np.all(np.isfinite(sizes))):
+    if not (np.all(rates > 0) and np.all(np.isfinite(sizes) & (sizes > 0))):
         raise DataIntegrityError("relative hazards span more than the range of doubles")
     return rates, BaselineHazard(jump_times, sizes)
 
 
-def sample_times_given_ranks(rank: RankData, beta, baseline: BaselineHazard,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Failure times consistent with the observed failure order.
-
-    On the cumulative-hazard scale the k-th inter-failure gap is
-    exponential with rate equal to the k-th risk set's total relative
-    hazard, and the k-th failure's identity is fixed to the observed
-    order; mapping the running sums back through the (continuous working)
-    baseline gives the times.  Returned times re-rank to ``failure_order``
-    by construction, which is asserted on every draw.  The correct Cox
-    completion draws the same levels and stops before the mapping.
-    """
-    rates, baseline = _relative_rates(_log_risk_rates(rank, beta), baseline.jump_times,
-                                      np.log(baseline.jump_sizes))
-    hazards = np.cumsum(rng.standard_exponential(rates.size) / rates)
-    times = baseline.inverse(hazards)
-    if np.any(np.diff(hazards) <= 0) or np.any(np.diff(times) < 0):
-        raise AssertionError("rank-conditional draw does not reproduce the failure order")
-    return times
-
-
 def _validate_new_covariates(new_covariates, n_new: int, dim: int) -> np.ndarray:
+    if n_new < 0:
+        raise ValidationError("n_new must be >= 0")
     if n_new == 0:
         return np.zeros((0, dim))
     z = np.atleast_2d(np.asarray(new_covariates, dtype=float))
@@ -461,19 +463,23 @@ def _validate_new_covariates(new_covariates, n_new: int, dim: int) -> np.ndarray
         z = z.T
     if z.shape != (n_new, dim):
         raise ValidationError(f"new_covariates must have shape ({n_new}, {dim})")
+    if not np.all(np.isfinite(z)):
+        raise ValidationError("new_covariates must be finite")
     return z
 
 
 def _augmentation_setup(data: SurvivalDataset, n_new: int, new_covariates,
                         theta_null_beta):
-    rank = extract_rank_data(data)
-    beta_hat, _ = fit_partial_likelihood(rank)
     dim = data.covariate_dim
     beta_null = (np.zeros(dim) if theta_null_beta is None
                  else np.atleast_1d(np.asarray(theta_null_beta, dtype=float)))
-    if beta_null.shape != beta_hat.shape:
+    if beta_null.shape != (dim,):
         raise ValidationError("null beta dimension mismatch")
+    if not np.all(np.isfinite(beta_null)):
+        raise ValidationError("null beta must be finite")
     z_new = _validate_new_covariates(new_covariates, n_new, dim)
+    rank = extract_rank_data(data)
+    beta_hat, _ = fit_partial_likelihood(rank)
     lod_ob = partial_lod(rank, beta_hat, beta_null)
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed partial-likelihood lod is zero")
@@ -913,13 +919,13 @@ def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariate
     event_times = data.times[data.status == EVENT]
     if np.unique(event_times).size != event_times.size:
         raise OracleUnavailableError("the enumeration oracle needs untied event times")
+    rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
+        data, n_new, new_covariates, theta_null_beta)
     n_fail = event_times.size
     n_orders = math.perm(n_fail + n_new, n_new)
     if n_orders > PL_ENUMERATION_CAP:
         raise OracleUnavailableError(
             f"{n_orders} augmented orders exceed the enumeration cap {PL_ENUMERATION_CAP}")
-    rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
-        data, n_new, new_covariates, theta_null_beta)
     status, merged_z, anchor_of = _kp_columns(data, rank, z_new)
 
     positions = np.arange(1.0, n_fail + n_new + 1)

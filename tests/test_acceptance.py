@@ -19,18 +19,16 @@ from relinfo.binomial import (
 )
 from relinfo.combine import StudySummary, combine_weighted_harmonic
 from relinfo.cox import (
-    BaselineHazard,
-    breslow_baseline,
     conditioning_anomaly_study,
     extract_rank_data,
     fit_partial_likelihood,
     ri1_cox_correct,
     ri1_cox_naive,
-    sample_times_given_ranks,
     simulate_ph_binary,
 )
 from relinfo.design import base_design, doubled_design, interlaced_design, sx, variance_ratio
 from relinfo.mc import MCConfig
+from walk_oracle import assert_walk_matches_rejection
 
 MODEL = binomial_model()
 
@@ -130,36 +128,12 @@ def test_criterion_6_conditioning_anomaly():
 
 
 def test_criterion_7_rank_sampler_oracle():
+    # The correct-mode walk places one and two new subjects among the
+    # failures as rejection sampling of exponential levels does.
     for n, beta_true, seed in [(3, 0.8, 311), (4, 0.0, 313), (5, 0.5, 317)]:
-        rng = np.random.default_rng(seed)
-        data, _ = simulate_ph_binary(n, beta_true, rng, 0.0)
-        rank = extract_rank_data(data)
-        beta = np.array([beta_true])
-        baseline = BaselineHazard(jump_times=np.array([1.0]),
-                                  jump_sizes=np.array([1.0]))
-        eta = rank.covariates[:, 0] * beta_true
-        target = np.array(rank.failure_order)
-
-        direct = np.empty((20_000, n))
-        for i in range(direct.shape[0]):
-            t = sample_times_given_ranks(rank, beta, baseline, mc.substream(seed, i))
-            assert np.all(np.diff(t) >= 0)  # zero re-rank violations
-            direct[i] = t
-
-        accepted = []
-        oracle = np.random.default_rng(seed + 1)
-        while len(accepted) < 4_000:
-            t = oracle.exponential(size=n) / np.exp(eta)
-            if np.array_equal(np.argsort(t), target):
-                accepted.append(t[target])
-        accepted = np.array(accepted)
-
-        for k in range(n):
-            for moment in (1, 2):
-                a, b = direct[:, k] ** moment, accepted[:, k] ** moment
-                se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-                assert abs(a.mean() - b.mean()) <= 3 * se
-    report(7, "rank-conditional sampler matches the rejection oracle")
+        for z_new in ([[1.0]], [[0.0], [1.0]]):
+            assert_walk_matches_rejection(n, beta_true, seed, np.array(z_new))
+    report(7, "rank-conditional walk matches the rejection oracle")
 
 
 def test_criterion_8_cox_fit_oracle():

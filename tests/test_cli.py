@@ -155,6 +155,18 @@ class TestCoxRi:
         assert float(pairs["result.ri1.estimate"]) > 0
         assert any(k.startswith("warning.") for k in pairs)
 
+    @pytest.mark.parametrize("flags", [["--new-covariates", "nan"],
+                                       ["--new-covariates", "1.0", "--beta0", "inf"]])
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_nonfinite_new_covariate_or_null_beta_is_usage_error(self, capsys, csv_path,
+                                                                  mode, flags):
+        code = cli.run(["cox-ri", "--data", str(csv_path), "--mode", mode,
+                        "--n-new", "1", "--draws", "64", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_malformed_cell_reports_location(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,status,cov1\n1.0,1,0.5\n2.0,one,0.3\n")
@@ -279,6 +291,17 @@ def test_doss_replication_with_every_dataset_failing_is_a_measure_error(capsys):
     # At this censoring rate no simulated dataset keeps two events.
     code = cli.run(["doss-replication", "--n-datasets", "2", "--n-subjects", "5",
                     "--n-new", "2", "--draws", "200", "--censoring-rate", "1e9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: all 2 simulated datasets failed")
+
+
+def test_doss_replication_on_two_subjects_is_a_measure_error(capsys):
+    # Two subjects' partial likelihood is monotone, or flat without
+    # contrast, so every simulated dataset fails its fit.
+    code = cli.run(["doss-replication", "--n-datasets", "2", "--n-subjects", "2",
+                    "--n-new", "2", "--draws", "200"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from relinfo import cox, mc
+from relinfo import cox
 from relinfo.cox import (
-    BaselineHazard,
     ConditioningStudy,
     SurvivalDataset,
     breslow_baseline,
@@ -20,7 +19,6 @@ from relinfo.cox import (
     ri1_cox_correct,
     ri1_cox_naive,
     ri_w_wald,
-    sample_times_given_ranks,
     simulate_ph_binary,
 )
 from relinfo.errors import (
@@ -34,16 +32,11 @@ from relinfo.errors import (
     ValidationError,
 )
 from relinfo.mc import MCConfig
+from walk_oracle import assert_walk_matches_rejection, walk_placements
 
 
 def dataset(times, status, z):
     return SurvivalDataset.from_arrays(times, status, np.asarray(z, float)[:, None])
-
-
-def unit_baseline():
-    # Continuous working hazard equal to the identity: one knot at (1, 1)
-    # plus a unit tail rate.
-    return BaselineHazard(jump_times=np.array([1.0]), jump_sizes=np.array([1.0]))
 
 
 def explicit_partial_loglik(data, beta):
@@ -117,6 +110,50 @@ class TestFit:
         with pytest.raises(RankDeficiencyError):
             fit_partial_likelihood(extract_rank_data(data))
 
+    @pytest.mark.parametrize("times, status, z, direction", [
+        ([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], [1.0, 1.0, 0.0, 0.0], 1),
+        ([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], [0.0, 1.0, 1.0, 2.0], -1),
+        # The largest covariate is censored before every event.
+        ([1.0, 2.0, 3.0, 4.0], [0, 1, 1, 1], [5.0, 1.0, 1.0, 0.0], 1),
+        # Tied events at time 2, and a censoring at an event time.
+        ([1.0, 2.0, 2.0, 3.0], [1, 1, 1, 1], [1.0, 1.0, 1.0, 0.0], 1),
+        ([1.0, 2.0, 2.0, 3.0], [1, 1, 0, 1], [1.0, 1.0, 0.0, 0.0], 1),
+    ], ids=["increasing", "decreasing", "censored", "tied", "censored at an event time"])
+    def test_monotone_likelihood_is_separation(self, times, status, z, direction):
+        data = dataset(times, status, z)
+        steps = [explicit_partial_loglik(data, direction * b) for b in (0.0, 1.0, 2.0, 4.0)]
+        assert np.all(np.diff(steps) > 0)
+        with pytest.raises(SeparationError):
+            fit_partial_likelihood(extract_rank_data(data))
+
+    def test_tied_events_share_their_risk_set_in_the_separation_check(self):
+        # Read from its own position, the tied event at z = 0 would be the
+        # maximum of {0, 0}; its tie group's risk set {1, 0, 0} has 1.
+        data = dataset([1.0, 2.0, 2.0, 3.0], [1, 1, 1, 1], [1.0, 1.0, 0.0, 0.0])
+        beta, _ = fit_partial_likelihood(extract_rank_data(data))
+        assert abs(beta[0] - grid_search_beta(data)) <= 1e-6
+
+    @given(case=st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 4), min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+    @settings(max_examples=300, deadline=None)
+    def test_separation_check_matches_its_definition(self, case):
+        times, status, z = (np.array(v, float) for v in case)
+        if not np.any(status == 1):
+            return
+        events = np.flatnonzero(status == 1)
+        risk = [z[times >= times[i]] for i in events]
+        at_max = all(z[i] == r.max() for i, r in zip(events, risk))
+        at_min = all(z[i] == r.min() for i, r in zip(events, risk))
+        contrast = any(r.max() > r.min() for r in risk)
+        rank = extract_rank_data(dataset(times, status.astype(int), z))
+        if contrast and (at_max or at_min):
+            with pytest.raises(SeparationError):
+                cox._refuse_monotone(rank)
+        else:
+            cox._refuse_monotone(rank)
+
     def test_six_subject_fixture_matches_grid_search(self):
         data = dataset([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1, 1, 0, 1, 1, 1],
                        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
@@ -183,65 +220,44 @@ class TestBreslowBaseline:
 
 
 class TestRankConditionalSampler:
-    def test_every_draw_reranks_to_conditioning_order(self):
-        rng = np.random.default_rng(3)
-        censored, _ = simulate_ph_binary(8, 0.5, rng, 0.2)
-        rank = extract_rank_data(censored)
-        beta, _ = fit_partial_likelihood(rank)
-        bl = breslow_baseline(censored, beta)
-        for i in range(500):
-            times = sample_times_given_ranks(rank, beta, bl, mc.substream(77, i))
-            assert np.all(np.diff(times) >= 0)
-            order = np.array(rank.failure_order)[np.argsort(times, kind="stable")]
-            np.testing.assert_array_equal(order, rank.failure_order)
+    """The correct-mode walk, as ``ri1_cox_correct`` draws it from the Cox stream."""
 
-    def test_gap_marginals_match_order_statistics(self):
-        # n=3, beta=0, unit-rate baseline: gaps are Exp(3), Exp(2), Exp(1).
+    def test_walk_invariants_on_censored_data(self):
+        censored, _ = simulate_ph_binary(8, 0.5, np.random.default_rng(3), 0.2)
+        z_new = np.array([[0.0], [1.0], [1.0]])
+        rank, beta_hat, beta_null, z_new, _ = cox._augmentation_setup(censored, 3, z_new, None)
+        completion = cox._correct_completion(censored, rank, beta_hat, beta_null, z_new)
+        n_failures = int(censored.status.sum())
+        assert n_failures < censored.n
+        passed, _, alive = walk_placements(completion, 77, 2_000)
+        assert np.all(np.diff(passed, axis=1) >= 0)
+        assert passed.min() >= 0 and passed.max() <= n_failures
+        for t in range(3):
+            assert np.all(alive[t].sum(axis=1) == 3 - t)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_placements_are_uniform_at_zero_beta(self, m):
+        # With equal rates every order of the failures and the new subjects
+        # that keeps the observed one is equally likely, so the new subjects'
+        # slots among the K failures are uniform over C(K + m, m) placements.
         data = dataset([1.0, 2.0, 3.0], [1, 1, 1], [0.0, 0.0, 0.0])
-        rank = extract_rank_data(data)
-        bl = unit_baseline()
-        draws = np.array([
-            sample_times_given_ranks(rank, [0.0], bl, mc.substream(101, i))
-            for i in range(20_000)
-        ])
-        gaps = np.column_stack([draws[:, 0], np.diff(draws, axis=1)])
-        for k, rate in enumerate([3.0, 2.0, 1.0]):
-            mean = gaps[:, k].mean()
-            se = gaps[:, k].std(ddof=1) / math.sqrt(gaps.shape[0])
-            assert abs(mean - 1.0 / rate) <= 3 * se
+        z_new = np.arange(m, dtype=float)[:, None]
+        completion = cox._correct_completion(data, extract_rank_data(data), np.zeros(1),
+                                             np.zeros(1), z_new)
+        n_draws = 20_000
+        passed, _, _ = walk_placements(completion, 101, n_draws)
+        placements = list(itertools.combinations_with_replacement(range(4), m))
+        assert len(placements) == math.comb(3 + m, m)
+        p = 1.0 / len(placements)
+        se = math.sqrt(p * (1 - p) / n_draws)
+        for placement in placements:
+            frequency = np.all(passed == placement, axis=1).mean()
+            assert abs(frequency - p) <= 3 * se
 
+    @pytest.mark.parametrize("z_new", [[[1.0]], [[0.0], [1.0]]], ids=["m=1", "m=2"])
     @pytest.mark.parametrize("n, beta_true, seed", [(3, 0.8, 11), (5, 0.5, 13)])
-    def test_matches_rejection_sampler_moments(self, n, beta_true, seed):
-        rng = np.random.default_rng(seed)
-        data, _ = simulate_ph_binary(n, beta_true, rng, 0.0)
-        rank = extract_rank_data(data)
-        beta = np.array([beta_true])
-        bl = unit_baseline()
-        eta = rank.covariates[:, 0] * beta_true
-
-        n_direct = 20_000
-        direct = np.array([
-            sample_times_given_ranks(rank, beta, bl, mc.substream(seed, i))
-            for i in range(n_direct)
-        ])
-
-        # Rejection oracle: unconditional times from the same model, accepted
-        # only when they reproduce the observed failure order.
-        accepted = []
-        oracle_rng = np.random.default_rng(seed + 1)
-        target = np.array(rank.failure_order)
-        while len(accepted) < 4_000:
-            t = oracle_rng.exponential(size=n) / np.exp(eta)
-            if np.array_equal(np.argsort(t), target):
-                accepted.append(t[target])
-        accepted = np.array(accepted)
-
-        for k in range(n):
-            for moment in (1, 2):
-                a = direct[:, k] ** moment
-                b = accepted[:, k] ** moment
-                se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-                assert abs(a.mean() - b.mean()) <= 3 * se
+    def test_matches_rejection_sampler_moments(self, n, beta_true, seed, z_new):
+        assert_walk_matches_rejection(n, beta_true, seed, np.array(z_new))
 
 
 class TestAugmentationMeasures:
@@ -286,6 +302,39 @@ class TestAugmentationMeasures:
         with pytest.raises(ValidationError):
             ri1_cox_naive(censored, 3, np.zeros((2, 1)),
                           mc_config=MCConfig(n_draws=10, seed=1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("measure", ["correct", "naive", "enumeration"])
+    def test_nonfinite_inputs_rejected_before_the_fit(self, monkeypatch, measure, bad):
+        # They used to surface as an all-sentinel run, a span error, a NaN
+        # measure or a numpy RuntimeWarning, depending on the mode.
+        censored, _ = simulate_ph_binary(20, 0.5, np.random.default_rng(5), 0.25)
+        config = MCConfig(n_draws=64, seed=1)
+        run = {
+            "correct": lambda z, beta0: ri1_cox_correct(censored, 1, z, beta0, config),
+            "naive": lambda z, beta0: ri1_cox_naive(censored, 1, z, beta0, config),
+            "enumeration": lambda z, beta0: cox.ri1_cox_correct_enumeration(
+                censored, 1, z, beta0),
+        }[measure]
+        monkeypatch.setattr(cox, "fit_partial_likelihood", None)  # refused before any fit
+        with pytest.raises(ValidationError, match="new_covariates must be finite"):
+            run([[bad]], None)
+        with pytest.raises(ValidationError, match="null beta must be finite"):
+            run([[1.0]], [bad])
+
+    def test_enumeration_refuses_a_negative_number_of_new_subjects(self):
+        censored, _ = simulate_ph_binary(20, 0.5, np.random.default_rng(5), 0.25)
+        with pytest.raises(ValidationError, match="n_new"):
+            cox.ri1_cox_correct_enumeration(censored, -1, None)
+
+    @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
+    def test_new_hazard_far_below_the_sample_is_a_span_error(self, measure):
+        # Naive mode's rescaled baseline increments underflowed to 0 and were
+        # refused as "jump_sizes must be positive"; both modes now refuse the
+        # span itself.
+        data, _ = simulate_ph_binary(8, 0.5, np.random.default_rng(5), 0.0)
+        with pytest.raises(DataIntegrityError, match="span more than the range of doubles"):
+            measure(data, 1, [[-1e6]], mc_config=MCConfig(n_draws=64, seed=1))
 
 
 def correct_study(estimates, ses):
