@@ -145,6 +145,17 @@ def parse_design(spec: str) -> design.Design:
             f"a file, or a comma-separated list") from exc
 
 
+def _parse_numbers(text: str, where: str) -> list[float]:
+    """Comma-separated numbers; a cell that is not one is refused, naming ``where``."""
+    values = []
+    for cell in text.split(","):
+        try:
+            values.append(float(cell))
+        except ValueError as exc:
+            raise ValidationError(f"{where}: not a number: {cell.strip()!r}") from exc
+    return values
+
+
 def _parse_new_covariates(spec: str | None, n_new: int, dim: int) -> np.ndarray:
     if n_new == 0:
         return np.zeros((0, dim))
@@ -153,11 +164,12 @@ def _parse_new_covariates(spec: str | None, n_new: int, dim: int) -> np.ndarray:
     path = Path(spec)
     if path.exists():
         rows = [
-            [float(c) for c in line.split(",")]
-            for line in path.read_text().splitlines() if line.strip()
+            _parse_numbers(line, f"--new-covariates {spec}:{lineno}")
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if line.strip()
         ]
     else:
-        rows = [[float(c) for c in chunk.split(",")] for chunk in spec.split(";")]
+        rows = [_parse_numbers(chunk, "--new-covariates") for chunk in spec.split(";")]
     z = np.asarray(rows, dtype=float)
     if z.shape != (n_new, dim):
         raise ValidationError(
@@ -298,7 +310,7 @@ def _cmd_cox_ri(args, report: Report) -> None:
     report.add("input.n_subjects", data.n)
     beta0 = None
     if args.beta0:
-        beta0 = np.array([float(v) for v in args.beta0.split(",")])
+        beta0 = np.array(_parse_numbers(args.beta0, "--beta0"))
     z_new = _parse_new_covariates(args.new_covariates, args.n_new, data.covariate_dim)
     config = mc.MCConfig(n_draws=args.draws, seed=args.seed)
     fn = cox.ri1_cox_correct if args.mode == "correct" else cox.ri1_cox_naive
@@ -312,6 +324,9 @@ def _cmd_cox_ri(args, report: Report) -> None:
 
 def _cmd_combine(args, report: Report) -> None:
     raw = json.loads(Path(args.studies).read_text())
+    if not (isinstance(raw, list) and all(isinstance(s, dict) for s in raw)):
+        raise ValidationError(
+            f"{args.studies}: must be a JSON list of {{label, lod_observed, ri1}} objects")
     studies = [combine.StudySummary(lod_observed=s["lod_observed"], ri1=s["ri1"],
                                     label=s.get("label", str(i)))
                for i, s in enumerate(raw)]

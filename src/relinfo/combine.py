@@ -11,7 +11,9 @@ exactly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 from .errors import DomainError, ValidationError
@@ -24,6 +26,11 @@ class StudySummary:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("lod_observed", "ri1"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValidationError(
+                    f"study {self.label!r}: {name} must be a finite number; got {value!r}")
         if not 0.0 < self.ri1 <= 1.0:
             raise ValidationError(f"ri1 must lie in (0, 1]; got {self.ri1}")
 

@@ -427,30 +427,20 @@ def breslow_baseline(data: SurvivalDataset, beta) -> BaselineHazard:
     return BaselineHazard(jump_times=jump_times, jump_sizes=sizes)
 
 
-def _log_risk_rates(rank: RankData, beta) -> np.ndarray:
-    """Log total relative hazard of each failure's risk set, in failure order."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    eta = rank.covariates @ beta
-    log_risk, _ = _risk_sums(eta[rank.order])
-    return log_risk[rank.tie_start[rank.event]]
-
-
-def _relative_rates(log_rates: np.ndarray, jump_times: np.ndarray,
-                    log_sizes: np.ndarray):
-    """Rates exp(log_rates) and the baseline, both relative to the largest rate.
+def _relative_baseline(shift: float, jump_times: np.ndarray,
+                       log_sizes: np.ndarray) -> BaselineHazard:
+    """The Breslow baseline scaled up by exp(shift), shift the largest new linear predictor.
 
     Levels E / rate against baseline.cumulative(t) are unchanged when every
     rate is scaled down and the baseline up by one factor.  It is applied
-    to ``log_sizes`` before exponentiating, which keeps both finite and
-    positive for large predictors, or refuses the rates.
+    to ``log_sizes`` before exponentiating, which keeps the increments
+    finite and positive for large predictors, or refuses them.
     """
-    shift = log_rates.max()
-    rates = np.exp(log_rates - shift)
     with np.errstate(over="ignore"):
         sizes = np.exp(log_sizes + shift)
-    if not (np.all(rates > 0) and np.all(np.isfinite(sizes) & (sizes > 0))):
+    if not np.all(np.isfinite(sizes) & (sizes > 0)):
         raise DataIntegrityError("relative hazards span more than the range of doubles")
-    return rates, BaselineHazard(jump_times, sizes)
+    return BaselineHazard(jump_times, sizes)
 
 
 def _validate_new_covariates(new_covariates, n_new: int, dim: int) -> np.ndarray:
@@ -582,12 +572,13 @@ class _Completion:
     (naive mode, J = n), or 0 and the K failures (correct mode, J = K + 1).
     ``status``, ``eta_alt`` and ``eta_null`` list the existing subjects in
     that order, then the new subjects; ``anchor_of`` gives each existing
-    subject's anchor, non-decreasing.  Naive mode passes ``fixed_levels``
-    and draws each new subject's level E / ``new_rates``.  Correct mode
-    passes ``gap_rates``, the K failures' risk-set rates r_i, and walks
-    the Plackett-Luce lattice (i, S) of Kalbfleisch and Prentice: i
-    failures done, S the new subjects alive.  From (i, S) failure i comes
-    next with probability r_i / (r_i + V_S), V_S the alive new rate, which
+    subject's anchor, non-decreasing.  The law of a draw is read from
+    ``eta_alt``, the linear predictors at beta_hat.  Naive mode passes
+    ``fixed_levels`` and draws each new subject's level E / v_j, v_j its
+    relative hazard.  Correct mode walks the Plackett-Luce lattice (i, S)
+    of Kalbfleisch and Prentice: i failures done, S the new subjects alive.
+    From (i, S) failure i comes next with probability r_i / (r_i + V_S),
+    r_i its risk sum and V_S the alive new subjects' relative hazard, which
     is the law of independent exponential levels, by memorylessness.
 
     New subjects whose linear predictors are equal under both parameters
@@ -596,25 +587,25 @@ class _Completion:
     S is alive at it, W_S the alive new weight and f_e the inverse of its
     risk sum.  Once per state a block of draws reaches, a prefix table
     L_S(e) of those terms makes each draw's event terms m differences, so
-    per-draw work depends on m, not on n.  So that this linear scale stays
-    exact, it refuses a new subject whose relative hazard exceeds another
-    new subject's, or an existing event's risk sum, by more than
-    exp(``_EXP_SPAN``).
+    per-draw work depends on m, not on n.  At the alternative W_S f_i is
+    V_S / r_i, so the same table is the walk's law.  So that this linear
+    scale stays exact, it refuses a new subject whose relative hazard
+    exceeds another new subject's, or an existing event's risk sum, by more
+    than exp(``_EXP_SPAN``); correct mode also refuses failures' risk sums
+    and new relative hazards at beta_hat that span more than that.
     """
 
     status: np.ndarray
     eta_alt: np.ndarray
     eta_null: np.ndarray
     anchor_of: np.ndarray
-    new_rates: np.ndarray
-    gap_rates: np.ndarray = field(default_factory=lambda: np.zeros(0))
     fixed_levels: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.anchor_of.size
-        n_anchors = n if self.fixed_levels is not None else self.gap_rates.size + 1
-        eta = np.stack([self.eta_alt, self.eta_null])
         event = self.status[:n] == EVENT
+        n_anchors = n if self.fixed_levels is not None else int(event.sum()) + 1
+        eta = np.stack([self.eta_alt, self.eta_null])
         event_anchor = self.anchor_of[event]
         # first_at[j]: position of the first existing subject at anchor j or
         # later; events_before[j]: the number of events at anchors below j.
@@ -625,8 +616,12 @@ class _Completion:
         event_log_risk = log_risk[:, first_at[tie_start[event_anchor]]]
         new_eta = eta[:, n:]
         shift = new_eta.max(axis=1, keepdims=True)
+        # Correct mode's walk puts the failures' risk sums and the new
+        # relative hazards at beta_hat on one scale.
+        law = np.concatenate([event_log_risk[0], new_eta[0]])
         if (np.any(shift - new_eta.min(axis=1, keepdims=True) > _EXP_SPAN)
-                or np.any(shift - event_log_risk.min(axis=1, keepdims=True) > _EXP_SPAN)):
+                or np.any(shift - event_log_risk.min(axis=1, keepdims=True) > _EXP_SPAN)
+                or self.fixed_levels is None and law.max() - law.min() > _EXP_SPAN):
             raise DataIntegrityError("relative hazards span more than the range of doubles")
         # Existing risk sums in units of exp(shift), capped at exp(_EXP_SPAN),
         # where the new weights (at most m) vanish beside them; the log of
@@ -651,14 +646,13 @@ class _Completion:
             "_group": group.reshape(-1),
             "_group_size": size[None, :],
             "_group_weight": np.exp(new_eta - shift)[:, first_of],
-            "_group_rate": self.new_rates[first_of],
         }.items():
             object.__setattr__(self, name, value)
 
     @property
     def per_draw(self) -> int:
         """Uniforms per draw: a level per new subject, or two per walk round but the last."""
-        m = self.new_rates.size
+        m = self._group.size
         return m if self.fixed_levels is not None else 2 * m - 1
 
     def lods(self, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -678,7 +672,7 @@ class _Completion:
             else:
                 # -log1p(-u) / rate, in place: fresh large temporaries cost more here.
                 np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
-                placed = self._place_new(np.divide(u, self.new_rates, out=u))
+                placed = self._place_new(np.divide(u, self._group_weight[0, self._group], out=u))
             out[a - lo:b - lo] = self._lods(*placed)
         return out
 
@@ -718,13 +712,14 @@ class _Completion:
         ``u`` is (2m - 1, draws), and round t reads rows 2t and 2t + 1.  The
         first, as an Exp(1) variate E, gives the failures passed before the
         next new subject fails: from (i, S), the last i' with A_S(i') <=
-        A_S(i) + E, where A_S(i') = sum_{l < i'} log1p(V_S / r_l), so that at
-        least j are passed with probability prod_{l < j} r_{i+l} / (r_{i+l}
-        + V_S).  The second, times V_S, picks the alive group that fails; the
-        last round needs none.  The walk never ties levels.  Returns what
-        ``_lods`` takes.
+        A_S(i) + E in the state's ``_skip_table``, so that at least j are
+        passed with probability prod_{l < j} r_{i+l} / (r_{i+l} + V_S).  The
+        second, times V_S, picks the alive group that fails; the last round
+        needs none.  V_S is W_S at the alternative, in units of exp(shift).
+        The walk never ties levels.  Returns what ``_lods`` takes.
         """
-        m, rows = self.new_rates.size, u.shape[1]
+        m, rows = self._group.size, u.shape[1]
+        k = self._event_factor.shape[1]
         exps, picks = -np.log1p(-u[0::2]), u[1::2]
         passed = np.empty((m, rows), dtype=np.intp)
         pos = np.zeros(rows, dtype=np.intp)
@@ -732,16 +727,16 @@ class _Completion:
         for t in range(m):
             key, counts = states[-1]
             # A padded skip table row holds at most 2 (K + 1) doubles.
-            for lo, hi, here in _runs(key, counts.shape[0], 2 * (self.gap_rates.size + 1)):
+            for lo, hi, here in _runs(key, counts.shape[0], 2 * (k + 1)):
                 table = self._skip_table(counts[lo:hi])
                 row = key[here] - lo
                 target = np.take(table, row * table.shape[1] + pos[here]) + exps[t, here]
                 pos[here] = _last_at_most(table, row, target)
             passed[t] = pos
             if t + 1 < m:
-                # The group that fails: how many of the running alive rates
-                # before V_S lie at or below pick * V_S.
-                alive = np.cumsum(counts * self._group_rate, axis=1)
+                # The group that fails: how many of the running alive weights
+                # before W_S lie at or below pick * W_S.
+                alive = np.cumsum(counts * self._group_weight[0], axis=1)
                 level = np.take(alive[:, -1], key) * picks[t]
                 cuts = np.full((alive.shape[0], 1 << (alive.shape[1] - 1).bit_length()), np.inf)
                 cuts[:, :alive.shape[1] - 1] = alive[:, :-1]
@@ -750,20 +745,35 @@ class _Completion:
         return states, passed + 1, passed + 1, None
 
     def _skip_table(self, counts: np.ndarray) -> np.ndarray:
-        """A_S(i) = sum_{l < i} log1p(V_S / r_l), i = 0..K, for each state (row of ``counts``).
+        """The walk's A_S(i) = sum_{l < i} log1p(V_S / r_l), i = 0..K, per state (row of ``counts``).
 
-        Rows are padded with +inf to a power-of-two width, for ``_last_at_most``.
+        V_S / r_l is W_S f_l at the alternative, so A_S is the alternative's
+        prefix table L_S.  Rows are padded with +inf to a power-of-two width
+        that leaves at least one +inf, for ``_last_at_most``.
         """
-        k = self.gap_rates.size
-        rate = (counts * self._group_rate).sum(axis=1)
-        table = np.full((counts.shape[0], 1 << (k + 1).bit_length()), np.inf)
-        table[:, 0] = 0.0
-        np.cumsum(np.log1p(rate[:, None] / self.gap_rates), axis=1, out=table[:, 1:k + 1])
-        return table
+        k = self._event_factor.shape[1]
+        return self._prefix_tables(counts, slice(0, 1), 1 << (k + 1).bit_length())[0]
 
-    def _alive_weight(self, counts: np.ndarray) -> np.ndarray:
-        """W_S of each state, per parameter, in units of exp(shift): (2, states)."""
-        return (counts * self._group_weight[:, None, :]).sum(axis=2)
+    def _alive_weight(self, counts: np.ndarray, params: slice = slice(None)) -> np.ndarray:
+        """W_S of each state, per parameter in ``params``, in units of exp(shift)."""
+        return (counts * self._group_weight[params, None, :]).sum(axis=2)
+
+    def _prefix_tables(self, counts: np.ndarray, params: slice = slice(None),
+                       width: int | None = None) -> np.ndarray:
+        """L_S(e) = sum_{e' < e} log1p(W_S f_e'), e = 0..K over the existing events.
+
+        One row per parameter in ``params`` and state (row of ``counts``),
+        padded with +inf to ``width`` (default K + 1, no padding).
+        """
+        factor = self._event_factor[params]
+        k = factor.shape[1]
+        weight = self._alive_weight(counts, params)
+        table = np.empty(weight.shape + (width or k + 1,))
+        table[:, :, 0] = 0.0
+        table[:, :, k + 1:] = np.inf
+        terms = np.multiply(weight[:, :, None], factor[:, None, :], out=table[:, :, 1:k + 1])
+        np.cumsum(np.log1p(terms, out=terms), axis=2, out=terms)
+        return table
 
     def _event_terms(self, counts: np.ndarray, key: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray) -> np.ndarray:
@@ -775,13 +785,7 @@ class _Completion:
         width = self._event_factor.shape[1] + 1
         out = np.empty((2,) + key.shape)
         for a, b, here in _runs(key, counts.shape[0], 2 * width):
-            weight = self._alive_weight(counts[a:b])
-            table = np.empty(weight.shape + (width,))
-            table[:, :, 0] = 0.0
-            terms = np.multiply(weight[:, :, None], self._event_factor[:, None, :],
-                                out=table[:, :, 1:])
-            np.cumsum(np.log1p(terms, out=terms), axis=2, out=terms)
-            table = table.reshape(2, -1)
+            table = self._prefix_tables(counts[a:b]).reshape(2, -1)
             row = (key[here] - a) * width
             out[:, here] = (np.take(table, row + hi[here], axis=1)
                             - np.take(table, row + lo[here], axis=1))
@@ -822,26 +826,20 @@ class _Completion:
 
 def _correct_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
                         z_new) -> _Completion:
-    k = int(np.count_nonzero(rank.event))
-    # Only ratios of rates matter; past this span E / rate overflows.
-    log_rates = np.concatenate([_log_risk_rates(rank, beta_hat), z_new @ beta_hat])
-    if log_rates.max() - log_rates.min() > _EXP_SPAN:
-        raise DataIntegrityError("relative hazards span more than the range of doubles")
-    rates = np.exp(log_rates - log_rates.max())
     status, merged_z, anchor_of = _kp_columns(data, rank, z_new)
-    return _Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of, rates[k:],
-                       gap_rates=rates[:k])
+    return _Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of)
 
 
 def _naive_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
                       z_new) -> _Completion:
-    # Existing subjects by time, each at its own fixed level.
-    new_rates, baseline = _relative_rates(
-        z_new @ beta_hat, *_breslow_log_increments(rank, data.times, beta_hat))
+    # Existing subjects by time, each at its own fixed level, on the scale
+    # where the largest new relative hazard is 1.
     merged_z = np.vstack([data.covariates[rank.order], z_new])
+    eta_alt = merged_z @ beta_hat
+    baseline = _relative_baseline(eta_alt[data.n:].max(),
+                                  *_breslow_log_increments(rank, data.times, beta_hat))
     merged_status = np.concatenate([data.status[rank.order], np.ones(z_new.shape[0], dtype=int)])
-    return _Completion(merged_status, merged_z @ beta_hat, merged_z @ beta_null,
-                       np.arange(data.n), new_rates,
+    return _Completion(merged_status, eta_alt, merged_z @ beta_null, np.arange(data.n),
                        fixed_levels=baseline.cumulative(data.times[rank.order]))
 
 

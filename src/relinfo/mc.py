@@ -93,37 +93,39 @@ def stream_uniforms(seed: int, n_draws: int, per_draw: int = 1, tag: int = 0,
     return u if per_draw == 1 else u.reshape(n_draws, per_draw)
 
 
+def _finite_draws(values) -> tuple[np.ndarray, int]:
+    """The finite draw values, in order, and how many non-finite sentinels were dropped."""
+    values = np.asarray(values, dtype=float)
+    kept = values[np.isfinite(values)]
+    if kept.size == 0:
+        raise EstimationFailureError("all Monte Carlo draws were sentinels")
+    return kept, values.size - kept.size
+
+
+def _mean_and_se(kept: np.ndarray) -> tuple[float, float]:
+    """Mean of finite values and its standard error (inf below two values)."""
+    mean = float(np.mean(kept))
+    if kept.size < 2:
+        return mean, math.inf
+    return mean, float(np.std(kept, ddof=1) / math.sqrt(kept.size))
+
+
 def estimate_from_values(values: np.ndarray) -> MCEstimate:
     """Mean/SE over draw values; non-finite sentinels are excluded and counted."""
-    values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    n_eff = int(finite.sum())
-    sentinels = values.size - n_eff
-    if n_eff == 0:
-        raise EstimationFailureError("all Monte Carlo draws were sentinels")
-    kept = values[finite]
-    mean = float(np.mean(kept))
-    if n_eff < 2:
-        se = math.inf
-    else:
-        se = float(np.std(kept, ddof=1) / math.sqrt(n_eff))
-    return MCEstimate(mean=mean, standard_error=se, n_effective=n_eff, sentinel_count=sentinels)
+    kept, sentinels = _finite_draws(values)
+    mean, se = _mean_and_se(kept)
+    return MCEstimate(mean=mean, standard_error=se, n_effective=kept.size,
+                      sentinel_count=sentinels)
 
 
 def variance_from_values(values: np.ndarray) -> MCEstimate:
     """Unbiased sample variance with an SE from the fourth central moment."""
-    values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    n_eff = int(finite.sum())
-    sentinels = values.size - n_eff
-    if n_eff == 0:
-        raise EstimationFailureError("all Monte Carlo draws were sentinels")
-    kept = values[finite]
-    if n_eff < 2:
+    kept, sentinels = _finite_draws(values)
+    n = kept.size
+    if n < 2:
         return MCEstimate(mean=0.0, standard_error=math.inf,
-                          n_effective=n_eff, sentinel_count=sentinels)
+                          n_effective=n, sentinel_count=sentinels)
     d = kept - np.mean(kept)
-    n = n_eff
     s2 = float(d @ d / (n - 1))
     squares = d * d
     m4 = float(np.mean(squares * squares))
@@ -154,8 +156,7 @@ def collect_blocks(evaluate: Callable[[int, int], np.ndarray],
         kept = values[np.isfinite(values)]
         if kept.size < 2:
             continue
-        mean = float(np.mean(kept))
-        se = float(np.std(kept, ddof=1) / math.sqrt(kept.size))
+        mean, se = _mean_and_se(kept)
         if mean != 0.0 and se / abs(mean) <= config.max_relative_se:
             break
     return np.concatenate(chunks)

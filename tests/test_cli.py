@@ -167,6 +167,28 @@ class TestCoxRi:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--new-covariates", "abc"], "--new-covariates: not a number: 'abc'"),
+        (["--new-covariates", "1.0", "--beta0", "abc"], "--beta0: not a number: 'abc'"),
+        (["--new-covariates", "1.0", "--beta0", "0.5,"], "--beta0: not a number: ''"),
+    ], ids=["new covariates", "beta0", "empty beta0 cell"])
+    def test_non_number_flag_value_is_usage_error(self, capsys, csv_path, flags, message):
+        code = cli.run(["cox-ri", "--data", str(csv_path), "--n-new", "1", "--draws", "64",
+                        *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_non_number_in_new_covariates_file_reports_line(self, capsys, csv_path, tmp_path):
+        covariates = tmp_path / "new.csv"
+        covariates.write_text("1.0\n\nabc\n")
+        code = cli.run(["cox-ri", "--data", str(csv_path), "--n-new", "2",
+                        "--new-covariates", str(covariates), "--draws", "64"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: --new-covariates {covariates}:3: not a number: 'abc'\n"
+
     def test_malformed_cell_reports_location(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,status,cov1\n1.0,1,0.5\n2.0,one,0.3\n")
@@ -231,6 +253,27 @@ class TestCombine:
         code = cli.run(["combine", "--studies", str(studies)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("raw", [{"a": 1}, [1.0, 0.5], "studies"],
+                             ids=["object", "list of numbers", "string"])
+    def test_not_a_list_of_objects_is_usage_error(self, capsys, tmp_path, raw):
+        studies = tmp_path / "studies.json"
+        studies.write_text(json.dumps(raw))
+        code = cli.run(["combine", "--studies", str(studies)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "list of" in captured.err
+
+    @pytest.mark.parametrize("value", ["1.0", None, True], ids=["string", "null", "bool"])
+    @pytest.mark.parametrize("key", ["lod_observed", "ri1"])
+    def test_non_number_entry_is_usage_error(self, capsys, tmp_path, key, value):
+        entry = {"label": "a", "lod_observed": 1.0, "ri1": 0.4, key: value}
+        studies = tmp_path / "studies.json"
+        studies.write_text(json.dumps([entry]))
+        code = cli.run(["combine", "--studies", str(studies)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: study 'a': {key} must be a finite number")
 
 
 class TestDesignEval:

@@ -70,3 +70,12 @@ class TestCombineWeightedHarmonic:
             StudySummary(1.0, 0.0)
         with pytest.raises(ValidationError):
             StudySummary(1.0, 1.2)
+
+    @pytest.mark.parametrize("lod, ri1", [("1.0", 0.5), (None, 0.5), (True, 0.5),
+                                          (1.0, "0.5"), (1.0, None), (1.0, True),
+                                          (float("nan"), 0.5), (float("inf"), 0.5)],
+                             ids=["lod string", "lod null", "lod bool", "ri1 string", "ri1 null",
+                                  "ri1 bool", "lod nan", "lod inf"])
+    def test_non_number_fields_rejected(self, lod, ri1):
+        with pytest.raises(ValidationError, match="must be a finite number"):
+            StudySummary(lod, ri1)

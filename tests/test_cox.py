@@ -735,7 +735,7 @@ def walk_paths(completion):
     probability P(>= l) = exp(-(A_S(i + l) - A_S(i))).  Returns each path's
     groups and failures passed, as (m, paths) arrays, and its probability.
     """
-    k = completion.gap_rates.size
+    k = completion._event_factor.shape[1]
     paths = []
 
     def extend(counts, i, steps, p):
@@ -744,7 +744,7 @@ def walk_paths(completion):
             return
         table = completion._skip_table(counts[None])[0, :k + 1]
         at_least = np.append(np.exp(-(table[i:] - table[i])), 0.0)
-        rates = counts * completion._group_rate
+        rates = counts * completion._group_weight[0]
         for j in range(i, k + 1):
             for g in np.flatnonzero(counts):
                 after = counts.copy()
@@ -784,6 +784,58 @@ def test_walk_law_gives_the_exact_measure(sample):
     assert lod_ob / (prob @ lods) == pytest.approx(exact, rel=1e-10)
 
 
+def plackett_luce_expected_lod(completion):
+    """The expected augmented lod under the Plackett-Luce law of the completion's columns.
+
+    Brute force over every order of the K failures, kept in column order,
+    and the m new subjects, each weighted by exp of its partial
+    log-likelihood at ``eta_alt``.  Tied event times are taken in the
+    columns' order, one after another, as the kernel's lods take them.
+    """
+    n = completion.anchor_of.size
+    k = int(np.count_nonzero(completion.status[:n] == cox.EVENT))
+    m = completion.status.size - n
+    positions = np.arange(1.0, k + m + 1)
+    failures, new = [], []
+    for slots in itertools.combinations(range(k + m), m):
+        existing = np.ones(k + m, dtype=bool)
+        existing[list(slots)] = False
+        for new_order in itertools.permutations(range(m)):
+            levels = np.empty(m)
+            levels[list(new_order)] = positions[~existing]
+            failures.append(positions[existing])
+            new.append(levels)
+    rows = cox._sort_rows(cox._kp_levels(np.array(failures), completion.anchor_of,
+                                         np.array(new)), completion.status)
+    ll_alt = cox._sorted_loglik(*rows, completion.eta_alt)
+    ll_null = cox._sorted_loglik(*rows, completion.eta_null)
+    weights = np.exp(ll_alt - ll_alt.max())
+    return weights @ (ll_alt - ll_null) / weights.sum()
+
+
+# (times, status, covariates, new subjects' covariates), with tied event times.
+TIED_WALK_CASES = {
+    "uncensored": ([1, 2, 2, 2, 3, 4, 5, 6], [1] * 8, [0, 1, 0, 1, 1, 0, 1, 0], [0, 1]),
+    "censored": ([1, 2, 2, 2, 3, 4, 4, 5], [1, 1, 1, 0, 1, 1, 0, 1],
+                 [0, 1, 0, 1, 1, 0, 1, 0], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", TIED_WALK_CASES.values(), ids=TIED_WALK_CASES.keys())
+def test_walk_law_on_tied_event_times_is_the_lods_plackett_luce_law(case):
+    # The enumeration oracle refuses tied event times.  The kernel's lods
+    # take tied failures one after another, each with its own risk set, and
+    # the walk must draw from the law of those same risk sets.
+    times, status, z, z_new = case
+    data = dataset(np.asarray(times, float), status, z)
+    z_new = np.asarray(z_new, float)[:, None]
+    rank, beta_hat, beta_null, z_new, _ = cox._augmentation_setup(data, 2, z_new, None)
+    completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
+    groups, passed, prob = walk_paths(completion)
+    lods = completion._lods(completion._states(groups), passed + 1, passed + 1)
+    assert prob @ lods == pytest.approx(plackett_luce_expected_lod(completion), rel=1e-10)
+
+
 def kernel_case():
     """Censored data with tied times, so both sort paths are exercised."""
     rng = np.random.default_rng(61)
@@ -803,40 +855,55 @@ def kernel_completions():
     }
 
 
+def completion_rates(completion):
+    """The rates a completion's levels are exponential at, under the alternative.
+
+    The K failures' risk sums (correct mode; none in naive mode) and the new
+    subjects' relative hazards, both in the kernel's units of exp(shift).
+    """
+    gap_rates = (1.0 / completion._event_factor[0] if completion.fixed_levels is None
+                 else np.zeros(0))
+    return gap_rates, completion._group_weight[0, completion._group]
+
+
 def n_levels(completion):
     """Explicit exponentials per draw: one per failure gap (correct mode), one per new subject."""
-    return completion.gap_rates.size + completion.new_rates.size
+    return sum(rates.size for rates in completion_rates(completion))
 
 
-def explicit_levels(completion, exponentials):
+def levels_of(completion, exponentials):
+    """Failure gaps and new levels from exponentials at the completion's rates."""
+    gap_rates, new_rates = completion_rates(completion)
+    k = gap_rates.size
+    return exponentials[:, :k] / gap_rates, exponentials[:, k:] / new_rates
+
+
+def explicit_levels(completion, gaps, new):
     """Every augmented subject's level, in the completion's column order.
 
-    The reference for the kernel: ``cox._lod_rows`` sorts these levels
-    whole, as the kernel did before it placed only the new subjects.
+    ``gaps`` (draws, K) are correct mode's gaps between failure levels and
+    ``new`` (draws, m) the new subjects' levels.  The reference for the
+    kernel: ``cox._lod_rows`` sorts these levels whole, as the kernel did
+    before it placed only the new subjects.
     """
-    k = completion.gap_rates.size
-    new = exponentials[:, k:] / completion.new_rates
     if completion.fixed_levels is None:
-        failures = np.cumsum(exponentials[:, :k] / completion.gap_rates, axis=1)
-        return cox._kp_levels(failures, completion.anchor_of, new)
+        return cox._kp_levels(np.cumsum(gaps, axis=1), completion.anchor_of, new)
     existing = np.broadcast_to(completion.fixed_levels, (new.shape[0], completion.anchor_of.size))
     return np.concatenate([existing, new], axis=1)
 
 
-def kernel_placements(completion, exponentials):
+def kernel_placements(completion, gaps, new):
     """Where the new subjects fall among explicit levels, as ``_lods`` takes it.
 
     Naive mode places them as the kernel does.  In correct mode each draw
     has its own failure levels, and each new level's anchors (0, then the
     failures) are counted row by row.
     """
-    k = completion.gap_rates.size
-    new = exponentials[:, k:] / completion.new_rates
     if completion.fixed_levels is not None:
         return completion._place_new(new)
     by_level = np.argsort(new, axis=1, kind="stable")
     new = np.take_along_axis(new, by_level, axis=1)
-    failures = np.cumsum(exponentials[:, :k] / completion.gap_rates, axis=1)
+    failures = np.cumsum(gaps, axis=1)
     anchors = np.concatenate([np.zeros((new.shape[0], 1)), failures], axis=1)
     below = np.array([np.searchsorted(a, x, "left") for a, x in zip(anchors, new)])
     at_most = np.array([np.searchsorted(a, x, "right") for a, x in zip(anchors, new)])
@@ -844,9 +911,11 @@ def kernel_placements(completion, exponentials):
     return completion._states(completion._group[by_level.T]), below.T, at_most.T, first.T
 
 
-def assert_insertion_matches_explicit_levels(completion, exponentials):
-    fast = completion._lods(*kernel_placements(completion, exponentials))
-    slow = cox._lod_rows(explicit_levels(completion, exponentials), completion.status,
+def assert_insertion_matches_explicit_levels(completion, new, gaps=None):
+    if gaps is None:
+        gaps = np.zeros((new.shape[0], 0))
+    fast = completion._lods(*kernel_placements(completion, gaps, new))
+    slow = cox._lod_rows(explicit_levels(completion, gaps, new), completion.status,
                          completion.eta_alt, completion.eta_null)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
@@ -864,7 +933,8 @@ def test_correct_draws_keep_the_observed_partial_data():
     z_new = rng.integers(0, 2, size=3).astype(float)[:, None]
     rank, beta_hat, beta_null, z_new, lod_ob = cox._augmentation_setup(data, 3, z_new, None)
     completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
-    levels = explicit_levels(completion, rng.standard_exponential((500, n_levels(completion))))
+    levels = explicit_levels(completion, *levels_of(
+        completion, rng.standard_exponential((500, n_levels(completion)))))
     n = data.n  # columns: the existing subjects, then the new ones
     lods = cox._lod_rows(levels[:, :n], completion.status[:n],
                          completion.eta_alt[:n], completion.eta_null[:n])
@@ -876,8 +946,8 @@ class TestInsertionKernel:
     def test_matches_explicit_levels(self, mode):
         completion = kernel_completions()[mode]
         rng = np.random.default_rng(71)
-        assert_insertion_matches_explicit_levels(
-            completion, rng.standard_exponential((300, n_levels(completion))))
+        gaps, new = levels_of(completion, rng.standard_exponential((300, n_levels(completion))))
+        assert_insertion_matches_explicit_levels(completion, new, gaps)
 
     def test_exact_ties_in_naive_mode(self):
         # Levels are powers of two, so new levels hit them exactly: tied
@@ -886,12 +956,11 @@ class TestInsertionKernel:
         levels = np.array([0.25, 0.5, 0.5, 1.0, 2.0, 2.0])
         status = np.array([1, 1, 0, 1, 0, 1, 1, 1, 1])
         eta = np.array([0.3, -1.0, 2.0, 0.0, 1.5, -0.5, 0.7, -0.2, 1.1])
-        new_rates = np.array([1.0, 0.5, 2.0])
-        completion = cox._Completion(status, eta, 0.4 * eta[::-1], np.arange(6), new_rates,
+        completion = cox._Completion(status, eta, 0.4 * eta[::-1], np.arange(6),
                                      fixed_levels=levels)
         new_levels = np.array([[0.5, 0.5, 0.5], [2.0, 1.0, 0.125], [4.0, 0.25, 2.0],
                                [0.0, 0.0, 8.0], [1.0, 0.75, 1.0], [2.0, 2.0, 0.5]])
-        assert_insertion_matches_explicit_levels(completion, new_levels * new_rates)
+        assert_insertion_matches_explicit_levels(completion, new_levels)
 
     def test_new_weights_far_below_the_existing_risk_sums(self):
         # exp(800) overflows: the existing risk sums enter the new subjects'
@@ -900,10 +969,10 @@ class TestInsertionKernel:
         status = np.array([1, 1, 0, 1, 1, 1, 1])
         eta = np.array([800.0, 0.0, 810.0, -5.0, 790.0, 0.0, 2.0])
         new_rates = np.array([1.0, 2.0])
-        completion = cox._Completion(status, eta, 0.5 * eta, np.arange(5), new_rates,
+        completion = cox._Completion(status, eta, 0.5 * eta, np.arange(5),
                                      fixed_levels=levels)
         exponentials = np.random.default_rng(73).standard_exponential((200, 2)) * 2.0
-        assert_insertion_matches_explicit_levels(completion, exponentials)
+        assert_insertion_matches_explicit_levels(completion, exponentials / new_rates)
 
     def test_refuses_new_weights_spanning_more_than_the_double_range(self):
         # Each new weight is within exp(_EXP_SPAN) of every event's risk sum,
@@ -911,8 +980,31 @@ class TestInsertionKernel:
         status = np.array([1, 1, 1, 1])
         eta = np.array([0.0, 700.0, 0.0, 700.0])
         with pytest.raises(DataIntegrityError):
-            cox._Completion(status, eta, np.zeros(4), np.arange(2), np.ones(2),
+            cox._Completion(status, eta, np.zeros(4), np.arange(2),
                             fixed_levels=np.array([1.0, 2.0]))
+
+    # Correct mode, two failures and one new subject; eta lists the
+    # failures, then the new subject.
+    @pytest.mark.parametrize("eta", [[0.0, 0.0, -700.0], [700.0, 0.0, 350.0]],
+                             ids=["new far below every risk sum", "risk sums spanning 700"])
+    def test_correct_mode_refuses_a_walk_law_spanning_more_than_the_double_range(self, eta):
+        status, eta = np.array([1, 1, 1]), np.array(eta)
+        with pytest.raises(DataIntegrityError, match="range of doubles"):
+            cox._Completion(status, eta, np.zeros(3), np.array([1, 2]))
+
+    def test_naive_mode_builds_with_risk_sums_spanning_700(self):
+        # The fixed levels need no law among the failures, only the new
+        # weights within exp(_EXP_SPAN) of each risk sum.
+        status, eta = np.array([1, 1, 1]), np.array([700.0, 0.0, 350.0])
+        completion = cox._Completion(status, eta, np.zeros(3), np.arange(2),
+                                     fixed_levels=np.array([1.0, 2.0]))
+        assert np.all(np.isfinite(completion.lods(1, 0, 64)))
+
+    def test_correct_mode_builds_just_inside_the_span(self):
+        status = np.array([1, 1, 1])
+        eta = np.array([cox._EXP_SPAN - 1.0, 0.0, 300.0])
+        completion = cox._Completion(status, eta, np.zeros(3), np.array([1, 2]))
+        assert np.all(np.isfinite(completion.lods(1, 0, 64)))
 
     def test_exact_ties_in_correct_mode(self):
         # New levels land on failure levels, on each other and on 0, where a
@@ -920,15 +1012,11 @@ class TestInsertionKernel:
         anchor_of = np.array([0, 1, 2, 2, 3, 4])
         status = np.array([0, 1, 1, 0, 1, 1, 1, 1])
         eta = np.array([0.3, -1.0, 2.0, 0.0, 1.5, -0.5, 0.7, -0.2])
-        gap_rates = np.array([1.0, 0.5, 0.25, 0.125])
-        new_rates = np.array([0.5, 2.0])
-        completion = cox._Completion(status, eta, -0.3 * eta, anchor_of, new_rates,
-                                     gap_rates=gap_rates)
+        completion = cox._Completion(status, eta, -0.3 * eta, anchor_of)
         gaps = np.array([[0.5, 0.25, 0.125, 0.125], [0.5, 0.5, 0.25, 0.25],
                          [0.25, 0.25, 0.25, 0.25], [1.0, 0.5, 0.5, 0.5]])
         new_levels = np.array([[0.0, 0.5], [0.5, 0.5], [1.5, 0.25], [0.0, 0.0]])
-        assert_insertion_matches_explicit_levels(
-            completion, np.concatenate([gaps * gap_rates, new_levels * new_rates], axis=1))
+        assert_insertion_matches_explicit_levels(completion, new_levels, gaps)
 
 
 class TestBlockKernelDeterminism:
@@ -1038,8 +1126,10 @@ def test_insertion_kernel_matches_explicit_levels(mode, case, seed):
     # Forced ties: zero exponentials (tied fixed levels in naive mode, new
     # subjects at level 0), and in every other row two new subjects at one
     # level.  The correct-mode walk never ties failures: its gaps stay.
-    k = completion.gap_rates.size
+    gap_rates, new_rates = completion_rates(completion)
+    k = gap_rates.size
     exponentials[:, k:][rng.random((64, len(z_new))) < 0.1] = 0.0
     if len(z_new) >= 2:
-        exponentials[::2, k:k + 2] = 0.5 * completion.new_rates[:2]
-    assert_insertion_matches_explicit_levels(completion, exponentials)
+        exponentials[::2, k:k + 2] = 0.5 * new_rates[:2]
+    gaps, new = levels_of(completion, exponentials)
+    assert_insertion_matches_explicit_levels(completion, new, gaps)

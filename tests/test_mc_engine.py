@@ -91,6 +91,30 @@ def test_all_sentinels_raise():
         mc.estimate_from_values(np.array([np.inf, np.nan]))
 
 
+def test_variance_excludes_and_counts_sentinels():
+    est = mc.variance_from_values(np.array([1.0, np.inf, 3.0, np.nan]))
+    assert (est.mean, est.n_effective, est.sentinel_count) == (2.0, 2, 2)
+    with pytest.raises(EstimationFailureError):
+        mc.variance_from_values(np.array([np.nan, -np.inf]))
+
+
+def test_adaptive_stop_agrees_with_the_reported_standard_error():
+    # The stopping rule skips sentinels and reads the SE as the estimate
+    # reports it: it stops at the first block where the target is met.
+    def evaluate(lo, hi):
+        u = mc.stream_uniforms(8, hi - lo, 2, start=lo)
+        return np.where(u[:, 0] < 0.1, np.inf, 10.0 + 20.0 * (u[:, 1] - 0.5))
+
+    values = mc.collect_blocks(evaluate, MCConfig(n_draws=100_000, seed=8, max_relative_se=0.005))
+
+    def relative_se(v):
+        est = mc.estimate_from_values(v)
+        return est.standard_error / abs(est.mean)
+
+    assert np.any(np.isinf(values)) and values.size % 1024 == 0
+    assert relative_se(values) <= 0.005 < relative_se(values[:-1024])
+
+
 def test_variance_constant_is_zero():
     est = mc.variance_from_values(mc.collect_blocks(constant(1.5), MCConfig(n_draws=50, seed=4)))
     assert est.mean == 0.0
