@@ -7,12 +7,13 @@ an augmented study can condition either on the rank data (the correct
 conditioning, which keeps the measure at or below 1) or on the censored
 data with observed times held fixed (the naive conditioning, which can
 push the measure above 1).  A draw is where the new subjects fall among
-the existing ones: the naive conditioning draws their cumulative-hazard
-levels against the fixed ones, the correct one walks the Plackett-Luce
-lattice of their places among the existing failures.  The correct one
-needs no baseline: under Kalbfleisch and Prentice's censoring convention
-the partial likelihood is the exact likelihood of the ranks, which are all
-it draws.
+the existing ones, drawn by one walk for both: the new subjects fail one
+at a time, and between two of them the naive conditioning raises their
+cumulative-hazard level past the fixed ones, while the correct one passes
+existing failures on the Plackett-Luce lattice.  The correct one needs no
+baseline: under Kalbfleisch and Prentice's censoring convention the
+partial likelihood is the exact likelihood of the ranks, which are all it
+draws.
 """
 
 from __future__ import annotations
@@ -470,10 +471,14 @@ def _augmentation_setup(data: SurvivalDataset, n_new: int, new_covariates,
     z_new = _validate_new_covariates(new_covariates, n_new, dim)
     rank = extract_rank_data(data)
     beta_hat, _ = fit_partial_likelihood(rank)
-    lod_ob = partial_lod(rank, beta_hat, beta_null)
-    if lod_ob == 0.0:
-        raise UndefinedMeasureError("observed partial-likelihood lod is zero")
-    return rank, beta_hat, beta_null, z_new, lod_ob
+    return rank, beta_hat, beta_null, z_new
+
+
+def _numerator(lod_ob: float) -> float:
+    """The observed lod a measure divides by, refused unless positive (see ri1_cox_correct)."""
+    if not lod_ob > 0.0:
+        raise UndefinedMeasureError("observed partial-likelihood lod is not positive")
+    return lod_ob
 
 
 def _kp_columns(data: SurvivalDataset, rank: RankData, z_new: np.ndarray):
@@ -495,6 +500,19 @@ def _kp_columns(data: SurvivalDataset, rank: RankData, z_new: np.ndarray):
     ids[event], ids[~event] = fail_ids, cens_ids
     status = np.concatenate([event, np.ones(z_new.shape[0], dtype=bool)]).astype(int)
     return status, np.vstack([data.covariates[ids], z_new]), np.cumsum(event)
+
+
+def _kp_lod(data: SurvivalDataset, rank: RankData, beta_hat, beta_null) -> float:
+    """The observed lod as correct mode's draws score the existing subjects.
+
+    In ``_kp_columns`` order, each subject at its own position: tied
+    failures one after another, each with its own risk set, and each
+    censored subject at risk through its preceding failure.  With this
+    numerator the measure's two lods share one convention, under which
+    E[lod_co] - lod_ob is a Kullback-Leibler divergence.
+    """
+    status, z, _ = _kp_columns(data, rank, np.zeros((0, data.covariate_dim)))
+    return float(_lod_rows(np.arange(data.n), status, z @ beta_hat, z @ beta_null))
 
 
 def _kp_levels(failures: np.ndarray, anchor_of: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -573,13 +591,17 @@ class _Completion:
     ``status``, ``eta_alt`` and ``eta_null`` list the existing subjects in
     that order, then the new subjects; ``anchor_of`` gives each existing
     subject's anchor, non-decreasing.  The law of a draw is read from
-    ``eta_alt``, the linear predictors at beta_hat.  Naive mode passes
-    ``fixed_levels`` and draws each new subject's level E / v_j, v_j its
-    relative hazard.  Correct mode walks the Plackett-Luce lattice (i, S)
-    of Kalbfleisch and Prentice: i failures done, S the new subjects alive.
-    From (i, S) failure i comes next with probability r_i / (r_i + V_S),
-    r_i its risk sum and V_S the alive new subjects' relative hazard, which
-    is the law of independent exponential levels, by memorylessness.
+    ``eta_alt``, the linear predictors at beta_hat.  Both modes walk: the
+    new subjects fail one at a time, each picked among the alive ones S in
+    proportion to its relative hazard, V_S their total, and only where the
+    walk skips to next differs.  Naive mode passes ``fixed_levels`` and
+    raises the level by an Exp(1) variate over V_S: by Renyi's
+    representation these are the sorted levels E_j / v_j of independent
+    exponentials, v_j each new subject's relative hazard.  Correct mode
+    walks the Plackett-Luce lattice (i, S) of Kalbfleisch and Prentice, i
+    failures done: from (i, S) failure i comes next with probability r_i /
+    (r_i + V_S), r_i its risk sum, which is the law of independent
+    exponential levels, by memorylessness.
 
     New subjects whose linear predictors are equal under both parameters
     are exchangeable, so a state S counts the alive subjects of each such
@@ -588,11 +610,12 @@ class _Completion:
     risk sum.  Once per state a block of draws reaches, a prefix table
     L_S(e) of those terms makes each draw's event terms m differences, so
     per-draw work depends on m, not on n.  At the alternative W_S f_i is
-    V_S / r_i, so the same table is the walk's law.  So that this linear
-    scale stays exact, it refuses a new subject whose relative hazard
-    exceeds another new subject's, or an existing event's risk sum, by more
-    than exp(``_EXP_SPAN``); correct mode also refuses failures' risk sums
-    and new relative hazards at beta_hat that span more than that.
+    V_S / r_i, so the same table is correct mode's walk law.  So that this
+    linear scale stays exact, it refuses a new subject whose relative
+    hazard exceeds another new subject's, or an existing event's risk sum,
+    by more than exp(``_EXP_SPAN``); correct mode also refuses failures'
+    risk sums and new relative hazards at beta_hat that span more than
+    that.
     """
 
     status: np.ndarray
@@ -632,8 +655,6 @@ class _Completion:
         _, first_of, group, size = np.unique(new_eta.T, axis=0, return_index=True,
                                              return_inverse=True, return_counts=True)
         for name, value in {
-            "_anchors": (None if self.fixed_levels is None
-                         else np.append(self.fixed_levels, np.inf)),
             "_first_at": first_at,
             "_events_before": np.searchsorted(event_anchor, np.arange(n_anchors + 1)),
             "_event_factor": np.exp(shift - event_log_risk),
@@ -651,9 +672,8 @@ class _Completion:
 
     @property
     def per_draw(self) -> int:
-        """Uniforms per draw: a level per new subject, or two per walk round but the last."""
-        m = self._group.size
-        return m if self.fixed_levels is not None else 2 * m - 1
+        """Uniforms per draw: two per walk round but the last."""
+        return 2 * self._group.size - 1
 
     def lods(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Augmented lods of draws lo..hi-1, in sub-blocks of bounded size.
@@ -666,83 +686,54 @@ class _Completion:
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             u = mc.stream_uniforms(seed, b - a, self.per_draw, _COX_STREAM_TAG, start=a)
-            u = u.reshape(b - a, self.per_draw)
-            if self.fixed_levels is None:
-                placed = self._walk(u.T)
-            else:
-                # -log1p(-u) / rate, in place: fresh large temporaries cost more here.
-                np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
-                placed = self._place_new(np.divide(u, self._group_weight[0, self._group], out=u))
-            out[a - lo:b - lo] = self._lods(*placed)
+            out[a - lo:b - lo] = self._lods(*self._walk(u.reshape(b - a, self.per_draw).T))
         return out
 
-    def _place_new(self, x: np.ndarray):
-        """Naive mode's placements of a (draws, m) block of new levels ``x``.
-
-        Returns what ``_lods`` takes, one row per new subject in order of
-        level: each draw's alive states, how many fixed levels lie below
-        each new level and at or below it, and the first of each one's ties
-        among the new levels (None without ties).
-        """
-        m = x.shape[1]
-        by_level = np.argsort(x, axis=1)
-        x = x.ravel()[by_level + np.arange(0, x.size, m)[:, None]]
-        first = (_tie_starts(x) % m).T if np.any(x[:, 1:] == x[:, :-1]) else None
-        x = x.T
-        below = at_most = np.searchsorted(self._anchors, x, "left")
-        # A new level equal to a fixed one is rare; only then search again.
-        if np.any(self._anchors[below] == x):
-            at_most = np.searchsorted(self._anchors, x, "right")
-        return self._states(self._group[by_level.T]), below, at_most, first
-
-    def _states(self, groups: np.ndarray) -> list:
-        """Each draw's alive state before each new subject fails, in the order of ``groups``.
-
-        ``groups`` is (m, draws).  Entry t is (key, counts): draw r is in
-        the state ``counts[key[r]]`` before new subject t fails.
-        """
-        states = [(np.zeros(groups.shape[1], dtype=np.intp), self._group_size)]
-        for group in groups[:-1]:
-            states.append(_leave(*states[-1], group))
-        return states
-
     def _walk(self, u: np.ndarray):
-        """Correct mode's placements: each draw's walk on the lattice (i, S).
+        """Each draw's walk: where its new subjects fall, in the order they fail.
 
         ``u`` is (2m - 1, draws), and round t reads rows 2t and 2t + 1.  The
-        first, as an Exp(1) variate E, gives the failures passed before the
-        next new subject fails: from (i, S), the last i' with A_S(i') <=
-        A_S(i) + E in the state's ``_skip_table``, so that at least j are
-        passed with probability prod_{l < j} r_{i+l} / (r_{i+l} + V_S).  The
-        second, times V_S, picks the alive group that fails; the last round
-        needs none.  V_S is W_S at the alternative, in units of exp(shift).
-        The walk never ties levels.  Returns what ``_lods`` takes.
+        first, as an Exp(1) variate E, places the next new subject to fail.
+        Correct mode passes failures: from (i, S), the last i' with A_S(i')
+        <= A_S(i) + E in the state's ``_skip_table``, so that at least j are
+        passed with probability prod_{l < j} r_{i+l} / (r_{i+l} + V_S).
+        Naive mode raises the level by E / V_S, the gap to the lowest of the
+        alive subjects' exponential levels, and passes the fixed levels
+        below it.  The second, times V_S, picks the alive group that fails;
+        the last round needs none.  V_S is W_S at the alternative, in units
+        of exp(shift).  Returns each draw's alive states before each round
+        and the anchors below each new subject, as ``_lods`` takes them.
         """
         m, rows = self._group.size, u.shape[1]
         k = self._event_factor.shape[1]
         exps, picks = -np.log1p(-u[0::2]), u[1::2]
-        passed = np.empty((m, rows), dtype=np.intp)
+        below = np.empty((m, rows), dtype=np.intp)
         pos = np.zeros(rows, dtype=np.intp)
+        level = np.zeros(rows)
         states = [(np.zeros(rows, dtype=np.intp), self._group_size)]
         for t in range(m):
             key, counts = states[-1]
-            # A padded skip table row holds at most 2 (K + 1) doubles.
-            for lo, hi, here in _runs(key, counts.shape[0], 2 * (k + 1)):
-                table = self._skip_table(counts[lo:hi])
-                row = key[here] - lo
-                target = np.take(table, row * table.shape[1] + pos[here]) + exps[t, here]
-                pos[here] = _last_at_most(table, row, target)
-            passed[t] = pos
+            alive = np.cumsum(counts * self._group_weight[0], axis=1)
+            if self.fixed_levels is None:
+                # A padded skip table row holds at most 2 (K + 1) doubles.
+                for lo, hi, here in _runs(key, counts.shape[0], 2 * (k + 1)):
+                    table = self._skip_table(counts[lo:hi])
+                    row = key[here] - lo
+                    target = np.take(table, row * table.shape[1] + pos[here]) + exps[t, here]
+                    pos[here] = _last_at_most(table, row, target)
+                # Past i failures, a new subject has the anchors 0..i below it.
+                below[t] = pos + 1
+            else:
+                level += exps[t] / np.take(alive[:, -1], key)
+                below[t] = np.searchsorted(self.fixed_levels, level)
             if t + 1 < m:
                 # The group that fails: how many of the running alive weights
                 # before W_S lie at or below pick * W_S.
-                alive = np.cumsum(counts * self._group_weight[0], axis=1)
-                level = np.take(alive[:, -1], key) * picks[t]
+                target = np.take(alive[:, -1], key) * picks[t]
                 cuts = np.full((alive.shape[0], 1 << (alive.shape[1] - 1).bit_length()), np.inf)
                 cuts[:, :alive.shape[1] - 1] = alive[:, :-1]
-                states.append(_leave(key, counts, _last_at_most(cuts, key, level) + 1))
-        # Past i failures, a new subject has the anchors 0..i below it.
-        return states, passed + 1, passed + 1, None
+                states.append(_leave(key, counts, _last_at_most(cuts, key, target) + 1))
+        return states, below
 
     def _skip_table(self, counts: np.ndarray) -> np.ndarray:
         """The walk's A_S(i) = sum_{l < i} log1p(V_S / r_l), i = 0..K, per state (row of ``counts``).
@@ -791,32 +782,29 @@ class _Completion:
                             - np.take(table, row + lo[here], axis=1))
         return out
 
-    def _lods(self, states: list, below: np.ndarray, at_most: np.ndarray,
-              first: np.ndarray | None = None) -> np.ndarray:
+    def _lods(self, states: list, below: np.ndarray) -> np.ndarray:
         """Lods of a block of draws, given where their new subjects fall.
 
         The new subjects are taken in the order they fail, one row each.
         ``states[t]`` is each draw's alive state S_t before new subject t
-        fails (see ``_states``); ``below`` and ``at_most`` (m, draws) count
-        the anchors below its level and at or below it; ``first``, when
-        given, is the first of its ties in level among the new subjects.
-        Equal to ``_lod_rows`` on the explicit augmented levels, Breslow
-        ties included: an event's risk set is every subject at its level or
-        above.  The existing events between new subjects t - 1 and t see
-        W_{S_t}, and new subject t's own risk set is the existing subjects
-        at or above its level plus W_{S_t} (the first tied one's S_t).
+        fails, and ``below`` (m, draws) counts the anchors below its level.
+        A new subject never shares its level with an anchor or with another
+        new subject (the walk's levels are continuous, or between
+        failures).  Equal to ``_lod_rows`` on the explicit augmented levels:
+        an event's risk set is every subject at its level or above, tied
+        fixed levels sharing theirs (Breslow).  The existing events between
+        new subjects t - 1 and t see W_{S_t}, and new subject t's own risk
+        set is the existing subjects above its level plus W_{S_t}.
         """
         # States of different rounds differ in size: index them all at once.
         offset = np.cumsum([0] + [counts.shape[0] for _, counts in states[:-1]])
         key = np.stack([key + o for (key, _), o in zip(states, offset)])
         counts = np.concatenate([counts for _, counts in states])
-        bounds = self._events_before[at_most]
+        bounds = self._events_before[below]
         start = np.zeros_like(bounds)
         start[1:] = bounds[:-1]
         event_terms = self._event_terms(counts, key, start, bounds).sum(axis=1)
         own = np.take(self._alive_weight(counts), key, axis=1)
-        if first is not None:
-            own = own[:, first, np.arange(key.shape[1])]
         above = self._first_at[below]
         new_terms = (np.take(self._risk_removed, above, axis=1)
                      + np.log(np.take(self._risk_capped, above, axis=1) + own)).sum(axis=1)
@@ -864,15 +852,19 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
     the Plackett-Luce lattice: with i failures done and the new subjects S
     alive, failure i comes next with probability r_i / (r_i + V_S), r_i
     the total relative hazard of its risk set and V_S that of S.  It needs
-    no baseline.  The partial-likelihood lod of the augmented ranks is
-    their exact likelihood, so the exact measure is at most 1, and it is
-    exactly 1 with no new subjects.  Relative hazards spanning more than
+    no baseline.  Tied failures are taken one after another, each with its
+    own risk set, in the observed lod (``_kp_lod``) as in every draw's.
+    The partial-likelihood lod of the augmented ranks is their exact
+    likelihood, so the exact measure is in (0, 1], 1 with no new subjects.
+    On tied data the observed lod can be negative at the Breslow beta_hat:
+    UndefinedMeasureError.  Relative hazards spanning more than
     exp(``_EXP_SPAN``) raise DataIntegrityError.
     """
     if mc_config is None:
         raise ValidationError("ri1_cox_correct requires an MCConfig")
-    rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
+    rank, beta_hat, beta_null, z_new = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
+    lod_ob = _numerator(_kp_lod(data, rank, beta_hat, beta_null))
     if n_new == 0:
         return _no_new_subjects(lod_ob, mc_config, "rank data (partial data)")
     completion = _correct_completion(data, rank, beta_hat, beta_null, z_new)
@@ -887,11 +879,13 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
     Existing subjects' observed times are held fixed, as their levels
     under the Breslow cumulative hazard, computed once; only the new
     subjects' levels are simulated, each exponential with its relative
-    hazard as rate, and placed among the fixed levels.  The resulting
-    measure may exceed 1.
+    hazard as rate, in the order they fail by ``ri1_cox_correct``'s walk
+    (see ``_Completion``).  Tied observed times keep their Breslow risk
+    sets.  The resulting measure may exceed 1.
     """
-    rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
+    rank, beta_hat, beta_null, z_new = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
+    lod_ob = _numerator(partial_lod(rank, beta_hat, beta_null))
     if n_new == 0:
         return _no_new_subjects(lod_ob, mc_config, "censored data (observed times fixed)")
     if mc_config is None:
@@ -917,8 +911,9 @@ def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariate
     event_times = data.times[data.status == EVENT]
     if np.unique(event_times).size != event_times.size:
         raise OracleUnavailableError("the enumeration oracle needs untied event times")
-    rank, beta_hat, beta_null, z_new, lod_ob = _augmentation_setup(
+    rank, beta_hat, beta_null, z_new = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
+    lod_ob = _numerator(_kp_lod(data, rank, beta_hat, beta_null))
     n_fail = event_times.size
     n_orders = math.perm(n_fail + n_new, n_new)
     if n_orders > PL_ENUMERATION_CAP:

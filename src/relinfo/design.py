@@ -8,10 +8,10 @@ may be ``fractions.Fraction`` values, in which case S_x is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Sequence
 
 from .errors import DomainError, ValidationError
 
@@ -28,7 +28,7 @@ class Design:
         for x in self.points:
             if not isinstance(x, (Real, Fraction)):
                 raise ValidationError(f"design point {x!r} is not a number")
-            if isinstance(x, float) and x != x:
+            if x != x or abs(x) == math.inf:
                 raise ValidationError("design points must be finite")
 
 

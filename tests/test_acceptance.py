@@ -28,7 +28,11 @@ from relinfo.cox import (
 )
 from relinfo.design import base_design, doubled_design, interlaced_design, sx, variance_ratio
 from relinfo.mc import MCConfig
-from walk_oracle import assert_walk_matches_rejection
+from walk_oracle import (
+    assert_naive_walk_matches_sorted_levels,
+    assert_walk_matches_rejection,
+    tied_naive_completion,
+)
 
 MODEL = binomial_model()
 
@@ -129,11 +133,14 @@ def test_criterion_6_conditioning_anomaly():
 
 def test_criterion_7_rank_sampler_oracle():
     # The correct-mode walk places one and two new subjects among the
-    # failures as rejection sampling of exponential levels does.
+    # failures as rejection sampling of exponential levels does, and the
+    # naive-mode walk among tied fixed levels as sorted exponential levels do.
     for n, beta_true, seed in [(3, 0.8, 311), (4, 0.0, 313), (5, 0.5, 317)]:
         for z_new in ([[1.0]], [[0.0], [1.0]]):
             assert_walk_matches_rejection(n, beta_true, seed, np.array(z_new))
-    report(7, "rank-conditional walk matches the rejection oracle")
+    for z_new in ([[1.0]], [[0.0], [1.0]]):
+        assert_naive_walk_matches_sorted_levels(tied_naive_completion(np.array(z_new)), 331)
+    report(7, "both walks match their oracles (rejection, sorted exponential levels)")
 
 
 def test_criterion_8_cox_fit_oracle():

@@ -297,6 +297,22 @@ class TestDesignEval:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("a, b", [("1,inf", "1,2"), ("1,2", "inf,2"), ("1,-inf", "1,2"),
+                                      ("1,nan", "1,2")])
+    def test_nonfinite_inline_point_is_usage_error(self, capsys, a, b):
+        # An infinite point used to give variance_ratio 0.0 or "inf%", exit 0.
+        code = cli.run(["design-eval", "--design-a", a, "--design-b", b])
+        assert code == 2
+        assert capsys.readouterr().err == "error: design points must be finite\n"
+
+    @pytest.mark.parametrize("point", ["inf", "-inf", "nan"])
+    def test_nonfinite_point_in_a_file_is_usage_error(self, capsys, tmp_path, point):
+        points = tmp_path / "design.txt"
+        points.write_text(f"1\n{point}\n2\n")
+        code = cli.run(["design-eval", "--design-a", "1,2", "--design-b", str(points)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: design points must be finite\n"
+
 
 def test_doss_replication_tiny_smoke(capsys):
     code, pairs = run_report(capsys, [

@@ -29,10 +29,17 @@ from relinfo.errors import (
     RankDeficiencyError,
     RelInfoError,
     SeparationError,
+    UndefinedMeasureError,
     ValidationError,
 )
 from relinfo.mc import MCConfig
-from walk_oracle import assert_walk_matches_rejection, walk_placements
+from walk_oracle import (
+    assert_naive_walk_matches_sorted_levels,
+    assert_walk_matches_rejection,
+    states_of,
+    tied_naive_completion,
+    walk_placements,
+)
 
 
 def dataset(times, status, z):
@@ -225,7 +232,7 @@ class TestRankConditionalSampler:
     def test_walk_invariants_on_censored_data(self):
         censored, _ = simulate_ph_binary(8, 0.5, np.random.default_rng(3), 0.2)
         z_new = np.array([[0.0], [1.0], [1.0]])
-        rank, beta_hat, beta_null, z_new, _ = cox._augmentation_setup(censored, 3, z_new, None)
+        rank, beta_hat, beta_null, z_new = cox._augmentation_setup(censored, 3, z_new, None)
         completion = cox._correct_completion(censored, rank, beta_hat, beta_null, z_new)
         n_failures = int(censored.status.sum())
         assert n_failures < censored.n
@@ -258,6 +265,27 @@ class TestRankConditionalSampler:
     @pytest.mark.parametrize("n, beta_true, seed", [(3, 0.8, 11), (5, 0.5, 13)])
     def test_matches_rejection_sampler_moments(self, n, beta_true, seed, z_new):
         assert_walk_matches_rejection(n, beta_true, seed, np.array(z_new))
+
+
+class TestNaiveWalk:
+    """Naive mode's walk, against independent exponential levels sorted and placed."""
+
+    @pytest.mark.parametrize("z_new", [[[1.0]], [[0.0], [1.0]]], ids=["m=1", "m=2"])
+    def test_matches_sorted_exponential_levels(self, z_new):
+        assert_naive_walk_matches_sorted_levels(tied_naive_completion(np.array(z_new)), 139)
+
+    def test_one_new_subject_lands_with_its_exact_probability(self):
+        # A new subject at rate v passes fixed levels H_1..H_j and no more
+        # with probability exp(-v H_j) - exp(-v H_{j+1}), H_0 = 0 and
+        # H_{n+1} = inf: zero between tied levels.
+        completion = tied_naive_completion(np.array([[1.0]]))
+        n_draws = 20_000
+        passed, _, _ = walk_placements(completion, 149, n_draws)
+        v = completion._group_weight[0, 0]
+        h = np.concatenate([[0.0], completion.fixed_levels, [np.inf]])
+        for j, p in enumerate(np.exp(-v * h[:-1]) - np.exp(-v * h[1:])):
+            se = math.sqrt(p * (1 - p) / n_draws)
+            assert abs(np.mean(passed[:, 0] == j) - p) <= 3 * se
 
 
 class TestAugmentationMeasures:
@@ -775,12 +803,13 @@ def test_walk_law_gives_the_exact_measure(sample):
     # transition probabilities, must give the Plackett-Luce expectation.
     data, z_new, _ = sample()
     m = z_new.shape[0]
-    rank, beta_hat, beta_null, z_new, lod_ob = cox._augmentation_setup(data, m, z_new, None)
+    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, m, z_new, None)
     completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
     groups, passed, prob = walk_paths(completion)
     assert prob.sum() == pytest.approx(1.0, rel=1e-12)
-    lods = completion._lods(completion._states(groups), passed + 1, passed + 1)
+    lods = completion._lods(states_of(completion, groups), passed + 1)
     exact = cox.ri1_cox_correct_enumeration(data, m, z_new)
+    lod_ob = cox._kp_lod(data, rank, beta_hat, beta_null)
     assert lod_ob / (prob @ lods) == pytest.approx(exact, rel=1e-10)
 
 
@@ -825,19 +854,21 @@ TIED_WALK_CASES = {
 def test_walk_law_on_tied_event_times_is_the_lods_plackett_luce_law(case):
     # The enumeration oracle refuses tied event times.  The kernel's lods
     # take tied failures one after another, each with its own risk set, and
-    # the walk must draw from the law of those same risk sets.
+    # the walk must draw from the law of those same risk sets.  With the
+    # observed lod in that convention too, the exact measure is at most 1.
     times, status, z, z_new = case
     data = dataset(np.asarray(times, float), status, z)
     z_new = np.asarray(z_new, float)[:, None]
-    rank, beta_hat, beta_null, z_new, _ = cox._augmentation_setup(data, 2, z_new, None)
+    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, 2, z_new, None)
     completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
     groups, passed, prob = walk_paths(completion)
-    lods = completion._lods(completion._states(groups), passed + 1, passed + 1)
+    lods = completion._lods(states_of(completion, groups), passed + 1)
     assert prob @ lods == pytest.approx(plackett_luce_expected_lod(completion), rel=1e-10)
+    assert 0.0 < cox._kp_lod(data, rank, beta_hat, beta_null) / (prob @ lods) <= 1.0
 
 
 def kernel_case():
-    """Censored data with tied times, so both sort paths are exercised."""
+    """Censored data with tied times: tied fixed levels in naive mode."""
     rng = np.random.default_rng(61)
     censored, _ = simulate_ph_binary(30, 0.5, rng, 0.3)
     times, status, z = censored.arrays()
@@ -848,7 +879,7 @@ def kernel_case():
 
 def kernel_completions():
     data, z_new = kernel_case()
-    rank, beta_hat, beta_null, z_new, _ = cox._augmentation_setup(data, 4, z_new, None)
+    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, 4, z_new, None)
     return {
         "correct": cox._correct_completion(data, rank, beta_hat, beta_null, z_new),
         "naive": cox._naive_completion(data, rank, beta_hat, beta_null, z_new),
@@ -895,20 +926,19 @@ def explicit_levels(completion, gaps, new):
 def kernel_placements(completion, gaps, new):
     """Where the new subjects fall among explicit levels, as ``_lods`` takes it.
 
-    Naive mode places them as the kernel does.  In correct mode each draw
-    has its own failure levels, and each new level's anchors (0, then the
-    failures) are counted row by row.
+    Each new level's anchors below it are counted row by row: the fixed
+    levels in naive mode; 0, then the draw's own failure levels, in
+    correct mode.  No new level may equal an anchor or another new level.
     """
-    if completion.fixed_levels is not None:
-        return completion._place_new(new)
     by_level = np.argsort(new, axis=1, kind="stable")
     new = np.take_along_axis(new, by_level, axis=1)
-    failures = np.cumsum(gaps, axis=1)
-    anchors = np.concatenate([np.zeros((new.shape[0], 1)), failures], axis=1)
+    if completion.fixed_levels is None:
+        anchors = np.concatenate([np.zeros((new.shape[0], 1)), np.cumsum(gaps, axis=1)], axis=1)
+    else:
+        anchors = np.broadcast_to(completion.fixed_levels,
+                                  (new.shape[0], completion.fixed_levels.size))
     below = np.array([np.searchsorted(a, x, "left") for a, x in zip(anchors, new)])
-    at_most = np.array([np.searchsorted(a, x, "right") for a, x in zip(anchors, new)])
-    first = np.array([np.searchsorted(x, x, "left") for x in new])
-    return completion._states(completion._group[by_level.T]), below.T, at_most.T, first.T
+    return states_of(completion, completion._group[by_level.T]), below.T
 
 
 def assert_insertion_matches_explicit_levels(completion, new, gaps=None):
@@ -920,25 +950,66 @@ def assert_insertion_matches_explicit_levels(completion, new, gaps=None):
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
-def test_correct_draws_keep_the_observed_partial_data():
-    # Restricted to the existing subjects, every drawn row has the observed
-    # failure order and risk sets, so its lod is the observed one.  Two
-    # subjects are censored at event times and one before the first event.
-    rng = np.random.default_rng(67)
+def censored_at_and_before_event_times(rng):
+    """Two subjects censored at event times and one before the first event."""
     censored, _ = simulate_ph_binary(25, 0.5, rng, 0.5)
     times, status, z = censored.times.copy(), censored.status, censored.covariates
     cens, fails = np.flatnonzero(status == 0), np.flatnonzero(status == 1)
     times[cens[:3]] = times[fails[0]], times[fails[3]], times.min() / 2
     data = SurvivalDataset.from_arrays(times, status, z)
-    z_new = rng.integers(0, 2, size=3).astype(float)[:, None]
-    rank, beta_hat, beta_null, z_new, lod_ob = cox._augmentation_setup(data, 3, z_new, None)
+    return data, rng.integers(0, 2, size=3).astype(float)[:, None]
+
+
+def existing_subjects_lods(data, z_new, rng):
+    """Each of 500 correct draws' lods restricted to the existing subjects."""
+    m = z_new.shape[0]
+    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, m, z_new, None)
     completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
     levels = explicit_levels(completion, *levels_of(
         completion, rng.standard_exponential((500, n_levels(completion)))))
     n = data.n  # columns: the existing subjects, then the new ones
     lods = cox._lod_rows(levels[:, :n], completion.status[:n],
                          completion.eta_alt[:n], completion.eta_null[:n])
+    return lods, rank, beta_hat, beta_null
+
+
+def test_correct_draws_keep_the_observed_partial_data():
+    # Restricted to the existing subjects, every drawn row has the observed
+    # failure order and risk sets, so its lod is the observed one.  Two
+    # subjects are censored at event times and one before the first event;
+    # with untied event times the tie-broken lod is the Breslow lod.
+    rng = np.random.default_rng(67)
+    data, z_new = censored_at_and_before_event_times(rng)
+    lods, rank, beta_hat, beta_null = existing_subjects_lods(data, z_new, rng)
+    lod_ob = partial_lod(rank, beta_hat, beta_null)
     np.testing.assert_allclose(lods, lod_ob, rtol=1e-12)
+    result = ri1_cox_correct(data, 3, z_new, mc_config=MCConfig(n_draws=64, seed=1))
+    assert result.diagnostics["lod_observed"] == pytest.approx(lod_ob, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", TIED_WALK_CASES.values(), ids=TIED_WALK_CASES.keys())
+def test_correct_draws_keep_the_tie_broken_observed_lod(case):
+    # With tied event times the draws take tied failures one after another,
+    # each with its own risk set, and so must the numerator.
+    times, status, z, z_new = case
+    data, z_new = dataset(np.asarray(times, float), status, z), np.asarray(z_new, float)[:, None]
+    lods, *_ = existing_subjects_lods(data, z_new, np.random.default_rng(67))
+    result = ri1_cox_correct(data, 2, z_new, mc_config=MCConfig(n_draws=64, seed=1))
+    np.testing.assert_allclose(lods, result.diagnostics["lod_observed"], rtol=1e-12)
+
+
+def test_negative_tie_broken_observed_lod_is_refused():
+    # The Breslow beta_hat maximizes the Breslow lod, not the tie-broken one
+    # correct mode divides by; here that one is negative, and the measure
+    # would be too (about -0.33 at 2,000 draws).
+    data = dataset(np.array([1.0, 2, 2, 3, 1, 2, 2]), [0, 1, 0, 0, 0, 0, 1],
+                   [-2, 1, -1, -1, -1, 2, -2])
+    rank, beta_hat, beta_null, _ = cox._augmentation_setup(data, 1, [[1.0]], None)
+    assert partial_lod(rank, beta_hat, beta_null) > 0
+    assert cox._kp_lod(data, rank, beta_hat, beta_null) < 0
+    with pytest.raises(UndefinedMeasureError, match="not positive"):
+        ri1_cox_correct(data, 1, [[1.0]], mc_config=MCConfig(n_draws=2000, seed=1))
+    assert ri1_cox_naive(data, 1, [[1.0]], mc_config=MCConfig(n_draws=200, seed=1)).estimate > 0
 
 
 class TestInsertionKernel:
@@ -950,16 +1021,17 @@ class TestInsertionKernel:
         assert_insertion_matches_explicit_levels(completion, new, gaps)
 
     def test_exact_ties_in_naive_mode(self):
-        # Levels are powers of two, so new levels hit them exactly: tied
-        # fixed levels, new subjects at an existing level (at an event and at
-        # a censoring), below every one, beyond every one, and at one level.
+        # Tied fixed levels, each tie group holding an event and a censoring,
+        # share their Breslow risk set; new subjects fall just below and
+        # just above a tie group, between levels, below every level and
+        # beyond every one.  (The walk never puts a new subject on a level.)
         levels = np.array([0.25, 0.5, 0.5, 1.0, 2.0, 2.0])
         status = np.array([1, 1, 0, 1, 0, 1, 1, 1, 1])
         eta = np.array([0.3, -1.0, 2.0, 0.0, 1.5, -0.5, 0.7, -0.2, 1.1])
         completion = cox._Completion(status, eta, 0.4 * eta[::-1], np.arange(6),
                                      fixed_levels=levels)
-        new_levels = np.array([[0.5, 0.5, 0.5], [2.0, 1.0, 0.125], [4.0, 0.25, 2.0],
-                               [0.0, 0.0, 8.0], [1.0, 0.75, 1.0], [2.0, 2.0, 0.5]])
+        new_levels = np.array([[0.375, 0.625, 0.125], [4.0, 1.5, 0.1875],
+                               [2.5, 0.75, 3.0], [0.4375, 2.25, 1.25]])
         assert_insertion_matches_explicit_levels(completion, new_levels)
 
     def test_new_weights_far_below_the_existing_risk_sums(self):
@@ -1005,18 +1077,6 @@ class TestInsertionKernel:
         eta = np.array([cox._EXP_SPAN - 1.0, 0.0, 300.0])
         completion = cox._Completion(status, eta, np.zeros(3), np.array([1, 2]))
         assert np.all(np.isfinite(completion.lods(1, 0, 64)))
-
-    def test_exact_ties_in_correct_mode(self):
-        # New levels land on failure levels, on each other and on 0, where a
-        # censored subject sits.  (The walk never ties failures.)
-        anchor_of = np.array([0, 1, 2, 2, 3, 4])
-        status = np.array([0, 1, 1, 0, 1, 1, 1, 1])
-        eta = np.array([0.3, -1.0, 2.0, 0.0, 1.5, -0.5, 0.7, -0.2])
-        completion = cox._Completion(status, eta, -0.3 * eta, anchor_of)
-        gaps = np.array([[0.5, 0.25, 0.125, 0.125], [0.5, 0.5, 0.25, 0.25],
-                         [0.25, 0.25, 0.25, 0.25], [1.0, 0.5, 0.5, 0.5]])
-        new_levels = np.array([[0.0, 0.5], [0.5, 0.5], [1.5, 0.25], [0.0, 0.0]])
-        assert_insertion_matches_explicit_levels(completion, new_levels, gaps)
 
 
 class TestBlockKernelDeterminism:
@@ -1115,21 +1175,12 @@ def test_insertion_kernel_matches_explicit_levels(mode, case, seed):
         return
     data = dataset(np.asarray(times, float), status, z)
     try:
-        rank, beta_hat, beta_null, z_new, _ = cox._augmentation_setup(
+        rank, beta_hat, beta_null, z_new = cox._augmentation_setup(
             data, len(z_new), np.asarray(z_new, float)[:, None], None)
         build = cox._correct_completion if mode == "correct" else cox._naive_completion
         completion = build(data, rank, beta_hat, beta_null, z_new)
     except RelInfoError:
         return
     rng = np.random.default_rng(seed)
-    exponentials = rng.standard_exponential((64, n_levels(completion)))
-    # Forced ties: zero exponentials (tied fixed levels in naive mode, new
-    # subjects at level 0), and in every other row two new subjects at one
-    # level.  The correct-mode walk never ties failures: its gaps stay.
-    gap_rates, new_rates = completion_rates(completion)
-    k = gap_rates.size
-    exponentials[:, k:][rng.random((64, len(z_new))) < 0.1] = 0.0
-    if len(z_new) >= 2:
-        exponentials[::2, k:k + 2] = 0.5 * new_rates[:2]
-    gaps, new = levels_of(completion, exponentials)
+    gaps, new = levels_of(completion, rng.standard_exponential((64, n_levels(completion))))
     assert_insertion_matches_explicit_levels(completion, new, gaps)

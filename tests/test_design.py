@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +43,11 @@ class TestSx:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             sx(Design(()))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+    def test_nonfinite_point_rejected(self, bad):
+        with pytest.raises(ValidationError, match="design points must be finite"):
+            Design((1.0, bad))
 
     def test_doubling_points_doubles_sx(self):
         d = base_design()

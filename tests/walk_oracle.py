@@ -1,9 +1,12 @@
-"""Correct-mode placements: the production walk's, and a rejection oracle's.
+"""Placements of the Cox completion walk, and oracles for both conditionings.
 
 A placement of the m new subjects, taken in the order they fail, is the
-number of existing failures passed before each one fails and its group.
-Groups are labelled by rank among the new subjects' distinct linear
-predictors under the alternative, so both sides label them alike.
+number of existing anchors passed before each one fails (failures in
+correct mode, fixed levels in naive mode) and its group.  Groups are
+labelled by rank among the new subjects' distinct linear predictors under
+the alternative, so every side labels them alike.  The oracles draw
+independent exponential levels: a rejection sampler for correct mode, and
+sorted levels placed on the fixed ones for naive mode.
 """
 
 import math
@@ -11,6 +14,27 @@ import math
 import numpy as np
 
 from relinfo import cox, mc
+
+
+def states_of(completion, groups):
+    """Each draw's alive state before each new subject fails, as ``_lods`` takes them.
+
+    ``groups`` (m, draws) gives the group of each draw's new subjects in
+    the order they fail.  Entry t is (key, counts): draw r is in the state
+    ``counts[key[r]]`` before new subject t fails.
+    """
+    states = [(np.zeros(groups.shape[1], dtype=np.intp), completion._group_size)]
+    for group in groups[:-1]:
+        states.append(cox._leave(*states[-1], group))
+    return states
+
+
+def labels_of(completion, groups):
+    """Each completion group's label: its rank among the new subjects' distinct eta_alt."""
+    eta_new = completion.eta_alt[completion.anchor_of.size:]
+    group_eta = np.empty(completion._group_size.shape[1])
+    group_eta[completion._group] = eta_new
+    return np.searchsorted(np.unique(eta_new), group_eta)[groups]
 
 
 def walk_placements(completion, seed, n_draws):
@@ -21,16 +45,28 @@ def walk_placements(completion, seed, n_draws):
     each round.
     """
     u = mc.stream_uniforms(seed, n_draws, completion.per_draw, cox._COX_STREAM_TAG)
-    states, below, _, _ = completion._walk(u.reshape(n_draws, completion.per_draw).T)
+    states, below = completion._walk(u.reshape(n_draws, completion.per_draw).T)
     alive = np.stack([counts[key] for key, counts in states])
     # The group that fails in a round is the one with one fewer alive after it.
     after = np.concatenate([alive[1:], np.zeros_like(alive[:1])])
     group = np.argmax(alive - after, axis=2)
-    eta_new = completion.eta_alt[completion.anchor_of.size:]
-    group_eta = np.empty(alive.shape[2])
-    group_eta[completion._group] = eta_new
-    label = np.searchsorted(np.unique(eta_new), group_eta)[group]
-    return (below - 1).T, label.T, alive
+    # Correct mode's anchors start with 0, below every failure.
+    passed = below - 1 if completion.fixed_levels is None else below
+    return passed.T, labels_of(completion, group).T, alive
+
+
+def naive_placements(completion, n_draws, rng):
+    """Naive-mode placements from independent exponential levels, sorted and placed.
+
+    Each new subject's level is Exp(1) over its relative hazard, on the
+    completion's scale; a placement counts the fixed levels below each
+    level.  Returns (passed, label) as ``walk_placements`` returns them.
+    """
+    rates = completion._group_weight[0, completion._group]
+    levels = rng.standard_exponential((n_draws, rates.size)) / rates
+    by_level = np.argsort(levels, axis=1)
+    passed = np.searchsorted(completion.fixed_levels, np.take_along_axis(levels, by_level, axis=1))
+    return passed, labels_of(completion, completion._group[by_level])
 
 
 def rejection_placements(times, eta, eta_new, n_accept, rng, batch=50_000):
@@ -78,5 +114,25 @@ def assert_walk_matches_rejection(n, beta_true, seed, z_new):
     oracle_passed, oracle_label = rejection_placements(
         data.times, data.covariates @ beta, z_new @ beta, 4_000,
         np.random.default_rng(seed + 1))
+    assert_same_moments(passed, oracle_passed)
+    assert_same_moments(label, oracle_label)
+
+
+def tied_naive_completion(z_new):
+    """The naive completion of a censored sample with tied times (n = 12)."""
+    rng = np.random.default_rng(131)
+    censored, _ = cox.simulate_ph_binary(12, 0.5, rng, 0.3)
+    data = cox.SurvivalDataset.from_arrays(np.round(censored.times, 1) + 0.1, censored.status,
+                                           censored.covariates)
+    assert np.any(data.status == 0) and np.unique(data.times).size < data.n
+    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, len(z_new), z_new, None)
+    return cox._naive_completion(data, rank, beta_hat, beta_null, z_new)
+
+
+def assert_naive_walk_matches_sorted_levels(completion, seed):
+    """The naive walk against ``naive_placements``, 20,000 draws each."""
+    passed, label, _ = walk_placements(completion, seed, 20_000)
+    oracle_passed, oracle_label = naive_placements(completion, 20_000,
+                                                   np.random.default_rng(seed))
     assert_same_moments(passed, oracle_passed)
     assert_same_moments(label, oracle_label)
