@@ -157,6 +157,8 @@ def _parse_numbers(text: str, where: str) -> list[float]:
 
 
 def _parse_new_covariates(spec: str | None, n_new: int, dim: int) -> np.ndarray:
+    if n_new < 0:
+        raise ValidationError("--n-new must be >= 0")
     if n_new == 0:
         return np.zeros((0, dim))
     if spec is None:

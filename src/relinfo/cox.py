@@ -18,7 +18,6 @@ draws.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +31,6 @@ from .errors import (
     DomainError,
     EstimationFailureError,
     InstabilityError,
-    OracleUnavailableError,
     RankDeficiencyError,
     SeparationError,
     UndefinedMeasureError,
@@ -61,9 +59,6 @@ _BLOCK_ELEMENTS = 2**17
 
 # Stream tag of the Cox completion draws (see mc.stream_uniforms).
 _COX_STREAM_TAG = 1
-
-#: Most augmented orders the exact correct-conditioning oracle will sum.
-PL_ENUMERATION_CAP = 20_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,19 +510,6 @@ def _kp_lod(data: SurvivalDataset, rank: RankData, beta_hat, beta_null) -> float
     return float(_lod_rows(np.arange(data.n), status, z @ beta_hat, z @ beta_null))
 
 
-def _kp_levels(failures: np.ndarray, anchor_of: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Explicit augmented levels of a correct completion, in its column order.
-
-    Existing subject i sits at anchor ``anchor_of[i]``: 0, or the level of
-    failure j - 1 for anchor j.  A subject censored between failures k and
-    k+1 is at risk at failure k and leaves just after it (Kalbfleisch and
-    Prentice), so it shares failure k's level, or 0 before the first
-    failure.  The new subjects' levels follow.
-    """
-    anchors = np.concatenate([np.zeros((failures.shape[0], 1)), failures], axis=1)
-    return np.concatenate([anchors[:, anchor_of], new], axis=1)
-
-
 def _leave(key: np.ndarray, counts: np.ndarray, group: np.ndarray):
     """Each draw's alive state after one new subject of ``group`` fails.
 
@@ -811,6 +793,41 @@ class _Completion:
         ll = self._base - event_terms - new_terms
         return ll[0] - ll[1]
 
+    def expected_lod(self) -> float:
+        """The exact mean of correct mode's lods, by one forward pass over the walk's lattice.
+
+        Round t carries the probability mass of each state (i, S) over the
+        failures done, i = 0..K.  From (i, S) the walk places the next new
+        subject past failures i..j - 1 with probability exp(-(A_S(j) -
+        A_S(i))) q_S(j), q_S(j) = 1 - exp(-(A_S(j + 1) - A_S(j))) and q_S(K)
+        = 1 (see ``_walk``): a running sum, taken in logs, of factors at most
+        1.  Each row of that law sums to 1, so the round's expected event
+        terms L_S(j) - L_S(i) are the arriving mass's sum of L_S less the
+        carried mass's.  The new subject's own term is read as ``_lods`` reads
+        it, and the arriving mass splits by the group that fails.
+        """
+        k = self._event_factor.shape[1]
+        counts, mass = self._group_size, np.eye(1, k + 1)  # all mass at (0, S_0)
+        above = self._first_at[1:]
+        lod = self._base[0, 0] - self._base[1, 0]
+        for _ in range(self._group.size):
+            table = self._prefix_tables(counts)
+            skip = table[0]
+            with np.errstate(divide="ignore"):  # log(0) where a state has no mass
+                arrive = np.exp(np.logaddexp.accumulate(np.log(mass) + skip, axis=1) - skip)
+            arrive[:, :-1] *= -np.expm1(-np.diff(skip, axis=1))
+            weight = self._alive_weight(counts)
+            own = (self._risk_removed[:, None, above]
+                   + np.log(self._risk_capped[:, None, above] + weight[:, :, None]))
+            event_lod = table[0] - table[1]
+            lod -= np.sum(arrive * (event_lod + own[0] - own[1])) - np.sum(mass * event_lod)
+            key, group = np.nonzero(counts)
+            share = counts[key, group] * self._group_weight[0, group] / weight[0, key]
+            after, counts = _leave(key, counts, group)
+            mass = np.zeros((counts.shape[0], k + 1))
+            np.add.at(mass, after, arrive[key] * share[:, None])
+        return float(lod)
+
 
 def _correct_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
                         z_new) -> _Completion:
@@ -860,13 +877,13 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
     UndefinedMeasureError.  Relative hazards spanning more than
     exp(``_EXP_SPAN``) raise DataIntegrityError.
     """
-    if mc_config is None:
-        raise ValidationError("ri1_cox_correct requires an MCConfig")
     rank, beta_hat, beta_null, z_new = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
     lod_ob = _numerator(_kp_lod(data, rank, beta_hat, beta_null))
     if n_new == 0:
         return _no_new_subjects(lod_ob, mc_config, "rank data (partial data)")
+    if mc_config is None:
+        raise ValidationError("ri1_cox_correct requires an MCConfig when n_new > 0")
     completion = _correct_completion(data, rank, beta_hat, beta_null, z_new)
     return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
                            mc_config, conditioning="rank data (partial data)")
@@ -895,45 +912,22 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
                            mc_config, conditioning="censored data (observed times fixed)")
 
 
-def ri1_cox_correct_enumeration(data: SurvivalDataset, n_new: int, new_covariates,
-                                theta_null_beta=None) -> float:
-    """Exact ``ri1_cox_correct`` for data without tied event times.
+def ri1_cox_correct_exact(data: SurvivalDataset, n_new: int, new_covariates,
+                          theta_null_beta=None) -> float:
+    """Exact ``ri1_cox_correct``: the observed lod over the exact mean augmented lod.
 
-    Under proportional hazards the joint failure order of the K existing
-    failures and m new subjects is Plackett-Luce with weights
-    exp(z . beta_hat), whatever the baseline.  Each of the (K + m)! / K!
-    orders that keep the observed one gives the failures levels 1..K+m,
-    censored subjects placed as ``ri1_cox_correct`` places them (one
-    censored at an event time is at risk at that failure).  Its
-    probability is proportional to exp of its partial log-likelihood at
-    beta_hat, so the expected augmented lod is a finite weighted sum.
+    Under proportional hazards the joint failure order is Plackett-Luce with
+    weights exp(z . beta_hat), whatever the baseline (Kalbfleisch and
+    Prentice).  That is the law of ``ri1_cox_correct``'s walk, which
+    ``_Completion.expected_lod`` sums exactly, tied event times included,
+    in O(m K) work per state.  Refuses what ``ri1_cox_correct`` refuses.
     """
-    event_times = data.times[data.status == EVENT]
-    if np.unique(event_times).size != event_times.size:
-        raise OracleUnavailableError("the enumeration oracle needs untied event times")
     rank, beta_hat, beta_null, z_new = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
     lod_ob = _numerator(_kp_lod(data, rank, beta_hat, beta_null))
-    n_fail = event_times.size
-    n_orders = math.perm(n_fail + n_new, n_new)
-    if n_orders > PL_ENUMERATION_CAP:
-        raise OracleUnavailableError(
-            f"{n_orders} augmented orders exceed the enumeration cap {PL_ENUMERATION_CAP}")
-    status, merged_z, anchor_of = _kp_columns(data, rank, z_new)
-
-    positions = np.arange(1.0, n_fail + n_new + 1)
-    failures, new = np.empty((n_orders, n_fail)), np.empty((n_orders, n_new))
-    orders = itertools.product(itertools.combinations(range(n_fail + n_new), n_new),
-                               itertools.permutations(range(n_new)))
-    for row, (slots, new_order) in enumerate(orders):
-        existing = np.ones(n_fail + n_new, dtype=bool)
-        existing[list(slots)] = False
-        failures[row], new[row, list(new_order)] = positions[existing], positions[~existing]
-    rows = _sort_rows(_kp_levels(failures, anchor_of, new), status)
-    ll_alt = _sorted_loglik(*rows, merged_z @ beta_hat)
-    ll_null = _sorted_loglik(*rows, merged_z @ beta_null)
-    weights = np.exp(ll_alt - ll_alt.max())
-    return lod_ob / float(weights @ (ll_alt - ll_null) / weights.sum())
+    if n_new == 0:
+        return 1.0
+    return lod_ob / _correct_completion(data, rank, beta_hat, beta_null, z_new).expected_lod()
 
 
 def ri_w_wald(observed_stat: float, observed_var: float, complete_stat_mean: float,
@@ -1006,8 +1000,9 @@ class ConditioningStudy:
 
     @property
     def fraction_naive_above_one(self) -> float:
-        ok = np.isfinite(self.naive_estimates)
-        return float(np.mean(self.naive_estimates[ok] > 1.0))
+        """Share of the naive measures above 1, over the datasets that gave one; NaN if none did."""
+        naive = self.naive_estimates[np.isfinite(self.naive_estimates)]
+        return float(np.mean(naive > 1.0)) if naive.size else math.nan
 
     @property
     def max_correct_excess_se(self) -> float:

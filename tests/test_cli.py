@@ -167,6 +167,15 @@ class TestCoxRi:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize("flags", [[], ["--new-covariates", "1"]],
+                             ids=["without new covariates", "with new covariates"])
+    def test_negative_n_new_is_usage_error(self, capsys, csv_path, flags):
+        code = cli.run(["cox-ri", "--data", str(csv_path), "--n-new", "-1", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --n-new must be >= 0\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["--new-covariates", "abc"], "--new-covariates: not a number: 'abc'"),
         (["--new-covariates", "1.0", "--beta0", "abc"], "--beta0: not a number: 'abc'"),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -25,7 +26,6 @@ from relinfo.errors import (
     DataIntegrityError,
     DegenerateDataError,
     DomainError,
-    OracleUnavailableError,
     RankDeficiencyError,
     RelInfoError,
     SeparationError,
@@ -36,6 +36,7 @@ from relinfo.mc import MCConfig
 from walk_oracle import (
     assert_naive_walk_matches_sorted_levels,
     assert_walk_matches_rejection,
+    kp_levels,
     states_of,
     tied_naive_completion,
     walk_placements,
@@ -289,10 +290,11 @@ class TestNaiveWalk:
 
 
 class TestAugmentationMeasures:
-    def test_naive_no_new_subjects_is_exactly_one(self):
+    @pytest.mark.parametrize("measure", [ri1_cox_naive, ri1_cox_correct])
+    def test_no_new_subjects_is_exactly_one_without_a_config(self, measure):
         rng = np.random.default_rng(21)
         censored, _ = simulate_ph_binary(15, 0.5, rng, 0.2)
-        result = ri1_cox_naive(censored, 0, None)
+        result = measure(censored, 0, None)
         assert result.estimate == 1.0
         assert result.mc_standard_error == 0.0
 
@@ -332,7 +334,7 @@ class TestAugmentationMeasures:
                           mc_config=MCConfig(n_draws=10, seed=1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("measure", ["correct", "naive", "enumeration"])
+    @pytest.mark.parametrize("measure", ["correct", "naive", "exact"])
     def test_nonfinite_inputs_rejected_before_the_fit(self, monkeypatch, measure, bad):
         # They used to surface as an all-sentinel run, a span error, a NaN
         # measure or a numpy RuntimeWarning, depending on the mode.
@@ -341,8 +343,7 @@ class TestAugmentationMeasures:
         run = {
             "correct": lambda z, beta0: ri1_cox_correct(censored, 1, z, beta0, config),
             "naive": lambda z, beta0: ri1_cox_naive(censored, 1, z, beta0, config),
-            "enumeration": lambda z, beta0: cox.ri1_cox_correct_enumeration(
-                censored, 1, z, beta0),
+            "exact": lambda z, beta0: cox.ri1_cox_correct_exact(censored, 1, z, beta0),
         }[measure]
         monkeypatch.setattr(cox, "fit_partial_likelihood", None)  # refused before any fit
         with pytest.raises(ValidationError, match="new_covariates must be finite"):
@@ -350,10 +351,10 @@ class TestAugmentationMeasures:
         with pytest.raises(ValidationError, match="null beta must be finite"):
             run([[1.0]], [bad])
 
-    def test_enumeration_refuses_a_negative_number_of_new_subjects(self):
+    def test_exact_refuses_a_negative_number_of_new_subjects(self):
         censored, _ = simulate_ph_binary(20, 0.5, np.random.default_rng(5), 0.25)
         with pytest.raises(ValidationError, match="n_new"):
-            cox.ri1_cox_correct_enumeration(censored, -1, None)
+            cox.ri1_cox_correct_exact(censored, -1, None)
 
     @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
     def test_new_hazard_far_below_the_sample_is_a_span_error(self, measure):
@@ -363,6 +364,11 @@ class TestAugmentationMeasures:
         data, _ = simulate_ph_binary(8, 0.5, np.random.default_rng(5), 0.0)
         with pytest.raises(DataIntegrityError, match="span more than the range of doubles"):
             measure(data, 1, [[-1e6]], mc_config=MCConfig(n_draws=64, seed=1))
+
+    def test_exact_refuses_the_span_monte_carlo_refuses(self):
+        data, _ = simulate_ph_binary(8, 0.5, np.random.default_rng(5), 0.0)
+        with pytest.raises(DataIntegrityError, match="span more than the range of doubles"):
+            cox.ri1_cox_correct_exact(data, 1, [[-1e6]])
 
 
 def correct_study(estimates, ses):
@@ -385,6 +391,13 @@ class TestConditioningStudy:
         assert study.max_correct_excess_se == pytest.approx(-0.5)
         assert correct_study([1.0, 0.5], [0.0, 0.0]).max_correct_excess_se == -math.inf
         assert correct_study([], []).max_correct_excess_se == -math.inf
+
+    def test_no_usable_dataset_gives_a_nan_fraction(self):
+        # Every two-subject fit fails; the fraction was a mean of no
+        # estimates, with a numpy "Mean of empty slice" warning.
+        study = cox.conditioning_anomaly_study(n_datasets=2, n_subjects=2, n_new=2, n_draws=50)
+        assert study.failures == 2
+        assert math.isnan(study.fraction_naive_above_one)
 
 
 class TestWaldMeasure:
@@ -601,15 +614,16 @@ def test_fit_converges_on_large_sample():
 
 
 def brute_force_correct_ri1(data, z_new, beta, beta_null=0.0):
-    """Independent oracle: every order of the failing subjects, kept when it
-    agrees with the observed failure order, weighted by its Plackett-Luce
-    probability.  A censored subject is at risk up to and including the last
-    observed failure at or before its time (Kalbfleisch and Prentice)."""
+    """Independent oracle: every order of the failing subjects that keeps the
+    observed failure order, weighted by its Plackett-Luce probability.  Tied
+    failures are observed in subject order.  A censored subject is at risk
+    up to and including the last observed failure at or before its time
+    (Kalbfleisch and Prentice)."""
     times, status, z = data.arrays()
     n, m = times.size, z_new.size
     eta = np.concatenate([z[:, 0], z_new]) * beta
     eta0 = np.concatenate([z[:, 0], z_new]) * beta_null
-    observed = [int(i) for i in np.argsort(times) if status[i] == 1]
+    observed = [int(i) for i in np.argsort(times, kind="stable") if status[i] == 1]
     # Censored subject -> the number of observed failures at or before it.
     censored = {i: sum(times[f] <= times[i] for f in observed)
                 for i in range(n) if status[i] == 0}
@@ -623,12 +637,14 @@ def brute_force_correct_ri1(data, z_new, beta, beta_null=0.0):
         return total
 
     total = weighted = 0.0
-    for order in itertools.permutations(observed + list(range(n, n + m))):
-        if [s for s in order if s < n] != observed:
-            continue
-        p = math.exp(log_pl(order, eta))
-        total += p
-        weighted += p * (log_pl(order, eta) - log_pl(order, eta0))
+    for slots in itertools.combinations(range(len(observed) + m), m):
+        for new in itertools.permutations(range(n, n + m)):
+            existing, fresh = iter(observed), iter(new)
+            order = [next(fresh) if s in slots else next(existing)
+                     for s in range(len(observed) + m)]
+            p = math.exp(log_pl(order, eta))
+            total += p
+            weighted += p * (log_pl(order, eta) - log_pl(order, eta0))
     lod_ob = log_pl(observed, eta) - log_pl(observed, eta0)
     return lod_ob / (weighted / total)
 
@@ -681,39 +697,68 @@ CENSORED_CASES = [(5, 1, 211), (5, 2, 223), (6, 1, 227), (6, 2, 229),
                   (7, 1, 233), (7, 2, 239), (6, 2, 241), (7, 2, 251)]
 
 
-class TestCorrectEnumerationOracle:
+# (times, status, covariates, new subjects' covariates), with tied event times.
+TIED_WALK_CASES = {
+    "uncensored": ([1, 2, 2, 2, 3, 4, 5, 6], [1] * 8, [0, 1, 0, 1, 1, 0, 1, 0], [0, 1]),
+    "censored": ([1, 2, 2, 2, 3, 4, 4, 5], [1, 1, 1, 0, 1, 1, 0, 1],
+                 [0, 1, 0, 1, 1, 0, 1, 0], [1, 1]),
+}
+
+
+def tied_sample(case):
+    """A ``TIED_WALK_CASES`` entry as a fitted sample, as ``fitted_sample`` returns one."""
+    times, status, z, z_new = case
+    data = dataset(np.asarray(times, float), status, z)
+    beta, _ = fit_partial_likelihood(extract_rank_data(data))
+    return data, np.asarray(z_new, float)[:, None], beta
+
+
+def correct_completion(data, z_new):
+    """Correct mode's completion of a sample, at its fitted beta_hat and beta_null = 0."""
+    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
+    return cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
+
+
+class TestCorrectExact:
     def test_matches_brute_force_over_all_orders(self):
         data, z_new, beta = fitted_sample(4, 2, 81)
-        exact = cox.ri1_cox_correct_enumeration(data, 2, z_new)
+        exact = cox.ri1_cox_correct_exact(data, 2, z_new)
         assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
                                       rel=1e-10)
 
     @pytest.mark.parametrize("n, n_new, seed", [(5, 2, 83), (6, 2, 89), (7, 1, 97)])
     def test_matches_brute_force_on_censored_data(self, n, n_new, seed):
         data, z_new, beta = fitted_sample(n, n_new, seed, 0.6)
-        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        exact = cox.ri1_cox_correct_exact(data, n_new, z_new)
         assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
                                       rel=1e-10)
 
     @pytest.mark.parametrize("n, n_new, seed", [(5, 2, 307), (6, 2, 311), (7, 1, 313)])
     def test_matches_brute_force_with_censoring_at_event_times(self, n, n_new, seed):
         data, z_new, beta = censored_at_event_times(n, n_new, seed)
-        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        exact = cox.ri1_cox_correct_exact(data, n_new, z_new)
+        assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
+                                      rel=1e-10)
+
+    @pytest.mark.parametrize("case", TIED_WALK_CASES.values(), ids=TIED_WALK_CASES.keys())
+    def test_matches_brute_force_on_tied_event_times(self, case):
+        data, z_new, beta = tied_sample(case)
+        exact = cox.ri1_cox_correct_exact(data, 2, z_new)
         assert exact == pytest.approx(brute_force_correct_ri1(data, z_new[:, 0], beta[0]),
                                       rel=1e-10)
 
     @pytest.mark.parametrize("n, n_new, seed", [(6, 2, 83), (5, 2, 89), (6, 1, 97), (4, 2, 101)])
     def test_monte_carlo_within_three_se_of_exact(self, n, n_new, seed):
-        data, z_new, _ = fitted_sample(n, n_new, seed)
-        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        data, z_new, beta = fitted_sample(n, n_new, seed)
+        exact = brute_force_correct_ri1(data, z_new[:, 0], beta[0])
         result = ri1_cox_correct(data, n_new, z_new,
                                  mc_config=MCConfig(n_draws=20_000, seed=seed))
         assert abs(result.estimate - exact) <= 3 * result.mc_standard_error
 
     @pytest.mark.parametrize("n, n_new, seed", CENSORED_CASES)
     def test_monte_carlo_within_three_se_of_exact_on_censored_data(self, n, n_new, seed):
-        data, z_new, _ = fitted_sample(n, n_new, seed, 0.6)
-        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        data, z_new, beta = fitted_sample(n, n_new, seed, 0.6)
+        exact = brute_force_correct_ri1(data, z_new[:, 0], beta[0])
         result = ri1_cox_correct(data, n_new, z_new,
                                  mc_config=MCConfig(n_draws=20_000, seed=seed))
         assert abs(result.estimate - exact) <= 3 * result.mc_standard_error
@@ -721,8 +766,21 @@ class TestCorrectEnumerationOracle:
     @pytest.mark.parametrize("n, n_new, seed", [(6, 2, 317), (7, 2, 331), (7, 1, 337)])
     def test_monte_carlo_within_three_se_of_exact_with_censoring_at_event_times(
             self, n, n_new, seed):
-        data, z_new, _ = censored_at_event_times(n, n_new, seed)
-        exact = cox.ri1_cox_correct_enumeration(data, n_new, z_new)
+        data, z_new, beta = censored_at_event_times(n, n_new, seed)
+        exact = brute_force_correct_ri1(data, z_new[:, 0], beta[0])
+        result = ri1_cox_correct(data, n_new, z_new,
+                                 mc_config=MCConfig(n_draws=20_000, seed=seed))
+        assert abs(result.estimate - exact) <= 3 * result.mc_standard_error
+
+    # Far past any enumeration of the (K + m)! / K! augmented orders: 255,024
+    # at n = 20, m = 4 uncensored, and the paper's design, censored with
+    # m = 5 binary new subjects.
+    @pytest.mark.parametrize("n, n_new, seed, censoring_rate",
+                             [(20, 4, 109, 0.0), (20, 5, 401, 0.25), (200, 5, 409, 0.25)])
+    def test_monte_carlo_within_three_se_of_exact_on_larger_samples(
+            self, n, n_new, seed, censoring_rate):
+        data, z_new, _ = fitted_sample(n, n_new, seed, censoring_rate)
+        exact = cox.ri1_cox_correct_exact(data, n_new, z_new)
         result = ri1_cox_correct(data, n_new, z_new,
                                  mc_config=MCConfig(n_draws=20_000, seed=seed))
         assert abs(result.estimate - exact) <= 3 * result.mc_standard_error
@@ -732,26 +790,38 @@ class TestCorrectEnumerationOracle:
         for _ in range(25):
             n, n_new = int(rng.integers(3, 7)), int(rng.integers(1, 3))
             data, z_new, _ = fitted_sample(n, n_new, int(rng.integers(2**31)))
-            assert 0.0 < cox.ri1_cox_correct_enumeration(data, n_new, z_new) <= 1.0
+            assert 0.0 < cox.ri1_cox_correct_exact(data, n_new, z_new) <= 1.0
 
     def test_exact_value_never_exceeds_one_on_censored_data(self):
         rng = np.random.default_rng(263)
         for _ in range(25):
             n, n_new = int(rng.integers(3, 9)), int(rng.integers(1, 3))
             data, z_new, _ = fitted_sample(n, n_new, int(rng.integers(2**31)), 0.6)
-            assert 0.0 < cox.ri1_cox_correct_enumeration(data, n_new, z_new) <= 1.0
+            assert 0.0 < cox.ri1_cox_correct_exact(data, n_new, z_new) <= 1.0
+
+    def test_exact_value_never_exceeds_one_up_to_n_30_with_tied_times(self):
+        # Each censored sample, and its times rounded up to a quarter, which
+        # ties events with events and censorings; a refused fit or a
+        # non-positive tie-broken observed lod is skipped.
+        rng = np.random.default_rng(419)
+        checked = {False: 0, True: 0}
+        for _ in range(40):
+            n, n_new = int(rng.integers(3, 31)), int(rng.integers(1, 6))
+            data, z_new, _ = fitted_sample(n, n_new, int(rng.integers(2**31)), 0.3)
+            tied = SurvivalDataset.from_arrays(np.ceil(4 * data.times) / 4, data.status,
+                                               data.covariates)
+            for sample in (data, tied):
+                try:
+                    exact = cox.ri1_cox_correct_exact(sample, n_new, z_new)
+                except (SeparationError, RankDeficiencyError, UndefinedMeasureError):
+                    continue
+                assert 0.0 < exact <= 1.0
+                checked[sample is tied] += 1
+        assert checked[False] == 40 and checked[True] >= 30
 
     def test_no_new_subjects_is_one(self):
         data, _, _ = fitted_sample(5, 0, 107)
-        assert cox.ri1_cox_correct_enumeration(data, 0, None) == pytest.approx(1.0, rel=1e-12)
-
-    def test_refuses_ties_and_large_cases(self):
-        data = dataset([1.0, 2.0, 2.0, 4.0], [1, 1, 1, 1], [0.0, 1.0, 1.0, 0.0])
-        with pytest.raises(OracleUnavailableError):
-            cox.ri1_cox_correct_enumeration(data, 1, [[1.0]])
-        data, z_new, _ = fitted_sample(20, 4, 109)  # 255,024 augmented orders
-        with pytest.raises(OracleUnavailableError):
-            cox.ri1_cox_correct_enumeration(data, 4, z_new)
+        assert cox.ri1_cox_correct_exact(data, 0, None) == 1.0
 
 
 def walk_paths(completion):
@@ -802,15 +872,11 @@ def test_walk_law_gives_the_exact_measure(sample):
     # Summing every walk path's lod, weighted by the sampler's own
     # transition probabilities, must give the Plackett-Luce expectation.
     data, z_new, _ = sample()
-    m = z_new.shape[0]
-    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, m, z_new, None)
-    completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
+    completion = correct_completion(data, z_new)
     groups, passed, prob = walk_paths(completion)
     assert prob.sum() == pytest.approx(1.0, rel=1e-12)
     lods = completion._lods(states_of(completion, groups), passed + 1)
-    exact = cox.ri1_cox_correct_enumeration(data, m, z_new)
-    lod_ob = cox._kp_lod(data, rank, beta_hat, beta_null)
-    assert lod_ob / (prob @ lods) == pytest.approx(exact, rel=1e-10)
+    assert prob @ lods == pytest.approx(plackett_luce_expected_lod(completion), rel=1e-10)
 
 
 def plackett_luce_expected_lod(completion):
@@ -834,28 +900,38 @@ def plackett_luce_expected_lod(completion):
             levels[list(new_order)] = positions[~existing]
             failures.append(positions[existing])
             new.append(levels)
-    rows = cox._sort_rows(cox._kp_levels(np.array(failures), completion.anchor_of,
-                                         np.array(new)), completion.status)
+    rows = cox._sort_rows(kp_levels(np.array(failures), completion.anchor_of, np.array(new)),
+                          completion.status)
     ll_alt = cox._sorted_loglik(*rows, completion.eta_alt)
     ll_null = cox._sorted_loglik(*rows, completion.eta_null)
     weights = np.exp(ll_alt - ll_alt.max())
     return weights @ (ll_alt - ll_null) / weights.sum()
 
 
-# (times, status, covariates, new subjects' covariates), with tied event times.
-TIED_WALK_CASES = {
-    "uncensored": ([1, 2, 2, 2, 3, 4, 5, 6], [1] * 8, [0, 1, 0, 1, 1, 0, 1, 0], [0, 1]),
-    "censored": ([1, 2, 2, 2, 3, 4, 4, 5], [1, 1, 1, 0, 1, 1, 0, 1],
-                 [0, 1, 0, 1, 1, 0, 1, 0], [1, 1]),
+# Every sample of CENSORED_CASES, WALK_LAW_CASES and TIED_WALK_CASES.
+EXACT_PASS_CASES = {
+    **{f"censored, {n}, {m}, {seed}": functools.partial(fitted_sample, n, m, seed, 0.6)
+       for n, m, seed in CENSORED_CASES},
+    **WALK_LAW_CASES,
+    **{f"tied, {name}": functools.partial(tied_sample, case)
+       for name, case in TIED_WALK_CASES.items()},
 }
+
+
+@pytest.mark.parametrize("sample", EXACT_PASS_CASES.values(), ids=EXACT_PASS_CASES.keys())
+def test_exact_pass_is_the_plackett_luce_expectation(sample):
+    data, z_new, _ = sample()
+    completion = correct_completion(data, z_new)
+    assert completion.expected_lod() == pytest.approx(plackett_luce_expected_lod(completion),
+                                                      rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("case", TIED_WALK_CASES.values(), ids=TIED_WALK_CASES.keys())
 def test_walk_law_on_tied_event_times_is_the_lods_plackett_luce_law(case):
-    # The enumeration oracle refuses tied event times.  The kernel's lods
-    # take tied failures one after another, each with its own risk set, and
-    # the walk must draw from the law of those same risk sets.  With the
-    # observed lod in that convention too, the exact measure is at most 1.
+    # The kernel's lods take tied failures one after another, each with its
+    # own risk set, and the walk must draw from the law of those same risk
+    # sets.  With the observed lod in that convention too, the exact measure
+    # is at most 1.
     times, status, z, z_new = case
     data = dataset(np.asarray(times, float), status, z)
     z_new = np.asarray(z_new, float)[:, None]
@@ -918,7 +994,7 @@ def explicit_levels(completion, gaps, new):
     before it placed only the new subjects.
     """
     if completion.fixed_levels is None:
-        return cox._kp_levels(np.cumsum(gaps, axis=1), completion.anchor_of, new)
+        return kp_levels(np.cumsum(gaps, axis=1), completion.anchor_of, new)
     existing = np.broadcast_to(completion.fixed_levels, (new.shape[0], completion.anchor_of.size))
     return np.concatenate([existing, new], axis=1)
 
@@ -1166,21 +1242,37 @@ def test_edge_cases_never_give_a_silent_sentinel(measure, case):
     assert_finite_measure(result, len(case[3]))
 
 
-@given(case=edge_case_samples(), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=400, deadline=None)  # most small samples fail the fit
-@pytest.mark.parametrize("mode", ["correct", "naive"])
-def test_insertion_kernel_matches_explicit_levels(mode, case, seed):
+def edge_completion(mode, case):
+    """The completion of an edge-case sample; None without new subjects or when refused."""
     times, status, z, z_new = case
     if not z_new:
-        return
+        return None
     data = dataset(np.asarray(times, float), status, z)
     try:
         rank, beta_hat, beta_null, z_new = cox._augmentation_setup(
             data, len(z_new), np.asarray(z_new, float)[:, None], None)
         build = cox._correct_completion if mode == "correct" else cox._naive_completion
-        completion = build(data, rank, beta_hat, beta_null, z_new)
+        return build(data, rank, beta_hat, beta_null, z_new)
     except RelInfoError:
+        return None
+
+
+@given(case=edge_case_samples(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)  # most small samples fail the fit
+@pytest.mark.parametrize("mode", ["correct", "naive"])
+def test_insertion_kernel_matches_explicit_levels(mode, case, seed):
+    completion = edge_completion(mode, case)
+    if completion is None:
         return
     rng = np.random.default_rng(seed)
     gaps, new = levels_of(completion, rng.standard_exponential((64, n_levels(completion))))
     assert_insertion_matches_explicit_levels(completion, new, gaps)
+
+
+@given(case=edge_case_samples())
+@settings(max_examples=400, deadline=None)  # most small samples fail the fit
+def test_exact_pass_is_the_plackett_luce_expectation_on_edge_cases(case):
+    completion = edge_completion("correct", case)
+    if completion is not None:
+        assert completion.expected_lod() == pytest.approx(
+            plackett_luce_expected_lod(completion), rel=1e-9, abs=1e-12)

@@ -6,7 +6,9 @@ correct mode, fixed levels in naive mode) and its group.  Groups are
 labelled by rank among the new subjects' distinct linear predictors under
 the alternative, so every side labels them alike.  The oracles draw
 independent exponential levels: a rejection sampler for correct mode, and
-sorted levels placed on the fixed ones for naive mode.
+sorted levels placed on the fixed ones for naive mode.  ``kp_levels`` lays
+a correct completion's subjects out at explicit levels, for oracles that
+sort them whole.
 """
 
 import math
@@ -14,6 +16,19 @@ import math
 import numpy as np
 
 from relinfo import cox, mc
+
+
+def kp_levels(failures, anchor_of, new):
+    """Explicit augmented levels of a correct completion, in its column order.
+
+    Existing subject i sits at anchor ``anchor_of[i]``: 0, or the level of
+    failure j - 1 for anchor j.  A subject censored between failures k and
+    k+1 is at risk at failure k and leaves just after it (Kalbfleisch and
+    Prentice), so it shares failure k's level, or 0 before the first
+    failure.  The new subjects' levels follow.
+    """
+    anchors = np.concatenate([np.zeros((failures.shape[0], 1)), failures], axis=1)
+    return np.concatenate([anchors[:, anchor_of], new], axis=1)
 
 
 def states_of(completion, groups):
