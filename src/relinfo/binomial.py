@@ -7,15 +7,11 @@ exponential with sufficient statistic (successes, trials), sufficient-
 statistic imputation is exact for every linear functional, and instances
 with a small missing count admit an exact enumeration oracle.
 
-Monte Carlo completions draw the missing successes by exact inversion in a
-table of the Binomial(n_missing, theta) cdf, over a window of counts that
-brackets the block's uniforms; a guide table indexed by u * G gives each
-uniform a start at or below its count (Chen and Asau 1974).  Each draw is
-the smallest count k with cdf(k) >= u, so u = 0 gives 0.  A block of draws
+Monte Carlo completions invert a Binomial(n_missing, theta) cdf table built
+from the pmf's ratio recursion (Devroye 1986, ch. III).  A block of draws
 comes back as its support table, one complete-data row per count from the
 smallest to the largest the block reaches, plus each draw's row index, so
-a functional of the complete data is evaluated once per distinct count and
-gathered per draw.
+a functional of the complete data is evaluated once per distinct count.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special, stats
 
 from .core import ModelContract
 from .errors import BoundaryError, OracleUnavailableError, ValidationError
@@ -73,8 +68,10 @@ def _counts(data):
 
 def _log_likelihood(p, data):
     x, n = _counts(data)
-    # xlogy keeps 0*log(0) = 0 at the data boundary.
-    return special.xlogy(x, p) + special.xlogy(n - x, 1.0 - p)
+    # Masked so that 0 log(0) = 0 at the data boundary.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.where(x == 0, 0.0, x * np.log(p))
+                + np.where(x == n, 0.0, (n - x) * np.log(1.0 - p)))
 
 
 def _mle(data):
@@ -82,33 +79,43 @@ def _mle(data):
     return x / n
 
 
+def _pmf_window(n: int, theta) -> tuple[int, np.ndarray]:
+    """Binomial(n, theta) pmf as (lo, pmf) over the counts mu +- (40 sigma + 40).
+
+    The window is clipped to 0..n.  By Bernstein's inequality each tail it
+    leaves out holds less than exp(-60) ~ 1e-26 of the mass for every n and
+    theta; the + 40 keeps this so when sigma is tiny.  The log pmf is summed
+    outward from the mode in steps log((n - k) / (k + 1) * theta / (1 - theta)),
+    then exponentiated and normalised.  theta = 0 or 1 is a point mass at 0 or n.
+    """
+    if not 0.0 < theta < 1.0:
+        return (0 if theta <= 0.0 else n), np.ones(1)
+    mu, half = n * theta, 40.0 * math.sqrt(n * theta * (1.0 - theta)) + 40.0
+    lo, hi = max(math.ceil(mu - half), 0), min(math.floor(mu + half), n)
+    k = np.arange(lo, hi)
+    with np.errstate(divide="ignore"):  # a ratio that underflows gives pmf 0
+        steps = np.log((n - k) / (k + 1) * (theta / (1.0 - theta)))
+    mode = min(math.floor((n + 1) * theta), n) - lo
+    pmf = np.exp(np.concatenate([-np.cumsum(steps[:mode][::-1])[::-1], [0.0],
+                                 np.cumsum(steps[mode:])]))
+    return lo, pmf / pmf.sum()
+
+
 def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     """Binomial(n, theta) quantiles of u: the smallest count k with cdf(k) >= u.
 
-    The cdf is tabulated over the counts that boost's quantiles of u.min()
-    and u.max() bracket, widened by one count on each side; when the window
-    does not bracket the extreme uniforms, the whole support 0..n is
-    tabulated instead.  The cost follows the spread of the block's
-    quantiles, not n.  Each uniform is placed by a guide-table search (Chen
-    and Asau 1974; Devroye 1986, III.2): guide entry g is the first
-    tabulated count whose cdf reaches g / G, a start at or below the answer
-    of every u in [g / G, (g + 1) / G).  A draw takes one step forward if
-    the cdf at its start is still below u; the few draws still below after
-    that, in the tails where one guide interval spans many counts, are
-    placed by binary search in the table.  G is a power of two, so u * G is
-    exact: the smallest one reaching twice the window's length or the
-    block's draw count, whichever is less, so that building the guide costs
-    no more than about the searches it saves.  A uniform of exactly 0 maps
-    to 0 (scipy's ``binom.ppf(0)`` is -1).
+    The table is the cumulative sum of :func:`_pmf_window`'s pmf with its
+    last entry set to 1: the tail left out is below 1e-26, and no uniform
+    exceeds 1 - 2**-53.  A guide table (Chen and Asau 1974; Devroye 1986,
+    III.2) starts each u at the first count whose cdf reaches floor(u G) / G;
+    a draw still below u steps once, and the few still below after that, in
+    tails where one guide interval spans many counts, are placed by binary
+    search.  G is the power of two (so u G is exact) that first reaches twice
+    the table's length or the block's draw count.  u = 0 maps to 0.
     """
-    lo, hi = stats.binom.ppf([u.min(), u.max()], n, theta)
-    lo, hi = max(int(lo) - 1, 0), min(int(hi) + 1, n)
-    # Tabulated from lo - 1 so that cdf[0] checks the lower edge (cdf(-1) = 0).
-    cdf = stats.binom.cdf(np.arange(lo - 1, hi + 1), n, theta)
-    if (lo > 0 and cdf[0] >= u.min()) or cdf[-1] < u.max():
-        lo = 0
-        cdf = stats.binom.cdf(np.arange(-1, n + 1), n, theta)
-    table = cdf[1:]
+    lo, pmf = _pmf_window(n, theta)
+    table = np.cumsum(pmf)
+    table[-1] = 1.0
     size = 1 << (min(2 * table.size, u.size) - 1).bit_length()
     guide = np.searchsorted(table, np.arange(size) / size, side="left")
     k = guide[(u * size).astype(np.intp)]
@@ -116,16 +123,12 @@ def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     k[behind] += 1
     behind = behind[table[k[behind]] < u[behind]]
     k[behind] = np.searchsorted(table, u[behind], side="left")
-    return lo + k
+    return np.where(u == 0.0, 0, lo + k)
 
 
 def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
                             start: int = 0):
-    if observed.n_missing == 0 or n_draws == 0:
-        counts = np.zeros(n_draws, dtype=np.intp)
-    else:
-        counts = _inverse_cdf(stream_uniforms(seed, n_draws, start=start),
-                              observed.n_missing, theta)
+    counts = _inverse_cdf(stream_uniforms(seed, n_draws, start=start), observed.n_missing, theta)
     first, last = (int(counts.min()), int(counts.max())) if n_draws else (0, -1)
     support = BinomialComplete(observed.successes + np.arange(first, last + 1, dtype=float),
                                observed.n_total)
@@ -167,16 +170,15 @@ def enumerate_expectation(obs: BinomialObserved, theta: float,
                           cap: int = ENUMERATION_CAP) -> float:
     """Exact conditional expectation over the missing-success count.
 
-    Sums functional(complete data with successes + k) against the
-    Binomial(n_missing, theta) pmf; exact to floating precision.
+    Sums functional(complete data with successes + k) against the weights
+    of :func:`_pmf_window`, all of 0..n_missing when n_missing <= 40.
     """
     if obs.n_missing > cap:
         raise OracleUnavailableError(
             f"n_missing={obs.n_missing} exceeds the enumeration cap {cap}")
-    ks = np.arange(obs.n_missing + 1)
-    weights = stats.binom.pmf(ks, obs.n_missing, theta)
-    values = np.array([functional(BinomialComplete(obs.successes + int(k), obs.n_total))
-                       for k in ks], dtype=float)
+    lo, weights = _pmf_window(obs.n_missing, theta)
+    values = np.array([functional(BinomialComplete(obs.successes + lo + k, obs.n_total))
+                       for k in range(weights.size)], dtype=float)
     return float(weights @ values)
 
 
@@ -193,10 +195,8 @@ def ri1_enumeration(obs: BinomialObserved, theta_null: float, *,
     theta_hat = _mle(obs)
     if not 0.0 < theta_hat < 1.0:
         raise BoundaryError("observed MLE on the boundary; RI1 refused")
-    if theta_alt is None:
-        theta_alt = theta_hat
-    if draw_theta is None:
-        draw_theta = theta_hat
+    theta_alt = theta_hat if theta_alt is None else theta_alt
+    draw_theta = theta_hat if draw_theta is None else draw_theta
     log_ratio_success = math.log(theta_alt / theta_null)
     log_ratio_failure = math.log((1.0 - theta_alt) / (1.0 - theta_null))
 

@@ -269,7 +269,7 @@ def _cmd_binom_ri(args, report: Report) -> None:
     report.add("result.lod_scale", "log10" if args.log10 else "ln")
     ri0 = core.ri0(model, obs, args.p0)
     report.add_result("result.ri0", ri0)
-    if args.draws:
+    if args.draws is not None:
         engine = mc.MCConfig(n_draws=args.draws, seed=args.seed)
         mc_result = core.ri1(model, obs, args.p0, engine,
                              theta_alt=args.p1, method="monte_carlo")
@@ -286,8 +286,9 @@ def _cmd_ri_y(args, report: Report) -> None:
     finite = samples[np.isfinite(samples)]
     report.add("result.n_draws", samples.size)
     report.add("result.sentinel_count", int(samples.size - finite.size))
-    report.add("result.ri_y_mean", float(np.mean(finite)))
-    report.add("result.ri_y_sd", float(np.std(finite, ddof=1)))
+    # Sentinel draws (complete-data lod 0) leave no finite ratio to average.
+    report.add("result.ri_y_mean", float(np.mean(finite)) if finite.size else math.nan)
+    report.add("result.ri_y_sd", float(np.std(finite, ddof=1)) if finite.size > 1 else math.nan)
     recip = mc.estimate_from_values(1.0 / samples)
     report.add("result.ri_y_reciprocal_mean", recip.mean)
     report.add("result.ri_y_reciprocal_se", recip.standard_error)

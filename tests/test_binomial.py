@@ -1,5 +1,5 @@
 import math
-import types
+import warnings
 
 import numpy as np
 import pytest
@@ -95,10 +95,17 @@ def test_support_is_exactly_the_reached_counts(obs, theta, n_draws, start):
     np.testing.assert_array_equal(support.successes_total[index], obs.successes + counts)
 
 
-def smallest_count_reaching(u, n, theta):
-    """Reference inverse cdf: a scan of the whole support for each uniform."""
-    cdf = stats.binom.cdf(np.arange(n + 1), n, theta)
-    return np.array([np.flatnonzero(cdf >= v)[0] for v in u])
+def searched_table(n, theta):
+    """The cdf table that ``_inverse_cdf`` searches, with its first count."""
+    lo, pmf = binomial._pmf_window(n, theta)
+    table = np.cumsum(pmf)
+    table[-1] = 1.0
+    return lo, table
+
+
+def smallest_count_reaching(u, lo, table):
+    """Reference inverse cdf: a scan of the whole table for each uniform."""
+    return np.array([lo + np.flatnonzero(table >= v)[0] for v in u])
 
 
 def test_zero_uniform_completes_within_support(monkeypatch):
@@ -112,6 +119,14 @@ def test_zero_uniform_completes_within_support(monkeypatch):
     assert successes[0] == successes[2] == obs.successes
 
 
+def test_zero_uniform_gives_zero_below_the_window():
+    lo, _ = binomial._pmf_window(10**5, 0.55)
+    assert lo > 0
+    u = np.array([0.0, 2.0**-53, 0.5])
+    expected = [0, *stats.binom.ppf(u[1:], 10**5, 0.55)]
+    np.testing.assert_array_equal(binomial._inverse_cdf(u, 10**5, 0.55), expected)
+
+
 @pytest.mark.parametrize("n_missing", [1, 2, 25, 500, 10**5])
 @pytest.mark.parametrize("theta", [1e-4, 0.1, 0.5, 0.55, 0.9, 1 - 1e-4])
 def test_inverse_cdf_equals_scipy_ppf_on_stream_uniforms(n_missing, theta):
@@ -123,31 +138,66 @@ def test_inverse_cdf_equals_scipy_ppf_on_stream_uniforms(n_missing, theta):
 
 @pytest.mark.parametrize("n_missing, theta", [(500, 0.5), (500, 0.55), (25, 0.9), (1, 1e-4)])
 def test_inverse_cdf_is_smallest_count_at_knots_and_near_one(n_missing, theta):
-    # boost's quantile drifts here: at n=500, theta=0.5 it maps 1 - 2**-53
-    # to 341, although cdf(340) already equals that uniform.
-    knots = stats.binom.cdf(np.arange(n_missing + 1), n_missing, theta)
-    knots = knots[(knots > 0) & (knots < 1)]
+    # Probes sit on the searched table's own knots, where an inexact search
+    # would be off by one count, and within a few ulps of 1.
+    lo, table = searched_table(n_missing, theta)
+    knots = table[(table > 0) & (table < 1)]
     u = np.concatenate([knots, np.nextafter(knots, 0), np.nextafter(knots, 1),
                         1.0 - 2.0**-53 * np.arange(1, 9), [0.0]])
     u = u[u < 1]
-    expected = smallest_count_reaching(u, n_missing, theta)
+    expected = smallest_count_reaching(u, lo, table)
     np.testing.assert_array_equal(binomial._inverse_cdf(u, n_missing, theta), expected)
     singles = [binomial._inverse_cdf(u[i:i + 1], n_missing, theta)[0] for i in range(u.size)]
     np.testing.assert_array_equal(singles, expected)
 
 
-@pytest.mark.parametrize("bracket", [lambda u, n: (0.0, 0.0), lambda u, n: (n, n)])
-def test_inverse_cdf_falls_back_to_the_whole_support(monkeypatch, bracket):
-    u = mc.stream_uniforms(4, 2_000)
-    expected = binomial._inverse_cdf(u, 500, 0.55)
-    wrong = types.SimpleNamespace(ppf=lambda q, n, theta: bracket(q, n),
-                                  cdf=stats.binom.cdf)
-    monkeypatch.setattr(binomial, "stats", types.SimpleNamespace(binom=wrong))
-    np.testing.assert_array_equal(binomial._inverse_cdf(u, 500, 0.55), expected)
+TABLE_CASES = [(n, theta) for n in (1, 2, 25, 500, 10**5)
+               for theta in (1e-4, 0.1, 0.5, 0.55, 0.9, 1 - 1e-4)] + [(10**6, 1e-9)]
+
+
+@pytest.mark.parametrize("n_missing, theta", TABLE_CASES)
+def test_searched_table_matches_scipy(n_missing, theta):
+    lo, pmf = binomial._pmf_window(n_missing, theta)
+    counts = lo + np.arange(pmf.size)
+    reference = stats.binom.pmf(counts, n_missing, theta)
+    kept = reference > 1e-300
+    np.testing.assert_allclose(pmf[kept], reference[kept], rtol=1e-10, atol=0)
+    _, table = searched_table(n_missing, theta)
+    np.testing.assert_allclose(table, stats.binom.cdf(counts, n_missing, theta),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_missing, theta", TABLE_CASES + [
+    (10**8, 1e-9), (10**8, 1e-4), (10**8, 0.5), (10**8, 1 - 1e-4)])
+def test_window_leaves_out_tails_below_1e_26(n_missing, theta):
+    # With +-40 sigma alone, n = 1e6 and theta = 1e-9 would give the window
+    # 0..1, while P(X >= 2) is 5.0e-7.
+    lo, pmf = binomial._pmf_window(n_missing, theta)
+    hi = lo + pmf.size - 1
+    assert stats.binom.cdf(lo - 1, n_missing, theta) < 1e-26
+    assert stats.binom.sf(hi, n_missing, theta) < 1e-26
+
+
+@pytest.mark.parametrize("n_missing", [1, 500, 10**8])
+def test_boundary_theta_is_a_point_mass(n_missing):
+    u = mc.stream_uniforms(2, 1_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(binomial._inverse_cdf(u, n_missing, 0.0) == 0)
+        assert np.all(binomial._inverse_cdf(u, n_missing, 1.0) == n_missing)
+
+
+@pytest.mark.parametrize("n_missing", [10**7, 10**8])
+@pytest.mark.parametrize("theta", [1e-4, 0.55])
+def test_inverse_cdf_equals_scipy_ppf_at_large_missing_count(n_missing, theta):
+    u = mc.stream_uniforms(21, 4_096, start=1_000)
+    np.testing.assert_array_equal(binomial._inverse_cdf(u, n_missing, theta),
+                                  stats.binom.ppf(u, n_missing, theta))
 
 
 def test_uneven_blocks_equal_one_shot_rows_at_large_missing_count():
-    # Each block tabulates the cdf over its own uniforms' quantile window.
+    # The table depends only on (n_missing, theta), so a block's draws are
+    # the same rows of the one-shot run wherever the block starts or ends.
     obs = BinomialObserved(550, 1000, 10**5)
     full = drawn_successes(obs, 0.55, 5_000, 8)
     edges = [0, 1, 8, 1_032, 1_033, 4_000, 5_000]

@@ -106,6 +106,27 @@ class TestRiYAndLodVar:
         assert abs(recip - float(pairs["result.ri1_inverse"])) <= 4 * se
         assert float(pairs["result.ri_y_sd"]) > 0
 
+    @pytest.mark.parametrize("seed, sentinels", [(4, 2), (7, 1)])
+    def test_ri_y_with_too_few_finite_ratios_reports_nan(self, capsys, seed, sentinels):
+        # At these seeds every draw, or all but one, has complete-data lod 0.
+        code, pairs = run_report(capsys, [
+            "ri-y", "--x", "6", "--n-obs", "10", "--n-missing", "10",
+            "--p0", "0.25", "--p1", "0.75", "--draws", "2", "--seed", str(seed)])
+        assert code == 0
+        assert int(pairs["result.sentinel_count"]) == sentinels
+        assert np.isnan(float(pairs["result.ri_y_sd"]))
+        assert np.isnan(float(pairs["result.ri_y_mean"])) == (sentinels == 2)
+        assert np.isfinite(float(pairs["result.ri_y_reciprocal_mean"]))
+
+    def test_ri_y_at_a_boundary_mle_is_numerical_error(self, capsys):
+        # Draws at theta = 0 come before the boundary refusal.
+        code = cli.run(["ri-y", "--x", "0", "--n-obs", "10", "--n-missing", "10",
+                        "--p0", "0.25", "--p1", "0.75", "--draws", "100"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "observed-data MLE lies on the parameter boundary" in captured.err
+
     def test_lod_var_nonnegative(self, capsys):
         code, pairs = run_report(capsys, [
             "lod-var", "--x", "30", "--n-obs", "50", "--n-missing", "20",
@@ -120,6 +141,7 @@ class TestRiYAndLodVar:
         ["lod-var", "--draws", "0"],
         ["ri-y", "--p1", "0.55", "--draws", "0"],
         ["ri-y", "--p1", "0.55", "--draws", "1"],
+        ["binom-ri", "--draws", "0"],
     ])
     def test_bad_draws_or_seed_is_usage_error(self, capsys, argv):
         code = cli.run([*argv, "--x", "550", "--n-obs", "1000", "--n-missing", "500",

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import relinfo
@@ -31,3 +35,40 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+# Every subcommand at a tiny size, then the modules the run loaded.
+RUN_EVERY_COMMAND = """
+import contextlib, io, json, sys
+import relinfo
+from relinfo import cli
+binom = ["--x", "6", "--n-obs", "10", "--n-missing", "10", "--p0", "0.3"]
+commands = [
+    ["binom-ri", *binom, "--draws", "50"],
+    ["ri-y", *binom, "--p1", "0.7", "--draws", "50"],
+    ["lod-var", *binom, "--draws", "50"],
+    ["cox-ri", "--data", "surv.csv", "--n-new", "1", "--new-covariates", "1", "--draws", "50"],
+    ["combine", "--studies", "studies.json"],
+    ["design-eval", "--design-a", "base", "--design-b", "base-doubled"],
+    ["doss-replication", "--n-datasets", "2", "--n-subjects", "10", "--n-new", "1",
+     "--draws", "50"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in commands]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules
+                                                   if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    # Its own process, because the test modules import scipy themselves.
+    (tmp_path / "surv.csv").write_text(
+        "time,status,cov1\n" + "".join(f"{t},{t % 3 > 0:d},{t % 2}\n" for t in range(1, 13)))
+    (tmp_path / "studies.json").write_text(json.dumps([
+        {"label": "a", "lod_observed": 1.0, "ri1": 0.4},
+        {"label": "b", "lod_observed": 3.0, "ri1": 0.8}]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SOURCE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", RUN_EVERY_COMMAND], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {"codes": [0] * 7, "scipy": []}
