@@ -330,6 +330,11 @@ def _cmd_combine(args, report: Report) -> None:
     if not (isinstance(raw, list) and all(isinstance(s, dict) for s in raw)):
         raise ValidationError(
             f"{args.studies}: must be a JSON list of {{label, lod_observed, ri1}} objects")
+    for i, s in enumerate(raw):
+        for key in ("lod_observed", "ri1"):
+            if key not in s:
+                raise ValidationError(f"{args.studies}: study {i} "
+                                      f"({s.get('label', str(i))!r}) has no {key!r}")
     studies = [combine.StudySummary(lod_observed=s["lod_observed"], ri1=s["ri1"],
                                     label=s.get("label", str(i)))
                for i, s in enumerate(raw)]
@@ -396,7 +401,7 @@ def run(argv=None) -> int:
     report = Report(args.command, seed=getattr(args, "seed", None))
     try:
         _COMMANDS[args.command](args, report)
-    except (ValidationError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RelInfoError as exc:

@@ -1,7 +1,8 @@
 """Model-agnostic lod-score and relative-information measures.
 
-Everything here is parameterized by a :class:`ModelContract`; the binomial
-and Cox modules supply concrete contracts.  The central quantity is the
+The measures are parameterized by a :class:`ModelContract`, which the
+binomial module supplies; the Cox measures evaluate their own completion
+lods and call :func:`ri1_monte_carlo` directly.  The central quantity is the
 lod score, the natural-log likelihood ratio between an alternative and a
 null parameter value.  Relative information compares the observed-data lod
 with the expected lod that complete data would have produced.

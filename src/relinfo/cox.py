@@ -96,11 +96,9 @@ class SurvivalDataset:
 
     @classmethod
     def from_arrays(cls, times, status, covariates) -> "SurvivalDataset":
-        """A dataset from array-likes; 1-D or (dim, n) covariates become (n, dim)."""
-        z = np.atleast_2d(np.asarray(covariates, dtype=float))
-        if z.shape[0] != np.size(times):
-            z = z.T
-        return cls(times, status, z)
+        """A dataset from array-likes; 1-D covariates become one column, 2-D ones are (n, dim)."""
+        z = np.asarray(covariates, dtype=float)
+        return cls(times, status, z[:, None] if z.ndim == 1 else z)
 
     @property
     def n(self) -> int:
@@ -139,17 +137,6 @@ class RankData:
         if np.any(self.tie_start < 0) or np.any(self.tie_start > np.arange(n)):
             raise ValidationError("each risk set must contain its failing subject")
 
-    @property
-    def failure_order(self) -> tuple[int, ...]:
-        """Failing subjects in order of failure (ties by subject index)."""
-        return tuple(int(i) for i in self.order[self.event])
-
-    @property
-    def risk_sets(self) -> tuple[frozenset[int], ...]:
-        """The subjects at risk at each failure, in failure order."""
-        return tuple(frozenset(self.order[p:].tolist())
-                     for p in self.tie_start[self.event])
-
 
 @dataclass(frozen=True, eq=False)
 class BaselineHazard:
@@ -167,14 +154,17 @@ class BaselineHazard:
     jump_sizes: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.jump_times, dtype=float)
-        s = np.asarray(self.jump_sizes, dtype=float)
+        t = np.array(self.jump_times, dtype=float)
+        s = np.array(self.jump_sizes, dtype=float)
         if t.size != s.size:
             raise ValidationError("jump_times and jump_sizes must align")
         if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0):
             raise ValidationError("jump_times must be increasing and positive")
         if np.any(s <= 0):
             raise ValidationError("jump_sizes must be positive")
+        for name, value in (("jump_times", t), ("jump_sizes", s)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "_knot_times", np.concatenate(([0.0], t)))
         object.__setattr__(self, "_knot_hazards", np.concatenate(([0.0], np.cumsum(s))))
 
@@ -200,17 +190,10 @@ class BaselineHazard:
 
 
 def _tie_starts(sorted_times: np.ndarray) -> np.ndarray:
-    """Flat index of the first entry of each entry's tie group.
-
-    Rows are sorted along the last axis and never tie with each other; for
-    one row the flat indices are positions.
-    """
-    flat = sorted_times.ravel()
-    same = flat[1:] == flat[:-1]
-    same[sorted_times.shape[-1] - 1::sorted_times.shape[-1]] = False
-    pos = np.arange(flat.size)
-    pos[1:][same] = 0
-    return np.maximum.accumulate(pos).reshape(sorted_times.shape)
+    """Position of the first entry of each entry's tie group in a sorted array."""
+    pos = np.arange(sorted_times.size)
+    pos[1:][sorted_times[1:] == sorted_times[:-1]] = 0
+    return np.maximum.accumulate(pos)
 
 
 def extract_rank_data(data: SurvivalDataset) -> RankData:
@@ -265,44 +248,12 @@ def _shifted_sums(eta: np.ndarray, values, top: float):
     return np.log(total) + top, means
 
 
-def _sorted_loglik(order: np.ndarray, tie_start: np.ndarray, event: np.ndarray,
-                   eta: np.ndarray) -> np.ndarray:
-    """Breslow partial log-likelihood of each row of a sort (last axis).
-
-    ``order`` sorts the subjects by time, ``event`` marks the events in
-    that order and ``tie_start`` holds flat first-of-tie indices (see
-    ``_tie_starts``).
-    """
-    e = eta[order]
-    log_risk, _ = _risk_sums(e)
-    return np.where(event, e - np.take(log_risk, tie_start), 0.0).sum(axis=-1)
-
-
-def _sort_rows(times: np.ndarray, status: np.ndarray):
-    """Stable sort of each row of a (..., subjects) time array, as ``_sorted_loglik`` takes it."""
-    order = np.argsort(times, axis=-1, kind="stable")
-    row_offset = np.arange(0, times.size, times.shape[-1]).reshape(times.shape[:-1] + (1,))
-    tie_start = _tie_starts(np.take(times, order + row_offset))
-    return order, tie_start, status[order] == EVENT
-
-
-def _lod_rows(times: np.ndarray, status: np.ndarray,
-              eta_alt: np.ndarray, eta_null: np.ndarray) -> np.ndarray:
-    """Partial-likelihood lod of each row of a (..., subjects) time array.
-
-    One row-wise stable sort serves both parameters; subject j of every row
-    has status ``status[j]`` and linear predictors ``eta_alt[j]``, ``eta_null[j]``.
-    Any monotone scale serves as time, such as cumulative-hazard levels.
-    """
-    rows = _sort_rows(times, status)
-    return _sorted_loglik(*rows, eta_alt) - _sorted_loglik(*rows, eta_null)
-
-
 def partial_log_likelihood(rank: RankData, beta) -> float:
     """Breslow-form partial log-likelihood at beta."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    eta = rank.covariates @ beta
-    return float(_sorted_loglik(rank.order, rank.tie_start, rank.event, eta))
+    eta = (rank.covariates @ beta)[rank.order]
+    log_risk, _ = _risk_sums(eta)
+    return float(np.where(rank.event, eta - log_risk[rank.tie_start], 0.0).sum())
 
 
 def partial_lod(rank: RankData, beta_alt, beta_null) -> float:
@@ -416,16 +367,13 @@ def breslow_baseline(data: SurvivalDataset, beta) -> BaselineHazard:
         raise DomainError("beta must be finite")
     if not np.any(data.status == EVENT):
         return BaselineHazard(jump_times=np.zeros(0), jump_sizes=np.zeros(0))
-    jump_times, log_sizes = _breslow_log_increments(extract_rank_data(data), data.times, beta)
-    sizes = np.exp(log_sizes)
-    if not np.all(np.isfinite(sizes) & (sizes > 0)):
-        raise DataIntegrityError("baseline hazard increments are outside the range of doubles")
-    return BaselineHazard(jump_times=jump_times, jump_sizes=sizes)
+    return _relative_baseline(0.0, *_breslow_log_increments(extract_rank_data(data),
+                                                            data.times, beta))
 
 
 def _relative_baseline(shift: float, jump_times: np.ndarray,
                        log_sizes: np.ndarray) -> BaselineHazard:
-    """The Breslow baseline scaled up by exp(shift), shift the largest new linear predictor.
+    """The Breslow baseline scaled up by exp(shift): naive mode's largest new predictor, or 0.
 
     Levels E / rate against baseline.cumulative(t) are unchanged when every
     rate is scaled down and the baseline up by one factor.  It is applied
@@ -500,14 +448,16 @@ def _kp_columns(data: SurvivalDataset, rank: RankData, z_new: np.ndarray):
 def _kp_lod(data: SurvivalDataset, rank: RankData, beta_hat, beta_null) -> float:
     """The observed lod as correct mode's draws score the existing subjects.
 
-    In ``_kp_columns`` order, each subject at its own position: tied
-    failures one after another, each with its own risk set, and each
-    censored subject at risk through its preceding failure.  With this
-    numerator the measure's two lods share one convention, under which
-    E[lod_co] - lod_ob is a Kullback-Leibler divergence.
+    The rank data of the ``_kp_columns``, already in order, each subject
+    its own tie group: tied failures one after another, each with its own
+    risk set, and each censored subject at risk through its preceding
+    failure.  With this numerator the measure's two lods share one
+    convention, under which E[lod_co] - lod_ob is a Kullback-Leibler
+    divergence.
     """
     status, z, _ = _kp_columns(data, rank, np.zeros((0, data.covariate_dim)))
-    return float(_lod_rows(np.arange(data.n), status, z @ beta_hat, z @ beta_null))
+    every = np.arange(data.n)
+    return partial_lod(RankData(every, every, status == EVENT, z), beta_hat, beta_null)
 
 
 def _leave(key: np.ndarray, counts: np.ndarray, group: np.ndarray):
@@ -772,11 +722,12 @@ class _Completion:
         fails, and ``below`` (m, draws) counts the anchors below its level.
         A new subject never shares its level with an anchor or with another
         new subject (the walk's levels are continuous, or between
-        failures).  Equal to ``_lod_rows`` on the explicit augmented levels:
-        an event's risk set is every subject at its level or above, tied
-        fixed levels sharing theirs (Breslow).  The existing events between
-        new subjects t - 1 and t see W_{S_t}, and new subject t's own risk
-        set is the existing subjects above its level plus W_{S_t}.
+        failures).  Equal to one stable sort of the explicit augmented
+        levels (``lod_rows`` in tests/walk_oracle.py): an event's risk set
+        is every subject at its level or above, tied fixed levels sharing
+        theirs (Breslow).  The existing events between new subjects t - 1
+        and t see W_{S_t}, and new subject t's own risk set is the existing
+        subjects above its level plus W_{S_t}.
         """
         # States of different rounds differ in size: index them all at once.
         offset = np.cumsum([0] + [counts.shape[0] for _, counts in states[:-1]])

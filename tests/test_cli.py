@@ -279,11 +279,23 @@ class TestCombine:
         assert float(pairs["result.combined_ri1"]) == pytest.approx(expected)
 
     def test_missing_key_is_usage_error(self, capsys, tmp_path):
+        # The message names the file, the study's index and label, and the key.
         studies = tmp_path / "studies.json"
-        studies.write_text(json.dumps([{"lod_observed": 1.0}]))
-        code = cli.run(["combine", "--studies", str(studies)])
-        capsys.readouterr()
-        assert code == 2
+        for key in ("lod_observed", "ri1"):
+            second = {"label": "b", "lod_observed": 3.0, "ri1": 0.8}
+            del second[key]
+            studies.write_text(json.dumps([{"lod_observed": 1.0, "ri1": 0.4}, second]))
+            code = cli.run(["combine", "--studies", str(studies)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err == f"error: {studies}: study 1 ('b') has no {key!r}\n"
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
+        def broken(args, report):
+            raise KeyError("internal")
+        monkeypatch.setitem(cli._COMMANDS, "combine", broken)
+        with pytest.raises(KeyError):
+            cli.run(["combine", "--studies", str(tmp_path / "studies.json")])
 
     @pytest.mark.parametrize("raw", [{"a": 1}, [1.0, 0.5], "studies"],
                              ids=["object", "list of numbers", "string"])

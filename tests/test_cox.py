@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ from walk_oracle import (
     assert_naive_walk_matches_sorted_levels,
     assert_walk_matches_rejection,
     kp_levels,
+    lod_rows,
+    sort_rows,
+    sorted_loglik,
     states_of,
     tied_naive_completion,
     walk_placements,
@@ -45,6 +49,16 @@ from walk_oracle import (
 
 def dataset(times, status, z):
     return SurvivalDataset.from_arrays(times, status, np.asarray(z, float)[:, None])
+
+
+def failure_order(rank):
+    """Failing subjects in order of failure (ties by subject index)."""
+    return tuple(int(i) for i in rank.order[rank.event])
+
+
+def risk_sets(rank):
+    """The subjects at risk at each failure, in failure order."""
+    return tuple(frozenset(rank.order[p:].tolist()) for p in rank.tie_start[rank.event])
 
 
 def explicit_partial_loglik(data, beta):
@@ -72,22 +86,22 @@ class TestExtractRankData:
     def test_three_events_ascending(self):
         data = dataset([1.0, 2.0, 3.0], [1, 1, 1], [0.0, 1.0, 0.0])
         rank = extract_rank_data(data)
-        assert rank.failure_order == (0, 1, 2)
-        assert [len(r) for r in rank.risk_sets] == [3, 2, 1]
+        assert failure_order(rank) == (0, 1, 2)
+        assert [len(r) for r in risk_sets(rank)] == [3, 2, 1]
 
     def test_early_censor_leaves_risk_sets(self):
         data = dataset([0.5, 2.0, 3.0], [0, 1, 1], [0.0, 1.0, 0.0])
         rank = extract_rank_data(data)
-        assert all(0 not in r for r in rank.risk_sets)
+        assert all(0 not in r for r in risk_sets(rank))
 
     def test_five_subject_mixed_fixture(self):
         data = dataset([2.0, 1.0, 4.0, 3.0, 5.0], [1, 0, 1, 0, 1],
                        [0.0, 1.0, 1.0, 0.0, 1.0])
         rank = extract_rank_data(data)
-        assert rank.failure_order == (0, 2, 4)
-        assert rank.risk_sets == (frozenset({0, 2, 3, 4}),
-                                  frozenset({2, 4}),
-                                  frozenset({4}))
+        assert failure_order(rank) == (0, 2, 4)
+        assert risk_sets(rank) == (frozenset({0, 2, 3, 4}),
+                                   frozenset({2, 4}),
+                                   frozenset({4}))
 
     def test_no_events_rejected(self):
         with pytest.raises(DegenerateDataError):
@@ -100,8 +114,8 @@ class TestExtractRankData:
         transformed = SurvivalDataset.from_arrays(np.exp(times), status, z)
         a = extract_rank_data(censored)
         b = extract_rank_data(transformed)
-        assert a.failure_order == b.failure_order
-        assert a.risk_sets == b.risk_sets
+        assert failure_order(a) == failure_order(b)
+        assert risk_sets(a) == risk_sets(b)
 
 
 class TestFit:
@@ -219,6 +233,21 @@ class TestBreslowBaseline:
         data = dataset([1.0], [1], [0.0])
         with pytest.raises(DomainError):
             breslow_baseline(data, [math.inf])
+
+    def test_baseline_from_lists(self):
+        bl = cox.BaselineHazard([1.0, 2.0], [0.5, 0.5])
+        np.testing.assert_array_equal(bl.cumulative([3.0]), [1.5])
+        np.testing.assert_array_equal(bl.inverse(bl.cumulative([3.0])), [3.0])
+        with pytest.raises(ValueError):
+            bl.jump_sizes[0] = 1.0
+
+    def test_increments_beyond_doubles_refused_without_a_warning(self):
+        # exp(-800) relative hazards put every increment near exp(800).
+        data = dataset([1.0, 2.0, 3.0], [1, 1, 1], [1.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataIntegrityError, match="range of doubles"):
+                breslow_baseline(data, [-800.0])
 
     def test_cumulative_inverse_roundtrip(self):
         bl = breslow_baseline(
@@ -428,7 +457,7 @@ def test_lod_rows_matches_rank_computation():
         data = SurvivalDataset.from_arrays(np.round(censored.times, 1) + 0.1, censored.status,
                                            censored.covariates)
         z = data.covariates
-        lod = cox._lod_rows(data.times, data.status, z @ beta_a, z @ beta_0)
+        lod = lod_rows(data.times, data.status, z @ beta_a, z @ beta_0)
         assert float(lod) == partial_lod(extract_rank_data(data), beta_a, beta_0)
 
 
@@ -468,11 +497,16 @@ class TestInputValidation:
             SurvivalDataset.from_arrays(times, status, np.asarray(z))
 
     def test_covariate_layouts(self):
+        # Covariates are one row per subject, whatever the shape: a (dim, n)
+        # array is refused, and a square one is read as rows.
         rows = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]])
-        for z in (rows, rows.T):
-            data = SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], z)
-            np.testing.assert_array_equal(data.covariates, rows)
-            assert (data.n, data.covariate_dim) == (3, 2)
+        data = SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], rows)
+        np.testing.assert_array_equal(data.covariates, rows)
+        assert (data.n, data.covariate_dim) == (3, 2)
+        with pytest.raises(ValidationError, match="length n"):
+            SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], rows.T)
+        square = SurvivalDataset.from_arrays([1.0, 2.0], [1, 1], [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(square.covariates, [[0.0, 1.0], [2.0, 3.0]])
         one = SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(one.covariates, rows[:, :1])
 
@@ -492,12 +526,14 @@ class TestInputValidation:
 
     def test_extreme_linear_predictor_gives_finite_lod(self):
         # exp(800) overflows unless eta is shifted before exponentiating.
-        z = np.array([0.0, 800.0, 0.0, 800.0])
-        data = dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], z)
-        lod = float(cox._lod_rows(data.times, data.status, z, np.zeros(4)))
+        data = dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], [0.0, 800.0, 0.0, 800.0])
+        rank = extract_rank_data(data)
+        lod = partial_lod(rank, [1.0], [0.0])
         assert math.isfinite(lod)
-        assert lod == pytest.approx(partial_lod(extract_rank_data(data), [1.0], [0.0]),
-                                    rel=1e-12)
+        # With untied events and no censoring both conventions score alike.
+        assert cox._kp_lod(data, rank, [1.0], [0.0]) == lod
+        reference = float(lod_rows(data.times, data.status, data.covariates[:, 0], np.zeros(4)))
+        assert lod == pytest.approx(reference, rel=1e-12)
 
     def test_risk_sets_far_below_the_maximum_keep_their_weight(self):
         # Once subject 0 fails, every remaining weight is exp(-800) relative
@@ -508,8 +544,7 @@ class TestInputValidation:
                     - math.log(3.0) - math.log(2.0) + math.log(24.0))
         rank = extract_rank_data(data)
         assert partial_lod(rank, [1.0], [0.0]) == pytest.approx(expected, rel=1e-12)
-        assert float(cox._lod_rows(data.times, data.status, z, np.zeros(4))) == pytest.approx(
-            expected, rel=1e-12)
+        assert cox._kp_lod(data, rank, [1.0], [0.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_risk_sums_are_exact_over_any_span(self):
         # Rows of one batch reach their far-below risk sets at different
@@ -900,22 +935,35 @@ def plackett_luce_expected_lod(completion):
             levels[list(new_order)] = positions[~existing]
             failures.append(positions[existing])
             new.append(levels)
-    rows = cox._sort_rows(kp_levels(np.array(failures), completion.anchor_of, np.array(new)),
-                          completion.status)
-    ll_alt = cox._sorted_loglik(*rows, completion.eta_alt)
-    ll_null = cox._sorted_loglik(*rows, completion.eta_null)
+    rows = sort_rows(kp_levels(np.array(failures), completion.anchor_of, np.array(new)),
+                     completion.status)
+    ll_alt = sorted_loglik(*rows, completion.eta_alt)
+    ll_null = sorted_loglik(*rows, completion.eta_null)
     weights = np.exp(ll_alt - ll_alt.max())
     return weights @ (ll_alt - ll_null) / weights.sum()
 
 
-# Every sample of CENSORED_CASES, WALK_LAW_CASES and TIED_WALK_CASES.
-EXACT_PASS_CASES = {
+# Every sample of CENSORED_CASES and TIED_WALK_CASES.
+CENSORED_AND_TIED_CASES = {
     **{f"censored, {n}, {m}, {seed}": functools.partial(fitted_sample, n, m, seed, 0.6)
        for n, m, seed in CENSORED_CASES},
-    **WALK_LAW_CASES,
     **{f"tied, {name}": functools.partial(tied_sample, case)
        for name, case in TIED_WALK_CASES.items()},
 }
+# And every sample of WALK_LAW_CASES.
+EXACT_PASS_CASES = {**CENSORED_AND_TIED_CASES, **WALK_LAW_CASES}
+
+
+@pytest.mark.parametrize("sample", CENSORED_AND_TIED_CASES.values(),
+                         ids=CENSORED_AND_TIED_CASES.keys())
+def test_kp_lod_is_the_reference_sort_of_its_columns(sample):
+    # The observed lod scores the columns in their own order, each subject
+    # its own tie group, as the reference sort of their positions does.
+    data, z_new, _ = sample()
+    rank, beta_hat, beta_null, _ = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
+    status, z, _ = cox._kp_columns(data, rank, np.zeros((0, data.covariate_dim)))
+    expected = lod_rows(np.arange(data.n), status, z @ beta_hat, z @ beta_null)
+    assert cox._kp_lod(data, rank, beta_hat, beta_null) == float(expected)
 
 
 @pytest.mark.parametrize("sample", EXACT_PASS_CASES.values(), ids=EXACT_PASS_CASES.keys())
@@ -990,7 +1038,7 @@ def explicit_levels(completion, gaps, new):
 
     ``gaps`` (draws, K) are correct mode's gaps between failure levels and
     ``new`` (draws, m) the new subjects' levels.  The reference for the
-    kernel: ``cox._lod_rows`` sorts these levels whole, as the kernel did
+    kernel: ``lod_rows`` sorts these levels whole, as the kernel did
     before it placed only the new subjects.
     """
     if completion.fixed_levels is None:
@@ -1021,8 +1069,8 @@ def assert_insertion_matches_explicit_levels(completion, new, gaps=None):
     if gaps is None:
         gaps = np.zeros((new.shape[0], 0))
     fast = completion._lods(*kernel_placements(completion, gaps, new))
-    slow = cox._lod_rows(explicit_levels(completion, gaps, new), completion.status,
-                         completion.eta_alt, completion.eta_null)
+    slow = lod_rows(explicit_levels(completion, gaps, new), completion.status,
+                    completion.eta_alt, completion.eta_null)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
@@ -1044,8 +1092,8 @@ def existing_subjects_lods(data, z_new, rng):
     levels = explicit_levels(completion, *levels_of(
         completion, rng.standard_exponential((500, n_levels(completion)))))
     n = data.n  # columns: the existing subjects, then the new ones
-    lods = cox._lod_rows(levels[:, :n], completion.status[:n],
-                         completion.eta_alt[:n], completion.eta_null[:n])
+    lods = lod_rows(levels[:, :n], completion.status[:n],
+                    completion.eta_alt[:n], completion.eta_null[:n])
     return lods, rank, beta_hat, beta_null
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import relinfo
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "relinfo"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "relinfo"
 
 
 def test_every_exported_name_resolves():
@@ -27,13 +28,16 @@ def unused_imports(path):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    return [f"{path.parent.name}/{path.name}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # No linter runs on the package, so this stands in for an unused-import check.
-    modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    # No linter runs on the repository, so this stands in for an unused-import
+    # check over the package, its tests and the demos.
+    modules = sorted([*(p for p in SOURCE.glob("*.py") if p.name != "__init__.py"),
+                      *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+    assert {p.parent.name for p in modules} == {"relinfo", "tests", "demos"}
     assert [entry for path in modules for entry in unused_imports(path)] == []
 
 

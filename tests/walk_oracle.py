@@ -8,7 +8,8 @@ the alternative, so every side labels them alike.  The oracles draw
 independent exponential levels: a rejection sampler for correct mode, and
 sorted levels placed on the fixed ones for naive mode.  ``kp_levels`` lays
 a correct completion's subjects out at explicit levels, for oracles that
-sort them whole.
+sort them whole: ``lod_rows`` scores many rows of levels by one row-wise
+stable sort, the reference for the kernel's lods and the observed lods.
 """
 
 import math
@@ -16,6 +17,51 @@ import math
 import numpy as np
 
 from relinfo import cox, mc
+
+
+def tie_starts(sorted_times):
+    """Flat index of the first entry of each entry's tie group.
+
+    Rows are sorted along the last axis and never tie with each other; for
+    one row the flat indices are positions.
+    """
+    flat = sorted_times.ravel()
+    same = flat[1:] == flat[:-1]
+    same[sorted_times.shape[-1] - 1::sorted_times.shape[-1]] = False
+    pos = np.arange(flat.size)
+    pos[1:][same] = 0
+    return np.maximum.accumulate(pos).reshape(sorted_times.shape)
+
+
+def sorted_loglik(order, tie_start, event, eta):
+    """Breslow partial log-likelihood of each row of a sort (last axis).
+
+    ``order`` sorts the subjects by time, ``event`` marks the events in
+    that order and ``tie_start`` holds flat first-of-tie indices (see
+    ``tie_starts``).
+    """
+    e = eta[order]
+    log_risk, _ = cox._risk_sums(e)
+    return np.where(event, e - np.take(log_risk, tie_start), 0.0).sum(axis=-1)
+
+
+def sort_rows(times, status):
+    """Stable sort of each row of a (..., subjects) time array, as ``sorted_loglik`` takes it."""
+    order = np.argsort(times, axis=-1, kind="stable")
+    row_offset = np.arange(0, times.size, times.shape[-1]).reshape(times.shape[:-1] + (1,))
+    tie_start = tie_starts(np.take(times, order + row_offset))
+    return order, tie_start, status[order] == cox.EVENT
+
+
+def lod_rows(times, status, eta_alt, eta_null):
+    """Partial-likelihood lod of each row of a (..., subjects) time array.
+
+    One row-wise stable sort serves both parameters; subject j of every row
+    has status ``status[j]`` and linear predictors ``eta_alt[j]``, ``eta_null[j]``.
+    Any monotone scale serves as time, such as cumulative-hazard levels.
+    """
+    rows = sort_rows(times, status)
+    return sorted_loglik(*rows, eta_alt) - sorted_loglik(*rows, eta_null)
 
 
 def kp_levels(failures, anchor_of, new):
