@@ -70,32 +70,20 @@ def _scale(value: float, log10: bool) -> float:
     return value / LN10 if log10 else value
 
 
-def _raise_for_bad_cell(path: str, lineno: int, header: list[str], cells: list[str]):
-    """Raise for the first cell of a row that is not a finite number."""
-    for col, cell in enumerate(cells, start=1):
-        where = f"{path}:{lineno}: column {col} ({header[col - 1]})"
-        try:
-            value = float(cell)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: not a number: {cell.strip()!r}") from exc
-        if not math.isfinite(value):
-            raise ValidationError(f"{where}: not a finite number: {cell.strip()!r}")
+def _read_text(path) -> str:
+    """A file's text, decoded as UTF-8 with an optional byte-order mark."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # ``exc.object`` is what was decoded: the data after any byte-order mark.
+        offset = len(data) - len(exc.object) + exc.start
+        raise ValidationError(
+            f"{path}: not UTF-8 text: byte 0x{data[offset]:02x} at offset {offset}") from exc
 
 
-def read_survival_csv(path: str) -> cox.SurvivalDataset:
-    """Read the survival schema: header ``time,status,cov1..covK``.
-
-    Status is 1 for an event, 0 for a censored record.  Parsing is
-    locale-free: decimal points only.
-    """
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValidationError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if len(header) < 3 or header[0] != "time" or header[1] != "status":
-        raise ValidationError(f"{path}:1: header must be time,status,cov1..covK")
-    dim = len(header) - 2
-    times, status, covs = [], [], []
+def _raise_for_first_bad_row(path: str, header: list[str], lines: list[str]):
+    """Raise for the first data row that breaks the schema; some row does."""
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -103,22 +91,59 @@ def read_survival_csv(path: str) -> cox.SurvivalDataset:
         if len(cells) != len(header):
             raise ValidationError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
-        try:
-            row = [float(cell) for cell in cells]
-        except ValueError:
-            row = None
-        if row is None or not all(map(math.isfinite, row)):
-            _raise_for_bad_cell(path, lineno, header, cells)
-        if row[0] <= 0:
+        for col, cell in enumerate(cells, start=1):
+            where = f"{path}:{lineno}: column {col} ({header[col - 1]})"
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise ValidationError(f"{where}: not a number: {cell.strip()!r}") from exc
+            if not math.isfinite(value):
+                raise ValidationError(f"{where}: not a finite number: {cell.strip()!r}")
+        if float(cells[0]) <= 0:
             raise ValidationError(f"{path}:{lineno}: column 1 (time): must be positive")
-        times.append(row[0])
-        if row[1] not in (0.0, 1.0):
+        if float(cells[1]) not in (0.0, 1.0):
             raise ValidationError(f"{path}:{lineno}: column 2 (status): must be 0 or 1")
-        status.append(int(row[1]))
-        covs.append(row[2:])
-    if not times:
+    raise AssertionError(f"{path}: the whole-file checks refused a file whose rows all pass")
+
+
+def _checked_values(rows: list[str], width: int) -> np.ndarray | None:
+    """The rows' cells as a (rows, width) array, or None when any row breaks the schema."""
+    if not all(row.count(",") == width - 1 for row in rows):
+        return None
+    cells = ",".join(rows).split(",")
+    try:
+        values = np.fromiter(map(float, cells), float, count=len(cells))
+    except ValueError:
+        return None
+    values = values.reshape(len(rows), width)
+    time, status = values[:, 0], values[:, 1]
+    if (np.isfinite(values).all() and (time > 0).all()
+            and ((status == 0) | (status == 1)).all()):
+        return values
+    return None
+
+
+def read_survival_csv(path: str) -> cox.SurvivalDataset:
+    """Read the survival schema: header ``time,status,cov1..covK``.
+
+    Status is 1 for an event, 0 for a censored record.  The file is UTF-8,
+    with or without a byte-order mark, and blank lines are skipped.
+    Parsing is locale-free: decimal points only, each cell read by
+    ``float``.  A refused file is reported at its first bad row.
+    """
+    lines = _read_text(path).splitlines()
+    if not lines:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(header) < 3 or header[0] != "time" or header[1] != "status":
+        raise ValidationError(f"{path}:1: header must be time,status,cov1..covK")
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return cox.SurvivalDataset.from_arrays(times, status, np.array(covs))
+    values = _checked_values(rows, len(header))
+    if values is None:
+        _raise_for_first_bad_row(path, header, lines)
+    return cox.SurvivalDataset.from_arrays(values[:, 0], values[:, 1].astype(int), values[:, 2:])
 
 
 def parse_design(spec: str) -> design.Design:
@@ -128,7 +153,7 @@ def parse_design(spec: str) -> design.Design:
     path = Path(spec)
     if path.exists():
         points = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(spec).splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -167,7 +192,7 @@ def _parse_new_covariates(spec: str | None, n_new: int, dim: int) -> np.ndarray:
     if path.exists():
         rows = [
             _parse_numbers(line, f"--new-covariates {spec}:{lineno}")
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            for lineno, line in enumerate(_read_text(spec).splitlines(), start=1)
             if line.strip()
         ]
     else:
@@ -326,7 +351,7 @@ def _cmd_cox_ri(args, report: Report) -> None:
 
 
 def _cmd_combine(args, report: Report) -> None:
-    raw = json.loads(Path(args.studies).read_text())
+    raw = json.loads(_read_text(args.studies))
     if not (isinstance(raw, list) and all(isinstance(s, dict) for s in raw)):
         raise ValidationError(
             f"{args.studies}: must be a JSON list of {{label, lod_observed, ri1}} objects")

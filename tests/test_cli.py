@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reference_reader
 from relinfo import cli
 from relinfo.cox import simulate_ph_binary
 from relinfo.errors import ValidationError
@@ -264,6 +267,143 @@ class TestCoxRi:
         path.write_text("time,status,cov1\n1.0,2,0.5\n")
         with pytest.raises(ValidationError, match="status"):
             cli.read_survival_csv(str(path))
+
+
+# Cells that ``float`` reads in its own way: underscores, padding, full-width
+# digits and overflow are accepted, hexadecimal and stray underscores are not.
+ODD_CELLS = ["1_0", " 2.5 ", "\t3", "１２", "inf", "nan", "1e400", "1e-400", "-0",
+             "0x10", "1__0", "_1", ""]
+FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+def _formatted(values):
+    return st.tuples(values, st.sampled_from([repr, "%.17g".__mod__, "%.5e".__mod__])).map(
+        lambda pair: pair[1](pair[0]))
+
+
+@st.composite
+def survival_files(draw):
+    """Header, then valid and blank rows with up to two bad rows among them."""
+    dim = draw(st.integers(1, 3))
+    row = st.tuples(
+        _formatted(POSITIVE), st.sampled_from(["0", "1", "1.0", " 0", "-0"]),
+        *[_formatted(FLOATS) for _ in range(dim)],
+    ).map(list)
+
+    def put(r, col, cell):
+        return [*r[:col], cell, *r[col + 1:]]
+
+    bad = st.one_of(
+        st.builds(put, row, st.integers(0, dim + 1), st.sampled_from(ODD_CELLS)),
+        st.builds(put, row, st.just(0), st.sampled_from(["0", "-0", "-1.5", "0.0"])),
+        st.builds(put, row, st.just(1), st.sampled_from(["2", "0.5", "-1"])),
+        row.map(lambda r: r[:-1]),
+        row.map(lambda r: [*r, "1"]),
+        row.map(lambda r: [*r, ""]),
+    )
+    lines = draw(st.lists(st.one_of(row.map(",".join), st.sampled_from(["", "  ", "\t"])),
+                          max_size=8))
+    for cells in draw(st.lists(bad, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), ",".join(cells))
+    header = "time,status," + ",".join(f"cov{k + 1}" for k in range(dim))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    final = draw(st.sampled_from(["", newline]))
+    return newline.join([header, *lines]) + final
+
+
+class TestSurvivalCsvReader:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=survival_files())
+    def test_agrees_with_the_row_by_row_reader(self, tmp_path, text):
+        path = tmp_path / "surv.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for read in (cli.read_survival_csv, reference_reader.read_survival_csv):
+            try:
+                outcomes.append(read(str(path)))
+            except ValidationError as exc:
+                outcomes.append(exc)
+        got, want = outcomes
+        if isinstance(want, ValidationError):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            assert type(got.__cause__) is type(want.__cause__)
+        else:
+            for a, b in zip(got.arrays(), want.arrays()):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows, message", [
+        (["-1,1,0.5", "2,1"], "2: column 1 (time): must be positive"),
+        (["2,1", "-1,1,0.5"], "2: expected 3 columns, got 2"),
+        (["1,2,0.5", "x,1,0.5"], "2: column 2 (status): must be 0 or 1"),
+        (["1,1,nan", "0,1,0.5"], "2: column 3 (cov1): not a finite number: 'nan'"),
+        (["1,1,0.5", "", "0,one,0.5", "1,1,0.5,"], "4: column 2 (status): not a number: 'one'"),
+        (["1,1,0.5,1", "1,1"], "2: expected 3 columns, got 4"),
+    ], ids=["time before column count", "column count before time",
+            "status before cell", "cell before time", "blank lines keep numbering",
+            "rows lend no cells"])
+    def test_first_bad_row_wins(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["time,status,cov1", *rows]) + "\n")
+        with pytest.raises(ValidationError) as info:
+            cli.read_survival_csv(str(path))
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_bad_cell_in_the_last_of_many_rows_names_its_line(self, tmp_path):
+        rows = [f"{t + 1}.5,{t % 2},{t / 7!r}" for t in range(1999)] + ["7.5,1,0x10"]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["time,status,cov1", *rows]) + "\n")
+        with pytest.raises(ValidationError) as info:
+            cli.read_survival_csv(str(path))
+        assert str(info.value) == f"{path}:2001: column 3 (cov1): not a number: '0x10'"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("text", ["time,status,cov1\n", "time,status,cov1\n\n  \n\t\n"],
+                             ids=["header only", "blank rows only"])
+    def test_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            cli.read_survival_csv(str(path))
+        assert str(info.value) == f"{path}: no data rows"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "time,status,cov1\n1.5,1,0.25\n2.5,0,-1\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        for a, b in zip(cli.read_survival_csv(str(plain)).arrays(),
+                        cli.read_survival_csv(str(marked)).arrays()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestUndecodableInput:
+    # A byte that is not UTF-8 is a usage error naming the file and the
+    # byte's offset, counted in the file (a byte-order mark included).
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order mark"])
+    @pytest.mark.parametrize("command", ["cox-ri", "design-eval", "new-covariates", "combine"])
+    def test_is_a_usage_error_naming_the_file(self, capsys, tmp_path, command, bom):
+        good = tmp_path / "surv.csv"
+        good.write_text("time,status,cov1\n1.5,1,0.25\n2.5,1,-1\n3.5,0,1\n")
+        bad = tmp_path / "bad.txt"
+        data, argv = {
+            "cox-ri": (b"time,status,cov1\n1.5,1,0.\xff\n", ["cox-ri", "--data", str(bad)]),
+            "design-eval": (b"1\n2\xff\n", ["design-eval", "--design-a", str(bad),
+                                             "--design-b", "base"]),
+            "new-covariates": (b"0.5\xff\n", ["cox-ri", "--data", str(good), "--n-new", "1",
+                                              "--new-covariates", str(bad)]),
+            "combine": (b'[{"label": "\xff"}]', ["combine", "--studies", str(bad)]),
+        }[command]
+        bad.write_bytes(bom + data)
+        offset = (bom + data).index(b"\xff")
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 text: byte 0xff at offset {offset}\n"
 
 
 class TestCombine:
