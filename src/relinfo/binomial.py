@@ -123,7 +123,9 @@ def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     k[behind] += 1
     behind = behind[table[k[behind]] < u[behind]]
     k[behind] = np.searchsorted(table, u[behind], side="left")
-    return np.where(u == 0.0, 0, lo + k)
+    k += lo
+    k[u == 0.0] = 0
+    return k
 
 
 def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
@@ -132,7 +134,8 @@ def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, see
     first, last = (int(counts.min()), int(counts.max())) if n_draws else (0, -1)
     support = BinomialComplete(observed.successes + np.arange(first, last + 1, dtype=float),
                                observed.n_total)
-    return support, counts - first
+    counts -= first
+    return support, counts
 
 
 def _impute_completion(observed: BinomialObserved, theta):

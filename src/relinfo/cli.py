@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -219,7 +220,9 @@ def _binomial_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p0", type=float, required=True, help="null success probability")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every :func:`run`."""
     parser = argparse.ArgumentParser(
         prog="relinfo",
         description="Relative-information measures for hypothesis testing "
@@ -280,8 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _binomial_observed(args) -> binomial.BinomialObserved:
+    """The observed binomial data; a ``--p0`` or ``--p1`` outside (0, 1) is a usage error."""
+    for flag in ("p0", "p1"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0.0 < value < 1.0:
+            raise ValidationError(f"--{flag} must lie in (0, 1); got {value!r}")
+    return binomial.BinomialObserved(args.x, args.n_obs, args.n_missing)
+
+
 def _cmd_binom_ri(args, report: Report) -> None:
-    obs = binomial.BinomialObserved(args.x, args.n_obs, args.n_missing)
+    obs = _binomial_observed(args)
     model = binomial.binomial_model()
     for key in ("x", "n_obs", "n_missing", "p0", "p1", "draws"):
         report.add(f"input.{key}", getattr(args, key.replace("-", "_"), None))
@@ -302,10 +314,14 @@ def _cmd_binom_ri(args, report: Report) -> None:
 
 
 def _cmd_ri_y(args, report: Report) -> None:
-    obs = binomial.BinomialObserved(args.x, args.n_obs, args.n_missing)
+    obs = _binomial_observed(args)
     model = binomial.binomial_model()
     for key in ("x", "n_obs", "n_missing", "p0", "p1", "draws"):
         report.add(f"input.{key}", getattr(args, key))
+    # A bad --draws or --seed is refused first; then the exact ri1 refuses a
+    # boundary MLE or a zero lod before any completion is drawn.
+    mc.MCConfig(n_draws=args.draws, seed=args.seed)
+    exact = core.ri1(model, obs, args.p0, theta_alt=args.p1)
     pair = core.HypothesisPair(theta_null=args.p0, theta_alt=args.p1)
     samples = core.ri_y_samples(model, obs, pair, args.draws, args.seed)
     finite = samples[np.isfinite(samples)]
@@ -317,12 +333,11 @@ def _cmd_ri_y(args, report: Report) -> None:
     recip = mc.estimate_from_values(1.0 / samples)
     report.add("result.ri_y_reciprocal_mean", recip.mean)
     report.add("result.ri_y_reciprocal_se", recip.standard_error)
-    exact = core.ri1(model, obs, args.p0, theta_alt=args.p1)
     report.add("result.ri1_inverse", 1.0 / exact.estimate)
 
 
 def _cmd_lod_var(args, report: Report) -> None:
-    obs = binomial.BinomialObserved(args.x, args.n_obs, args.n_missing)
+    obs = _binomial_observed(args)
     model = binomial.binomial_model()
     for key in ("x", "n_obs", "n_missing", "p0", "draws"):
         report.add(f"input.{key}", getattr(args, key))

@@ -94,9 +94,13 @@ def stream_uniforms(seed: int, n_draws: int, per_draw: int = 1, tag: int = 0,
 
 
 def _finite_draws(values) -> tuple[np.ndarray, int]:
-    """The finite draw values, in order, and how many non-finite sentinels were dropped."""
+    """The finite draw values, in order, and how many non-finite sentinels were dropped.
+
+    When every value is finite the input array itself is returned, not a copy.
+    """
     values = np.asarray(values, dtype=float)
-    kept = values[np.isfinite(values)]
+    finite = np.isfinite(values)
+    kept = values if finite.all() else values[finite]
     if kept.size == 0:
         raise EstimationFailureError("all Monte Carlo draws were sentinels")
     return kept, values.size - kept.size
@@ -127,8 +131,9 @@ def variance_from_values(values: np.ndarray) -> MCEstimate:
                           n_effective=n, sentinel_count=sentinels)
     d = kept - np.mean(kept)
     s2 = float(d @ d / (n - 1))
-    squares = d * d
-    m4 = float(np.mean(squares * squares))
+    d *= d  # squared deviations, then their squares, in place
+    d *= d
+    m4 = float(np.mean(d))
     var_s2 = (m4 - (n - 3) / (n - 1) * s2 * s2) / n
     se = math.sqrt(max(var_s2, 0.0))
     return MCEstimate(mean=s2, standard_error=se, n_effective=n, sentinel_count=sentinels)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_reader
-from relinfo import cli
+from relinfo import binomial, cli, core, mc
 from relinfo.cox import simulate_ph_binary
-from relinfo.errors import ValidationError
+from relinfo.errors import DomainError, ValidationError
 
 
 def run_report(capsys, argv):
@@ -19,6 +20,23 @@ def run_report(capsys, argv):
         key, _, value = line.partition(" = ")
         pairs[key] = value
     return code, pairs
+
+
+@pytest.fixture()
+def uniforms_drawn(monkeypatch):
+    """A list whose length is the number of uniforms drawn through ``mc.stream_uniforms``."""
+    drawn = []
+    original = mc.stream_uniforms
+
+    def counting(*args, **kwargs):
+        u = original(*args, **kwargs)
+        drawn.extend([None] * u.size)
+        return u
+
+    # The binomial sampler holds its own binding of the function.
+    monkeypatch.setattr(mc, "stream_uniforms", counting)
+    monkeypatch.setattr(binomial, "stream_uniforms", counting)
+    return drawn
 
 
 def write_survival_csv(path, data):
@@ -121,14 +139,26 @@ class TestRiYAndLodVar:
         assert np.isnan(float(pairs["result.ri_y_mean"])) == (sentinels == 2)
         assert np.isfinite(float(pairs["result.ri_y_reciprocal_mean"]))
 
-    def test_ri_y_at_a_boundary_mle_is_numerical_error(self, capsys):
-        # Draws at theta = 0 come before the boundary refusal.
+    def test_ri_y_at_a_boundary_mle_is_numerical_error(self, capsys, uniforms_drawn):
+        # The exact ri1 refuses the boundary MLE before any completion is drawn.
         code = cli.run(["ri-y", "--x", "0", "--n-obs", "10", "--n-missing", "10",
                         "--p0", "0.25", "--p1", "0.75", "--draws", "100"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "observed-data MLE lies on the parameter boundary" in captured.err
+        assert captured.err == "error: observed-data MLE lies on the parameter boundary\n"
+        assert len(uniforms_drawn) == 0
+        # The counter does see the draws of a run that is not refused.
+        assert cli.run(["ri-y", "--x", "6", "--n-obs", "10", "--n-missing", "10",
+                        "--p0", "0.25", "--p1", "0.75", "--draws", "100"]) == 0
+        capsys.readouterr()
+        assert len(uniforms_drawn) == 100
+
+    def test_ri_y_bad_draws_is_refused_before_a_boundary_mle(self, capsys):
+        code = cli.run(["ri-y", "--x", "0", "--n-obs", "10", "--n-missing", "10",
+                        "--p0", "0.25", "--p1", "0.75", "--draws", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: n_draws must be >= 2")
 
     def test_lod_var_nonnegative(self, capsys):
         code, pairs = run_report(capsys, [
@@ -153,6 +183,89 @@ class TestRiYAndLodVar:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+BINOMIAL_COMMANDS = [["binom-ri", "--draws", "100"],
+                     ["ri-y", "--p1", "0.55", "--draws", "100"],
+                     ["lod-var", "--draws", "100"]]
+
+
+class TestProbabilityFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        *[(command, "--p0", value) for command in BINOMIAL_COMMANDS
+          for value in ("1.5", "0", "1", "-0.25", "nan", "inf")],
+        *[(command, "--p1", value) for command in BINOMIAL_COMMANDS[:2]
+          for value in ("1.5", "0", "nan")],
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    @pytest.mark.parametrize("x", ["550", "0"], ids=["interior", "boundary"])
+    def test_out_of_range_is_a_usage_error_naming_the_flag(self, capsys, uniforms_drawn,
+                                                            command, flag, value, x):
+        argv = [*command, "--x", x, "--n-obs", "1000", "--n-missing", "500", "--p0", "0.5"]
+        code = cli.run([*argv, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must lie in (0, 1); got {float(value)!r}\n"
+        assert len(uniforms_drawn) == 0
+
+    @pytest.mark.parametrize("command", BINOMIAL_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("x", ["0", "1000"])
+    def test_boundary_mle_stays_a_numerical_error(self, capsys, command, x):
+        code = cli.run([*command, "--x", x, "--n-obs", "1000", "--n-missing", "500",
+                        "--p0", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "boundary" in captured.err
+
+    def test_the_package_api_still_raises_domain_error(self):
+        obs = binomial.BinomialObserved(550, 1000, 500)
+        with pytest.raises(DomainError, match="outside the domain"):
+            core.ri1(binomial.binomial_model(), obs, 1.5)
+
+
+class TestParserReuse:
+    VALID = ["binom-ri", "--x", "30", "--n-obs", "50", "--n-missing", "50",
+             "--p0", "0.5", "--p1", "0.65", "--draws", "300", "--seed", "5", "--log10"]
+
+    @staticmethod
+    def report_text(capsys, argv):
+        assert cli.run(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("report.timestamp")]
+
+    def test_runs_in_one_process_build_the_parser_tree_once(self, monkeypatch, capsys):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kwargs):
+            builds.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli.build_parser.cache_clear()
+        try:
+            for argv in [self.VALID, ["design-eval", "--design-a", "base",
+                                      "--design-b", "base-doubled"],
+                         ["lod-var", "--x", "30"], self.VALID]:
+                cli.run(argv)
+            capsys.readouterr()
+        finally:
+            cli.build_parser.cache_clear()
+        assert builds == ["relinfo"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["binom-ri", "--x", "30", "--n-obs", "50", "--p0", "0.5"], 2),
+        (["binom-ri", "--x", "thirty", "--n-obs", "50", "--n-missing", "50", "--p0", "0.5"], 2),
+        (["no-such-command", "--x", "30"], 2),
+        (["--help"], 0),
+        (["binom-ri", "--help"], 0),
+    ], ids=["missing flag", "bad value", "unknown subcommand", "help", "subcommand help"])
+    def test_a_refused_or_help_call_leaves_later_reports_unchanged(self, capsys, argv, code):
+        before = self.report_text(capsys, self.VALID)
+        assert cli.run(argv) == code
+        capsys.readouterr()
+        assert self.report_text(capsys, self.VALID) == before
 
 
 class TestCoxRi:

@@ -1,6 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_reductions
 from relinfo import mc
 from relinfo.errors import EstimationFailureError, ValidationError
 from relinfo.mc import MCConfig
@@ -143,3 +149,60 @@ def test_config_validation():
         MCConfig(n_draws=10, seed=-1)
     with pytest.raises(ValidationError):
         MCConfig(n_draws=10, max_relative_se=0.0)
+
+
+REDUCTIONS = [(mc.estimate_from_values, reference_reductions.estimate_from_values),
+              (mc.variance_from_values, reference_reductions.variance_from_values)]
+
+_FINITE = st.floats(-1e6, 1e6)
+_SENTINEL = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _long_draws(draw):
+    """Long enough for numpy's pairwise summation to recurse, with or without sentinels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(draw(_FINITE), 10.0 ** draw(st.integers(-3, 5)),
+                        draw(st.integers(2, 20_000)))
+    sentinels = rng.random(values.size) < draw(st.sampled_from([0.0, 0.001, 0.3]))
+    values[sentinels] = rng.choice([math.inf, -math.inf, math.nan], sentinels.sum())
+    return values
+
+
+_DRAWS = st.one_of(
+    st.lists(_FINITE, max_size=40).map(np.array),
+    st.lists(st.one_of(_FINITE, _SENTINEL), max_size=40).map(np.array),
+    _long_draws(),
+)
+
+
+def _outcome(reduce, values):
+    try:
+        return reduce(values)
+    except EstimationFailureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DRAWS)
+def test_reductions_equal_the_copy_based_reference_and_keep_their_input(values):
+    values = values.astype(float)
+    before = values.tobytes()
+    for reduce, reference in REDUCTIONS:
+        assert _outcome(reduce, values) == _outcome(reference, values)
+        assert values.tobytes() == before
+
+
+@pytest.mark.parametrize("reduce", [mc.estimate_from_values, mc.variance_from_values])
+def test_reduction_peak_memory_is_about_one_copy_of_the_draws(reduce):
+    # The copy-based reference peaks at 2x (mean) and 4x (variance) the input.
+    values = np.random.default_rng(12).normal(3.0, 2.0, 250_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reduce(values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * values.nbytes
