@@ -182,7 +182,7 @@ def enumerate_expectation(obs: BinomialObserved, theta: float,
     lo, weights = _pmf_window(obs.n_missing, theta)
     values = np.array([functional(BinomialComplete(obs.successes + lo + k, obs.n_total))
                        for k in range(weights.size)], dtype=float)
-    return float(weights @ values)
+    return float(np.sum(weights * values))
 
 
 def ri1_enumeration(obs: BinomialObserved, theta_null: float, *,

@@ -324,9 +324,12 @@ def _cmd_ri_y(args, report: Report) -> None:
     exact = core.ri1(model, obs, args.p0, theta_alt=args.p1)
     pair = core.HypothesisPair(theta_null=args.p0, theta_alt=args.p1)
     samples = core.ri_y_samples(model, obs, pair, args.draws, args.seed)
-    finite = samples[np.isfinite(samples)]
+    try:
+        finite, sentinels = mc._finite_draws(samples)
+    except EstimationFailureError:  # every draw is a sentinel
+        finite, sentinels = samples[:0], samples.size
     report.add("result.n_draws", samples.size)
-    report.add("result.sentinel_count", int(samples.size - finite.size))
+    report.add("result.sentinel_count", sentinels)
     # Sentinel draws (complete-data lod 0) leave no finite ratio to average.
     report.add("result.ri_y_mean", float(np.mean(finite)) if finite.size else math.nan)
     report.add("result.ri_y_sd", float(np.std(finite, ddof=1)) if finite.size > 1 else math.nan)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +53,9 @@ _SEPARATION_NORM = 50.0
 _EXP_SPAN = 600.0
 
 # Cap on the elements of one sub-block of the Cox completion kernel, counted
-# as draws x uniforms per draw, and of the tables it builds at once, counted
-# as states x table length; it bounds the kernel's memory whatever the
-# sample size and the number of new subjects.
+# as draws x uniforms per draw, and of the state rows its table holds (see
+# _StateTable); it bounds the kernel's memory whatever the sample size and
+# the number of new subjects.
 _BLOCK_ELEMENTS = 2**17
 
 # Stream tag of the Cox completion draws (see mc.stream_uniforms).
@@ -460,56 +461,201 @@ def _kp_lod(data: SurvivalDataset, rank: RankData, beta_hat, beta_null) -> float
     return partial_lod(RankData(every, every, status == EVENT, z), beta_hat, beta_null)
 
 
-def _leave(key: np.ndarray, counts: np.ndarray, group: np.ndarray):
-    """Each draw's alive state after one new subject of ``group`` fails.
+def _last_at_most(table: np.ndarray, start: np.ndarray, width: int,
+                  target: np.ndarray) -> np.ndarray:
+    """The last entry of ``table[start[i]:start[i] + width]`` at or below ``target[i]`` (-1: none).
 
-    A state is a row of ``counts``, the new subjects still alive in each
-    group, and draw r is in state ``counts[key[r]]``.  Returns the new keys
-    and the distinct states they index.
+    ``table`` is flat, and each of its rows of ``width`` entries is sorted
+    and ends in at least one +inf.  The width is a power of two, so one
+    bisection serves every draw at once, whatever its row.
     """
-    n_groups = counts.shape[1]
-    pair = key * n_groups + group
-    present = np.flatnonzero(np.bincount(pair, minlength=counts.size))
-    after = counts[present // n_groups]
-    after[np.arange(present.size), present % n_groups] -= 1
-    # Different (state, group) pairs can leave the same state.
-    order = np.lexsort(after.T)
-    after = after[order]
-    distinct = np.ones(present.size, dtype=bool)
-    distinct[1:] = np.any(after[1:] != after[:-1], axis=1)
-    index = np.empty(counts.size, dtype=np.intp)
-    index[present[order]] = np.cumsum(distinct) - 1
-    return index[pair], after[distinct]
-
-
-def _runs(key: np.ndarray, n_states: int, width: int):
-    """Runs of states whose tables, ``width`` doubles each, fit the element budget.
-
-    Yields each run's first and past-the-last state and the entries of
-    ``key`` in it: all of them when one run holds every state.
-    """
-    step = max(1, _BLOCK_ELEMENTS // width)
-    for lo in range(0, n_states, step):
-        hi = min(lo + step, n_states)
-        yield lo, hi, slice(None) if n_states <= step else (key >= lo) & (key < hi)
-
-
-def _last_at_most(table: np.ndarray, row: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The last entry of ``table[row[i]]`` at or below ``target[i]`` (-1: none).
-
-    Each row of ``table`` is sorted and ends in at least one +inf, and its
-    width is a power of two, so one bisection serves every draw at once,
-    whatever its row.
-    """
-    width = table.shape[1]
-    flat, start = table.ravel(), row * width
     last = start - 1  # flat index of the last entry found so far
     step = width // 2
     while step:
-        more = last + step
-        np.copyto(last, more, where=np.take(flat, more) <= target)
+        last += step * (np.take(table, last + step) <= target)
         step //= 2
     return last - start
+
+
+class _Rows(NamedTuple):
+    """What ``_lods`` reads of each alive state S."""
+
+    prefix: np.ndarray  # (2, states, width): L_S per parameter, padded with +inf
+    own: np.ndarray  # (2, states): W_S per parameter
+
+
+class _StateTable:
+    """The alive states a completion's draws reach, each with its rows built once.
+
+    A state counts the alive new subjects of each group, and its code reads
+    those counts as the digits of one mixed-radix number, the last group's
+    the most significant: code order is ``np.lexsort`` order of the counts,
+    and a new subject of group g failing subtracts the place value of digit
+    g.  Each state held has a dense id, and ``step`` moves draws on by one
+    ``take`` from the successor table next[id, group].  A state's running
+    row holds the running alive weights at the alternative that pick the
+    group that fails, padded with +inf to a power-of-two width, then the
+    last of them, V_S.  Its ``_Rows`` are built the first time a block of
+    draws reaches it, together with those of the other states the block
+    reaches: both parameters' prefix tables L_S(e) = sum_{e' < e}
+    log1p(W_S f_e'), e = 0..K, padded with +inf to a power-of-two width
+    that leaves at least one +inf, for ``_last_at_most`` (the
+    alternative's is the walk's A_S), and W_S at both parameters.  Weights
+    are in units of exp(shift).
+
+    The table holds at most ``_BLOCK_ELEMENTS`` elements of states with
+    their rows.  When every state of the lattice fits, it holds them all
+    from the start, with their successors and running rows, and the id of
+    a state is its code.  Otherwise a state gets its id and running row the
+    first time it is reached, and its successors are filled on demand;
+    when newly reached states would not fit, the table restarts from the
+    states of the round that reaches them, and when those alone do not
+    fit, it keeps them without ``_Rows``, which ``runs`` builds run by
+    run.
+    """
+
+    def __init__(self, group_size: np.ndarray, group_weight: np.ndarray,
+                 event_factor: np.ndarray):
+        k, n_groups = event_factor.shape[1], group_size.size
+        self._radix = [int(size) + 1 for size in group_size]
+        self._place = [1]
+        for base in self._radix[:-1]:
+            self._place.append(self._place[-1] * base)
+        self._lattice = self._place[-1] * self._radix[-1]
+        self._root_code = self._lattice - 1
+        self._weight, self._factor = group_weight, event_factor
+        self._width = 1 << (k + 1).bit_length()
+        self._cut_width = 1 << (n_groups - 1).bit_length()
+        # Per state: its _Rows and running row, then its code, counts and
+        # successors.
+        self._elements = 2 * self._width + 2 + self._cut_width + 1 + 1 + 2 * n_groups
+        self.restarts = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        """Empty the table, or fill it with every state when they all fit."""
+        self._held = min(self._lattice, max(1, _BLOCK_ELEMENTS // self._elements))
+        self._index: dict[int, int] = {}
+        self.codes: list[int] = []
+        self.counts = np.empty((0, len(self._radix)), dtype=np.intp)
+        self._next = np.empty(0, dtype=np.intp)
+        self.running = np.empty((0, self._cut_width + 1))
+        self._rows = _Rows(np.empty((2, self._held, self._width)), np.empty((2, self._held)))
+        self._built = np.zeros(self._held, dtype=bool)
+        self._stored = True
+        if self._held == self._lattice:
+            codes = np.arange(self._lattice)
+            counts = codes[:, None] // self._place % self._radix
+            self._add(codes.tolist(), counts)
+            self._next = np.where(counts > 0, codes[:, None] - self._place, -1).ravel()
+
+    def _build_running(self, counts: np.ndarray) -> np.ndarray:
+        """The running rows of the states ``counts``, one per row."""
+        alive = np.cumsum(counts * self._weight[0], axis=1)
+        running = np.full((counts.shape[0], self._cut_width + 1), np.inf)
+        running[:, :alive.shape[1] - 1] = alive[:, :-1]
+        running[:, -1] = alive[:, -1]
+        return running
+
+    def _build_rows(self, counts: np.ndarray) -> _Rows:
+        """The prefix tables and alive weights of the states ``counts``, one per row."""
+        k = self._factor.shape[1]
+        own = (counts * self._weight[:, None, :]).sum(axis=2)
+        prefix = np.empty(own.shape + (self._width,))
+        prefix[:, :, 0] = 0.0
+        prefix[:, :, k + 1:] = np.inf
+        terms = np.multiply(own[:, :, None], self._factor[:, None, :], out=prefix[:, :, 1:k + 1])
+        np.cumsum(np.log1p(terms, out=terms), axis=2, out=terms)
+        return _Rows(prefix, own)
+
+    def _add(self, codes: list, counts: np.ndarray) -> None:
+        """Give the states ``codes``, with ``counts``, the next ids and their running rows."""
+        start = len(self._index)
+        self._index.update(zip(codes, range(start, start + len(codes))))
+        self.codes += codes
+        self.counts = np.concatenate([self.counts, counts])
+        self._next = np.concatenate([self._next, np.full(counts.size, -1, dtype=np.intp)])
+        self.running = np.concatenate([self.running, self._build_running(counts)])
+        self._stored = len(self._index) <= self._held
+
+    def ids(self, codes: list) -> list:
+        """The id of the state with each of ``codes``, reached now: new states are added.
+
+        When they do not fit, the table restarts from the states ``codes``.
+        """
+        fresh = [code for code in dict.fromkeys(codes) if code not in self._index]
+        if fresh and (not self._stored or len(self._index) + len(fresh) > self._held):
+            self._clear()
+            self.restarts += 1
+            fresh = [code for code in dict.fromkeys(codes) if code not in self._index]
+        if fresh:
+            self._add(fresh, np.array([[code // place % radix for place, radix
+                                        in zip(self._place, self._radix)] for code in fresh],
+                                      dtype=np.intp))
+        return [self._index[code] for code in codes]
+
+    def root(self, n_draws: int) -> np.ndarray:
+        """``n_draws`` draws in the state where every new subject is alive."""
+        root = self._index.get(self._root_code)
+        if root is None:
+            root = self.ids([self._root_code])[0]
+        return np.full(n_draws, root, dtype=np.intp)
+
+    def step(self, ids: np.ndarray, group: np.ndarray) -> np.ndarray:
+        """Each draw's state after a new subject of ``group`` fails in state ``ids``."""
+        n_groups = len(self._radix)
+        pair = ids * n_groups + group
+        after = self._next.take(pair)
+        if after.min() >= 0:
+            return after
+        # Every pair of the round, so that a restart keeps all its states.
+        pairs = np.flatnonzero(np.bincount(pair))
+        restarts = self.restarts
+        found = np.array(self.ids([self.codes[p // n_groups] - self._place[p % n_groups]
+                                   for p in pairs.tolist()]))
+        if self.restarts == restarts:
+            self._next[pairs] = found
+            return self._next.take(pair)
+        index = np.empty(pairs[-1] + 1, dtype=np.intp)
+        index[pairs] = found
+        return index[pair]
+
+    def reach(self, paths: list) -> None:
+        """Build the ``_Rows`` of the states in ``paths``, arrays of ids, that have none yet."""
+        held = len(self._index)
+        if not self._stored or self._built[:held].all():
+            return
+        reached = np.zeros(held, dtype=bool)
+        for ids in paths:
+            reached[ids] = True
+        todo = np.flatnonzero(reached & ~self._built[:held])
+        if todo.size:
+            rows = self._build_rows(self.counts[todo])
+            self._rows.prefix[:, todo] = rows.prefix
+            self._rows.own[:, todo] = rows.own
+            self._built[todo] = True
+
+    def runs(self, ids: np.ndarray):
+        """``_Rows`` for draws in the states ``ids``: (rows, each draw's row in them, draws).
+
+        One run of every draw while the table holds the rows (after
+        ``reach``); otherwise runs of states whose rows fit the budget,
+        built for the run alone.
+        """
+        if self._stored:
+            yield self._rows, ids, slice(None)
+            return
+        step = self._held
+        for lo in range(0, len(self._index), step):
+            here = (ids >= lo) & (ids < lo + step)
+            yield self._build_rows(self.counts[lo:lo + step]), ids[here] - lo, here
+
+    def rows(self, ids: np.ndarray) -> _Rows:
+        """The ``_Rows`` of the distinct states ``ids``, in that order."""
+        if self._stored:
+            self.reach([ids])
+            return _Rows(*(np.take(rows, ids, axis=1) for rows in self._rows))
+        return self._build_rows(self.counts[ids])
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,15 +685,15 @@ class _Completion:
     are exchangeable, so a state S counts the alive subjects of each such
     group.  Each existing event e's term changes by -log1p(W_S f_e) while
     S is alive at it, W_S the alive new weight and f_e the inverse of its
-    risk sum.  Once per state a block of draws reaches, a prefix table
-    L_S(e) of those terms makes each draw's event terms m differences, so
-    per-draw work depends on m, not on n.  At the alternative W_S f_i is
-    V_S / r_i, so the same table is correct mode's walk law.  So that this
-    linear scale stays exact, it refuses a new subject whose relative
-    hazard exceeds another new subject's, or an existing event's risk sum,
-    by more than exp(``_EXP_SPAN``); correct mode also refuses failures'
-    risk sums and new relative hazards at beta_hat that span more than
-    that.
+    risk sum.  The completion's ``_StateTable`` builds, once per state
+    its draws reach, a prefix table L_S(e) of those terms, which makes each
+    draw's event terms m differences, so per-draw work depends on m, not
+    on n.  At the alternative W_S f_i is V_S / r_i, so the same table is
+    correct mode's walk law.  So that this linear scale stays exact, it
+    refuses a new subject whose relative hazard exceeds another new
+    subject's, or an existing event's risk sum, by more than
+    exp(``_EXP_SPAN``); correct mode also refuses failures' risk sums and
+    new relative hazards at beta_hat that span more than that.
     """
 
     status: np.ndarray
@@ -586,10 +732,12 @@ class _Completion:
             removed = np.where(capped < _EXP_SPAN, 0.0, log_risk - shift - capped)
         _, first_of, group, size = np.unique(new_eta.T, axis=0, return_index=True,
                                              return_inverse=True, return_counts=True)
+        event_factor = np.exp(shift - event_log_risk)
+        group_weight = np.exp(new_eta - shift)[:, first_of]
         for name, value in {
             "_first_at": first_at,
             "_events_before": np.searchsorted(event_anchor, np.arange(n_anchors + 1)),
-            "_event_factor": np.exp(shift - event_log_risk),
+            "_event_factor": event_factor,
             "_risk_capped": np.exp(capped),
             "_risk_removed": removed + shift,
             # Partial log-likelihood of the existing subjects alone, plus the
@@ -597,8 +745,8 @@ class _Completion:
             "_base": (eta[:, :n][:, event].sum(axis=1) - event_log_risk.sum(axis=1)
                       + new_eta.sum(axis=1))[:, None],
             "_group": group.reshape(-1),
-            "_group_size": size[None, :],
-            "_group_weight": np.exp(new_eta - shift)[:, first_of],
+            "_group_weight": group_weight,
+            "_states": _StateTable(size, group_weight, event_factor),
         }.items():
             object.__setattr__(self, name, value)
 
@@ -618,129 +766,115 @@ class _Completion:
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             u = mc.stream_uniforms(seed, b - a, self.per_draw, _COX_STREAM_TAG, start=a)
-            out[a - lo:b - lo] = self._lods(*self._walk(u.reshape(b - a, self.per_draw).T))
+            out[a - lo:b - lo] = self._walk(u.reshape(b - a, self.per_draw).T)[0]
         return out
 
     def _walk(self, u: np.ndarray):
-        """Each draw's walk: where its new subjects fall, in the order they fail.
+        """Each draw's walk: where its new subjects fall, in the order they fail, and its lod.
 
         ``u`` is (2m - 1, draws), and round t reads rows 2t and 2t + 1.  The
-        first, as an Exp(1) variate E, places the next new subject to fail.
-        Correct mode passes failures: from (i, S), the last i' with A_S(i')
-        <= A_S(i) + E in the state's ``_skip_table``, so that at least j are
-        passed with probability prod_{l < j} r_{i+l} / (r_{i+l} + V_S).
-        Naive mode raises the level by E / V_S, the gap to the lowest of the
-        alive subjects' exponential levels, and passes the fixed levels
-        below it.  The second, times V_S, picks the alive group that fails;
-        the last round needs none.  V_S is W_S at the alternative, in units
-        of exp(shift).  Returns each draw's alive states before each round
-        and the anchors below each new subject, as ``_lods`` takes them.
+        second, times V_S, picks the alive group that fails (the last round
+        needs none).  The first, as an Exp(1) variate E, places the next new
+        subject to fail.  Naive mode raises the level by E / V_S, the gap to
+        the lowest of the alive subjects' exponential levels, and passes the
+        fixed levels below it.  Correct mode passes failures: from (i, S),
+        the last i' with A_S(i') <= A_S(i) + E in the state's prefix table at
+        the alternative, so that at least j are passed with probability
+        prod_{l < j} r_{i+l} / (r_{i+l} + V_S).  It reads the state's
+        ``_Rows``, so it places the new subjects as ``_lods`` reads those,
+        once every group that fails is known.  Returns the lods, the group
+        that fails in each round but the last, (m - 1, draws), and the
+        anchors below each new subject, (m, draws).
         """
-        m, rows = self._group.size, u.shape[1]
-        k = self._event_factor.shape[1]
+        m, n_draws = self._group.size, u.shape[1]
         exps, picks = -np.log1p(-u[0::2]), u[1::2]
-        below = np.empty((m, rows), dtype=np.intp)
-        pos = np.zeros(rows, dtype=np.intp)
-        level = np.zeros(rows)
-        states = [(np.zeros(rows, dtype=np.intp), self._group_size)]
+        groups = np.empty((m - 1, n_draws), dtype=np.intp)
+        below = np.empty((m, n_draws), dtype=np.intp)
+        level = np.zeros(n_draws)
+        restarts = self._states.restarts
+        path = [self._states.root(n_draws)]
         for t in range(m):
-            key, counts = states[-1]
-            alive = np.cumsum(counts * self._group_weight[0], axis=1)
-            if self.fixed_levels is None:
-                # A padded skip table row holds at most 2 (K + 1) doubles.
-                for lo, hi, here in _runs(key, counts.shape[0], 2 * (k + 1)):
-                    table = self._skip_table(counts[lo:hi])
-                    row = key[here] - lo
-                    target = np.take(table, row * table.shape[1] + pos[here]) + exps[t, here]
-                    pos[here] = _last_at_most(table, row, target)
-                # Past i failures, a new subject has the anchors 0..i below it.
-                below[t] = pos + 1
-            else:
-                level += exps[t] / np.take(alive[:, -1], key)
+            running = self._states.running
+            width = running.shape[1]
+            start = path[t] * width
+            total = np.take(running, start + width - 1)
+            if self.fixed_levels is not None:
+                level += exps[t] / total
                 below[t] = np.searchsorted(self.fixed_levels, level)
             if t + 1 < m:
                 # The group that fails: how many of the running alive weights
-                # before W_S lie at or below pick * W_S.
-                target = np.take(alive[:, -1], key) * picks[t]
-                cuts = np.full((alive.shape[0], 1 << (alive.shape[1] - 1).bit_length()), np.inf)
-                cuts[:, :alive.shape[1] - 1] = alive[:, :-1]
-                states.append(_leave(key, counts, _last_at_most(cuts, key, target) + 1))
-        return states, below
+                # before V_S lie at or below pick * V_S.
+                groups[t] = 1 + _last_at_most(running.ravel(), start, width - 1,
+                                              total * picks[t])
+                path.append(self._states.step(path[t], groups[t]))
+        if self._states.restarts != restarts:
+            path = None  # ids of the first rounds were dropped; _lods walks again
+        if self.fixed_levels is not None:
+            return self._lods(groups, below, path=path), groups, below
+        pos = np.zeros(n_draws, dtype=np.intp)
 
-    def _skip_table(self, counts: np.ndarray) -> np.ndarray:
-        """The walk's A_S(i) = sum_{l < i} log1p(V_S / r_l), i = 0..K, per state (row of ``counts``).
+        def place(t, rows, start, here):
+            skip, width = rows.prefix[0].ravel(), rows.prefix.shape[2]
+            target = np.take(skip, start + pos[here]) + exps[t, here]
+            pos[here] = _last_at_most(skip, start, width, target)
+            # Past i failures, a new subject has the anchors 0..i below it.
+            below[t, here] = pos[here] + 1
 
-        V_S / r_l is W_S f_l at the alternative, so A_S is the alternative's
-        prefix table L_S.  Rows are padded with +inf to a power-of-two width
-        that leaves at least one +inf, for ``_last_at_most``.
-        """
-        k = self._event_factor.shape[1]
-        return self._prefix_tables(counts, slice(0, 1), 1 << (k + 1).bit_length())[0]
+        return self._lods(groups, below, place, path), groups, below
 
-    def _alive_weight(self, counts: np.ndarray, params: slice = slice(None)) -> np.ndarray:
-        """W_S of each state, per parameter in ``params``, in units of exp(shift)."""
-        return (counts * self._group_weight[params, None, :]).sum(axis=2)
-
-    def _prefix_tables(self, counts: np.ndarray, params: slice = slice(None),
-                       width: int | None = None) -> np.ndarray:
-        """L_S(e) = sum_{e' < e} log1p(W_S f_e'), e = 0..K over the existing events.
-
-        One row per parameter in ``params`` and state (row of ``counts``),
-        padded with +inf to ``width`` (default K + 1, no padding).
-        """
-        factor = self._event_factor[params]
-        k = factor.shape[1]
-        weight = self._alive_weight(counts, params)
-        table = np.empty(weight.shape + (width or k + 1,))
-        table[:, :, 0] = 0.0
-        table[:, :, k + 1:] = np.inf
-        terms = np.multiply(weight[:, :, None], factor[:, None, :], out=table[:, :, 1:k + 1])
-        np.cumsum(np.log1p(terms, out=terms), axis=2, out=terms)
-        return table
-
-    def _event_terms(self, counts: np.ndarray, key: np.ndarray, lo: np.ndarray,
-                     hi: np.ndarray) -> np.ndarray:
-        """Sums over existing events lo..hi-1 of log1p(W_S f_e), S = ``counts[key]``.
-
-        One prefix table L_S per state gives each sum as L_S(hi) - L_S(lo);
-        at most the element budget's worth of tables exists at once.
-        """
-        width = self._event_factor.shape[1] + 1
-        out = np.empty((2,) + key.shape)
-        for a, b, here in _runs(key, counts.shape[0], 2 * width):
-            table = self._prefix_tables(counts[a:b]).reshape(2, -1)
-            row = (key[here] - a) * width
-            out[:, here] = (np.take(table, row + hi[here], axis=1)
-                            - np.take(table, row + lo[here], axis=1))
-        return out
-
-    def _lods(self, states: list, below: np.ndarray) -> np.ndarray:
+    def _lods(self, groups: np.ndarray, below: np.ndarray, place=None,
+              path: list | None = None) -> np.ndarray:
         """Lods of a block of draws, given where their new subjects fall.
 
         The new subjects are taken in the order they fail, one row each.
-        ``states[t]`` is each draw's alive state S_t before new subject t
-        fails, and ``below`` (m, draws) counts the anchors below its level.
-        A new subject never shares its level with an anchor or with another
-        new subject (the walk's levels are continuous, or between
-        failures).  Equal to one stable sort of the explicit augmented
-        levels (``lod_rows`` in tests/walk_oracle.py): an event's risk set
-        is every subject at its level or above, tied fixed levels sharing
-        theirs (Breslow).  The existing events between new subjects t - 1
-        and t see W_{S_t}, and new subject t's own risk set is the existing
-        subjects above its level plus W_{S_t}.
+        ``groups[t]`` is the group of new subject t (rows past m - 2 are not
+        read), and ``below`` (m, draws) counts the anchors below its level;
+        ``place(t, rows, start, draws)``, when given, fills ``below[t]``
+        first (correct mode's ``_walk``), and ``path``, when given, lists
+        each round's state ids.  A new subject never shares its level with
+        an anchor or with another new subject (the walk's levels are
+        continuous, or between failures).  Equal to one stable sort of the
+        explicit augmented levels (``lod_rows`` in tests/walk_oracle.py): an
+        event's risk set is every subject at its level or above, tied fixed
+        levels sharing theirs (Breslow).  The existing events between new
+        subjects t - 1 and t see W_{S_t}, S_t the alive state before new
+        subject t fails, and new subject t's own risk set is the existing
+        subjects above its level plus W_{S_t}.  Each draw's terms are summed
+        in round order, so its lod does not depend on the other draws.
         """
-        # States of different rounds differ in size: index them all at once.
-        offset = np.cumsum([0] + [counts.shape[0] for _, counts in states[:-1]])
-        key = np.stack([key + o for (key, _), o in zip(states, offset)])
-        counts = np.concatenate([counts for _, counts in states])
-        bounds = self._events_before[below]
-        start = np.zeros_like(bounds)
-        start[1:] = bounds[:-1]
-        event_terms = self._event_terms(counts, key, start, bounds).sum(axis=1)
-        own = np.take(self._alive_weight(counts), key, axis=1)
+        m, n_draws = below.shape
+        weight = np.empty((2, m, n_draws))
+        start = np.zeros(n_draws, dtype=np.intp)  # the events below the last new subject
+        if path is not None:
+            self._states.reach(path)
+        for t in range(m):
+            if path is not None:
+                ids = path[t]
+            else:
+                ids = (self._states.root(n_draws) if t == 0
+                       else self._states.step(ids, groups[t - 1]))
+                self._states.reach([ids])
+            terms = np.empty((2, n_draws))
+            for rows, row, here in self._states.runs(ids):
+                table, flat = rows.prefix.reshape(2, -1), row * rows.prefix.shape[2]
+                if place is not None:
+                    place(t, rows, flat, here)
+                bounds = self._events_before[below[t, here]]
+                terms[:, here] = (np.take(table, flat + bounds, axis=1)
+                                  - np.take(table, flat + start[here], axis=1))
+                start[here] = bounds
+                weight[:, t, here] = np.take(rows.own, row, axis=1)
+            # Summed in round order: numpy's sum over the rounds is pairwise
+            # for one draw and m >= 8.
+            event_terms = terms if t == 0 else event_terms + terms
+        # The new subjects' own terms, in place of their alive weights.
         above = self._first_at[below]
-        new_terms = (np.take(self._risk_removed, above, axis=1)
-                     + np.log(np.take(self._risk_capped, above, axis=1) + own)).sum(axis=1)
+        weight += np.take(self._risk_capped, above, axis=1)
+        np.log(weight, out=weight)
+        weight += np.take(self._risk_removed, above, axis=1)
+        new_terms = weight[:, 0]
+        for t in range(1, m):
+            new_terms = new_terms + weight[:, t]
         ll = self._base - event_terms - new_terms
         return ll[0] - ll[1]
 
@@ -755,28 +889,36 @@ class _Completion:
         1.  Each row of that law sums to 1, so the round's expected event
         terms L_S(j) - L_S(i) are the arriving mass's sum of L_S less the
         carried mass's.  The new subject's own term is read as ``_lods`` reads
-        it, and the arriving mass splits by the group that fails.
+        it, and the arriving mass splits by the group that fails.  A round's
+        states are taken in the order of their codes.
         """
-        k = self._event_factor.shape[1]
-        counts, mass = self._group_size, np.eye(1, k + 1)  # all mass at (0, S_0)
+        k, m = self._event_factor.shape[1], self._group.size
+        ids, mass = self._states.root(1), np.eye(1, k + 1)  # all mass at (0, S_0)
         above = self._first_at[1:]
         lod = self._base[0, 0] - self._base[1, 0]
-        for _ in range(self._group.size):
-            table = self._prefix_tables(counts)
+        for t in range(m):
+            rows = self._states.rows(ids)
+            table = rows.prefix[:, :, :k + 1]
             skip = table[0]
             with np.errstate(divide="ignore"):  # log(0) where a state has no mass
                 arrive = np.exp(np.logaddexp.accumulate(np.log(mass) + skip, axis=1) - skip)
             arrive[:, :-1] *= -np.expm1(-np.diff(skip, axis=1))
-            weight = self._alive_weight(counts)
             own = (self._risk_removed[:, None, above]
-                   + np.log(self._risk_capped[:, None, above] + weight[:, :, None]))
+                   + np.log(self._risk_capped[:, None, above] + rows.own[:, :, None]))
             event_lod = table[0] - table[1]
             lod -= np.sum(arrive * (event_lod + own[0] - own[1])) - np.sum(mass * event_lod)
+            if t + 1 == m:
+                break
+            counts = self._states.counts[ids]
             key, group = np.nonzero(counts)
-            share = counts[key, group] * self._group_weight[0, group] / weight[0, key]
-            after, counts = _leave(key, counts, group)
-            mass = np.zeros((counts.shape[0], k + 1))
-            np.add.at(mass, after, arrive[key] * share[:, None])
+            share = counts[key, group] * self._group_weight[0, group] / rows.own[0, key]
+            reached = self._states.step(ids[key], group).tolist()
+            codes = sorted({self._states.codes[state] for state in reached})
+            ids = np.array(self._states.ids(codes))
+            position = dict(zip(ids.tolist(), range(ids.size)))
+            back = [position[state] for state in reached]
+            mass = np.zeros((ids.size, k + 1))
+            np.add.at(mass, back, arrive[key] * share[:, None])
         return float(lod)
 
 

@@ -7,8 +7,9 @@ range of draws [lo, hi) is bit-identical to the same rows of a one-shot
 run.  Measures hand :func:`collect_blocks` an ``evaluate(lo, hi)`` that
 returns the values of draws lo..hi-1; it is the one adaptive-stopping loop.
 Reduction uses numpy's pairwise summation over the index-ordered value
-array, which likewise does not depend on the grouping.  :func:`substream`
-seeds what is not a draw, such as simulated datasets.
+array, which likewise depends neither on the grouping nor on the number
+of BLAS threads.  :func:`substream` seeds what is not a draw, such as
+simulated datasets.
 """
 
 from __future__ import annotations
@@ -130,8 +131,10 @@ def variance_from_values(values: np.ndarray) -> MCEstimate:
         return MCEstimate(mean=0.0, standard_error=math.inf,
                           n_effective=n, sentinel_count=sentinels)
     d = kept - np.mean(kept)
-    s2 = float(d @ d / (n - 1))
-    d *= d  # squared deviations, then their squares, in place
+    # Squares in place, summed pairwise: a BLAS dot would split the sum
+    # across threads, and its bits with the thread count.
+    d *= d
+    s2 = float(np.sum(d) / (n - 1))
     d *= d
     m4 = float(np.mean(d))
     var_s2 = (m4 - (n - 3) / (n - 1) * s2 * s2) / n

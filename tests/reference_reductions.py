@@ -37,8 +37,8 @@ def variance_from_values(values):
         return MCEstimate(mean=0.0, standard_error=math.inf,
                           n_effective=n, sentinel_count=sentinels)
     d = kept - np.mean(kept)
-    s2 = float(d @ d / (n - 1))
     squares = d * d
+    s2 = float(np.sum(squares) / (n - 1))
     m4 = float(np.mean(squares * squares))
     var_s2 = (m4 - (n - 3) / (n - 1) * s2 * s2) / n
     se = math.sqrt(max(var_s2, 0.0))

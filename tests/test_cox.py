@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,7 +42,6 @@ from walk_oracle import (
     lod_rows,
     sort_rows,
     sorted_loglik,
-    states_of,
     tied_naive_completion,
     walk_placements,
 )
@@ -860,7 +860,7 @@ class TestCorrectExact:
 
 
 def walk_paths(completion):
-    """Every path of the correct-mode walk, with its probability read from the sampler's tables.
+    """Every path of the correct-mode walk, with its probability read from its state table.
 
     From (i, S) the walk passes failures i..j-1, then a new subject of group
     g fails, with probability (P(>= j - i) - P(>= j - i + 1)) c_g v_g / V_S:
@@ -869,23 +869,24 @@ def walk_paths(completion):
     groups and failures passed, as (m, paths) arrays, and its probability.
     """
     k = completion._event_factor.shape[1]
+    table = completion._states
     paths = []
 
-    def extend(counts, i, steps, p):
+    def extend(state, i, steps, p):
+        counts = table.counts[state]
         if not counts.any():
             paths.append((steps, p))
             return
-        table = completion._skip_table(counts[None])[0, :k + 1]
-        at_least = np.append(np.exp(-(table[i:] - table[i])), 0.0)
+        skip = table.rows(state[None]).prefix[0, 0, :k + 1]
+        at_least = np.append(np.exp(-(skip[i:] - skip[i])), 0.0)
         rates = counts * completion._group_weight[0]
         for j in range(i, k + 1):
             for g in np.flatnonzero(counts):
-                after = counts.copy()
-                after[g] -= 1
+                after = table.step(state[None], g[None])[0]
                 extend(after, j, steps + [(g, j)], p * (at_least[j - i] - at_least[j - i + 1])
                        * rates[g] / rates.sum())
 
-    extend(completion._group_size[0].copy(), 0, [], 1.0)
+    extend(table.root(1)[0], 0, [], 1.0)
     steps = np.array([path for path, _ in paths])
     return steps[:, :, 0].T, steps[:, :, 1].T, np.array([p for _, p in paths])
 
@@ -910,7 +911,7 @@ def test_walk_law_gives_the_exact_measure(sample):
     completion = correct_completion(data, z_new)
     groups, passed, prob = walk_paths(completion)
     assert prob.sum() == pytest.approx(1.0, rel=1e-12)
-    lods = completion._lods(states_of(completion, groups), passed + 1)
+    lods = completion._lods(groups, passed + 1)
     assert prob @ lods == pytest.approx(plackett_luce_expected_lod(completion), rel=1e-10)
 
 
@@ -986,28 +987,39 @@ def test_walk_law_on_tied_event_times_is_the_lods_plackett_luce_law(case):
     rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, 2, z_new, None)
     completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
     groups, passed, prob = walk_paths(completion)
-    lods = completion._lods(states_of(completion, groups), passed + 1)
+    lods = completion._lods(groups, passed + 1)
     assert prob @ lods == pytest.approx(plackett_luce_expected_lod(completion), rel=1e-10)
     assert 0.0 < cox._kp_lod(data, rank, beta_hat, beta_null) / (prob @ lods) <= 1.0
 
 
-def kernel_case():
-    """Censored data with tied times: tied fixed levels in naive mode."""
+def kernel_case(n=30, distinct=0):
+    """Censored data with tied times: tied fixed levels in naive mode.
+
+    The new subjects are four with binary covariates, or ``distinct`` ones,
+    each with its own covariate.
+    """
     rng = np.random.default_rng(61)
-    censored, _ = simulate_ph_binary(30, 0.5, rng, 0.3)
+    censored, _ = simulate_ph_binary(n, 0.5, rng, 0.3)
     times, status, z = censored.arrays()
     data = SurvivalDataset.from_arrays(np.round(times, 1) + 0.1, status, z)
-    z_new = rng.integers(0, 2, size=4).astype(float)[:, None]
-    return data, z_new
+    z_new = (np.linspace(-1.0, 1.0, distinct) if distinct
+             else rng.integers(0, 2, size=4).astype(float))
+    return data, z_new[:, None]
 
 
-def kernel_completions():
-    data, z_new = kernel_case()
-    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, 4, z_new, None)
+def kernel_completions(n=30, distinct=0):
+    data, z_new = kernel_case(n, distinct)
+    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
     return {
         "correct": cox._correct_completion(data, rank, beta_hat, beta_null, z_new),
         "naive": cox._naive_completion(data, rank, beta_hat, beta_null, z_new),
     }
+
+
+# (n, distinct) of kernel_case: binary new subjects, and all-distinct m = 10,
+# whose 2^10 alive states a block of draws mostly reaches.
+KERNEL_CASES = {"binary m=4": (30, 0), "distinct m=10, n=20": (20, 10),
+                "distinct m=10, n=200": (200, 10)}
 
 
 def completion_rates(completion):
@@ -1062,16 +1074,24 @@ def kernel_placements(completion, gaps, new):
         anchors = np.broadcast_to(completion.fixed_levels,
                                   (new.shape[0], completion.fixed_levels.size))
     below = np.array([np.searchsorted(a, x, "left") for a, x in zip(anchors, new)])
-    return states_of(completion, completion._group[by_level.T]), below.T
+    return completion._group[by_level.T], below.T
 
 
 def assert_insertion_matches_explicit_levels(completion, new, gaps=None):
     if gaps is None:
         gaps = np.zeros((new.shape[0], 0))
-    fast = completion._lods(*kernel_placements(completion, gaps, new))
+    groups, below = kernel_placements(completion, gaps, new)
+    fast = completion._lods(groups, below)
     slow = lod_rows(explicit_levels(completion, gaps, new), completion.status,
                     completion.eta_alt, completion.eta_null)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+    # Given each round's state ids, as the walk hands them on, it scores the same.
+    table, restarts = completion._states, completion._states.restarts
+    path = [table.root(new.shape[0])]
+    for group in groups[:-1]:
+        path.append(table.step(path[-1], group))
+    if table.restarts == restarts:
+        np.testing.assert_array_equal(completion._lods(groups, below, path=path), fast)
 
 
 def censored_at_and_before_event_times(rng):
@@ -1137,12 +1157,25 @@ def test_negative_tie_broken_observed_lod_is_refused():
 
 
 class TestInsertionKernel:
+    @pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
     @pytest.mark.parametrize("mode", ["correct", "naive"])
-    def test_matches_explicit_levels(self, mode):
-        completion = kernel_completions()[mode]
+    def test_matches_explicit_levels(self, mode, case):
+        completion = kernel_completions(*case)[mode]
         rng = np.random.default_rng(71)
         gaps, new = levels_of(completion, rng.standard_exponential((300, n_levels(completion))))
         assert_insertion_matches_explicit_levels(completion, new, gaps)
+
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_state_codes_beyond_int64(self, mode):
+        # 64 distinct new subjects have 2^64 alive states.
+        completion = kernel_completions(30, 64)[mode]
+        assert completion._states._root_code == 2**64 - 1
+        rng = np.random.default_rng(71)
+        gaps, new = levels_of(completion, rng.standard_exponential((50, n_levels(completion))))
+        assert_insertion_matches_explicit_levels(completion, new, gaps)
+        np.testing.assert_array_equal(
+            completion.lods(5, 0, 100),
+            np.concatenate([completion.lods(5, 0, 37), completion.lods(5, 37, 100)]))
 
     def test_exact_ties_in_naive_mode(self):
         # Tied fixed levels, each tie group holding an event and a censoring,
@@ -1204,19 +1237,42 @@ class TestInsertionKernel:
 
 
 class TestBlockKernelDeterminism:
+    @pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
     @pytest.mark.parametrize("mode", ["correct", "naive"])
-    def test_draws_do_not_depend_on_grouping(self, monkeypatch, mode):
-        completion = kernel_completions()[mode]
-        n = 700
+    def test_draws_do_not_depend_on_grouping(self, monkeypatch, mode, case):
+        completion = kernel_completions(*case)[mode]
+        n = 300 if case[1] else 700  # draws; tiny budgets make m = 10 slow
         one_block = completion.lods(5, 0, n)
         assert np.all(np.isfinite(one_block))
-        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 3 * completion.status.size)
-        small_blocks = completion.lods(5, 0, n)
-        pieces = np.concatenate([completion.lods(5, 0, 123), completion.lods(5, 123, n)])
-        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 2**24)
-        first_half = completion.lods(5, 0, 2 * n)[:n]
-        for other in (small_blocks, pieces, first_half):
-            np.testing.assert_array_equal(one_block, other)
+        for budget in (3 * completion.status.size, 1000, 2**24):
+            monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", budget)
+            # A new table under this budget, and the one built under the default.
+            pieces = np.concatenate([completion.lods(5, 0, 123), completion.lods(5, 123, n)])
+            for other in (kernel_completions(*case)[mode].lods(5, 0, n), completion.lods(5, 0, n),
+                          pieces):
+                np.testing.assert_array_equal(one_block, other)
+        np.testing.assert_array_equal(one_block, completion.lods(5, 0, 2 * n)[:n])
+        # A block of one draw sums its terms as a larger block does, m >= 8 too.
+        np.testing.assert_array_equal(
+            one_block[-10:], [completion.lods(5, i, i + 1)[0] for i in range(n - 10, n)])
+
+    @pytest.mark.parametrize("capacity", [40, 300],
+                             ids=["rounds beyond the budget", "rounds within it"])
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_table_restarts_in_the_middle_of_a_walk(self, monkeypatch, mode, capacity):
+        # All 2^10 states fit the default budget at n = 20, so the table holds
+        # them from the start.  Under a budget for 40 states, the rounds of 45
+        # states and more keep no rows; under one for 300, every round fits,
+        # but not with the rounds before it.
+        completion = kernel_completions(20, 10)[mode]
+        expected = completion.lods(5, 0, 700)
+        assert completion._states.restarts == 0
+        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", capacity * completion._states._elements)
+        small = kernel_completions(20, 10)[mode]
+        np.testing.assert_array_equal(small.lods(5, 0, 700), expected)
+        assert small._states.restarts > 0
+        if mode == "correct":
+            assert small.expected_lod() == completion.expected_lod()
 
     @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
     def test_adaptive_stop_does_not_depend_on_sub_block_size(self, monkeypatch, measure):
@@ -1228,6 +1284,25 @@ class TestBlockKernelDeterminism:
         assert a.n_draws == b.n_draws
         assert 1024 < a.n_draws < config.n_draws
         assert (a.estimate, a.mc_standard_error) == (b.estimate, b.mc_standard_error)
+
+
+def test_kernel_memory_stays_bounded():
+    # All-distinct m = 12 at n = 200 reaches thousands of states, each with
+    # rows of about 2 x 256 doubles: more than the budget holds.
+    completion = kernel_completions(200, 12)["correct"]
+    tracemalloc.start()
+    try:
+        completion.lods(5, 0, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The kernel that built each round's tables anew peaked at 6.93e6 bytes
+    # here (numpy 2.4).
+    assert peak <= 1.25 * 6.93e6
+    table = completion._states
+    assert table.restarts > 0
+    held = sum(rows.size for rows in table._rows) + table.counts.size + table._next.size
+    assert held <= cox._BLOCK_ELEMENTS
 
 
 # (times, status, covariates, new subjects' covariates)

@@ -77,23 +77,10 @@ def kp_levels(failures, anchor_of, new):
     return np.concatenate([anchors[:, anchor_of], new], axis=1)
 
 
-def states_of(completion, groups):
-    """Each draw's alive state before each new subject fails, as ``_lods`` takes them.
-
-    ``groups`` (m, draws) gives the group of each draw's new subjects in
-    the order they fail.  Entry t is (key, counts): draw r is in the state
-    ``counts[key[r]]`` before new subject t fails.
-    """
-    states = [(np.zeros(groups.shape[1], dtype=np.intp), completion._group_size)]
-    for group in groups[:-1]:
-        states.append(cox._leave(*states[-1], group))
-    return states
-
-
 def labels_of(completion, groups):
     """Each completion group's label: its rank among the new subjects' distinct eta_alt."""
     eta_new = completion.eta_alt[completion.anchor_of.size:]
-    group_eta = np.empty(completion._group_size.shape[1])
+    group_eta = np.empty(completion._group_weight.shape[1])
     group_eta[completion._group] = eta_new
     return np.searchsorted(np.unique(eta_new), group_eta)[groups]
 
@@ -103,11 +90,17 @@ def walk_placements(completion, seed, n_draws):
 
     Returns (passed, label, alive), the first two (n_draws, m) and ``alive``
     (m, n_draws, groups): each draw's alive new subjects per group before
-    each round.
+    each round, read from the completion's state table.
     """
     u = mc.stream_uniforms(seed, n_draws, completion.per_draw, cox._COX_STREAM_TAG)
-    states, below = completion._walk(u.reshape(n_draws, completion.per_draw).T)
-    alive = np.stack([counts[key] for key, counts in states])
+    _, groups, below = completion._walk(u.reshape(n_draws, completion.per_draw).T)
+    table = completion._states
+    ids = table.root(n_draws)
+    alive = [table.counts[ids]]
+    for group in groups:
+        ids = table.step(ids, group)
+        alive.append(table.counts[ids])
+    alive = np.stack(alive)
     # The group that fails in a round is the one with one fewer alive after it.
     after = np.concatenate([alive[1:], np.zeros_like(alive[:1])])
     group = np.argmax(alive - after, axis=2)
