@@ -44,8 +44,13 @@ null_variant = ri0(model, obs, theta_null=0.5)
 print(f"null-imputation variant: {null_variant.estimate:.4f}")
 
 # The single number hides real variation: individual completions of the
-# missing data can be far more or less favorable than average.
-samples = ri_y_samples(model, obs, pair, n_draws=20_000, seed=42)
-finite = samples[np.isfinite(samples)]
-print(f"per-draw ratio spread:   sd {finite.std(ddof=1):.3f}, "
-      f"range [{finite.min():.3f}, {finite.max():.3f}]")
+# missing data can be far more or less favorable than average.  The draws
+# come back as a histogram: each distinct completion's ratio and how many
+# of the 20,000 draws reached it.
+ratios, counts = ri_y_samples(model, obs, pair, n_draws=20_000, seed=42)
+finite = np.isfinite(ratios)
+ratios, counts = ratios[finite], counts[finite]
+mean = np.average(ratios, weights=counts)
+sd = np.sqrt(np.sum(counts * (ratios - mean) ** 2) / (counts.sum() - 1))
+print(f"per-draw ratio spread:   sd {sd:.3f}, "
+      f"range [{ratios.min():.3f}, {ratios.max():.3f}]")

@@ -9,9 +9,10 @@ with a small missing count admit an exact enumeration oracle.
 
 Monte Carlo completions invert a Binomial(n_missing, theta) cdf table built
 from the pmf's ratio recursion (Devroye 1986, ch. III).  A block of draws
-comes back as its support table, one complete-data row per count from the
-smallest to the largest the block reaches, plus each draw's row index, so
-a functional of the complete data is evaluated once per distinct count.
+comes back as a histogram: its support, one complete-data row per distinct
+count the block reaches, and how many draws reached each row.  Every
+binomial measure is a functional of the count alone, so it is evaluated
+once per row and reduced with the row counts as weights.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class BinomialObserved:
 @dataclass(frozen=True)
 class BinomialComplete:
     """Complete data; successes_total may be fractional (imputation) or an
-    array whose rows are the support table of a block of Monte Carlo draws
-    (see :class:`relinfo.core.ModelContract`)."""
+    array whose rows are the support of a block of Monte Carlo draws (see
+    :class:`relinfo.core.ModelContract`)."""
 
     successes_total: float | np.ndarray
     n_total: int
@@ -101,21 +102,32 @@ def _pmf_window(n: int, theta) -> tuple[int, np.ndarray]:
     return lo, pmf / pmf.sum()
 
 
-def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
-    """Binomial(n, theta) quantiles of u: the smallest count k with cdf(k) >= u.
+def _cdf_table(n: int, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial(n, theta) cdf table as (count of each row, cdf at each row).
 
     The table is the cumulative sum of :func:`_pmf_window`'s pmf with its
     last entry set to 1: the tail left out is below 1e-26, and no uniform
-    exceeds 1 - 2**-53.  A guide table (Chen and Asau 1974; Devroye 1986,
-    III.2) starts each u at the first count whose cdf reaches floor(u G) / G;
-    a draw still below u steps once, and the few still below after that, in
-    tails where one guide interval spans many counts, are placed by binary
-    search.  G is the power of two (so u G is exact) that first reaches twice
-    the table's length or the block's draw count.  u = 0 maps to 0.
+    exceeds 1 - 2**-53.  When the window starts above 0, a first row of
+    cdf 0 stands for count 0, so that u = 0, and only u = 0, maps to 0.
     """
     lo, pmf = _pmf_window(n, theta)
     table = np.cumsum(pmf)
     table[-1] = 1.0
+    if lo == 0:
+        return np.arange(table.size), table
+    return np.r_[0, lo:lo + table.size], np.r_[0.0, table]
+
+
+def _quantile_rows(u: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """For each u, the first row r of the nondecreasing ``table`` with table[r] >= u.
+
+    A guide table (Chen and Asau 1974; Devroye 1986, III.2) starts each u
+    at the first row whose cdf reaches floor(u G) / G; a draw still below u
+    steps once, and the few still below after that, in tails where one
+    guide interval spans many rows, are placed by binary search.  G is the
+    power of two (so u G is exact) that first reaches twice the table's
+    length or the block's draw count.
+    """
     size = 1 << (min(2 * table.size, u.size) - 1).bit_length()
     guide = np.searchsorted(table, np.arange(size) / size, side="left")
     k = guide[(u * size).astype(np.intp)]
@@ -123,19 +135,33 @@ def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     k[behind] += 1
     behind = behind[table[k[behind]] < u[behind]]
     k[behind] = np.searchsorted(table, u[behind], side="left")
-    k += lo
-    k[u == 0.0] = 0
     return k
+
+
+def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
+    """Binomial(n, theta) quantiles of u: the smallest count k with cdf(k) >= u.
+
+    u = 0 maps to 0.  These are the per-draw counts whose histogram
+    :func:`_draw_completions_batch` returns.
+    """
+    labels, table = _cdf_table(n, theta)
+    return labels[_quantile_rows(u, table)]
 
 
 def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
                             start: int = 0):
-    counts = _inverse_cdf(stream_uniforms(seed, n_draws, start=start), observed.n_missing, theta)
-    first, last = (int(counts.min()), int(counts.max())) if n_draws else (0, -1)
-    support = BinomialComplete(observed.successes + np.arange(first, last + 1, dtype=float),
+    """Completions ``start`` .. ``start + n_draws - 1`` as a histogram (support, counts).
+
+    ``support`` holds the distinct completions the draws reach, by
+    increasing success count, and ``counts[r]`` how many draws reach row r.
+    """
+    labels, table = _cdf_table(observed.n_missing, theta)
+    rows = _quantile_rows(stream_uniforms(seed, n_draws, start=start), table)
+    counts = np.bincount(rows, minlength=table.size)
+    reached = np.flatnonzero(counts)
+    support = BinomialComplete(observed.successes + labels[reached].astype(float),
                                observed.n_total)
-    counts -= first
-    return support, counts
+    return support, counts[reached]
 
 
 def _impute_completion(observed: BinomialObserved, theta):

@@ -323,17 +323,18 @@ def _cmd_ri_y(args, report: Report) -> None:
     mc.MCConfig(n_draws=args.draws, seed=args.seed)
     exact = core.ri1(model, obs, args.p0, theta_alt=args.p1)
     pair = core.HypothesisPair(theta_null=args.p0, theta_alt=args.p1)
-    samples = core.ri_y_samples(model, obs, pair, args.draws, args.seed)
+    ratios, counts = core.ri_y_samples(model, obs, pair, args.draws, args.seed)
     try:
-        finite, sentinels = mc._finite_draws(samples)
+        ri_y = mc.estimate_from_values(ratios, counts)
     except EstimationFailureError:  # every draw is a sentinel
-        finite, sentinels = samples[:0], samples.size
-    report.add("result.n_draws", samples.size)
-    report.add("result.sentinel_count", sentinels)
+        ri_y = mc.MCEstimate(math.nan, math.nan, 0, args.draws)
+    report.add("result.n_draws", ri_y.n_draws)
+    report.add("result.sentinel_count", ri_y.sentinel_count)
     # Sentinel draws (complete-data lod 0) leave no finite ratio to average.
-    report.add("result.ri_y_mean", float(np.mean(finite)) if finite.size else math.nan)
-    report.add("result.ri_y_sd", float(np.std(finite, ddof=1)) if finite.size > 1 else math.nan)
-    recip = mc.estimate_from_values(1.0 / samples)
+    report.add("result.ri_y_mean", ri_y.mean)
+    report.add("result.ri_y_sd", ri_y.standard_error * math.sqrt(ri_y.n_effective)
+               if ri_y.n_effective > 1 else math.nan)
+    recip = mc.estimate_from_values(1.0 / ratios, counts)
     report.add("result.ri_y_reciprocal_mean", recip.mean)
     report.add("result.ri_y_reciprocal_se", recip.standard_error)
     report.add("result.ri1_inverse", 1.0 / exact.estimate)

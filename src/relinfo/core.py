@@ -62,16 +62,18 @@ class ModelContract:
     """Pluggable likelihood machinery a model must provide.
 
     ``draw_completions_batch(observed, theta, n_draws, seed, start=0)``
-    returns completions ``start`` .. ``start + n_draws - 1`` as a pair
-    ``(support, index)``: ``support`` is one data object whose fields are
-    arrays over rows, such as the distinct completions the block reaches,
-    and ``index`` gives each draw's row.  Measures evaluate a functional of
-    the complete data once per row and gather it per draw with ``[index]``,
-    which equals evaluating it on each draw's own completion.  Draw i's
-    completion must derive from the counter block owned by i (see
-    :func:`relinfo.mc.stream_uniforms`), so any range of draws gives the
-    same completions as those draws of a run from draw 0; the support's
-    rows may differ.  ``impute_completion`` is present only
+    returns completions ``start`` .. ``start + n_draws - 1`` as a histogram
+    ``(support, counts)``: ``support`` is one data object whose fields are
+    arrays over rows, the distinct completions the block reaches, and
+    ``counts[r]`` is the number of draws whose completion is row r.
+    Measures evaluate a functional of the complete data once per row and
+    reduce it with the counts as weights (see
+    :func:`relinfo.mc.estimate_from_values`), which equals reducing it over
+    the draws.  Draw i's completion must derive from the counter block
+    owned by i (see :func:`relinfo.mc.stream_uniforms`), so any range of
+    draws gives the same completions as those draws of a run from draw 0,
+    and the histograms of two ranges add up to the histogram of their
+    union.  ``impute_completion`` is present only
     for exponential-family models: it returns pseudo-complete data whose
     sufficient statistic equals the conditional expectation of the
     complete-data sufficient statistic given the observed data at the
@@ -166,21 +168,25 @@ def _observed_setup(model: ModelContract, observed, theta_null):
 
 
 def _completion_lods(model: ModelContract, observed, draw_theta,
-                     theta_alt, theta_null, seed: int) -> Callable[[int, int], np.ndarray]:
-    """Block evaluator of lod(theta_alt, theta_null | Y_co) for completions at draw_theta."""
-    def evaluate(lo: int, hi: int) -> np.ndarray:
-        support, index = model.draw_completions_batch(observed, draw_theta, hi - lo, seed,
-                                                      start=lo)
-        return np.asarray(_lod_value(model, theta_alt, theta_null, support), dtype=float)[index]
+                     theta_alt, theta_null, seed: int) -> Callable[[int, int], tuple]:
+    """Block evaluator of lod(theta_alt, theta_null | Y_co) for completions at draw_theta.
+
+    A block is a histogram: the lod of each support row, and the row counts.
+    """
+    def evaluate(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        support, counts = model.draw_completions_batch(observed, draw_theta, hi - lo, seed,
+                                                       start=lo)
+        return np.asarray(_lod_value(model, theta_alt, theta_null, support), dtype=float), counts
     return evaluate
 
 
-def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], np.ndarray],
+def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
                     config: MCConfig, **diagnostics) -> RelInfoResult:
     """Observed lod over the Monte Carlo mean of the complete-data lods.
 
-    ``evaluate(lo, hi)`` returns the complete-data lods of draws lo..hi-1;
-    the mean honours ``config.max_relative_se`` (see :func:`relinfo.mc.collect_blocks`).
+    ``evaluate(lo, hi)`` returns the complete-data lods of draws lo..hi-1,
+    one per draw or as a histogram ``(lods, counts)``; the mean honours
+    ``config.max_relative_se`` (see :func:`relinfo.mc.collect_blocks`).
     ``diagnostics`` are added to the result's own.
     """
     est = mc.mc_expectation(evaluate, config)
@@ -287,24 +293,25 @@ def ri0(model: ModelContract, observed, theta_null) -> RelInfoResult:
 
 
 def ri_y_samples(model: ModelContract, observed, pair: HypothesisPair,
-                 n_draws: int, seed: int) -> np.ndarray:
-    """Per-draw ratios lod(pair | Y_ob) / lod(pair | Y_co).
+                 n_draws: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-completion ratios lod(pair | Y_ob) / lod(pair | Y_co), as a histogram.
 
+    Returns ``(ratios, counts)``: the ratio of each distinct completion the
+    draws reach, and how many of the ``n_draws`` draws reached it.
     Completions are drawn at the observed-data MLE; the hypothesis pair is
-    fixed (the sharp-alternative setting).  Draws whose complete-data lod
-    is exactly zero are recorded as +inf sentinels.
+    fixed (the sharp-alternative setting).  Completions whose complete-data
+    lod is exactly zero are recorded as +inf sentinels.
     """
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
     theta_hat = model.mle(observed)
     lod_ob = _as_scalar(lod(model, pair, observed).value)
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero; measure undefined")
-    support, index = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
+    support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     lods_co = np.asarray(_lod_value(model, pair.theta_alt, pair.theta_null, support),
                          dtype=float)
     with np.errstate(divide="ignore"):
-        ratios = np.where(lods_co == 0.0, np.inf, lod_ob / lods_co)
-    return ratios[index]
+        return np.where(lods_co == 0.0, np.inf, lod_ob / lods_co), counts
 
 
 def lod_ratio_variance(model: ModelContract, observed, theta_null,
@@ -319,9 +326,9 @@ def lod_ratio_variance(model: ModelContract, observed, theta_null,
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero; measure undefined")
 
-    support, index = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
+    support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     lods = np.asarray(_lod_value(model, model.mle(support), theta_null, support), dtype=float)
-    var = mc.variance_from_values(lods[index])
+    var = mc.variance_from_values(lods, counts)
 
     scale = lod_ob**2
     return RelInfoResult(
@@ -357,15 +364,14 @@ def expected_lod_gap(model: ModelContract, observed, theta_null,
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero")
 
-    support, index = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
+    support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     at_mle = np.asarray(_lod_value(model, model.mle(support), theta_null, support),
                         dtype=float)
     at_fixed = np.asarray(_lod_value(model, theta_hat, theta_null, support), dtype=float)
-    diff = (at_mle - at_fixed)[index]
-    violations = int(np.sum(diff < -_DOMINANCE_TOL))
+    diff = at_mle - at_fixed
     return ExpectedLodGap(
-        at_draw_mle=mc.estimate_from_values(at_mle[index]),
-        at_fixed_alt=mc.estimate_from_values(at_fixed[index]),
-        paired_diff=mc.estimate_from_values(diff),
-        dominance_violations=violations,
+        at_draw_mle=mc.estimate_from_values(at_mle, counts),
+        at_fixed_alt=mc.estimate_from_values(at_fixed, counts),
+        paired_diff=mc.estimate_from_values(diff, counts),
+        dominance_violations=int(counts[diff < -_DOMINANCE_TOL].sum()),
     )

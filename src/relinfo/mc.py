@@ -5,11 +5,12 @@ draw i's uniforms from counter block i of one keyed Philox stream
 (:func:`stream_uniforms`), where ``start`` selects the first block, so any
 range of draws [lo, hi) is bit-identical to the same rows of a one-shot
 run.  Measures hand :func:`collect_blocks` an ``evaluate(lo, hi)`` that
-returns the values of draws lo..hi-1; it is the one adaptive-stopping loop.
-Reduction uses numpy's pairwise summation over the index-ordered value
-array, which likewise depends neither on the grouping nor on the number
-of BLAS threads.  :func:`substream` seeds what is not a draw, such as
-simulated datasets.
+returns draws lo..hi-1, as their values or as a histogram of rows and
+counts; it is the one adaptive-stopping loop.  Reduction uses numpy's
+pairwise summation over the index-ordered values, or over a histogram's
+rows sorted by value (:func:`histogram`), which likewise depends neither
+on the grouping nor on the number of BLAS threads.  :func:`substream`
+seeds what is not a draw, such as simulated datasets.
 """
 
 from __future__ import annotations
@@ -107,70 +108,132 @@ def _finite_draws(values) -> tuple[np.ndarray, int]:
     return kept, values.size - kept.size
 
 
-def _mean_and_se(kept: np.ndarray) -> tuple[float, float]:
-    """Mean of finite values and its standard error (inf below two values)."""
-    mean = float(np.mean(kept))
-    if kept.size < 2:
+def histogram(values, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``values`` drawn ``counts`` times each, sorted by value with equal values merged.
+
+    This is the one form the counted reductions read, so their results
+    depend only on the draws a histogram stands for: neither on the order
+    of its rows nor on how the draws of one value are split among rows.
+    """
+    values, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    merged = np.bincount(inverse, weights=counts, minlength=values.size)
+    return values, merged.astype(np.int64)
+
+
+def _kept(values, counts=None) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+    """(finite values, their counts, finite draws, non-finite sentinel draws).
+
+    Without ``counts`` the values are one per draw and their counts None.
+    """
+    if counts is None:
+        kept, sentinels = _finite_draws(values)
+        return kept, None, kept.size, sentinels
+    values, counts = histogram(values, counts)
+    finite = np.isfinite(values)
+    kept = counts[finite]
+    n = int(kept.sum())
+    if n == 0:
+        raise EstimationFailureError("all Monte Carlo draws were sentinels")
+    return values[finite], kept, n, int(counts.sum()) - n
+
+
+def _counted_mean(values: np.ndarray, counts: np.ndarray, n: int) -> float:
+    """Mean of ``n`` draws given as rows and counts, shifted by the first row's value.
+
+    The shift makes a one-row histogram's mean that row's value exactly,
+    where a plain weighted mean (c v) / c can be off in its last bit.
+    """
+    shift = values[0]
+    return float(shift + np.sum(counts * (values - shift)) / n)
+
+
+def _mean_and_se(kept: np.ndarray, weight: np.ndarray | None, n: int) -> tuple[float, float]:
+    """Mean of the finite draws and its standard error (inf below two draws)."""
+    if weight is None:
+        mean = float(np.mean(kept))
+        if n < 2:
+            return mean, math.inf
+        return mean, float(np.std(kept, ddof=1) / math.sqrt(n))
+    mean = _counted_mean(kept, weight, n)
+    if n < 2:
         return mean, math.inf
-    return mean, float(np.std(kept, ddof=1) / math.sqrt(kept.size))
+    d = kept - mean
+    return mean, math.sqrt(float(np.sum(weight * (d * d))) / (n - 1)) / math.sqrt(n)
 
 
-def estimate_from_values(values: np.ndarray) -> MCEstimate:
-    """Mean/SE over draw values; non-finite sentinels are excluded and counted."""
-    kept, sentinels = _finite_draws(values)
-    mean, se = _mean_and_se(kept)
-    return MCEstimate(mean=mean, standard_error=se, n_effective=kept.size,
-                      sentinel_count=sentinels)
+def estimate_from_values(values: np.ndarray, counts: np.ndarray | None = None) -> MCEstimate:
+    """Mean/SE over draw values; non-finite sentinels are excluded and counted.
+
+    With ``counts``, ``values`` are the rows of a histogram and ``counts[r]``
+    the number of draws of row r.
+    """
+    kept, weight, n, sentinels = _kept(values, counts)
+    mean, se = _mean_and_se(kept, weight, n)
+    return MCEstimate(mean=mean, standard_error=se, n_effective=n, sentinel_count=sentinels)
 
 
-def variance_from_values(values: np.ndarray) -> MCEstimate:
-    """Unbiased sample variance with an SE from the fourth central moment."""
-    kept, sentinels = _finite_draws(values)
-    n = kept.size
+def variance_from_values(values: np.ndarray, counts: np.ndarray | None = None) -> MCEstimate:
+    """Unbiased sample variance with an SE from the fourth central moment.
+
+    ``counts`` are optional row counts, as for :func:`estimate_from_values`.
+    """
+    kept, weight, n, sentinels = _kept(values, counts)
     if n < 2:
         return MCEstimate(mean=0.0, standard_error=math.inf,
                           n_effective=n, sentinel_count=sentinels)
-    d = kept - np.mean(kept)
+
+    def total(a):
+        return np.sum(a if weight is None else weight * a)
+
+    d = kept - (np.mean(kept) if weight is None else _counted_mean(kept, weight, n))
     # Squares in place, summed pairwise: a BLAS dot would split the sum
     # across threads, and its bits with the thread count.
     d *= d
-    s2 = float(np.sum(d) / (n - 1))
+    s2 = float(total(d) / (n - 1))
     d *= d
-    m4 = float(np.mean(d))
+    m4 = float(total(d) / n)
     var_s2 = (m4 - (n - 3) / (n - 1) * s2 * s2) / n
     se = math.sqrt(max(var_s2, 0.0))
     return MCEstimate(mean=s2, standard_error=se, n_effective=n, sentinel_count=sentinels)
 
 
-def collect_blocks(evaluate: Callable[[int, int], np.ndarray],
-                   config: MCConfig) -> np.ndarray:
-    """Values of draws 0..n-1, where ``evaluate(lo, hi)`` returns draws lo..hi-1.
+def collect_blocks(evaluate: Callable, config: MCConfig):
+    """Draws 0..n-1, where ``evaluate(lo, hi)`` returns draws lo..hi-1.
 
-    When ``max_relative_se`` is set, evaluation proceeds in batches at fixed
-    draw-index boundaries, so where it stops does not depend on how
-    ``evaluate`` groups its draws, and stops once the running relative
-    standard error falls below the target.
+    A block is either the values of its draws, in draw order, or a
+    histogram ``(values, counts)`` of rows and their draw counts; this
+    returns the kind ``evaluate`` returns.  When ``max_relative_se`` is
+    set, evaluation proceeds in batches at fixed draw-index boundaries, so
+    where it stops does not depend on how ``evaluate`` groups its draws,
+    and stops once the running relative standard error falls below the
+    target.  The histograms of successive batches are merged by
+    :func:`histogram`.
     """
     if config.max_relative_se is None:
         return evaluate(0, config.n_draws)
 
-    chunks: list[np.ndarray] = []
+    blocks: list = []
     done = 0
     while done < config.n_draws:
         hi = min(done + _ADAPTIVE_BATCH, config.n_draws)
-        chunks.append(evaluate(done, hi))
+        blocks.append(evaluate(done, hi))
         done = hi
-        values = np.concatenate(chunks)
-        kept = values[np.isfinite(values)]
-        if kept.size < 2:
+        if isinstance(blocks[0], tuple):
+            blocks = [histogram(*map(np.concatenate, zip(*blocks)))]
+            drawn = blocks[0]
+        else:
+            drawn = (np.concatenate(blocks),)
+        try:
+            kept, weight, n, _ = _kept(*drawn)
+        except EstimationFailureError:
             continue
-        mean, se = _mean_and_se(kept)
+        mean, se = _mean_and_se(kept, weight, n)
         if mean != 0.0 and se / abs(mean) <= config.max_relative_se:
             break
-    return np.concatenate(chunks)
+    return blocks[0] if isinstance(blocks[0], tuple) else np.concatenate(blocks)
 
 
-def mc_expectation(evaluate: Callable[[int, int], np.ndarray],
-                   config: MCConfig) -> MCEstimate:
+def mc_expectation(evaluate: Callable, config: MCConfig) -> MCEstimate:
     """Monte Carlo mean over the draws that :func:`collect_blocks` evaluates."""
-    return estimate_from_values(collect_blocks(evaluate, config))
+    block = collect_blocks(evaluate, config)
+    return estimate_from_values(*block) if isinstance(block, tuple) else estimate_from_values(block)

@@ -75,13 +75,13 @@ def test_criterion_2_per_draw_reciprocal_mean(p_alt):
     start = time.monotonic()
     obs = BinomialObserved(round(1000 * p_alt), 1000, 500)
     pair = core.HypothesisPair(theta_null=0.5, theta_alt=p_alt)
-    samples = core.ri_y_samples(MODEL, obs, pair, n_draws=40_000, seed=811)
-    finite = samples[np.isfinite(samples)]
+    ratios, counts = core.ri_y_samples(MODEL, obs, pair, n_draws=40_000, seed=811)
+    finite = np.isfinite(ratios)
 
-    recip = mc.estimate_from_values(1.0 / samples)
+    recip = mc.estimate_from_values(1.0 / ratios, counts)
     exact = core.ri1(MODEL, obs, 0.5, theta_alt=p_alt)
     assert abs(recip.mean - 1.0 / exact.estimate) <= 3 * recip.standard_error
-    assert float(np.std(finite, ddof=1)) > 0.0
+    assert float(np.std(np.repeat(ratios[finite], counts[finite]), ddof=1)) > 0.0
 
     assert time.monotonic() - start < 30.0
     report(2, f"reciprocal per-draw mean matches 1/RI1 at p_alt={p_alt}")
@@ -209,13 +209,20 @@ def test_criterion_10_block_determinism(monkeypatch):
     _, uncensored = simulate_ph_binary(15, 0.5, rng, 0.0)
     z_new = rng.integers(0, 2, size=4).astype(float)[:, None]
 
-    # Record the per-draw values each measure hands to the reduction.
+    # Record the draws each measure hands to the reduction, and its evaluator.
+    # The binomial measure's draws are a histogram (lods, counts), the Cox
+    # measures' one value per draw.
     recorded = []
     collect_blocks = mc.collect_blocks
 
     def recording(evaluate, config):
-        recorded.append(collect_blocks(evaluate, config))
-        return recorded[-1]
+        recorded.append((collect_blocks(evaluate, config), evaluate))
+        return recorded[-1][0]
+
+    def assert_same_draws(a, b):
+        a, b = ((mc.histogram(*a), mc.histogram(*b)) if isinstance(a, tuple) else ([a], [b]))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     monkeypatch.setattr(mc, "collect_blocks", recording)
     measures = [
@@ -230,10 +237,16 @@ def test_criterion_10_block_determinism(monkeypatch):
         # 1024-draw blocks from their own start, the last block shorter.
         blocks = measure(MCConfig(n_draws=n, seed=601, max_relative_se=1e-9))
         measure(MCConfig(n_draws=2 * n, seed=601))
-        draws_one, draws_blocks, draws_double = recorded
-        assert draws_one.size == n
-        np.testing.assert_array_equal(draws_blocks, draws_one)
-        np.testing.assert_array_equal(draws_double[:n], draws_one)
+        (draws_one, _), (draws_blocks, _), (draws_double, evaluate_double) = recorded
+        assert_same_draws(draws_blocks, draws_one)
+        if isinstance(draws_one, tuple):
+            # hist(0..2N) == hist(0..N) + hist(N..2N)
+            assert draws_one[1].sum() == n
+            assert_same_draws(draws_double, tuple(map(
+                np.concatenate, zip(draws_one, evaluate_double(n, 2 * n)))))
+        else:
+            assert draws_one.size == n
+            np.testing.assert_array_equal(draws_double[:n], draws_one)
         assert ((blocks.estimate, blocks.mc_standard_error, blocks.n_draws)
                 == (one_block.estimate, one_block.mc_standard_error, one_block.n_draws))
     report(10, "draws 0..N-1 are bit-identical in one block, in blocks and in 2N draws")

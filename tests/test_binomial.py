@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,33 +34,55 @@ def test_mle_is_sample_proportion():
     assert MODEL.mle(BinomialComplete(55, 100)) == pytest.approx(0.55)
 
 
-def drawn_successes(*args, **kwargs):
-    """Per-draw success totals: the support's rows gathered by the draw index."""
-    support, index = MODEL.draw_completions_batch(*args, **kwargs)
-    return support.successes_total[index]
+def drawn_successes(obs, theta, n_draws, seed, start=0):
+    """Per-draw success totals: the shared quantile search on the draws' own uniforms."""
+    u = mc.stream_uniforms(seed, n_draws, start=start)
+    return obs.successes + binomial._inverse_cdf(u, obs.n_missing, theta)
+
+
+def assert_histogram_of(support, counts, successes):
+    """The histogram (support, counts) is np.bincount of the per-draw ``successes``."""
+    assert np.issubdtype(counts.dtype, np.integer)
+    if successes.size == 0:
+        assert support.successes_total.size == counts.size == 0
+        return
+    first = int(successes.min())
+    dense = np.bincount(successes.astype(np.int64) - first)
+    reached = np.flatnonzero(dense)
+    np.testing.assert_array_equal(support.successes_total, first + reached)
+    np.testing.assert_array_equal(counts, dense[reached])
+
+
+def as_counter(support, counts):
+    return Counter(dict(zip(support.successes_total.tolist(), counts.tolist())))
 
 
 def test_completion_with_no_missing_returns_data_back():
     obs = BinomialObserved(4, 9, 0)
-    support, index = MODEL.draw_completions_batch(obs, 0.4, 1, 0)
-    assert np.all(support.successes_total[index] == obs.successes)
+    support, counts = MODEL.draw_completions_batch(obs, 0.4, 1, 0)
+    assert support.successes_total.tolist() == [obs.successes]
+    assert counts.tolist() == [1]
     assert support.n_total == obs.n_observed
 
 
 def test_completion_mean_matches_binomial_mean():
     obs = BinomialObserved(30, 50, 50)
-    draws = drawn_successes(obs, 0.6, 4_000, 11) - 30
-    se = np.std(draws, ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - 30.0) <= 3 * se
+    support, counts = MODEL.draw_completions_batch(obs, 0.6, 4_000, 11)
+    draws = mc.estimate_from_values(support.successes_total - 30, counts)
+    assert draws.n_draws == 4_000
+    assert abs(draws.mean - 30.0) <= 3 * draws.standard_error
 
 
 def test_batch_completion_is_deterministic_and_reduces_correctly():
     obs = BinomialObserved(30, 50, 50)
-    a = drawn_successes(obs, 0.6, 1_000, 3)
-    b = drawn_successes(obs, 0.6, 1_000, 3)
-    np.testing.assert_array_equal(a, b)
-    assert np.all(a >= obs.successes)
-    assert np.all(a <= obs.n_total)
+    a, a_counts = MODEL.draw_completions_batch(obs, 0.6, 1_000, 3)
+    b, b_counts = MODEL.draw_completions_batch(obs, 0.6, 1_000, 3)
+    np.testing.assert_array_equal(a.successes_total, b.successes_total)
+    np.testing.assert_array_equal(a_counts, b_counts)
+    assert np.all(np.diff(a.successes_total) > 0) and np.all(a_counts > 0)
+    assert a_counts.sum() == 1_000
+    assert np.all(a.successes_total >= obs.successes)
+    assert np.all(a.successes_total <= obs.n_total)
 
 
 def test_batch_completion_start_selects_rows_of_one_shot_run():
@@ -68,6 +91,20 @@ def test_batch_completion_start_selects_rows_of_one_shot_run():
     for lo, n in [(0, 100), (1, 5), (37, 63), (99, 1), (50, 0)]:
         block = drawn_successes(obs, 0.6, n, 3, start=lo)
         np.testing.assert_array_equal(block, full[lo:lo + n])
+        assert_histogram_of(*MODEL.draw_completions_batch(obs, 0.6, n, 3, start=lo), block)
+
+
+@pytest.mark.parametrize("obs, theta", [(BinomialObserved(30, 50, 50), 0.6),
+                                        (BinomialObserved(550, 1000, 10**8), 0.55)])
+@pytest.mark.parametrize("n_draws, start", [(1_000, 0), (1, 77), (2_048, 3_001), (0, 5)])
+def test_histograms_of_adjacent_ranges_add_up(obs, theta, n_draws, start):
+    # hist(start .. start + 2N) == hist(start .. start + N) + hist(start + N .. start + 2N)
+    whole = as_counter(*MODEL.draw_completions_batch(obs, theta, 2 * n_draws, 9, start=start))
+    first = as_counter(*MODEL.draw_completions_batch(obs, theta, n_draws, 9, start=start))
+    second = as_counter(*MODEL.draw_completions_batch(obs, theta, n_draws, 9,
+                                                      start=start + n_draws))
+    assert whole == first + second
+    assert sum(whole.values()) == 2 * n_draws
 
 
 @pytest.mark.parametrize("obs, theta, n_draws, start", [
@@ -78,21 +115,16 @@ def test_batch_completion_start_selects_rows_of_one_shot_run():
     (BinomialObserved(3, 10, 5), 1e-4, 2_000, 0),
     (BinomialObserved(4, 9, 0), 0.4, 100, 5),
     (BinomialObserved(30, 50, 50), 0.6, 0, 9),
+    (BinomialObserved(550, 1000, 10**8), 0.55, 4_096, 1_000),
+    (BinomialObserved(5, 10, 10**8), 1e-4, 2_000, 0),
 ])
 def test_support_is_exactly_the_reached_counts(obs, theta, n_draws, start):
-    support, index = MODEL.draw_completions_batch(obs, theta, n_draws, 13, start=start)
-    counts = stats.binom.ppf(mc.stream_uniforms(13, n_draws, start=start),
-                             obs.n_missing, theta)
-    assert index.shape == (n_draws,) and np.issubdtype(index.dtype, np.integer)
+    support, counts = MODEL.draw_completions_batch(obs, theta, n_draws, 13, start=start)
+    per_draw = stats.binom.ppf(mc.stream_uniforms(13, n_draws, start=start),
+                               obs.n_missing, theta)
     assert support.n_total == obs.n_total
-    if n_draws == 0:
-        assert support.successes_total.size == 0
-        return
-    assert index.min() == 0 and index.max() == support.successes_total.size - 1
-    np.testing.assert_array_equal(
-        support.successes_total,
-        obs.successes + np.arange(counts.min(), counts.max() + 1))
-    np.testing.assert_array_equal(support.successes_total[index], obs.successes + counts)
+    assert counts.sum() == n_draws
+    assert_histogram_of(support, counts, obs.successes + per_draw)
 
 
 def searched_table(n, theta):
@@ -113,10 +145,16 @@ def test_zero_uniform_completes_within_support(monkeypatch):
     obs = BinomialObserved(30, 50, 50)
     u = np.array([0.0, 0.25, 0.0, 0.75, 1.0 - 2.0**-53])
     monkeypatch.setattr(binomial, "stream_uniforms", lambda seed, n, start=0: u[start:start + n])
-    successes = drawn_successes(obs, 0.6, u.size, 0)
-    assert np.all(successes >= obs.successes)
-    assert np.all(successes <= obs.n_total)
-    assert successes[0] == successes[2] == obs.successes
+    support, counts = MODEL.draw_completions_batch(obs, 0.6, u.size, 0)
+    assert np.all(support.successes_total >= obs.successes)
+    assert np.all(support.successes_total <= obs.n_total)
+    assert support.successes_total[0] == obs.successes and counts[0] == 2
+    # Below the window, u = 0 still completes with zero missing successes.
+    large = BinomialObserved(30, 50, 10**5)
+    support, counts = MODEL.draw_completions_batch(large, 0.55, u.size, 0)
+    assert_histogram_of(support, counts, large.successes + binomial._inverse_cdf(u, 10**5, 0.55))
+    assert support.successes_total[0] == large.successes and counts[0] == 2
+    assert support.successes_total[1] > large.successes + 50_000
 
 
 def test_zero_uniform_gives_zero_below_the_window():
@@ -201,9 +239,12 @@ def test_uneven_blocks_equal_one_shot_rows_at_large_missing_count():
     obs = BinomialObserved(550, 1000, 10**5)
     full = drawn_successes(obs, 0.55, 5_000, 8)
     edges = [0, 1, 8, 1_032, 1_033, 4_000, 5_000]
+    merged = Counter()
     for lo, hi in zip(edges[:-1], edges[1:]):
         block = drawn_successes(obs, 0.55, hi - lo, 8, start=lo)
         np.testing.assert_array_equal(block, full[lo:hi])
+        merged += as_counter(*MODEL.draw_completions_batch(obs, 0.55, hi - lo, 8, start=lo))
+    assert merged == as_counter(*MODEL.draw_completions_batch(obs, 0.55, 5_000, 8))
 
 
 def test_enumerate_expectation_normalization():

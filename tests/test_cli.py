@@ -160,6 +160,22 @@ class TestRiYAndLodVar:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: n_draws must be >= 2")
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_constant_completion_lod_reduces_to_itself_exactly(self, capsys, seed):
+        # With no missing trials every completion is the observed data: one
+        # histogram row, whose mean is its own value and whose spread is 0.
+        data = ["--x", "5", "--n-obs", "10", "--n-missing", "0", "--p0", "0.3",
+                "--draws", "100", "--seed", str(seed)]
+        code, pairs = run_report(capsys, ["binom-ri", *data])
+        assert code == 0
+        assert pairs["result.ri1_monte_carlo.estimate"] == "1.0"
+        assert pairs["result.ri1_monte_carlo.mc_standard_error"] == "0.0"
+        code, pairs = run_report(capsys, ["lod-var", *data])
+        assert code == 0
+        assert pairs["result.lod_ratio_variance.estimate"] == "0.0"
+        assert pairs["result.lod_ratio_variance.mc_standard_error"] == "0.0"
+        assert pairs["result.lod_ratio_variance.n_draws"] == "100"
+
     def test_lod_var_nonnegative(self, capsys):
         code, pairs = run_report(capsys, [
             "lod-var", "--x", "30", "--n-obs", "50", "--n-missing", "20",

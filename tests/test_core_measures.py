@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,14 +124,15 @@ class TestRi0:
 class TestRiYSamples:
     def test_no_missing_gives_ones(self):
         pair = HypothesisPair(theta_null=0.5, theta_alt=0.7)
-        samples = core.ri_y_samples(MODEL, BinomialObserved(7, 10, 0), pair, 100, 1)
-        np.testing.assert_allclose(samples, 1.0)
+        ratios, counts = core.ri_y_samples(MODEL, BinomialObserved(7, 10, 0), pair, 100, 1)
+        np.testing.assert_allclose(ratios, 1.0)
+        assert counts.sum() == 100
 
     def test_reciprocal_mean_matches_inverse_ri1(self):
         obs = BinomialObserved(550, 1000, 500)
         pair = HypothesisPair(theta_null=0.5, theta_alt=0.55)
-        samples = core.ri_y_samples(MODEL, obs, pair, 20_000, 31)
-        recip = mc.estimate_from_values(1.0 / samples)
+        ratios, counts = core.ri_y_samples(MODEL, obs, pair, 20_000, 31)
+        recip = mc.estimate_from_values(1.0 / ratios, counts)
         exact = core.ri1(MODEL, obs, 0.5, theta_alt=0.55)
         assert abs(recip.mean - 1.0 / exact.estimate) <= 3 * recip.standard_error
 
@@ -138,8 +140,8 @@ class TestRiYSamples:
         obs = BinomialObserved(30, 50, 20)
         pair = HypothesisPair(theta_null=0.5, theta_alt=0.65)
         theta_hat = MODEL.mle(obs)
-        samples = core.ri_y_samples(MODEL, obs, pair, 20_000, 37)
-        recip = mc.estimate_from_values(1.0 / samples)
+        ratios, counts = core.ri_y_samples(MODEL, obs, pair, 20_000, 37)
+        recip = mc.estimate_from_values(1.0 / ratios, counts)
         lod_ob = binom_lod(0.65, 0.5, 30, 50)
         exact = binomial.enumerate_expectation(
             obs, theta_hat,
@@ -195,6 +197,27 @@ class TestExpectedLodGap:
         assert abs(small_gap.at_fixed_alt.mean - exact_fixed) \
             <= 3 * small_gap.at_fixed_alt.standard_error
 
+    def test_peak_memory_is_that_of_one_histogram_draw(self):
+        # The measures reduce over the support's rows, so past the draw itself
+        # they hold nothing per draw.
+        obs = BinomialObserved(550, 1000, 500)
+
+        def peak(run):
+            run()  # first-call allocations (lazy imports, caches) are not the measure's
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        draw = peak(lambda: MODEL.draw_completions_batch(obs, 0.55, 250_000, 1))
+        gap = peak(lambda: core.expected_lod_gap(MODEL, obs, 0.5, 250_000, 1))
+        # 64 KiB, 1% of the draw's 6.3 MB, leaves room for interpreter objects.
+        assert gap <= draw + 64 * 1024
+
 
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
@@ -211,12 +234,11 @@ class TestDeterminism:
 
         def in_uneven_pieces(observed, theta, n_draws, seed, start=0):
             edges = [start, start + 1, start + 8, start + 333, start + n_draws]
-            supports, indexes = zip(*(draw(observed, theta, hi - lo, seed, start=lo)
-                                      for lo, hi in zip(edges, edges[1:])))
+            supports, counts = zip(*(draw(observed, theta, hi - lo, seed, start=lo)
+                                     for lo, hi in zip(edges, edges[1:])))
             rows = [s.successes_total for s in supports]
-            offsets = np.cumsum([0] + [r.size for r in rows[:-1]])
             return (binomial.BinomialComplete(np.concatenate(rows), supports[0].n_total),
-                    np.concatenate([i + o for i, o in zip(indexes, offsets)]))
+                    np.concatenate(counts))
 
         split_model = dataclasses.replace(MODEL, draw_completions_batch=in_uneven_pieces)
         config = mc.MCConfig(n_draws=1_000, seed=67)
@@ -227,13 +249,17 @@ class TestDeterminism:
 
 
 def one_row_per_draw(model):
-    """The model with each block's support expanded to one row per draw."""
-    def expanded(observed, theta, n_draws, seed, start=0):
-        support, index = model.draw_completions_batch(observed, theta, n_draws, seed,
-                                                      start=start)
-        return (binomial.BinomialComplete(support.successes_total[index], support.n_total),
-                np.arange(n_draws))
-    return dataclasses.replace(model, draw_completions_batch=expanded)
+    """The model with one row per draw, in draw order, each counted once.
+
+    Each row is the draw's own completion, from the shared quantile search
+    on the draw's uniform.
+    """
+    def per_draw(observed, theta, n_draws, seed, start=0):
+        u = mc.stream_uniforms(seed, n_draws, start=start)
+        successes = observed.successes + binomial._inverse_cdf(u, observed.n_missing, theta)
+        return (binomial.BinomialComplete(successes.astype(float), observed.n_total),
+                np.ones(n_draws, dtype=np.int64))
+    return dataclasses.replace(model, draw_completions_batch=per_draw)
 
 
 @pytest.mark.parametrize("obs, p0, p1, seed", [
@@ -249,8 +275,9 @@ def test_gathering_from_the_support_equals_one_row_per_draw(obs, p0, p1, seed):
     assert (core.ri1(MODEL, obs, p0, config, method="monte_carlo")
             == core.ri1(per_draw, obs, p0, config, method="monte_carlo"))
     pair = HypothesisPair(theta_null=p0, theta_alt=p1)
-    np.testing.assert_array_equal(core.ri_y_samples(MODEL, obs, pair, 5_000, seed),
-                                  core.ri_y_samples(per_draw, obs, pair, 5_000, seed))
+    for got, want in zip(mc.histogram(*core.ri_y_samples(MODEL, obs, pair, 5_000, seed)),
+                         mc.histogram(*core.ri_y_samples(per_draw, obs, pair, 5_000, seed))):
+        np.testing.assert_array_equal(got, want)
     assert (core.expected_lod_gap(MODEL, obs, p0, 5_000, seed)
             == core.expected_lod_gap(per_draw, obs, p0, 5_000, seed))
     assert (core.lod_ratio_variance(MODEL, obs, p0, 5_000, seed)
@@ -266,11 +293,12 @@ def test_ri_y_refuses_an_observed_lod_of_zero():
 
 def test_ri_y_zero_lod_draws_are_sentinels():
     obs = BinomialObserved(6, 10, 10)
-    samples = core.ri_y_samples(MODEL, obs, HypothesisPair(0.25, 0.75), 5_000, 5)
-    support, index = MODEL.draw_completions_batch(obs, 0.6, 5_000, 5)
-    tied = support.successes_total[index] == 10
-    assert 0 < tied.sum() < samples.size
-    assert np.all(np.isinf(samples[tied])) and np.all(np.isfinite(samples[~tied]))
+    ratios, counts = core.ri_y_samples(MODEL, obs, HypothesisPair(0.25, 0.75), 5_000, 5)
+    support, support_counts = MODEL.draw_completions_batch(obs, 0.6, 5_000, 5)
+    np.testing.assert_array_equal(counts, support_counts)
+    tied = support.successes_total == 10
+    assert 0 < counts[tied].sum() < 5_000
+    assert np.all(np.isinf(ratios[tied])) and np.all(np.isfinite(ratios[~tied]))
 
 
 @pytest.mark.parametrize("measure", [

@@ -1177,6 +1177,30 @@ class TestInsertionKernel:
             completion.lods(5, 0, 100),
             np.concatenate([completion.lods(5, 0, 37), completion.lods(5, 37, 100)]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.sampled_from(["ties", "distinct"]))
+    def test_new_subject_groups_equal_np_unique(self, seed, m, kind):
+        # Equal pairs (including 0.0 against -0.0) share a group, the groups
+        # in np.unique's lexicographic order, each led by its first subject.
+        rng = np.random.default_rng(seed)
+        if kind == "ties":
+            new_eta = rng.integers(-1, 2, size=(2, m)) * 0.5
+            new_eta[rng.random((2, m)) < 0.5] *= -1.0
+        else:
+            new_eta = rng.normal(size=(2, m))
+        got = cox._group_new_subjects(new_eta)
+        want = np.unique(new_eta.T, axis=0, return_index=True, return_inverse=True,
+                         return_counts=True)[1:]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w.reshape(-1))
+            assert g.dtype == w.dtype
+
+    def test_new_subject_groups_merge_signed_zeros(self):
+        new_eta = np.array([[0.0, -0.0, 0.5, -0.0, 0.5], [-0.0, 0.0, 1.0, -0.0, 1.0]])
+        first, group, size = cox._group_new_subjects(new_eta)
+        assert first.tolist() == [0, 2] and group.tolist() == [0, 0, 1, 0, 1]
+        assert size.tolist() == [3, 2]
+
     def test_exact_ties_in_naive_mode(self):
         # Tied fixed levels, each tie group holding an event and a censoring,
         # share their Breslow risk set; new subjects fall just below and

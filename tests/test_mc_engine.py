@@ -206,3 +206,119 @@ def test_reduction_peak_memory_is_about_one_copy_of_the_draws(reduce):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * values.nbytes
+
+
+@st.composite
+def _histograms(draw):
+    """Rows (finite values and sentinels, some repeated) with positive draw counts."""
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.one_of(_FINITE, _SENTINEL), max_size=40)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pool = np.concatenate([rng.normal(draw(_FINITE), 10.0 ** draw(st.integers(-3, 5)),
+                                          draw(st.integers(1, 300))),
+                               [math.inf, -math.inf, math.nan]])
+        p = np.full(pool.size, 1.0)
+        p[-3:] = draw(st.sampled_from([0.0, 0.01, 1.0]))
+        values = rng.choice(pool, size=draw(st.integers(1, 2_000)), p=p / p.sum())
+    counts = rng.integers(1, draw(st.sampled_from([2, 7, 60])), size=values.size)
+    return values.astype(float), counts
+
+
+def _scale(values):
+    finite = values[np.isfinite(values)]
+    return float(np.max(np.abs(finite))) if finite.size else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_histograms())
+def test_counted_reductions_equal_the_reference_on_the_repeated_draws(histogram):
+    # Counts and sentinels are exact; the mean and SE are sums in another
+    # order, so they agree to 1e-12 relative, or 1e-12 of the values' own
+    # scale for a mean near 0 (squared scale for the variance).  The SE is
+    # compared squared, where that scale bounds its error.
+    values, counts = histogram
+    draws = np.repeat(values, counts)
+    scale = _scale(values)
+    for (reduce, reference), power in zip(REDUCTIONS, (1, 2)):
+        got, want = _outcome(lambda v: reduce(v, counts), values), _outcome(reference, draws)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert (got.n_effective, got.sentinel_count) == (want.n_effective, want.sentinel_count)
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-12 * scale**power)
+        if math.isinf(want.standard_error):
+            assert got.standard_error == want.standard_error
+        else:
+            assert got.standard_error**2 == pytest.approx(
+                want.standard_error**2, rel=1e-12, abs=1e-12 * scale ** (2 * power))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_histograms(), st.integers(0, 2**32 - 1))
+def test_counted_reductions_depend_only_on_the_draws(histogram, seed):
+    # Shuffling the rows and splitting each row's draws between two rows
+    # stands for the same draws, so it gives bitwise the same results.
+    values, counts = histogram
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, counts + 1)
+    split_values = np.concatenate([values, values])
+    split_counts = np.concatenate([first, counts - first])
+    kept = split_counts > 0
+    order = rng.permutation(int(kept.sum()))
+    for reduce, _ in REDUCTIONS:
+        assert (_outcome(lambda v: reduce(v, counts), values)
+                == _outcome(lambda v: reduce(v, split_counts[kept][order]),
+                            split_values[kept][order]))
+
+
+@pytest.mark.parametrize("value", [0.8717669357238895, -3.1, 1e300, 5e-324])
+@pytest.mark.parametrize("count", [1, 2, 3, 49, 100, 250_000])
+def test_one_row_reduces_to_its_value_exactly(value, count):
+    est = mc.estimate_from_values(np.array([value]), np.array([count]))
+    assert (est.mean, est.n_effective) == (value, count)
+    assert est.standard_error == (0.0 if count > 1 else math.inf)
+    var = mc.variance_from_values(np.array([value, math.nan]), np.array([count, 4]))
+    assert (var.mean, var.n_effective, var.sentinel_count) == (0.0, count, 4)
+    assert var.standard_error == (0.0 if count > 1 else math.inf)
+
+
+def histogram_of(evaluate):
+    """The evaluator as a histogram: each block's distinct values and their counts."""
+    def rows_and_counts(lo, hi):
+        return np.unique(evaluate(lo, hi), return_counts=True)
+    return rows_and_counts
+
+
+def test_adaptive_histograms_merge_to_the_one_block_histogram():
+    # A target no run reaches evaluates every draw in 1024-draw batches.
+    def evaluate(lo, hi):
+        u = mc.stream_uniforms(8, hi - lo, 2, start=lo)
+        return np.where(u[:, 0] < 0.1, np.inf, np.floor(20.0 * u[:, 1]))
+
+    blocks = mc.collect_blocks(histogram_of(evaluate),
+                               MCConfig(n_draws=5_000, seed=8, max_relative_se=1e-9))
+    one = mc.collect_blocks(histogram_of(evaluate), MCConfig(n_draws=5_000, seed=8))
+    for got, want in zip(blocks, mc.histogram(*one)):
+        np.testing.assert_array_equal(got, want)
+    est = mc.estimate_from_values(*one)
+    assert mc.estimate_from_values(*blocks) == est
+    want = reference_reductions.estimate_from_values(evaluate(0, 5_000))
+    assert (est.n_effective, est.sentinel_count) == (want.n_effective, want.sentinel_count)
+    assert est.mean == pytest.approx(want.mean, rel=1e-12)
+    assert est.standard_error == pytest.approx(want.standard_error, rel=1e-12)
+
+
+def test_adaptive_histograms_stop_where_the_draws_do():
+    # The stopping rule reads the counted estimate, which agrees with the
+    # per-draw one: both stop at the same batch.
+    def evaluate(lo, hi):
+        u = mc.stream_uniforms(8, hi - lo, 2, start=lo)
+        return np.where(u[:, 0] < 0.1, np.inf, np.floor(10.0 + 20.0 * (u[:, 1] - 0.5)))
+
+    config = MCConfig(n_draws=100_000, seed=8, max_relative_se=0.005)
+    values = mc.collect_blocks(evaluate, config)
+    rows, counts = mc.collect_blocks(histogram_of(evaluate), config)
+    assert counts.sum() == values.size < 100_000
+    assert mc.mc_expectation(histogram_of(evaluate), config).n_draws == values.size
