@@ -13,6 +13,13 @@ comes back as a histogram: its support, one complete-data row per distinct
 count the block reaches, and how many draws reached each row.  Every
 binomial measure is a functional of the count alone, so it is evaluated
 once per row and reduced with the row counts as weights.
+
+The block is drawn in sub-blocks of at most ``_BLOCK_DRAWS`` draws, or of
+the table's row count when the table is longer, since each sub-block's
+bincount costs one pass over the table.  Each sub-block's uniforms are
+searched and counted into one histogram, so a block's memory follows its
+table, not its draw count; draw i still reads counter block i, so the
+histogram does not depend on the sub-block size.
 """
 
 from __future__ import annotations
@@ -28,6 +35,16 @@ from .errors import BoundaryError, OracleUnavailableError, ValidationError
 from .mc import stream_uniforms
 
 ENUMERATION_CAP = 25
+
+# Most draws searched and counted at once.  A sub-block's arrays (128 KiB
+# of uniforms, and the search's temporaries of about that size) stay in
+# cache and are reused from freed memory; 2**15 and 2**16 took as long but
+# faulted in fresh pages on every call.
+_BLOCK_DRAWS = 2**14
+
+# Most rows a pmf window may hold, 64 MiB per float64 array built over it.
+# It admits n_missing up to about 4e10 at theta = 0.5; 10**8 needs 400,081.
+_MAX_WINDOW_ROWS = 2**23
 
 
 @dataclass(frozen=True)
@@ -88,11 +105,17 @@ def _pmf_window(n: int, theta) -> tuple[int, np.ndarray]:
     theta; the + 40 keeps this so when sigma is tiny.  The log pmf is summed
     outward from the mode in steps log((n - k) / (k + 1) * theta / (1 - theta)),
     then exponentiated and normalised.  theta = 0 or 1 is a point mass at 0 or n.
+    A window of more than ``_MAX_WINDOW_ROWS`` rows is refused with a
+    ValidationError before anything is allocated.
     """
     if not 0.0 < theta < 1.0:
         return (0 if theta <= 0.0 else n), np.ones(1)
     mu, half = n * theta, 40.0 * math.sqrt(n * theta * (1.0 - theta)) + 40.0
     lo, hi = max(math.ceil(mu - half), 0), min(math.floor(mu + half), n)
+    if hi - lo + 1 > _MAX_WINDOW_ROWS:
+        raise ValidationError(
+            f"n_missing={n} needs a pmf window of {hi - lo + 1} rows at theta={theta}, "
+            f"above the limit of {_MAX_WINDOW_ROWS}")
     k = np.arange(lo, hi)
     with np.errstate(divide="ignore"):  # a ratio that underflows gives pmf 0
         steps = np.log((n - k) / (k + 1) * (theta / (1.0 - theta)))
@@ -118,19 +141,26 @@ def _cdf_table(n: int, theta) -> tuple[np.ndarray, np.ndarray]:
     return np.r_[0, lo:lo + table.size], np.r_[0.0, table]
 
 
-def _quantile_rows(u: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _guide(table: np.ndarray, n: int) -> np.ndarray:
+    """Guide table for searching ``table`` with n uniforms (Chen and Asau 1974).
+
+    Entry j is the first row whose cdf reaches j / G, for G the power of two
+    (so u G is exact) that first reaches twice the table's length or n.
+    """
+    size = 1 << (min(2 * table.size, n) - 1).bit_length()
+    return np.searchsorted(table, np.arange(size) / size, side="left")
+
+
+def _quantile_rows(u: np.ndarray, table: np.ndarray, guide: np.ndarray) -> np.ndarray:
     """For each u, the first row r of the nondecreasing ``table`` with table[r] >= u.
 
-    A guide table (Chen and Asau 1974; Devroye 1986, III.2) starts each u
-    at the first row whose cdf reaches floor(u G) / G; a draw still below u
+    The :func:`_guide` of G entries starts each u at the first row whose
+    cdf reaches floor(u G) / G (Devroye 1986, III.2); a draw still below u
     steps once, and the few still below after that, in tails where one
-    guide interval spans many rows, are placed by binary search.  G is the
-    power of two (so u G is exact) that first reaches twice the table's
-    length or the block's draw count.
+    guide interval spans many rows, are placed by binary search.  G is
+    sized by the calling draw count, so one guide serves all its sub-blocks.
     """
-    size = 1 << (min(2 * table.size, u.size) - 1).bit_length()
-    guide = np.searchsorted(table, np.arange(size) / size, side="left")
-    k = guide[(u * size).astype(np.intp)]
+    k = guide[(u * guide.size).astype(np.intp)]
     behind = np.flatnonzero(table[k] < u)
     k[behind] += 1
     behind = behind[table[k[behind]] < u[behind]]
@@ -145,7 +175,7 @@ def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     :func:`_draw_completions_batch` returns.
     """
     labels, table = _cdf_table(n, theta)
-    return labels[_quantile_rows(u, table)]
+    return labels[_quantile_rows(u, table, _guide(table, u.size))]
 
 
 def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
@@ -154,10 +184,22 @@ def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, see
 
     ``support`` holds the distinct completions the draws reach, by
     increasing success count, and ``counts[r]`` how many draws reach row r.
+    The draws are searched and counted in sub-blocks of
+    max(``_BLOCK_DRAWS``, table rows) draws against one table and guide.
     """
     labels, table = _cdf_table(observed.n_missing, theta)
-    rows = _quantile_rows(stream_uniforms(seed, n_draws, start=start), table)
-    counts = np.bincount(rows, minlength=table.size)
+    guide = _guide(table, n_draws)
+    step = max(_BLOCK_DRAWS, table.size)
+
+    def count(lo):
+        u = stream_uniforms(seed, min(step, start + n_draws - lo), start=lo)
+        return np.bincount(_quantile_rows(u, table, guide), minlength=table.size)
+
+    # The first sub-block's histogram is the accumulator, so a one-block
+    # call (every call whose table is longer than its draws) adds nothing.
+    counts = count(start)
+    for lo in range(start + step, start + n_draws, step):
+        counts += count(lo)
     reached = np.flatnonzero(counts)
     support = BinomialComplete(observed.successes + labels[reached].astype(float),
                                observed.n_total)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -245,6 +246,68 @@ def test_uneven_blocks_equal_one_shot_rows_at_large_missing_count():
         np.testing.assert_array_equal(block, full[lo:hi])
         merged += as_counter(*MODEL.draw_completions_batch(obs, 0.55, hi - lo, 8, start=lo))
     assert merged == as_counter(*MODEL.draw_completions_batch(obs, 0.55, 5_000, 8))
+
+
+@pytest.mark.parametrize("obs, theta, block, n_draws, start", [
+    (BinomialObserved(3, 10, 0), 0.3, 1, 10, 3),  # a one-row table: one draw per sub-block
+    (BinomialObserved(3, 10, 5), 0.3, 7, 50, 5),
+    (BinomialObserved(30, 50, 50), 0.6, 7, 200, 13),  # the 51-row table sets the sub-block
+    (BinomialObserved(30, 50, 50), 0.6, 1_000, 2_500, 333),
+    (BinomialObserved(550, 1000, 10**6), 0.55, 1_000, 100_000, 12_345),  # 39,880 rows
+])
+def test_sub_blocks_leave_the_histogram_unchanged(monkeypatch, obs, theta, block, n_draws,
+                                                  start):
+    calls = []
+
+    def recording(seed, n, start=0):
+        calls.append((start, n))
+        return mc.stream_uniforms(seed, n, start=start)
+
+    monkeypatch.setattr(binomial, "_BLOCK_DRAWS", block)
+    monkeypatch.setattr(binomial, "stream_uniforms", recording)
+    support, counts = MODEL.draw_completions_batch(obs, theta, n_draws, 4, start=start)
+    # Sub-blocks hold max(block, table rows) draws; the last one holds the rest.
+    step = max(block, binomial._cdf_table(obs.n_missing, theta)[1].size)
+    edges = [*range(start, start + n_draws, step), start + n_draws]
+    assert calls == [(lo, hi - lo) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert_histogram_of(support, counts, drawn_successes(obs, theta, n_draws, 4, start=start))
+
+
+def test_sub_blocks_leave_an_adaptive_run_unchanged(monkeypatch):
+    # Sub-blocks of 51 draws straddle the 1024-draw adaptive batches.
+    obs = BinomialObserved(30, 50, 50)
+    config = mc.MCConfig(n_draws=100_000, seed=6, max_relative_se=0.005)
+    default = core.ri1(MODEL, obs, 0.5, config, method="monte_carlo")
+    monkeypatch.setattr(binomial, "_BLOCK_DRAWS", 7)
+    small = core.ri1(MODEL, obs, 0.5, config, method="monte_carlo")
+    assert 1024 < default.n_draws < 100_000
+    assert (small.n_draws, small.estimate, small.mc_standard_error) \
+        == (default.n_draws, default.estimate, default.mc_standard_error)
+
+
+def test_peak_memory_does_not_grow_with_the_draw_count():
+    # 10**6 uniforms alone take 8 MB; the sub-blocks hold about 0.4 MB.
+    obs = BinomialObserved(550, 1000, 500)
+    MODEL.draw_completions_batch(obs, 0.55, 1_000, 1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, counts = MODEL.draw_completions_batch(obs, 0.55, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**6
+    assert peak < 4 * 2**20
+
+
+def test_window_above_the_row_budget_is_refused():
+    # 10**20 missing trials would need about 4e11 rows; nothing is built.
+    obs = BinomialObserved(6, 10, 10**20)
+    with pytest.raises(ValidationError, match=r"n_missing=10{20} needs a pmf window of \d+ rows"):
+        binomial._pmf_window(obs.n_missing, 0.5)
+    with pytest.raises(ValidationError, match=r"n_missing=10{20}"):
+        core.ri1(MODEL, obs, 0.5, mc.MCConfig(n_draws=100, seed=1), method="monte_carlo")
 
 
 def test_enumerate_expectation_normalization():

@@ -206,6 +206,17 @@ BINOMIAL_COMMANDS = [["binom-ri", "--draws", "100"],
                      ["lod-var", "--draws", "100"]]
 
 
+@pytest.mark.parametrize("command", BINOMIAL_COMMANDS, ids=lambda c: c[0])
+def test_huge_missing_count_is_a_usage_error(capsys, command):
+    # Its cdf table would need about 4e11 rows; it is refused before any is built.
+    code = cli.run([*command, "--x", "6", "--n-obs", "10", "--n-missing", str(10**20),
+                    "--p0", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: n_missing={10**20} needs a pmf window of ")
+
+
 class TestProbabilityFlags:
     @pytest.mark.parametrize("command, flag, value", [
         *[(command, "--p0", value) for command in BINOMIAL_COMMANDS
