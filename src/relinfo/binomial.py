@@ -46,6 +46,9 @@ _BLOCK_DRAWS = 2**14
 # It admits n_missing up to about 4e10 at theta = 0.5; 10**8 needs 400,081.
 _MAX_WINDOW_ROWS = 2**23
 
+# Largest n_missing: a draw's count is an int64.
+_MAX_COUNT = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class BinomialObserved:
@@ -106,7 +109,8 @@ def _pmf_window(n: int, theta) -> tuple[int, np.ndarray]:
     outward from the mode in steps log((n - k) / (k + 1) * theta / (1 - theta)),
     then exponentiated and normalised.  theta = 0 or 1 is a point mass at 0 or n.
     A window of more than ``_MAX_WINDOW_ROWS`` rows is refused with a
-    ValidationError before anything is allocated.
+    ValidationError before anything is allocated, and so is an n above
+    ``_MAX_COUNT``, whose int64 counts would overflow.
     """
     if not 0.0 < theta < 1.0:
         return (0 if theta <= 0.0 else n), np.ones(1)
@@ -116,6 +120,9 @@ def _pmf_window(n: int, theta) -> tuple[int, np.ndarray]:
         raise ValidationError(
             f"n_missing={n} needs a pmf window of {hi - lo + 1} rows at theta={theta}, "
             f"above the limit of {_MAX_WINDOW_ROWS}")
+    if n > _MAX_COUNT:
+        raise ValidationError(f"n_missing={n} is above {_MAX_COUNT}, the largest count a "
+                              "draw holds")
     k = np.arange(lo, hi)
     with np.errstate(divide="ignore"):  # a ratio that underflows gives pmf 0
         steps = np.log((n - k) / (k + 1) * (theta / (1.0 - theta)))

@@ -262,18 +262,23 @@ def partial_lod(rank: RankData, beta_alt, beta_null) -> float:
 
 
 def _score_and_information(rank: RankData, beta):
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    return _score_and_information_at(rank)(np.atleast_1d(np.asarray(beta, dtype=float)))
+
+
+def _score_and_information_at(rank: RankData):
+    """Score and information as a function of beta, the arrays free of beta built once."""
     # Centering the covariates leaves score and information unchanged and
     # keeps the second-moment difference below well conditioned.
-    z = rank.covariates - rank.covariates.mean(axis=0)
-    z = z[rank.order]
-    zz = z[:, :, None] * z[:, None, :]
-    _, (mean, second) = _risk_sums(z @ beta, z.T, zz.transpose(1, 2, 0))
-    start = rank.tie_start[rank.event]
-    m = mean[:, start]
-    score = (z[rank.event].T - m).sum(axis=-1)
-    info = second[:, :, start].sum(axis=-1) - m @ m.T
-    return score, info
+    z = (rank.covariates - rank.covariates.mean(axis=0))[rank.order]
+    zz = (z[:, :, None] * z[:, None, :]).transpose(1, 2, 0)
+    event_z, start = z[rank.event].T, rank.tie_start[rank.event]
+
+    def at(beta: np.ndarray):
+        _, (mean, second) = _risk_sums(z @ beta, z.T, zz)
+        m = mean[:, start]
+        return (event_z - m).sum(axis=-1), second[:, :, start].sum(axis=-1) - m @ m.T
+
+    return at
 
 
 def _standard_errors(info: np.ndarray) -> np.ndarray:
@@ -320,8 +325,9 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
         _refuse_monotone(rank)
     beta = np.zeros(d)
     ll = partial_log_likelihood(rank, beta)
+    score_and_information = _score_and_information_at(rank)
     for _ in range(_NEWTON_MAX_ITER):
-        score, info = _score_and_information(rank, beta)
+        score, info = score_and_information(beta)
         if float(np.linalg.norm(score)) < _NEWTON_GRAD_TOL:
             return beta, _standard_errors(info)
         try:
@@ -446,35 +452,37 @@ def _kp_columns(data: SurvivalDataset, rank: RankData, z_new: np.ndarray):
     return status, np.vstack([data.covariates[ids], z_new]), np.cumsum(event)
 
 
-def _kp_lod(data: SurvivalDataset, rank: RankData, beta_hat, beta_null) -> float:
+def _kp_lod(columns, beta_hat, beta_null) -> float:
     """The observed lod as correct mode's draws score the existing subjects.
 
-    The rank data of the ``_kp_columns``, already in order, each subject
-    its own tie group: tied failures one after another, each with its own
-    risk set, and each censored subject at risk through its preceding
-    failure.  With this numerator the measure's two lods share one
-    convention, under which E[lod_co] - lod_ob is a Kullback-Leibler
-    divergence.
+    The rank data of the existing subjects' ``_kp_columns``, already in
+    order, each subject its own tie group: tied failures one after another,
+    each with its own risk set, and each censored subject at risk through
+    its preceding failure.  With this numerator the measure's two lods
+    share one convention, under which E[lod_co] - lod_ob is a
+    Kullback-Leibler divergence.
     """
-    status, z, _ = _kp_columns(data, rank, np.zeros((0, data.covariate_dim)))
-    every = np.arange(data.n)
-    return partial_lod(RankData(every, every, status == EVENT, z), beta_hat, beta_null)
+    status, z, anchor_of = columns
+    every = np.arange(anchor_of.size)
+    return partial_lod(RankData(every, every, status[every] == EVENT, z[every]),
+                       beta_hat, beta_null)
 
 
-def _last_at_most(table: np.ndarray, start: np.ndarray, width: int,
-                  target: np.ndarray) -> np.ndarray:
-    """The last entry of ``table[start[i]:start[i] + width]`` at or below ``target[i]`` (-1: none).
+def _count_at_most(table: np.ndarray, start: np.ndarray | int, width: int,
+                   target: np.ndarray) -> np.ndarray:
+    """How many entries of ``table[start[i]:start[i] + width]`` lie at or below ``target[i]``.
 
     ``table`` is flat, and each of its rows of ``width`` entries is sorted
     and ends in at least one +inf.  The width is a power of two, so one
     bisection serves every draw at once, whatever its row.
     """
-    last = start - 1  # flat index of the last entry found so far
+    count = start  # start plus the entries found so far
     step = width // 2
     while step:
-        last += step * (np.take(table, last + step) <= target)
+        # Entry count + step - 1, read through a view that starts there.
+        count = count + step * (np.take(table[step - 1:], count) <= target)
         step //= 2
-    return last - start
+    return count - start
 
 
 class _Rows(NamedTuple):
@@ -499,7 +507,7 @@ class _StateTable:
     draws reaches it, together with those of the other states the block
     reaches: both parameters' prefix tables L_S(e) = sum_{e' < e}
     log1p(W_S f_e'), e = 0..K, padded with +inf to a power-of-two width
-    that leaves at least one +inf, for ``_last_at_most`` (the
+    that leaves at least one +inf, for ``_count_at_most`` (the
     alternative's is the walk's A_S), and W_S at both parameters.  Weights
     are in units of exp(shift).
 
@@ -699,7 +707,9 @@ class _Completion:
     walks the Plackett-Luce lattice (i, S) of Kalbfleisch and Prentice, i
     failures done: from (i, S) failure i comes next with probability r_i /
     (r_i + V_S), r_i its risk sum, which is the law of independent
-    exponential levels, by memorylessness.
+    exponential levels, by memorylessness.  Both modes place a new subject
+    by one bisection over all draws (``_count_at_most``): naive mode in the
+    fixed levels padded with +inf, correct mode in the state's prefix table.
 
     New subjects whose linear predictors are equal under both parameters
     are exchangeable, so a state S counts the alive subjects of each such
@@ -766,6 +776,8 @@ class _Completion:
             "_group": group,
             "_group_weight": group_weight,
             "_states": _StateTable(size, group_weight, event_factor),
+            "_level_table": None if self.fixed_levels is None else np.concatenate(
+                [self.fixed_levels, np.full((1 << n.bit_length()) - n, np.inf)]),
         }.items():
             object.__setattr__(self, name, value)
 
@@ -788,6 +800,11 @@ class _Completion:
             out[a - lo:b - lo] = self._walk(u.reshape(b - a, self.per_draw).T)[0]
         return out
 
+    def _below(self, level: np.ndarray) -> np.ndarray:
+        """How many fixed levels lie strictly below each level: at or below the next double down."""
+        table = self._level_table
+        return _count_at_most(table, 0, table.size, np.nextafter(level, -np.inf))
+
     def _walk(self, u: np.ndarray):
         """Each draw's walk: where its new subjects fall, in the order they fail, and its lod.
 
@@ -796,14 +813,15 @@ class _Completion:
         needs none).  The first, as an Exp(1) variate E, places the next new
         subject to fail.  Naive mode raises the level by E / V_S, the gap to
         the lowest of the alive subjects' exponential levels, and passes the
-        fixed levels below it.  Correct mode passes failures: from (i, S),
-        the last i' with A_S(i') <= A_S(i) + E in the state's prefix table at
-        the alternative, so that at least j are passed with probability
-        prod_{l < j} r_{i+l} / (r_{i+l} + V_S).  It reads the state's
-        ``_Rows``, so it places the new subjects as ``_lods`` reads those,
-        once every group that fails is known.  Returns the lods, the group
-        that fails in each round but the last, (m - 1, draws), and the
-        anchors below each new subject, (m, draws).
+        fixed levels below it (``_below``).  Correct mode passes failures:
+        from (i, S), the last i' with A_S(i') <= A_S(i) + E in the state's
+        prefix table at the alternative, so that at least j are passed with
+        probability prod_{l < j} r_{i+l} / (r_{i+l} + V_S).  Both searches
+        are one ``_count_at_most`` bisection over all draws.  Correct mode
+        places the new subjects as ``_lods`` reads the state's ``_Rows``,
+        A_S(i) included, once every group that fails is known.  Returns the
+        lods, the group that fails in each round but the last, (m - 1,
+        draws), and the anchors below each new subject, (m, draws).
         """
         m, n_draws = self._group.size, u.shape[1]
         exps, picks = -np.log1p(-u[0::2]), u[1::2]
@@ -819,25 +837,21 @@ class _Completion:
             total = np.take(running, start + width - 1)
             if self.fixed_levels is not None:
                 level += exps[t] / total
-                below[t] = np.searchsorted(self.fixed_levels, level)
+                below[t] = self._below(level)
             if t + 1 < m:
                 # The group that fails: how many of the running alive weights
                 # before V_S lie at or below pick * V_S.
-                groups[t] = 1 + _last_at_most(running.ravel(), start, width - 1,
-                                              total * picks[t])
+                groups[t] = _count_at_most(running.ravel(), start, width - 1, total * picks[t])
                 path.append(self._states.step(path[t], groups[t]))
         if self._states.restarts != restarts:
             path = None  # ids of the first rounds were dropped; _lods walks again
         if self.fixed_levels is not None:
             return self._lods(groups, below, path=path), groups, below
-        pos = np.zeros(n_draws, dtype=np.intp)
 
-        def place(t, rows, start, here):
-            skip, width = rows.prefix[0].ravel(), rows.prefix.shape[2]
-            target = np.take(skip, start + pos[here]) + exps[t, here]
-            pos[here] = _last_at_most(skip, start, width, target)
+        def place(t, rows, start, here, base):
             # Past i failures, a new subject has the anchors 0..i below it.
-            below[t, here] = pos[here] + 1
+            below[t, here] = _count_at_most(rows.prefix[0].ravel(), start,
+                                            rows.prefix.shape[2], base + exps[t, here])
 
         return self._lods(groups, below, place, path), groups, below
 
@@ -848,8 +862,9 @@ class _Completion:
         The new subjects are taken in the order they fail, one row each.
         ``groups[t]`` is the group of new subject t (rows past m - 2 are not
         read), and ``below`` (m, draws) counts the anchors below its level;
-        ``place(t, rows, start, draws)``, when given, fills ``below[t]``
-        first (correct mode's ``_walk``), and ``path``, when given, lists
+        ``place(t, rows, start, draws, base)``, when given, fills ``below[t]``
+        first, ``base`` the alternative's entry at the events passed
+        (correct mode's ``_walk``), and ``path``, when given, lists
         each round's state ids.  A new subject never shares its level with
         an anchor or with another new subject (the walk's levels are
         continuous, or between failures).  Equal to one stable sort of the
@@ -876,11 +891,11 @@ class _Completion:
             terms = np.empty((2, n_draws))
             for rows, row, here in self._states.runs(ids):
                 table, flat = rows.prefix.reshape(2, -1), row * rows.prefix.shape[2]
+                passed = np.take(table, flat + start[here], axis=1)
                 if place is not None:
-                    place(t, rows, flat, here)
+                    place(t, rows, flat, here, passed[0])
                 bounds = self._events_before[below[t, here]]
-                terms[:, here] = (np.take(table, flat + bounds, axis=1)
-                                  - np.take(table, flat + start[here], axis=1))
+                terms[:, here] = np.take(table, flat + bounds, axis=1) - passed
                 start[here] = bounds
                 weight[:, t, here] = np.take(rows.own, row, axis=1)
             # Summed in round order: numpy's sum over the rounds is pairwise
@@ -941,9 +956,9 @@ class _Completion:
         return float(lod)
 
 
-def _correct_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
-                        z_new) -> _Completion:
-    status, merged_z, anchor_of = _kp_columns(data, rank, z_new)
+def _correct_completion(columns, beta_hat, beta_null) -> _Completion:
+    """Correct mode's completion of the ``_kp_columns`` with the new subjects."""
+    status, merged_z, anchor_of = columns
     return _Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of)
 
 
@@ -991,12 +1006,13 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
     """
     rank, beta_hat, beta_null, z_new = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
-    lod_ob = _numerator(_kp_lod(data, rank, beta_hat, beta_null))
+    columns = _kp_columns(data, rank, z_new)
+    lod_ob = _numerator(_kp_lod(columns, beta_hat, beta_null))
     if n_new == 0:
         return _no_new_subjects(lod_ob, mc_config, "rank data (partial data)")
     if mc_config is None:
         raise ValidationError("ri1_cox_correct requires an MCConfig when n_new > 0")
-    completion = _correct_completion(data, rank, beta_hat, beta_null, z_new)
+    completion = _correct_completion(columns, beta_hat, beta_null)
     return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
                            mc_config, conditioning="rank data (partial data)")
 
@@ -1036,10 +1052,11 @@ def ri1_cox_correct_exact(data: SurvivalDataset, n_new: int, new_covariates,
     """
     rank, beta_hat, beta_null, z_new = _augmentation_setup(
         data, n_new, new_covariates, theta_null_beta)
-    lod_ob = _numerator(_kp_lod(data, rank, beta_hat, beta_null))
+    columns = _kp_columns(data, rank, z_new)
+    lod_ob = _numerator(_kp_lod(columns, beta_hat, beta_null))
     if n_new == 0:
         return 1.0
-    return lod_ob / _correct_completion(data, rank, beta_hat, beta_null, z_new).expected_lod()
+    return lod_ob / _correct_completion(columns, beta_hat, beta_null).expected_lod()
 
 
 def ri_w_wald(observed_stat: float, observed_var: float, complete_stat_mean: float,

@@ -310,6 +310,13 @@ def test_window_above_the_row_budget_is_refused():
         core.ri1(MODEL, obs, 0.5, mc.MCConfig(n_draws=100, seed=1), method="monte_carlo")
 
 
+def test_missing_count_above_int64_is_refused():
+    lo, pmf = binomial._pmf_window(2**63 - 1, 1e-18)
+    assert lo == 0 and 0 < pmf.size < 200
+    with pytest.raises(ValidationError, match=r"n_missing=9223372036854775808 is above"):
+        binomial._pmf_window(2**63, 1e-18)
+
+
 def test_enumerate_expectation_normalization():
     obs = BinomialObserved(30, 50, 10)
     assert binomial.enumerate_expectation(obs, 0.6, lambda co: 1.0) == pytest.approx(1.0)

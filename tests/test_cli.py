@@ -217,6 +217,23 @@ def test_huge_missing_count_is_a_usage_error(capsys, command):
     assert captured.err.startswith(f"error: n_missing={10**20} needs a pmf window of ")
 
 
+@pytest.mark.parametrize("command", [
+    BINOMIAL_COMMANDS[0], ["ri-y", "--p1", "2e-18", "--draws", "100"], BINOMIAL_COMMANDS[2],
+], ids=lambda c: c[0])
+def test_missing_count_above_int64_is_a_usage_error(capsys, command):
+    # At theta_hat = 1e-18 the pmf window is small, but a draw's count is an
+    # int64: 2**63 - 1 missing trials run, 10**20 are refused.
+    argv = [*command, "--x", "1", "--n-obs", str(10**18), "--p0", "0.5", "--n-missing"]
+    assert cli.run([*argv, str(2**63 - 1)]) == 0
+    capsys.readouterr()
+    code = cli.run([*argv, str(10**20)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: n_missing={10**20} is above {2**63 - 1}, "
+                            "the largest count a draw holds\n")
+
+
 class TestProbabilityFlags:
     @pytest.mark.parametrize("command, flag, value", [
         *[(command, "--p0", value) for command in BINOMIAL_COMMANDS

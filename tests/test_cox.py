@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from relinfo import cox
+from relinfo import cox, mc
 from relinfo.cox import (
     ConditioningStudy,
     SurvivalDataset,
@@ -49,6 +49,12 @@ from walk_oracle import (
 
 def dataset(times, status, z):
     return SurvivalDataset.from_arrays(times, status, np.asarray(z, float)[:, None])
+
+
+def kp_lod(data, rank, beta_alt, beta_null):
+    """Correct mode's observed lod of a sample, from its columns without new subjects."""
+    columns = cox._kp_columns(data, rank, np.zeros((0, data.covariate_dim)))
+    return cox._kp_lod(columns, beta_alt, beta_null)
 
 
 def failure_order(rank):
@@ -263,7 +269,8 @@ class TestRankConditionalSampler:
         censored, _ = simulate_ph_binary(8, 0.5, np.random.default_rng(3), 0.2)
         z_new = np.array([[0.0], [1.0], [1.0]])
         rank, beta_hat, beta_null, z_new = cox._augmentation_setup(censored, 3, z_new, None)
-        completion = cox._correct_completion(censored, rank, beta_hat, beta_null, z_new)
+        columns = cox._kp_columns(censored, rank, z_new)
+        completion = cox._correct_completion(columns, beta_hat, beta_null)
         n_failures = int(censored.status.sum())
         assert n_failures < censored.n
         passed, _, alive = walk_placements(completion, 77, 2_000)
@@ -279,8 +286,8 @@ class TestRankConditionalSampler:
         # slots among the K failures are uniform over C(K + m, m) placements.
         data = dataset([1.0, 2.0, 3.0], [1, 1, 1], [0.0, 0.0, 0.0])
         z_new = np.arange(m, dtype=float)[:, None]
-        completion = cox._correct_completion(data, extract_rank_data(data), np.zeros(1),
-                                             np.zeros(1), z_new)
+        columns = cox._kp_columns(data, extract_rank_data(data), z_new)
+        completion = cox._correct_completion(columns, np.zeros(1), np.zeros(1))
         n_draws = 20_000
         passed, _, _ = walk_placements(completion, 101, n_draws)
         placements = list(itertools.combinations_with_replacement(range(4), m))
@@ -316,6 +323,54 @@ class TestNaiveWalk:
         for j, p in enumerate(np.exp(-v * h[:-1]) - np.exp(-v * h[1:])):
             se = math.sqrt(p * (1 - p) / n_draws)
             assert abs(np.mean(passed[:, 0] == j) - p) <= 3 * se
+
+    # n = 2**k - 1 and 2**k: the level table's +inf padding is 1 entry,
+    # then 2**k entries.
+    PADDING_EDGES = [1] + [size for k in range(1, 11) for size in (2**k - 1, 2**k)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from(PADDING_EDGES), st.integers(1, 70)),
+           st.integers(0, 2**32 - 1), st.sampled_from([2, 5, None]),
+           st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=20))
+    def test_level_search_equals_searchsorted(self, n, seed, pool, extra):
+        # Fixed levels drawn from a pool of a few values tie; queries sit on
+        # the levels, one double to either side, below the first and above
+        # the last, and anywhere a walk's level can be (finite, >= 0).
+        rng = np.random.default_rng(seed)
+        levels = np.sort(rng.integers(0, pool, n) * 0.25 if pool else rng.exponential(size=n))
+        on = rng.choice(levels, 40)
+        queries = np.concatenate([
+            on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf),
+            [-0.0, levels[0] - 1.0, levels[-1] + 1.0, np.nextafter(levels[-1], np.inf)],
+            rng.uniform(levels[0] - 1.0, levels[-1] + 1.0, 40), extra])
+        status = np.ones(n + 1, dtype=int)
+        completion = cox._Completion(status, np.zeros(n + 1), np.zeros(n + 1), np.arange(n),
+                                     fixed_levels=levels)
+        np.testing.assert_array_equal(completion._below(queries),
+                                      np.searchsorted(levels, queries, side="left"))
+
+    @pytest.mark.parametrize("n", [20, 2000])
+    def test_walk_places_its_levels_as_searchsorted_does(self, n):
+        # The levels rebuilt from the walk's uniforms and groups, with its
+        # arithmetic: V_S summed over the alive groups in group order.
+        censored, _ = simulate_ph_binary(n, 0.5, np.random.default_rng(n), 0.25)
+        z_new = np.array([[0.0], [1.0], [1.0], [0.0], [1.0]])
+        rank, beta_hat, beta_null, z_new = cox._augmentation_setup(censored, 5, z_new, None)
+        completion = cox._naive_completion(censored, rank, beta_hat, beta_null, z_new)
+        n_draws = 4000
+        u = mc.stream_uniforms(n, n_draws, completion.per_draw, cox._COX_STREAM_TAG)
+        u = u.reshape(n_draws, completion.per_draw).T
+        _, groups, below = completion._walk(u)
+        weight = completion._group_weight[0]
+        alive = np.tile(np.bincount(completion._group), (n_draws, 1))
+        level = np.zeros(n_draws)
+        for t in range(z_new.shape[0]):
+            level += -np.log1p(-u[2 * t]) / np.cumsum(alive * weight, axis=1)[:, -1]
+            np.testing.assert_array_equal(below[t],
+                                          np.searchsorted(completion.fixed_levels, level))
+            if t < groups.shape[0]:
+                alive[np.arange(n_draws), groups[t]] -= 1
+        assert np.all(alive >= 0) and np.all(alive.sum(axis=1) == 1)
 
 
 class TestAugmentationMeasures:
@@ -531,7 +586,7 @@ class TestInputValidation:
         lod = partial_lod(rank, [1.0], [0.0])
         assert math.isfinite(lod)
         # With untied events and no censoring both conventions score alike.
-        assert cox._kp_lod(data, rank, [1.0], [0.0]) == lod
+        assert kp_lod(data, rank, [1.0], [0.0]) == lod
         reference = float(lod_rows(data.times, data.status, data.covariates[:, 0], np.zeros(4)))
         assert lod == pytest.approx(reference, rel=1e-12)
 
@@ -544,7 +599,7 @@ class TestInputValidation:
                     - math.log(3.0) - math.log(2.0) + math.log(24.0))
         rank = extract_rank_data(data)
         assert partial_lod(rank, [1.0], [0.0]) == pytest.approx(expected, rel=1e-12)
-        assert cox._kp_lod(data, rank, [1.0], [0.0]) == pytest.approx(expected, rel=1e-12)
+        assert kp_lod(data, rank, [1.0], [0.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_risk_sums_are_exact_over_any_span(self):
         # Rows of one batch reach their far-below risk sets at different
@@ -751,7 +806,7 @@ def tied_sample(case):
 def correct_completion(data, z_new):
     """Correct mode's completion of a sample, at its fitted beta_hat and beta_null = 0."""
     rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
-    return cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
+    return cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null)
 
 
 class TestCorrectExact:
@@ -964,7 +1019,7 @@ def test_kp_lod_is_the_reference_sort_of_its_columns(sample):
     rank, beta_hat, beta_null, _ = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
     status, z, _ = cox._kp_columns(data, rank, np.zeros((0, data.covariate_dim)))
     expected = lod_rows(np.arange(data.n), status, z @ beta_hat, z @ beta_null)
-    assert cox._kp_lod(data, rank, beta_hat, beta_null) == float(expected)
+    assert kp_lod(data, rank, beta_hat, beta_null) == float(expected)
 
 
 @pytest.mark.parametrize("sample", EXACT_PASS_CASES.values(), ids=EXACT_PASS_CASES.keys())
@@ -985,11 +1040,11 @@ def test_walk_law_on_tied_event_times_is_the_lods_plackett_luce_law(case):
     data = dataset(np.asarray(times, float), status, z)
     z_new = np.asarray(z_new, float)[:, None]
     rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, 2, z_new, None)
-    completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
+    completion = cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null)
     groups, passed, prob = walk_paths(completion)
     lods = completion._lods(groups, passed + 1)
     assert prob @ lods == pytest.approx(plackett_luce_expected_lod(completion), rel=1e-10)
-    assert 0.0 < cox._kp_lod(data, rank, beta_hat, beta_null) / (prob @ lods) <= 1.0
+    assert 0.0 < kp_lod(data, rank, beta_hat, beta_null) / (prob @ lods) <= 1.0
 
 
 def kernel_case(n=30, distinct=0):
@@ -1011,7 +1066,7 @@ def kernel_completions(n=30, distinct=0):
     data, z_new = kernel_case(n, distinct)
     rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
     return {
-        "correct": cox._correct_completion(data, rank, beta_hat, beta_null, z_new),
+        "correct": cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null),
         "naive": cox._naive_completion(data, rank, beta_hat, beta_null, z_new),
     }
 
@@ -1108,7 +1163,7 @@ def existing_subjects_lods(data, z_new, rng):
     """Each of 500 correct draws' lods restricted to the existing subjects."""
     m = z_new.shape[0]
     rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, m, z_new, None)
-    completion = cox._correct_completion(data, rank, beta_hat, beta_null, z_new)
+    completion = cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null)
     levels = explicit_levels(completion, *levels_of(
         completion, rng.standard_exponential((500, n_levels(completion)))))
     n = data.n  # columns: the existing subjects, then the new ones
@@ -1150,7 +1205,7 @@ def test_negative_tie_broken_observed_lod_is_refused():
                    [-2, 1, -1, -1, -1, 2, -2])
     rank, beta_hat, beta_null, _ = cox._augmentation_setup(data, 1, [[1.0]], None)
     assert partial_lod(rank, beta_hat, beta_null) > 0
-    assert cox._kp_lod(data, rank, beta_hat, beta_null) < 0
+    assert kp_lod(data, rank, beta_hat, beta_null) < 0
     with pytest.raises(UndefinedMeasureError, match="not positive"):
         ri1_cox_correct(data, 1, [[1.0]], mc_config=MCConfig(n_draws=2000, seed=1))
     assert ri1_cox_naive(data, 1, [[1.0]], mc_config=MCConfig(n_draws=200, seed=1)).estimate > 0
@@ -1398,8 +1453,9 @@ def edge_completion(mode, case):
     try:
         rank, beta_hat, beta_null, z_new = cox._augmentation_setup(
             data, len(z_new), np.asarray(z_new, float)[:, None], None)
-        build = cox._correct_completion if mode == "correct" else cox._naive_completion
-        return build(data, rank, beta_hat, beta_null, z_new)
+        if mode == "correct":
+            return cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null)
+        return cox._naive_completion(data, rank, beta_hat, beta_null, z_new)
     except RelInfoError:
         return None
 

@@ -161,8 +161,8 @@ def assert_walk_matches_rejection(n, beta_true, seed, z_new):
     """The walk at beta_true against the oracle on uncensored PH data, 20,000 vs 4,000 draws."""
     data, _ = cox.simulate_ph_binary(n, beta_true, np.random.default_rng(seed), 0.0)
     beta = np.array([beta_true])
-    completion = cox._correct_completion(data, cox.extract_rank_data(data), beta,
-                                         np.zeros(1), z_new)
+    columns = cox._kp_columns(data, cox.extract_rank_data(data), z_new)
+    completion = cox._correct_completion(columns, beta, np.zeros(1))
     passed, label, _ = walk_placements(completion, seed, 20_000)
     assert np.all(np.diff(passed, axis=1) >= 0) and passed.min() >= 0 and passed.max() <= n
     oracle_passed, oracle_label = rejection_placements(
