@@ -53,8 +53,8 @@ _SEPARATION_NORM = 50.0
 _EXP_SPAN = 600.0
 
 # Cap on the elements of one sub-block of the Cox completion kernel, counted
-# as draws x uniforms per draw, and of the state rows its table holds (see
-# _StateTable); it bounds the kernel's memory whatever the sample size and
+# as draws x uniforms per draw, and of the state rows it holds at once (see
+# _Completion); it bounds the kernel's memory whatever the sample size and
 # the number of new subjects.
 _BLOCK_ELEMENTS = 2**17
 
@@ -492,178 +492,42 @@ class _Rows(NamedTuple):
     own: np.ndarray  # (2, states): W_S per parameter
 
 
-class _StateTable:
-    """The alive states a completion's draws reach, each with its rows built once.
+def _state_rows(states: np.ndarray, group_weight: np.ndarray,
+                event_factor: np.ndarray) -> _Rows:
+    """The ``_Rows`` of the alive states ``states``, one per row of alive counts per group.
 
-    A state counts the alive new subjects of each group, and its code reads
-    those counts as the digits of one mixed-radix number, the last group's
-    the most significant: code order is ``np.lexsort`` order of the counts,
-    and a new subject of group g failing subtracts the place value of digit
-    g.  Each state held has a dense id, and ``step`` moves draws on by one
-    ``take`` from the successor table next[id, group].  A state's running
-    row holds the running alive weights at the alternative that pick the
-    group that fails, padded with +inf to a power-of-two width, then the
-    last of them, V_S.  Its ``_Rows`` are built the first time a block of
-    draws reaches it, together with those of the other states the block
-    reaches: both parameters' prefix tables L_S(e) = sum_{e' < e}
-    log1p(W_S f_e'), e = 0..K, padded with +inf to a power-of-two width
-    that leaves at least one +inf, for ``_count_at_most`` (the
-    alternative's is the walk's A_S), and W_S at both parameters.  Weights
-    are in units of exp(shift).
-
-    The table holds at most ``_BLOCK_ELEMENTS`` elements of states with
-    their rows.  When every state of the lattice fits, it holds them all
-    from the start, with their successors and running rows, and the id of
-    a state is its code.  Otherwise a state gets its id and running row the
-    first time it is reached, and its successors are filled on demand;
-    when newly reached states would not fit, the table restarts from the
-    states of the round that reaches them, and when those alone do not
-    fit, it keeps them without ``_Rows``, which ``runs`` builds run by
-    run.
+    Both parameters' prefix tables L_S(e) = sum_{e' < e} log1p(W_S f_e'),
+    e = 0..K, padded with +inf to a power-of-two width that leaves at least
+    one +inf, for ``_count_at_most`` (the alternative's is the walk's A_S),
+    and W_S at both parameters.  A state's rows are the same doubles
+    whatever other states they are built with.
     """
+    k = event_factor.shape[1]
+    own = (states * group_weight[:, None, :]).sum(axis=2)
+    prefix = np.empty(own.shape + (1 << (k + 1).bit_length(),))
+    prefix[:, :, 0] = 0.0
+    prefix[:, :, k + 1:] = np.inf
+    terms = np.multiply(own[:, :, None], event_factor[:, None, :], out=prefix[:, :, 1:k + 1])
+    np.cumsum(np.log1p(terms, out=terms), axis=2, out=terms)
+    return _Rows(prefix, own)
 
-    def __init__(self, group_size: np.ndarray, group_weight: np.ndarray,
-                 event_factor: np.ndarray):
-        k, n_groups = event_factor.shape[1], group_size.size
-        self._radix = [int(size) + 1 for size in group_size]
-        self._place = [1]
-        for base in self._radix[:-1]:
-            self._place.append(self._place[-1] * base)
-        self._lattice = self._place[-1] * self._radix[-1]
-        self._root_code = self._lattice - 1
-        self._weight, self._factor = group_weight, event_factor
-        self._width = 1 << (k + 1).bit_length()
-        self._cut_width = 1 << (n_groups - 1).bit_length()
-        # Per state: its _Rows and running row, then its code, counts and
-        # successors.
-        self._elements = 2 * self._width + 2 + self._cut_width + 1 + 1 + 2 * n_groups
-        self.restarts = 0
-        self._clear()
 
-    def _clear(self) -> None:
-        """Empty the table, or fill it with every state when they all fit."""
-        self._held = min(self._lattice, max(1, _BLOCK_ELEMENTS // self._elements))
-        self._index: dict[int, int] = {}
-        self.codes: list[int] = []
-        self.counts = np.empty((0, len(self._radix)), dtype=np.intp)
-        self._next = np.empty(0, dtype=np.intp)
-        self.running = np.empty((0, self._cut_width + 1))
-        self._rows = _Rows(np.empty((2, self._held, self._width)), np.empty((2, self._held)))
-        self._built = np.zeros(self._held, dtype=bool)
-        self._stored = True
-        if self._held == self._lattice:
-            codes = np.arange(self._lattice)
-            counts = codes[:, None] // self._place % self._radix
-            self._add(codes.tolist(), counts)
-            self._next = np.where(counts > 0, codes[:, None] - self._place, -1).ravel()
+def _in_code_order(counts: np.ndarray):
+    """The distinct states among the columns of alive counts ``counts``, in code order.
 
-    def _build_running(self, counts: np.ndarray) -> np.ndarray:
-        """The running rows of the states ``counts``, one per row."""
-        alive = np.cumsum(counts * self._weight[0], axis=1)
-        running = np.full((counts.shape[0], self._cut_width + 1), np.inf)
-        running[:, :alive.shape[1] - 1] = alive[:, :-1]
-        running[:, -1] = alive[:, -1]
-        return running
-
-    def _build_rows(self, counts: np.ndarray) -> _Rows:
-        """The prefix tables and alive weights of the states ``counts``, one per row."""
-        k = self._factor.shape[1]
-        own = (counts * self._weight[:, None, :]).sum(axis=2)
-        prefix = np.empty(own.shape + (self._width,))
-        prefix[:, :, 0] = 0.0
-        prefix[:, :, k + 1:] = np.inf
-        terms = np.multiply(own[:, :, None], self._factor[:, None, :], out=prefix[:, :, 1:k + 1])
-        np.cumsum(np.log1p(terms, out=terms), axis=2, out=terms)
-        return _Rows(prefix, own)
-
-    def _add(self, codes: list, counts: np.ndarray) -> None:
-        """Give the states ``codes``, with ``counts``, the next ids and their running rows."""
-        start = len(self._index)
-        self._index.update(zip(codes, range(start, start + len(codes))))
-        self.codes += codes
-        self.counts = np.concatenate([self.counts, counts])
-        self._next = np.concatenate([self._next, np.full(counts.size, -1, dtype=np.intp)])
-        self.running = np.concatenate([self.running, self._build_running(counts)])
-        self._stored = len(self._index) <= self._held
-
-    def ids(self, codes: list) -> list:
-        """The id of the state with each of ``codes``, reached now: new states are added.
-
-        When they do not fit, the table restarts from the states ``codes``.
-        """
-        fresh = [code for code in dict.fromkeys(codes) if code not in self._index]
-        if fresh and (not self._stored or len(self._index) + len(fresh) > self._held):
-            self._clear()
-            self.restarts += 1
-            fresh = [code for code in dict.fromkeys(codes) if code not in self._index]
-        if fresh:
-            self._add(fresh, np.array([[code // place % radix for place, radix
-                                        in zip(self._place, self._radix)] for code in fresh],
-                                      dtype=np.intp))
-        return [self._index[code] for code in codes]
-
-    def root(self, n_draws: int) -> np.ndarray:
-        """``n_draws`` draws in the state where every new subject is alive."""
-        root = self._index.get(self._root_code)
-        if root is None:
-            root = self.ids([self._root_code])[0]
-        return np.full(n_draws, root, dtype=np.intp)
-
-    def step(self, ids: np.ndarray, group: np.ndarray) -> np.ndarray:
-        """Each draw's state after a new subject of ``group`` fails in state ``ids``."""
-        n_groups = len(self._radix)
-        pair = ids * n_groups + group
-        after = self._next.take(pair)
-        if after.min() >= 0:
-            return after
-        # Every pair of the round, so that a restart keeps all its states.
-        pairs = np.flatnonzero(np.bincount(pair))
-        restarts = self.restarts
-        found = np.array(self.ids([self.codes[p // n_groups] - self._place[p % n_groups]
-                                   for p in pairs.tolist()]))
-        if self.restarts == restarts:
-            self._next[pairs] = found
-            return self._next.take(pair)
-        index = np.empty(pairs[-1] + 1, dtype=np.intp)
-        index[pairs] = found
-        return index[pair]
-
-    def reach(self, paths: list) -> None:
-        """Build the ``_Rows`` of the states in ``paths``, arrays of ids, that have none yet."""
-        held = len(self._index)
-        if not self._stored or self._built[:held].all():
-            return
-        reached = np.zeros(held, dtype=bool)
-        for ids in paths:
-            reached[ids] = True
-        todo = np.flatnonzero(reached & ~self._built[:held])
-        if todo.size:
-            rows = self._build_rows(self.counts[todo])
-            self._rows.prefix[:, todo] = rows.prefix
-            self._rows.own[:, todo] = rows.own
-            self._built[todo] = True
-
-    def runs(self, ids: np.ndarray):
-        """``_Rows`` for draws in the states ``ids``: (rows, each draw's row in them, draws).
-
-        One run of every draw while the table holds the rows (after
-        ``reach``); otherwise runs of states whose rows fit the budget,
-        built for the run alone.
-        """
-        if self._stored:
-            yield self._rows, ids, slice(None)
-            return
-        step = self._held
-        for lo in range(0, len(self._index), step):
-            here = (ids >= lo) & (ids < lo + step)
-            yield self._build_rows(self.counts[lo:lo + step]), ids[here] - lo, here
-
-    def rows(self, ids: np.ndarray) -> _Rows:
-        """The ``_Rows`` of the distinct states ``ids``, in that order."""
-        if self._stored:
-            self.reach([ids])
-            return _Rows(*(np.take(rows, ids, axis=1) for rows in self._rows))
-        return self._build_rows(self.counts[ids])
+    A state's code reads its counts as the digits of one mixed-radix
+    number, the last group's the most significant, so code order is
+    ``np.lexsort`` order and needs no codes.  Returns the distinct states,
+    one per row, each column's state among them, and the order that sorts
+    the columns.
+    """
+    order = np.lexsort(counts)
+    ranked = np.take(counts, order, axis=1)
+    fresh = np.ones(order.size, dtype=bool)
+    fresh[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    state = np.empty_like(order)
+    state[order] = np.cumsum(fresh) - 1
+    return ranked[:, fresh].T, state, order
 
 
 def _group_new_subjects(new_eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -713,13 +577,17 @@ class _Completion:
 
     New subjects whose linear predictors are equal under both parameters
     are exchangeable, so a state S counts the alive subjects of each such
-    group.  Each existing event e's term changes by -log1p(W_S f_e) while
-    S is alive at it, W_S the alive new weight and f_e the inverse of its
-    risk sum.  The completion's ``_StateTable`` builds, once per state
-    its draws reach, a prefix table L_S(e) of those terms, which makes each
-    draw's event terms m differences, so per-draw work depends on m, not
-    on n.  At the alternative W_S f_i is V_S / r_i, so the same table is
-    correct mode's walk law.  So that this linear scale stays exact, it
+    group, and each draw carries its counts.  Each existing event e's term
+    changes by -log1p(W_S f_e) while S is alive at it, W_S the alive new
+    weight and f_e the inverse of its risk sum.  A state's ``_state_rows``
+    hold a prefix table L_S(e) of those terms, which makes each draw's
+    event terms m differences, so per-draw work depends on m, not on n.
+    At the alternative W_S f_i is V_S / r_i, so the same table is correct
+    mode's walk law.  When every state but the all-failed one, which no
+    round reads, fits ``_BLOCK_ELEMENTS`` with its rows, the completion
+    builds them all once, indexed by code (see ``_in_code_order``);
+    otherwise each round builds the rows of the states its draws are in,
+    in runs that fit the budget.  So that the linear scale stays exact, it
     refuses a new subject whose relative hazard exceeds another new
     subject's, or an existing event's risk sum, by more than
     exp(``_EXP_SPAN``); correct mode also refuses failures' risk sums and
@@ -763,6 +631,15 @@ class _Completion:
         first_of, group, size = _group_new_subjects(new_eta)
         event_factor = np.exp(shift - event_log_risk)
         group_weight = np.exp(new_eta - shift)[:, first_of]
+        # Per state: both parameters' prefix tables and alive weights.
+        state_elements = 2 * (1 << (event_factor.shape[1] + 1).bit_length()) + 2
+        radix = size + 1
+        n_states = math.prod(radix.tolist()) - 1
+        place = table = None
+        if n_states * state_elements <= _BLOCK_ELEMENTS:
+            place = np.cumprod(np.concatenate([[1], radix[:-1]]))
+            codes = np.arange(1, n_states + 1)
+            table = _state_rows(codes[:, None] // place % radix, group_weight, event_factor)
         for name, value in {
             "_first_at": first_at,
             "_events_before": np.searchsorted(event_anchor, np.arange(n_anchors + 1)),
@@ -774,8 +651,13 @@ class _Completion:
             "_base": (eta[:, :n][:, event].sum(axis=1) - event_log_risk.sum(axis=1)
                       + new_eta.sum(axis=1))[:, None],
             "_group": group,
+            # The smallest unsigned type that holds the counts: np.lexsort
+            # sorts those by radix.
+            "_group_size": size.astype(np.min_scalar_type(size.max())),
             "_group_weight": group_weight,
-            "_states": _StateTable(size, group_weight, event_factor),
+            "_state_elements": state_elements,
+            "_place": place,
+            "_table": table,
             "_level_table": None if self.fixed_levels is None else np.concatenate(
                 [self.fixed_levels, np.full((1 << n.bit_length()) - n, np.inf)]),
         }.items():
@@ -817,83 +699,85 @@ class _Completion:
         from (i, S), the last i' with A_S(i') <= A_S(i) + E in the state's
         prefix table at the alternative, so that at least j are passed with
         probability prod_{l < j} r_{i+l} / (r_{i+l} + V_S).  Both searches
-        are one ``_count_at_most`` bisection over all draws.  Correct mode
-        places the new subjects as ``_lods`` reads the state's ``_Rows``,
-        A_S(i) included, once every group that fails is known.  Returns the
+        are one ``_count_at_most`` bisection over all draws.  Returns the
         lods, the group that fails in each round but the last, (m - 1,
         draws), and the anchors below each new subject, (m, draws).
         """
         m, n_draws = self._group.size, u.shape[1]
-        exps, picks = -np.log1p(-u[0::2]), u[1::2]
         groups = np.empty((m - 1, n_draws), dtype=np.intp)
         below = np.empty((m, n_draws), dtype=np.intp)
-        level = np.zeros(n_draws)
-        restarts = self._states.restarts
-        path = [self._states.root(n_draws)]
-        for t in range(m):
-            running = self._states.running
-            width = running.shape[1]
-            start = path[t] * width
-            total = np.take(running, start + width - 1)
-            if self.fixed_levels is not None:
-                level += exps[t] / total
-                below[t] = self._below(level)
-            if t + 1 < m:
-                # The group that fails: how many of the running alive weights
-                # before V_S lie at or below pick * V_S.
-                groups[t] = _count_at_most(running.ravel(), start, width - 1, total * picks[t])
-                path.append(self._states.step(path[t], groups[t]))
-        if self._states.restarts != restarts:
-            path = None  # ids of the first rounds were dropped; _lods walks again
-        if self.fixed_levels is not None:
-            return self._lods(groups, below, path=path), groups, below
+        return self._lods(groups, below, -np.log1p(-u[0::2]), u[1::2]), groups, below
 
-        def place(t, rows, start, here, base):
-            # Past i failures, a new subject has the anchors 0..i below it.
-            below[t, here] = _count_at_most(rows.prefix[0].ravel(), start,
-                                            rows.prefix.shape[2], base + exps[t, here])
+    def _rows_of(self, counts: np.ndarray):
+        """``_Rows`` for draws in the states ``counts``: (rows, each draw's row in them, draws).
 
-        return self._lods(groups, below, place, path), groups, below
+        One run of every draw when the completion holds every state's rows;
+        otherwise runs of states in code order, built for the run alone.
+        """
+        if self._table is not None:
+            yield self._table, self._place @ counts - 1, slice(None)
+            return
+        states, state, order = _in_code_order(counts)
+        step = max(1, _BLOCK_ELEMENTS // self._state_elements)
+        if states.shape[0] <= step:
+            yield _state_rows(states, self._group_weight, self._event_factor), state, slice(None)
+            return
+        ranked = state[order]
+        for lo in range(0, states.shape[0], step):
+            a, b = np.searchsorted(ranked, [lo, lo + step])
+            rows = _state_rows(states[lo:lo + step], self._group_weight, self._event_factor)
+            yield rows, ranked[a:b] - lo, order[a:b]
 
-    def _lods(self, groups: np.ndarray, below: np.ndarray, place=None,
-              path: list | None = None) -> np.ndarray:
-        """Lods of a block of draws, given where their new subjects fall.
+    def _lods(self, groups: np.ndarray, below: np.ndarray, exps: np.ndarray | None = None,
+              picks: np.ndarray | None = None) -> np.ndarray:
+        """Lods of a block of draws, given where their new subjects fall or walking them.
 
         The new subjects are taken in the order they fail, one row each.
         ``groups[t]`` is the group of new subject t (rows past m - 2 are not
-        read), and ``below`` (m, draws) counts the anchors below its level;
-        ``place(t, rows, start, draws, base)``, when given, fills ``below[t]``
-        first, ``base`` the alternative's entry at the events passed
-        (correct mode's ``_walk``), and ``path``, when given, lists
-        each round's state ids.  A new subject never shares its level with
-        an anchor or with another new subject (the walk's levels are
-        continuous, or between failures).  Equal to one stable sort of the
-        explicit augmented levels (``lod_rows`` in tests/walk_oracle.py): an
-        event's risk set is every subject at its level or above, tied fixed
-        levels sharing theirs (Breslow).  The existing events between new
-        subjects t - 1 and t see W_{S_t}, S_t the alive state before new
-        subject t fails, and new subject t's own risk set is the existing
-        subjects above its level plus W_{S_t}.  Each draw's terms are summed
-        in round order, so its lod does not depend on the other draws.
+        read), and ``below`` (m, draws) counts the anchors below its level.
+        Given ``exps`` and ``picks``, each round's Exp(1) variates and group
+        uniforms, the walk fills them in (see ``_walk``).  Each draw carries
+        the alive count of each group, and its running alive weights at the
+        alternative are summed group by group, in ``np.cumsum``'s order; a
+        new subject of group g failing takes one from count g.  A new
+        subject never shares its level with an anchor or with another new
+        subject (the walk's levels are continuous, or between failures).
+        Equal to one stable sort of the explicit augmented levels
+        (``lod_rows`` in tests/walk_oracle.py): an event's risk set is every
+        subject at its level or above, tied fixed levels sharing theirs
+        (Breslow).  The existing events between new subjects t - 1 and t
+        see W_{S_t}, S_t the alive state before new subject t fails, and new
+        subject t's own risk set is the existing subjects above its level
+        plus W_{S_t}.  Each draw's terms are summed in round order, so its
+        lod does not depend on the other draws.
         """
         m, n_draws = below.shape
+        walk, naive = exps is not None, self.fixed_levels is not None
+        counts = np.repeat(self._group_size[:, None], n_draws, axis=1)
+        labels = np.arange(counts.shape[0])[:, None]
+        level = np.zeros(n_draws)
         weight = np.empty((2, m, n_draws))
         start = np.zeros(n_draws, dtype=np.intp)  # the events below the last new subject
-        if path is not None:
-            self._states.reach(path)
         for t in range(m):
-            if path is not None:
-                ids = path[t]
-            else:
-                ids = (self._states.root(n_draws) if t == 0
-                       else self._states.step(ids, groups[t - 1]))
-                self._states.reach([ids])
+            if walk and (naive or t + 1 < m):
+                running = counts * self._group_weight[0, :, None]
+                for g in range(1, counts.shape[0]):
+                    running[g] += running[g - 1]
+                if naive:
+                    level += exps[t] / running[-1]
+                    below[t] = self._below(level)
+                if t + 1 < m:
+                    # The group that fails: how many of the running alive
+                    # weights before V_S lie at or below pick * V_S.
+                    groups[t] = (running[:-1] <= running[-1] * picks[t]).sum(axis=0)
             terms = np.empty((2, n_draws))
-            for rows, row, here in self._states.runs(ids):
-                table, flat = rows.prefix.reshape(2, -1), row * rows.prefix.shape[2]
+            for rows, row, here in self._rows_of(counts):
+                width = rows.prefix.shape[2]
+                table, flat = rows.prefix.reshape(2, -1), row * width
                 passed = np.take(table, flat + start[here], axis=1)
-                if place is not None:
-                    place(t, rows, flat, here, passed[0])
+                if walk and not naive:
+                    # Past i failures, a new subject has the anchors 0..i below it.
+                    below[t, here] = _count_at_most(table[0], flat, width, passed[0] + exps[t, here])
                 bounds = self._events_before[below[t, here]]
                 terms[:, here] = np.take(table, flat + bounds, axis=1) - passed
                 start[here] = bounds
@@ -901,6 +785,8 @@ class _Completion:
             # Summed in round order: numpy's sum over the rounds is pairwise
             # for one draw and m >= 8.
             event_terms = terms if t == 0 else event_terms + terms
+            if t + 1 < m:
+                counts -= groups[t] == labels
         # The new subjects' own terms, in place of their alive weights.
         above = self._first_at[below]
         weight += np.take(self._risk_capped, above, axis=1)
@@ -927,11 +813,11 @@ class _Completion:
         states are taken in the order of their codes.
         """
         k, m = self._event_factor.shape[1], self._group.size
-        ids, mass = self._states.root(1), np.eye(1, k + 1)  # all mass at (0, S_0)
+        states, mass = self._group_size[None, :], np.eye(1, k + 1)  # all mass at (0, S_0)
         above = self._first_at[1:]
         lod = self._base[0, 0] - self._base[1, 0]
         for t in range(m):
-            rows = self._states.rows(ids)
+            rows = _state_rows(states, self._group_weight, self._event_factor)
             table = rows.prefix[:, :, :k + 1]
             skip = table[0]
             with np.errstate(divide="ignore"):  # log(0) where a state has no mass
@@ -943,15 +829,12 @@ class _Completion:
             lod -= np.sum(arrive * (event_lod + own[0] - own[1])) - np.sum(mass * event_lod)
             if t + 1 == m:
                 break
-            counts = self._states.counts[ids]
-            key, group = np.nonzero(counts)
-            share = counts[key, group] * self._group_weight[0, group] / rows.own[0, key]
-            reached = self._states.step(ids[key], group).tolist()
-            codes = sorted({self._states.codes[state] for state in reached})
-            ids = np.array(self._states.ids(codes))
-            position = dict(zip(ids.tolist(), range(ids.size)))
-            back = [position[state] for state in reached]
-            mass = np.zeros((ids.size, k + 1))
+            key, group = np.nonzero(states)
+            share = states[key, group] * self._group_weight[0, group] / rows.own[0, key]
+            reached = states[key].T
+            reached[group, np.arange(key.size)] -= 1
+            states, back, _ = _in_code_order(reached)
+            mass = np.zeros((states.shape[0], k + 1))
             np.add.at(mass, back, arrive[key] * share[:, None])
         return float(lod)
 

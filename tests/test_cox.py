@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -276,6 +276,7 @@ class TestRankConditionalSampler:
         passed, _, alive = walk_placements(completion, 77, 2_000)
         assert np.all(np.diff(passed, axis=1) >= 0)
         assert passed.min() >= 0 and passed.max() <= n_failures
+        assert alive.min() >= 0
         for t in range(3):
             assert np.all(alive[t].sum(axis=1) == 3 - t)
 
@@ -371,6 +372,54 @@ class TestNaiveWalk:
             if t < groups.shape[0]:
                 alive[np.arange(n_draws), groups[t]] -= 1
         assert np.all(alive >= 0) and np.all(alive.sum(axis=1) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.lists(st.sampled_from([0.0, -math.log(2.0), -math.log(4.0), -1.3]), min_size=4,
+                max_size=4),
+       st.sampled_from(["correct", "naive"]), st.integers(0, 2**32 - 1))
+@example([1], [0.0] * 4, "naive", 1)  # m = 1: no pick
+@example([3], [0.0] * 4, "correct", 2)  # one group
+@example([1, 2, 1], [0.0, 0.0, -math.log(2.0), 0.0], "naive", 3)
+def test_group_pick_is_searchsorted_on_the_running_weights(sizes, etas, mode, seed):
+    # Group g has sizes[g] new subjects at relative hazard exp(etas[g]),
+    # equal across groups or not, and its own null eta.  Picks are uniform,
+    # 0, or put the target pick * V_S on a running weight; groups that have
+    # failed out have zero counts, so running weights repeat.  One group
+    # and m = 1 are among the inputs.
+    rng = np.random.default_rng(seed)
+    m, n_groups, n_draws = sum(sizes), len(sizes), 40
+    eta_alt = np.repeat(etas[:n_groups], sizes)
+    eta_null = np.repeat(np.arange(n_groups, dtype=float), sizes)
+    n = 3
+    status = np.ones(n + m, dtype=int)
+    anchor_of = np.arange(n) if mode == "naive" else np.arange(1, n + 1)
+    completion = cox._Completion(status, np.concatenate([np.zeros(n), eta_alt]),
+                                 np.concatenate([np.zeros(n), eta_null]), anchor_of,
+                                 fixed_levels=np.arange(1.0, n + 1) if mode == "naive" else None)
+    weight = completion._group_weight[0]
+    counts = np.tile(completion._group_size.astype(int), (n_draws, 1))
+    u = rng.uniform(size=(2 * m - 1, n_draws))
+    expected = np.empty((m - 1, n_draws), dtype=np.intp)
+    for t in range(m - 1):
+        running = np.cumsum(counts * weight, axis=1)
+        for d in range(n_draws):
+            kind = rng.integers(3)
+            if kind == 1:
+                u[2 * t + 1, d] = 0.0
+            elif kind == 2:
+                # A pick whose target is a running weight below V_S, when one exists.
+                for r in running[d, :-1][running[d, :-1] < running[d, -1]]:
+                    pick = r / running[d, -1]
+                    if pick * running[d, -1] == r:
+                        u[2 * t + 1, d] = pick
+        targets = u[2 * t + 1] * running[:, -1]
+        expected[t] = [np.searchsorted(r[:-1], x, side="right") for r, x in zip(running, targets)]
+        counts[np.arange(n_draws), expected[t]] -= 1
+        assert counts.min() >= 0
+    _, groups, _ = completion._walk(u)
+    np.testing.assert_array_equal(groups, expected)
 
 
 class TestAugmentationMeasures:
@@ -915,7 +964,7 @@ class TestCorrectExact:
 
 
 def walk_paths(completion):
-    """Every path of the correct-mode walk, with its probability read from its state table.
+    """Every path of the correct-mode walk, with its probability read from its states' rows.
 
     From (i, S) the walk passes failures i..j-1, then a new subject of group
     g fails, with probability (P(>= j - i) - P(>= j - i + 1)) c_g v_g / V_S:
@@ -924,24 +973,24 @@ def walk_paths(completion):
     groups and failures passed, as (m, paths) arrays, and its probability.
     """
     k = completion._event_factor.shape[1]
-    table = completion._states
     paths = []
 
-    def extend(state, i, steps, p):
-        counts = table.counts[state]
+    def extend(counts, i, steps, p):
         if not counts.any():
             paths.append((steps, p))
             return
-        skip = table.rows(state[None]).prefix[0, 0, :k + 1]
+        skip = cox._state_rows(counts[None], completion._group_weight,
+                               completion._event_factor).prefix[0, 0, :k + 1]
         at_least = np.append(np.exp(-(skip[i:] - skip[i])), 0.0)
         rates = counts * completion._group_weight[0]
         for j in range(i, k + 1):
             for g in np.flatnonzero(counts):
-                after = table.step(state[None], g[None])[0]
+                after = counts.copy()
+                after[g] -= 1
                 extend(after, j, steps + [(g, j)], p * (at_least[j - i] - at_least[j - i + 1])
                        * rates[g] / rates.sum())
 
-    extend(table.root(1)[0], 0, [], 1.0)
+    extend(completion._group_size, 0, [], 1.0)
     steps = np.array([path for path, _ in paths])
     return steps[:, :, 0].T, steps[:, :, 1].T, np.array([p for _, p in paths])
 
@@ -1071,6 +1120,22 @@ def kernel_completions(n=30, distinct=0):
     }
 
 
+def benchmark_completions(n, distinct=False):
+    """Both modes' completions of five new subjects with censoring 0.25, by mode.
+
+    The new subjects have binary covariates, as in every benchmark workload,
+    or five distinct ones.
+    """
+    censored, _ = simulate_ph_binary(n, 0.5, np.random.default_rng(n), 0.25)
+    z_new = np.linspace(-1.0, 1.0, 5) if distinct else np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(censored, 5, z_new[:, None], None)
+    columns = cox._kp_columns(censored, rank, z_new)
+    return {
+        "correct": cox._correct_completion(columns, beta_hat, beta_null),
+        "naive": cox._naive_completion(censored, rank, beta_hat, beta_null, z_new),
+    }
+
+
 # (n, distinct) of kernel_case: binary new subjects, and all-distinct m = 10,
 # whose 2^10 alive states a block of draws mostly reaches.
 KERNEL_CASES = {"binary m=4": (30, 0), "distinct m=10, n=20": (20, 10),
@@ -1140,13 +1205,6 @@ def assert_insertion_matches_explicit_levels(completion, new, gaps=None):
     slow = lod_rows(explicit_levels(completion, gaps, new), completion.status,
                     completion.eta_alt, completion.eta_null)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
-    # Given each round's state ids, as the walk hands them on, it scores the same.
-    table, restarts = completion._states, completion._states.restarts
-    path = [table.root(new.shape[0])]
-    for group in groups[:-1]:
-        path.append(table.step(path[-1], group))
-    if table.restarts == restarts:
-        np.testing.assert_array_equal(completion._lods(groups, below, path=path), fast)
 
 
 def censored_at_and_before_event_times(rng):
@@ -1224,7 +1282,6 @@ class TestInsertionKernel:
     def test_state_codes_beyond_int64(self, mode):
         # 64 distinct new subjects have 2^64 alive states.
         completion = kernel_completions(30, 64)[mode]
-        assert completion._states._root_code == 2**64 - 1
         rng = np.random.default_rng(71)
         gaps, new = levels_of(completion, rng.standard_exponential((50, n_levels(completion))))
         assert_insertion_matches_explicit_levels(completion, new, gaps)
@@ -1338,20 +1395,54 @@ class TestBlockKernelDeterminism:
     @pytest.mark.parametrize("capacity", [40, 300],
                              ids=["rounds beyond the budget", "rounds within it"])
     @pytest.mark.parametrize("mode", ["correct", "naive"])
-    def test_table_restarts_in_the_middle_of_a_walk(self, monkeypatch, mode, capacity):
-        # All 2^10 states fit the default budget at n = 20, so the table holds
-        # them from the start.  Under a budget for 40 states, the rounds of 45
-        # states and more keep no rows; under one for 300, every round fits,
-        # but not with the rounds before it.
+    def test_per_round_rows_score_as_the_whole_lattice(self, monkeypatch, mode, capacity):
+        # All 2^10 - 1 states a round reads fit the default budget at n = 20,
+        # so the completion builds them all.  Under a budget for 40 states,
+        # the rounds of more than 40 states build their rows in several
+        # runs; under one for 300, every round's states fit one run.
         completion = kernel_completions(20, 10)[mode]
         expected = completion.lods(5, 0, 700)
-        assert completion._states.restarts == 0
-        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", capacity * completion._states._elements)
+        assert completion._table is not None
+        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", capacity * completion._state_elements)
         small = kernel_completions(20, 10)[mode]
+        assert small._table is None
         np.testing.assert_array_equal(small.lods(5, 0, 700), expected)
-        assert small._states.restarts > 0
         if mode == "correct":
             assert small.expected_lod() == completion.expected_lod()
+
+    @pytest.mark.parametrize("n", [20, 2000])
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_regimes_agree_at_the_benchmark_shape(self, monkeypatch, mode, n):
+        # Binary m = 5, as the benchmark runs it: every state fits the
+        # default budget.  Under a budget for two states, each round builds
+        # its states' rows in runs of two.
+        completion = benchmark_completions(n)[mode]
+        assert completion._table is not None
+        n_draws = 4000 if n == 2000 else 1000
+        expected = completion.lods(5, 0, n_draws)
+        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 2 * completion._state_elements)
+        per_round = benchmark_completions(n)[mode]
+        assert per_round._table is None
+        np.testing.assert_array_equal(per_round.lods(5, 0, n_draws), expected)
+        if mode == "correct":
+            assert per_round.expected_lod() == completion.expected_lod()
+
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_regimes_switch_where_the_reachable_states_fit(self, monkeypatch, mode):
+        # Five distinct new subjects at n = 2000 have 32 states; the 31 a
+        # round reads fit the default budget with their rows, all 32 do not.
+        completion = benchmark_completions(2000, distinct=True)[mode]
+        elements = completion._state_elements
+        assert completion._table.own.shape[1] == 31
+        assert 31 * elements <= cox._BLOCK_ELEMENTS < 32 * elements
+        expected = completion.lods(5, 0, 4000)
+        for budget, whole in [(31 * elements, True), (31 * elements - 1, False)]:
+            monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", budget)
+            other = benchmark_completions(2000, distinct=True)[mode]
+            assert (other._table is not None) == whole
+            np.testing.assert_array_equal(other.lods(5, 0, 4000), expected)
+            if mode == "correct":
+                assert other.expected_lod() == completion.expected_lod()
 
     @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
     def test_adaptive_stop_does_not_depend_on_sub_block_size(self, monkeypatch, measure):
@@ -1378,10 +1469,7 @@ def test_kernel_memory_stays_bounded():
     # The kernel that built each round's tables anew peaked at 6.93e6 bytes
     # here (numpy 2.4).
     assert peak <= 1.25 * 6.93e6
-    table = completion._states
-    assert table.restarts > 0
-    held = sum(rows.size for rows in table._rows) + table.counts.size + table._next.size
-    assert held <= cox._BLOCK_ELEMENTS
+    assert completion._table is None  # each round builds its states' rows
 
 
 # (times, status, covariates, new subjects' covariates)

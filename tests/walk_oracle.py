@@ -90,16 +90,14 @@ def walk_placements(completion, seed, n_draws):
 
     Returns (passed, label, alive), the first two (n_draws, m) and ``alive``
     (m, n_draws, groups): each draw's alive new subjects per group before
-    each round, read from the completion's state table.
+    each round, replayed from the groups that fail.
     """
     u = mc.stream_uniforms(seed, n_draws, completion.per_draw, cox._COX_STREAM_TAG)
     _, groups, below = completion._walk(u.reshape(n_draws, completion.per_draw).T)
-    table = completion._states
-    ids = table.root(n_draws)
-    alive = [table.counts[ids]]
+    alive = [np.tile(completion._group_size.astype(int), (n_draws, 1))]
     for group in groups:
-        ids = table.step(ids, group)
-        alive.append(table.counts[ids])
+        alive.append(alive[-1].copy())
+        alive[-1][np.arange(n_draws), group] -= 1
     alive = np.stack(alive)
     # The group that fails in a round is the one with one fewer alive after it.
     after = np.concatenate([alive[1:], np.zeros_like(alive[:1])])
