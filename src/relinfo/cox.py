@@ -651,9 +651,7 @@ class _Completion:
             "_base": (eta[:, :n][:, event].sum(axis=1) - event_log_risk.sum(axis=1)
                       + new_eta.sum(axis=1))[:, None],
             "_group": group,
-            # The smallest unsigned type that holds the counts: np.lexsort
-            # sorts those by radix.
-            "_group_size": size.astype(np.min_scalar_type(size.max())),
+            "_group_size": size,
             "_group_weight": group_weight,
             "_state_elements": state_elements,
             "_place": place,
@@ -712,16 +710,14 @@ class _Completion:
         """``_Rows`` for draws in the states ``counts``: (rows, each draw's row in them, draws).
 
         One run of every draw when the completion holds every state's rows;
-        otherwise runs of states in code order, built for the run alone.
+        otherwise runs of the round's states in code order, each built for
+        itself and within the budget.
         """
         if self._table is not None:
             yield self._table, self._place @ counts - 1, slice(None)
             return
         states, state, order = _in_code_order(counts)
         step = max(1, _BLOCK_ELEMENTS // self._state_elements)
-        if states.shape[0] <= step:
-            yield _state_rows(states, self._group_weight, self._event_factor), state, slice(None)
-            return
         ranked = state[order]
         for lo in range(0, states.shape[0], step):
             a, b = np.searchsorted(ranked, [lo, lo + step])

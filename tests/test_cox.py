@@ -399,7 +399,7 @@ def test_group_pick_is_searchsorted_on_the_running_weights(sizes, etas, mode, se
                                  np.concatenate([np.zeros(n), eta_null]), anchor_of,
                                  fixed_levels=np.arange(1.0, n + 1) if mode == "naive" else None)
     weight = completion._group_weight[0]
-    counts = np.tile(completion._group_size.astype(int), (n_draws, 1))
+    counts = np.tile(completion._group_size, (n_draws, 1))
     u = rng.uniform(size=(2 * m - 1, n_draws))
     expected = np.empty((m - 1, n_draws), dtype=np.intp)
     for t in range(m - 1):
@@ -1456,10 +1456,18 @@ class TestBlockKernelDeterminism:
         assert (a.estimate, a.mc_standard_error) == (b.estimate, b.mc_standard_error)
 
 
-def test_kernel_memory_stays_bounded():
+def test_kernel_memory_stays_bounded(monkeypatch):
     # All-distinct m = 12 at n = 200 reaches thousands of states, each with
     # rows of about 2 x 256 doubles: more than the budget holds.
     completion = kernel_completions(200, 12)["correct"]
+    held, build = [], cox._state_rows
+
+    def state_rows(*args):
+        rows = build(*args)
+        held.append(rows.prefix.size + rows.own.size)
+        return rows
+
+    monkeypatch.setattr(cox, "_state_rows", state_rows)
     tracemalloc.start()
     try:
         completion.lods(5, 0, 4000)
@@ -1470,6 +1478,8 @@ def test_kernel_memory_stays_bounded():
     # here (numpy 2.4).
     assert peak <= 1.25 * 6.93e6
     assert completion._table is None  # each round builds its states' rows
+    # Every run of state rows a round builds fits the budget.
+    assert held and max(held) <= cox._BLOCK_ELEMENTS
 
 
 # (times, status, covariates, new subjects' covariates)

@@ -94,7 +94,7 @@ def walk_placements(completion, seed, n_draws):
     """
     u = mc.stream_uniforms(seed, n_draws, completion.per_draw, cox._COX_STREAM_TAG)
     _, groups, below = completion._walk(u.reshape(n_draws, completion.per_draw).T)
-    alive = [np.tile(completion._group_size.astype(int), (n_draws, 1))]
+    alive = [np.tile(completion._group_size, (n_draws, 1))]
     for group in groups:
         alive.append(alive[-1].copy())
         alive[-1][np.arange(n_draws), group] -= 1
