@@ -24,7 +24,7 @@ obs = BinomialObserved(successes=30, n_observed=50, n_missing=50)
 
 # The observed-data lod for the MLE 0.6 against the null 0.5.
 pair = HypothesisPair(theta_null=0.5, theta_alt=0.6)
-print(f"observed lod:            {float(lod(model, pair, obs)):.4f}")
+print(f"observed lod:            {lod(model, pair, obs):.4f}")
 
 # For the binomial the answer has a closed form: the lod is linear in the
 # success count, so relative information is just the fraction of trials seen.
@@ -33,9 +33,10 @@ print(f"closed form n_ob/n_co:   {ri1_closed_form(obs):.4f}")
 exact = ri1(model, obs, theta_null=0.5)
 print(f"sufficient-stat path:    {exact.estimate:.4f}  ({exact.method.value})")
 
-# Monte Carlo agrees, with an honest standard error.
+# Passing an engine selects Monte Carlo, which agrees, with an honest
+# standard error.
 engine = MCConfig(n_draws=20_000, seed=42)
-mc = ri1(model, obs, 0.5, engine, method="monte_carlo")
+mc = ri1(model, obs, 0.5, engine)
 print(f"monte carlo path:        {mc.estimate:.4f} +/- {mc.mc_standard_error:.4f}")
 
 # The null-imputation variant imputes the missing trials at p = 0.5 instead

@@ -227,7 +227,6 @@ def binomial_model() -> ModelContract:
         draw_completions_batch=_draw_completions_batch,
         impute_completion=_impute_completion,
         in_domain=lambda p: 0.0 < p < 1.0,
-        is_boundary=lambda p: not 0.0 < p < 1.0,
     )
 
 

@@ -308,8 +308,7 @@ def _cmd_binom_ri(args, report: Report) -> None:
     report.add_result("result.ri0", ri0)
     if args.draws is not None:
         engine = mc.MCConfig(n_draws=args.draws, seed=args.seed)
-        mc_result = core.ri1(model, obs, args.p0, engine,
-                             theta_alt=args.p1, method="monte_carlo")
+        mc_result = core.ri1(model, obs, args.p0, engine, theta_alt=args.p1)
         report.add_result("result.ri1_monte_carlo", mc_result)
 
 

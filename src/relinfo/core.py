@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     InstabilityError,
     UndefinedMeasureError,
-    UnsupportedModelError,
     ValidationError,
 )
 from .mc import MCConfig, MCEstimate
@@ -48,16 +47,6 @@ class HypothesisPair:
 
 
 @dataclass(frozen=True)
-class LodScore:
-    """Log-likelihood ratio, natural-log scale."""
-
-    value: float
-
-    def __float__(self) -> float:
-        return _as_scalar(self.value)
-
-
-@dataclass(frozen=True)
 class ModelContract:
     """Pluggable likelihood machinery a model must provide.
 
@@ -73,24 +62,22 @@ class ModelContract:
     owned by i (see :func:`relinfo.mc.stream_uniforms`), so any range of
     draws gives the same completions as those draws of a run from draw 0,
     and the histograms of two ranges add up to the histogram of their
-    union.  ``impute_completion`` is present only
-    for exponential-family models: it returns pseudo-complete data whose
-    sufficient statistic equals the conditional expectation of the
-    complete-data sufficient statistic given the observed data at the
-    supplied parameter.
+    union.  ``impute_completion(observed, theta)`` returns pseudo-complete
+    data whose sufficient statistic equals the conditional expectation of
+    the complete-data sufficient statistic given the observed data at
+    ``theta``; the model is an exponential family, so a lod is linear in
+    that statistic and its expectation is the imputed data's lod.
+    ``in_domain(theta)``
+    is true on the open parameter domain; its complement is the boundary,
+    and a measure refuses an observed-data MLE there.
     """
 
     name: str
     log_likelihood: Callable[[Any, Any], Any]
     mle: Callable[[Any], Any]
     draw_completions_batch: Callable[..., Any]
-    impute_completion: Callable[[Any, Any], Any] | None = None
-    in_domain: Callable[[Any], bool] | None = None
-    is_boundary: Callable[[Any], bool] | None = None
-
-    @property
-    def exponential_family(self) -> bool:
-        return self.impute_completion is not None
+    impute_completion: Callable[[Any, Any], Any]
+    in_domain: Callable[[Any], bool]
 
 
 @dataclass(frozen=True)
@@ -131,11 +118,6 @@ class ExpectedLodGap:
         return self.paired_diff.mean
 
 
-def _check_domain(model: ModelContract, theta) -> None:
-    if model.in_domain is not None and not model.in_domain(theta):
-        raise DomainError(f"parameter {theta!r} outside the domain of model {model.name!r}")
-
-
 def _lod_value(model: ModelContract, theta_alt, theta_null, data):
     """Raw lod; broadcasts over array-valued data or parameters."""
     return model.log_likelihood(theta_alt, data) - model.log_likelihood(theta_null, data)
@@ -148,23 +130,32 @@ def _as_scalar(value) -> float:
     return float(arr.reshape(()))
 
 
-def lod(model: ModelContract, pair: HypothesisPair, data) -> LodScore:
+def lod(model: ModelContract, pair: HypothesisPair, data) -> float:
     """Lod score of ``pair.theta_alt`` against ``pair.theta_null`` on ``data``."""
-    _check_domain(model, pair.theta_alt)
-    _check_domain(model, pair.theta_null)
-    value = _lod_value(model, pair.theta_alt, pair.theta_null, data)
-    if np.size(value) == 1 and not math.isfinite(_as_scalar(value)):
+    for theta in (pair.theta_alt, pair.theta_null):
+        if not model.in_domain(theta):
+            raise DomainError(f"parameter {theta!r} outside the domain of model {model.name!r}")
+    value = _as_scalar(_lod_value(model, pair.theta_alt, pair.theta_null, data))
+    if not math.isfinite(value):
         raise DomainError("lod is not finite; parameter on a degenerate boundary")
-    return LodScore(_as_scalar(value) if np.size(value) == 1 else value)
+    return value
 
 
-def _observed_setup(model: ModelContract, observed, theta_null):
-    """Common preamble: observed MLE (with boundary refusal) and domain checks."""
+def _observed_setup(model: ModelContract, observed, theta_null, theta_alt=None):
+    """Every measure's preamble: the observed-data MLE and lod, ``(theta_hat, lod_ob)``.
+
+    The lod's alternative is ``theta_alt``, or the MLE when it is None.  An
+    MLE outside the model's open domain (on its boundary), a parameter
+    outside the domain and a zero lod are refused.
+    """
     theta_hat = model.mle(observed)
-    if model.is_boundary is not None and model.is_boundary(theta_hat):
+    if not model.in_domain(theta_hat):
         raise BoundaryError("observed-data MLE lies on the parameter boundary")
-    _check_domain(model, theta_null)
-    return theta_hat
+    pair = HypothesisPair(theta_null, theta_hat if theta_alt is None else theta_alt)
+    lod_ob = lod(model, pair, observed)
+    if lod_ob == 0.0:
+        raise UndefinedMeasureError("observed lod is zero; measure undefined")
+    return theta_hat, lod_ob
 
 
 def _completion_lods(model: ModelContract, observed, draw_theta,
@@ -214,7 +205,7 @@ def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
 
 
 def ri1(model: ModelContract, observed, theta_null, engine: MCConfig | None = None,
-        *, theta_alt=None, draw_theta=None, method: str = "auto") -> RelInfoResult:
+        *, theta_alt=None, draw_theta=None) -> RelInfoResult:
     """Observed-data lod over the expected complete-data lod.
 
     By default both the lod's alternative and the completion-drawing
@@ -222,61 +213,43 @@ def ri1(model: ModelContract, observed, theta_null, engine: MCConfig | None = No
     fixed (sharp) alternative; ``draw_theta`` overrides the parameter under
     which completions are drawn or imputed (used e.g. for pooled combining).
 
-    For exponential-family models the conditional expectation is computed
-    exactly by sufficient-statistic imputation (lods are linear in the
-    sufficient statistic); otherwise Monte Carlo draws are used.
+    Without an ``engine`` the conditional expectation is exact, by
+    sufficient-statistic imputation (lods are linear in the sufficient
+    statistic).  An ``engine`` selects the Monte Carlo path: the mean of
+    the complete-data lods of ``engine.n_draws`` drawn completions.
     """
-    theta_hat = _observed_setup(model, observed, theta_null)
+    theta_hat, lod_ob = _observed_setup(model, observed, theta_null, theta_alt)
     if theta_alt is None:
         theta_alt = theta_hat
     if draw_theta is None:
         draw_theta = theta_hat
-    pair = HypothesisPair(theta_null=theta_null, theta_alt=theta_alt)
-    lod_ob = _as_scalar(lod(model, pair, observed).value)
-    if lod_ob == 0.0:
-        raise UndefinedMeasureError("observed lod is zero; RI1 undefined")
+    if engine is not None:
+        return ri1_monte_carlo(
+            lod_ob, _completion_lods(model, observed, draw_theta, theta_alt, theta_null,
+                                     engine.seed),
+            engine)
 
-    if method == "auto":
-        method = "sufficient_stat" if model.exponential_family else "monte_carlo"
-    if method == "sufficient_stat":
-        if not model.exponential_family:
-            raise UnsupportedModelError(
-                f"model {model.name!r} does not declare exponential-family structure")
-        pseudo = model.impute_completion(observed, draw_theta)
-        denom = _as_scalar(_lod_value(model, theta_alt, theta_null, pseudo))
-        if denom <= 0.0:
-            raise InstabilityError("imputed complete-data lod is nonpositive",
-                                   {"denominator": denom})
-        return RelInfoResult(
-            estimate=lod_ob / denom, mc_standard_error=0.0, n_draws=0,
-            seed=0, method=Method.SUFFICIENT_STAT,
-            diagnostics={"lod_observed": lod_ob, "denominator": denom},
-        )
-    if method != "monte_carlo":
-        raise ValidationError(f"unknown ri1 method {method!r}")
-    if engine is None:
-        raise ValidationError("Monte Carlo ri1 requires an MCConfig engine")
-
-    return ri1_monte_carlo(
-        lod_ob, _completion_lods(model, observed, draw_theta, theta_alt, theta_null,
-                                 engine.seed),
-        engine)
+    pseudo = model.impute_completion(observed, draw_theta)
+    denom = _as_scalar(_lod_value(model, theta_alt, theta_null, pseudo))
+    if denom <= 0.0:
+        raise InstabilityError("imputed complete-data lod is nonpositive",
+                               {"denominator": denom})
+    return RelInfoResult(
+        estimate=lod_ob / denom, mc_standard_error=0.0, n_draws=0,
+        seed=0, method=Method.SUFFICIENT_STAT,
+        diagnostics={"lod_observed": lod_ob, "denominator": denom},
+    )
 
 
 def ri0(model: ModelContract, observed, theta_null) -> RelInfoResult:
-    """Null-imputation counterpart of ri1 (exponential families only).
+    """Null-imputation counterpart of ri1.
 
     The complete-data sufficient statistic is imputed at ``theta_null``;
     the pseudo-complete data are refit and their lod against the null is
     divided by the observed lod.  Orientation is chosen so the result lies
     in (0, 1] for this family; the choice is recorded in diagnostics.
     """
-    if not model.exponential_family:
-        raise UnsupportedModelError("ri0 requires a declared exponential family")
-    theta_hat = _observed_setup(model, observed, theta_null)
-    lod_ob = _as_scalar(_lod_value(model, theta_hat, theta_null, observed))
-    if lod_ob == 0.0:
-        raise UndefinedMeasureError("observed lod is zero; RI0 undefined")
+    _, lod_ob = _observed_setup(model, observed, theta_null)
     pseudo = model.impute_completion(observed, theta_null)
     theta_imp = model.mle(pseudo)
     lod_imp = _as_scalar(_lod_value(model, theta_imp, theta_null, pseudo))
@@ -303,10 +276,7 @@ def ri_y_samples(model: ModelContract, observed, pair: HypothesisPair,
     lod is exactly zero are recorded as +inf sentinels.
     """
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat = model.mle(observed)
-    lod_ob = _as_scalar(lod(model, pair, observed).value)
-    if lod_ob == 0.0:
-        raise UndefinedMeasureError("observed lod is zero; measure undefined")
+    theta_hat, lod_ob = _observed_setup(model, observed, pair.theta_null, pair.theta_alt)
     support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     lods_co = np.asarray(_lod_value(model, pair.theta_alt, pair.theta_null, support),
                          dtype=float)
@@ -321,11 +291,7 @@ def lod_ratio_variance(model: ModelContract, observed, theta_null,
     Each draw's lod is evaluated at that draw's own complete-data MLE.
     """
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat = _observed_setup(model, observed, theta_null)
-    lod_ob = _as_scalar(_lod_value(model, theta_hat, theta_null, observed))
-    if lod_ob == 0.0:
-        raise UndefinedMeasureError("observed lod is zero; measure undefined")
-
+    theta_hat, lod_ob = _observed_setup(model, observed, theta_null)
     support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     lods = np.asarray(_lod_value(model, model.mle(support), theta_null, support), dtype=float)
     var = mc.variance_from_values(lods, counts)
@@ -359,11 +325,7 @@ def expected_lod_gap(model: ModelContract, observed, theta_null,
     breaks the naive identity between the two conditional expectations.
     """
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat = _observed_setup(model, observed, theta_null)
-    lod_ob = _as_scalar(_lod_value(model, theta_hat, theta_null, observed))
-    if lod_ob == 0.0:
-        raise UndefinedMeasureError("observed lod is zero")
-
+    theta_hat, _ = _observed_setup(model, observed, theta_null)
     support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     at_mle = np.asarray(_lod_value(model, model.mle(support), theta_null, support),
                         dtype=float)

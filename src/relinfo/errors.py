@@ -29,10 +29,6 @@ class InstabilityError(RelInfoError):
         self.diagnostics = dict(diagnostics or {})
 
 
-class UnsupportedModelError(RelInfoError):
-    """Operation requires structure the model does not declare."""
-
-
 class DegenerateDataError(RelInfoError):
     """Data carry no usable signal (e.g. no events in a survival dataset)."""
 

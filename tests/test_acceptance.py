@@ -62,7 +62,7 @@ def test_criterion_1_binomial_closed_form():
     for seed in (1, 2, 3):
         obs, p0 = random_instance(rng)
         engine = MCConfig(n_draws=10_000, seed=seed)
-        result = core.ri1(MODEL, obs, p0, engine, method="monte_carlo")
+        result = core.ri1(MODEL, obs, p0, engine)
         assert abs(result.estimate - ri1_closed_form(obs)) <= \
             3 * result.mc_standard_error
 
@@ -226,7 +226,7 @@ def test_criterion_10_block_determinism(monkeypatch):
 
     monkeypatch.setattr(mc, "collect_blocks", recording)
     measures = [
-        (5_000, lambda config: core.ri1(MODEL, obs, p0, config, method="monte_carlo")),
+        (5_000, lambda config: core.ri1(MODEL, obs, p0, config)),
         (2_000, lambda config: ri1_cox_correct(uncensored, 4, z_new, mc_config=config)),
         (2_000, lambda config: ri1_cox_naive(uncensored, 4, z_new, mc_config=config)),
     ]

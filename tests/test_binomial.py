@@ -277,9 +277,9 @@ def test_sub_blocks_leave_an_adaptive_run_unchanged(monkeypatch):
     # Sub-blocks of 51 draws straddle the 1024-draw adaptive batches.
     obs = BinomialObserved(30, 50, 50)
     config = mc.MCConfig(n_draws=100_000, seed=6, max_relative_se=0.005)
-    default = core.ri1(MODEL, obs, 0.5, config, method="monte_carlo")
+    default = core.ri1(MODEL, obs, 0.5, config)
     monkeypatch.setattr(binomial, "_BLOCK_DRAWS", 7)
-    small = core.ri1(MODEL, obs, 0.5, config, method="monte_carlo")
+    small = core.ri1(MODEL, obs, 0.5, config)
     assert 1024 < default.n_draws < 100_000
     assert (small.n_draws, small.estimate, small.mc_standard_error) \
         == (default.n_draws, default.estimate, default.mc_standard_error)
@@ -307,7 +307,7 @@ def test_window_above_the_row_budget_is_refused():
     with pytest.raises(ValidationError, match=r"n_missing=10{20} needs a pmf window of \d+ rows"):
         binomial._pmf_window(obs.n_missing, 0.5)
     with pytest.raises(ValidationError, match=r"n_missing=10{20}"):
-        core.ri1(MODEL, obs, 0.5, mc.MCConfig(n_draws=100, seed=1), method="monte_carlo")
+        core.ri1(MODEL, obs, 0.5, mc.MCConfig(n_draws=100, seed=1))
 
 
 def test_missing_count_above_int64_is_refused():
@@ -380,7 +380,7 @@ def test_closed_form_matches_enumeration(case):
 def test_closed_form_matches_monte_carlo_within_three_se():
     obs = BinomialObserved(30, 50, 50)
     engine = mc.MCConfig(n_draws=20_000, seed=17)
-    result = core.ri1(MODEL, obs, 0.5, engine, method="monte_carlo")
+    result = core.ri1(MODEL, obs, 0.5, engine)
     assert abs(result.estimate - 0.5) <= 3 * result.mc_standard_error
 
 

@@ -262,6 +262,16 @@ class TestProbabilityFlags:
         assert captured.out == ""
         assert "boundary" in captured.err
 
+    def test_nonpositive_expected_lod_is_a_numerical_error(self, capsys):
+        # A sharp alternative of 0.3 against 600 of 1000 at p0 = 0.5: the
+        # imputed complete-data lod is negative.
+        code = cli.run(["binom-ri", "--x", "600", "--n-obs", "1000", "--n-missing", "500",
+                        "--p0", "0.5", "--p1", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: imputed complete-data lod is nonpositive\n"
+
     def test_the_package_api_still_raises_domain_error(self):
         obs = binomial.BinomialObserved(550, 1000, 500)
         with pytest.raises(DomainError, match="outside the domain"):

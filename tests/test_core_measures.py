@@ -10,8 +10,8 @@ from relinfo.binomial import BinomialObserved, binomial_model
 from relinfo.core import HypothesisPair, Method
 from relinfo.errors import (
     BoundaryError,
+    InstabilityError,
     UndefinedMeasureError,
-    UnsupportedModelError,
     ValidationError,
 )
 
@@ -65,7 +65,7 @@ class TestRi1:
     def test_monte_carlo_agrees_with_closed_form(self):
         obs = BinomialObserved(30, 50, 50)
         engine = mc.MCConfig(n_draws=10_000, seed=23)
-        result = core.ri1(MODEL, obs, 0.5, engine, method="monte_carlo")
+        result = core.ri1(MODEL, obs, 0.5, engine)
         assert result.method is Method.MONTE_CARLO
         assert result.n_draws == 10_000
         assert abs(result.estimate - 0.5) <= 3 * result.mc_standard_error
@@ -73,11 +73,9 @@ class TestRi1:
     def test_monte_carlo_honours_max_relative_se(self):
         obs = BinomialObserved(30, 50, 50)
         adaptive = core.ri1(MODEL, obs, 0.5,
-                            mc.MCConfig(n_draws=100_000, seed=6, max_relative_se=0.05),
-                            method="monte_carlo")
+                            mc.MCConfig(n_draws=100_000, seed=6, max_relative_se=0.05))
         assert adaptive.n_draws % 1024 == 0 and adaptive.n_draws < 100_000
-        fixed = core.ri1(MODEL, obs, 0.5, mc.MCConfig(n_draws=adaptive.n_draws, seed=6),
-                         method="monte_carlo")
+        fixed = core.ri1(MODEL, obs, 0.5, mc.MCConfig(n_draws=adaptive.n_draws, seed=6))
         assert (adaptive.diagnostics["denominator_mean"]
                 == fixed.diagnostics["denominator_mean"])
 
@@ -89,9 +87,30 @@ class TestRi1:
         with pytest.raises(BoundaryError):
             core.ri1(MODEL, BinomialObserved(0, 10, 5), 0.5)
 
-    def test_monte_carlo_requires_engine(self):
-        with pytest.raises(ValidationError):
-            core.ri1(MODEL, BinomialObserved(30, 50, 50), 0.5, method="monte_carlo")
+
+class TestNonpositiveDenominator:
+    # 600 of 1000 tested at p0 = 0.5 against a sharp alternative of 0.3 on
+    # the far side of the null: the observed lod is about -171.9, and the
+    # expected complete-data lod is negative too.
+    OBS = BinomialObserved(600, 1000, 500)
+
+    def test_exact_path_refuses(self):
+        with pytest.raises(InstabilityError) as info:
+            core.ri1(MODEL, self.OBS, 0.5, theta_alt=0.3)
+        # Imputed at the MLE 0.6: 900 successes in 1500 trials.
+        denominator = info.value.diagnostics["denominator"]
+        assert denominator == pytest.approx(binom_lod(0.3, 0.5, 900, 1500), rel=1e-12)
+        assert denominator == pytest.approx(-257.86, abs=5e-3)
+
+    def test_monte_carlo_path_refuses(self):
+        with pytest.raises(InstabilityError) as info:
+            core.ri1(MODEL, self.OBS, 0.5, mc.MCConfig(1000, seed=1), theta_alt=0.3)
+        diagnostics = info.value.diagnostics
+        assert set(diagnostics) == {"denominator_mean", "denominator_se", "n_effective",
+                                    "sentinel_count"}
+        assert (diagnostics["n_effective"], diagnostics["sentinel_count"]) == (1000, 0)
+        assert abs(diagnostics["denominator_mean"] - binom_lod(0.3, 0.5, 900, 1500)) \
+            <= 3 * diagnostics["denominator_se"]
 
 
 class TestRi0:
@@ -114,11 +133,6 @@ class TestRi0:
     def test_null_at_observed_mle_rejected(self):
         with pytest.raises(UndefinedMeasureError):
             core.ri0(MODEL, BinomialObserved(25, 50, 10), 0.5)
-
-    def test_non_exponential_family_rejected(self):
-        stripped = dataclasses.replace(MODEL, impute_completion=None)
-        with pytest.raises(UnsupportedModelError):
-            core.ri0(stripped, BinomialObserved(30, 50, 50), 0.5)
 
 
 class TestRiYSamples:
@@ -223,8 +237,8 @@ class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
         obs = BinomialObserved(30, 50, 50)
         engine = mc.MCConfig(n_draws=2_000, seed=61)
-        a = core.ri1(MODEL, obs, 0.5, engine, method="monte_carlo")
-        b = core.ri1(MODEL, obs, 0.5, engine, method="monte_carlo")
+        a = core.ri1(MODEL, obs, 0.5, engine)
+        b = core.ri1(MODEL, obs, 0.5, engine)
         assert a.estimate == b.estimate
         assert a.mc_standard_error == b.mc_standard_error
 
@@ -242,8 +256,8 @@ class TestDeterminism:
 
         split_model = dataclasses.replace(MODEL, draw_completions_batch=in_uneven_pieces)
         config = mc.MCConfig(n_draws=1_000, seed=67)
-        whole = core.ri1(MODEL, obs, 0.5, config, method="monte_carlo")
-        split = core.ri1(split_model, obs, 0.5, config, method="monte_carlo")
+        whole = core.ri1(MODEL, obs, 0.5, config)
+        split = core.ri1(split_model, obs, 0.5, config)
         assert whole.estimate == split.estimate
         assert whole.mc_standard_error == split.mc_standard_error
 
@@ -272,8 +286,8 @@ def one_row_per_draw(model):
 def test_gathering_from_the_support_equals_one_row_per_draw(obs, p0, p1, seed):
     per_draw = one_row_per_draw(MODEL)
     config = mc.MCConfig(n_draws=5_000, seed=seed)
-    assert (core.ri1(MODEL, obs, p0, config, method="monte_carlo")
-            == core.ri1(per_draw, obs, p0, config, method="monte_carlo"))
+    assert (core.ri1(MODEL, obs, p0, config)
+            == core.ri1(per_draw, obs, p0, config))
     pair = HypothesisPair(theta_null=p0, theta_alt=p1)
     for got, want in zip(mc.histogram(*core.ri_y_samples(MODEL, obs, pair, 5_000, seed)),
                          mc.histogram(*core.ri_y_samples(per_draw, obs, pair, 5_000, seed))):
@@ -282,6 +296,19 @@ def test_gathering_from_the_support_equals_one_row_per_draw(obs, p0, p1, seed):
             == core.expected_lod_gap(per_draw, obs, p0, 5_000, seed))
     assert (core.lod_ratio_variance(MODEL, obs, p0, 5_000, seed)
             == core.lod_ratio_variance(per_draw, obs, p0, 5_000, seed))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda obs: core.ri1(MODEL, obs, 0.5),
+    lambda obs: core.ri0(MODEL, obs, 0.5),
+    lambda obs: core.ri_y_samples(MODEL, obs, HypothesisPair(0.25, 0.75), 100, 1),
+    lambda obs: core.lod_ratio_variance(MODEL, obs, 0.5, 100, 1),
+    lambda obs: core.expected_lod_gap(MODEL, obs, 0.5, 100, 1),
+], ids=["ri1", "ri0", "ri_y_samples", "lod_ratio_variance", "expected_lod_gap"])
+@pytest.mark.parametrize("x", [0, 10])
+def test_every_measure_refuses_a_boundary_mle(measure, x):
+    with pytest.raises(BoundaryError):
+        measure(BinomialObserved(x, 10, 10))
 
 
 def test_ri_y_refuses_an_observed_lod_of_zero():

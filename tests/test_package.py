@@ -41,6 +41,26 @@ def test_no_module_imports_a_name_it_never_uses():
     assert [entry for path in modules for entry in unused_imports(path)] == []
 
 
+def raised_names(path):
+    """Names of the exception classes that ``raise`` statements in ``path`` construct."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                names.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return names
+
+
+def test_every_error_class_has_a_raiser():
+    # An error class that no code raises is dead API.
+    tree = ast.parse((SOURCE / "errors.py").read_text())
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(raised_names(p) for p in SOURCE.glob("*.py")))
+    assert "ValidationError" in declared
+    assert sorted(declared - raised - {"RelInfoError"}) == []
+
+
 # Every subcommand at a tiny size, then the modules the run loaded.
 RUN_EVERY_COMMAND = """
 import contextlib, io, json, sys
