@@ -259,11 +259,8 @@ def enumerate_expectation(obs: BinomialObserved, theta: float,
     return float(np.sum(weights * values))
 
 
-def ri1_enumeration(obs: BinomialObserved, theta_null: float, *,
-                    theta_alt: float | None = None,
-                    draw_theta: float | None = None,
-                    cap: int = ENUMERATION_CAP) -> float:
-    """RI1 with the denominator expectation computed by exact enumeration.
+def ri1_enumeration(obs: BinomialObserved, theta_null: float) -> float:
+    """RI1 at the observed MLE p1, with the denominator expectation computed by exact enumeration.
 
     Lods are evaluated directly as x log(p1/p0) + (n - x) log((1-p1)/(1-p0))
     rather than as a difference of two log-likelihoods, which would cancel
@@ -272,13 +269,11 @@ def ri1_enumeration(obs: BinomialObserved, theta_null: float, *,
     theta_hat = _mle(obs)
     if not 0.0 < theta_hat < 1.0:
         raise BoundaryError("observed MLE on the boundary; RI1 refused")
-    theta_alt = theta_hat if theta_alt is None else theta_alt
-    draw_theta = theta_hat if draw_theta is None else draw_theta
-    log_ratio_success = math.log(theta_alt / theta_null)
-    log_ratio_failure = math.log((1.0 - theta_alt) / (1.0 - theta_null))
+    log_ratio_success = math.log(theta_hat / theta_null)
+    log_ratio_failure = math.log((1.0 - theta_hat) / (1.0 - theta_null))
 
     def lod(data) -> float:
         x, n = _counts(data)
         return float(x * log_ratio_success + (n - x) * log_ratio_failure)
 
-    return lod(obs) / enumerate_expectation(obs, draw_theta, lod, cap=cap)
+    return lod(obs) / enumerate_expectation(obs, theta_hat, lod)

@@ -108,7 +108,7 @@ def _raise_for_first_bad_row(path: str, header: list[str], lines: list[str]):
 
 
 def _checked_values(rows: list[str], width: int) -> np.ndarray | None:
-    """The rows' cells as a (rows, width) array, or None when any row breaks the schema."""
+    """The rows' cells as a (rows, width) array, or None when a row is not ``width`` numbers."""
     if not all(row.count(",") == width - 1 for row in rows):
         return None
     cells = ",".join(rows).split(",")
@@ -116,12 +116,7 @@ def _checked_values(rows: list[str], width: int) -> np.ndarray | None:
         values = np.fromiter(map(float, cells), float, count=len(cells))
     except ValueError:
         return None
-    values = values.reshape(len(rows), width)
-    time, status = values[:, 0], values[:, 1]
-    if (np.isfinite(values).all() and (time > 0).all()
-            and ((status == 0) | (status == 1)).all()):
-        return values
-    return None
+    return values.reshape(len(rows), width)
 
 
 def read_survival_csv(path: str) -> cox.SurvivalDataset:
@@ -130,7 +125,8 @@ def read_survival_csv(path: str) -> cox.SurvivalDataset:
     Status is 1 for an event, 0 for a censored record.  The file is UTF-8,
     with or without a byte-order mark, and blank lines are skipped.
     Parsing is locale-free: decimal points only, each cell read by
-    ``float``.  A refused file is reported at its first bad row.
+    ``float``.  The values are checked by ``SurvivalDataset``; a refused
+    file is reported at its first bad row.
     """
     lines = _read_text(path).splitlines()
     if not lines:
@@ -142,9 +138,12 @@ def read_survival_csv(path: str) -> cox.SurvivalDataset:
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     values = _checked_values(rows, len(header))
-    if values is None:
-        _raise_for_first_bad_row(path, header, lines)
-    return cox.SurvivalDataset.from_arrays(values[:, 0], values[:, 1].astype(int), values[:, 2:])
+    if values is not None:
+        try:
+            return cox.SurvivalDataset.from_arrays(values[:, 0], values[:, 1], values[:, 2:])
+        except ValidationError:
+            pass  # reported below, at its row
+    _raise_for_first_bad_row(path, header, lines)
 
 
 def parse_design(spec: str) -> design.Design:
@@ -360,7 +359,7 @@ def _cmd_cox_ri(args, report: Report) -> None:
     z_new = _parse_new_covariates(args.new_covariates, args.n_new, data.covariate_dim)
     config = mc.MCConfig(n_draws=args.draws, seed=args.seed)
     fn = cox.ri1_cox_correct if args.mode == "correct" else cox.ri1_cox_naive
-    result = fn(data, args.n_new, z_new, beta0, config)
+    result = fn(data, args.n_new, z_new, beta0, mc_config=config)
     report.add_result("result.ri1", result)
     if args.mode == "correct":
         report.warn("no baseline is used; a censored subject stays at risk through the "

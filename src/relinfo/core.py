@@ -130,11 +130,18 @@ def _as_scalar(value) -> float:
     return float(arr.reshape(()))
 
 
+def _check_parameter(model: ModelContract, theta) -> None:
+    """Refuse a parameter that is not one value (a one-element array is) in the model's domain."""
+    if np.size(theta) != 1:
+        raise ValidationError(f"a parameter must be one value, got shape {np.shape(theta)}")
+    if not model.in_domain(theta):
+        raise DomainError(f"parameter {theta!r} outside the domain of model {model.name!r}")
+
+
 def lod(model: ModelContract, pair: HypothesisPair, data) -> float:
     """Lod score of ``pair.theta_alt`` against ``pair.theta_null`` on ``data``."""
     for theta in (pair.theta_alt, pair.theta_null):
-        if not model.in_domain(theta):
-            raise DomainError(f"parameter {theta!r} outside the domain of model {model.name!r}")
+        _check_parameter(model, theta)
     value = _as_scalar(_lod_value(model, pair.theta_alt, pair.theta_null, data))
     if not math.isfinite(value):
         raise DomainError("lod is not finite; parameter on a degenerate boundary")
@@ -223,6 +230,8 @@ def ri1(model: ModelContract, observed, theta_null, engine: MCConfig | None = No
         theta_alt = theta_hat
     if draw_theta is None:
         draw_theta = theta_hat
+    else:
+        _check_parameter(model, draw_theta)
     if engine is not None:
         return ri1_monte_carlo(
             lod_ob, _completion_lods(model, observed, draw_theta, theta_alt, theta_null,

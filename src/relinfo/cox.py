@@ -261,10 +261,6 @@ def partial_lod(rank: RankData, beta_alt, beta_null) -> float:
     return partial_log_likelihood(rank, beta_alt) - partial_log_likelihood(rank, beta_null)
 
 
-def _score_and_information(rank: RankData, beta):
-    return _score_and_information_at(rank)(np.atleast_1d(np.asarray(beta, dtype=float)))
-
-
 def _score_and_information_at(rank: RankData):
     """Score and information as a function of beta, the arrays free of beta built once."""
     # Centering the covariates leaves score and information unchanged and
@@ -407,28 +403,6 @@ def _validate_new_covariates(new_covariates, n_new: int, dim: int) -> np.ndarray
     if not np.all(np.isfinite(z)):
         raise ValidationError("new_covariates must be finite")
     return z
-
-
-def _augmentation_setup(data: SurvivalDataset, n_new: int, new_covariates,
-                        theta_null_beta):
-    dim = data.covariate_dim
-    beta_null = (np.zeros(dim) if theta_null_beta is None
-                 else np.atleast_1d(np.asarray(theta_null_beta, dtype=float)))
-    if beta_null.shape != (dim,):
-        raise ValidationError("null beta dimension mismatch")
-    if not np.all(np.isfinite(beta_null)):
-        raise ValidationError("null beta must be finite")
-    z_new = _validate_new_covariates(new_covariates, n_new, dim)
-    rank = extract_rank_data(data)
-    beta_hat, _ = fit_partial_likelihood(rank)
-    return rank, beta_hat, beta_null, z_new
-
-
-def _numerator(lod_ob: float) -> float:
-    """The observed lod a measure divides by, refused unless positive (see ri1_cox_correct)."""
-    if not lod_ob > 0.0:
-        raise UndefinedMeasureError("observed partial-likelihood lod is not positive")
-    return lod_ob
 
 
 def _kp_columns(data: SurvivalDataset, rank: RankData, z_new: np.ndarray):
@@ -835,12 +809,6 @@ class _Completion:
         return float(lod)
 
 
-def _correct_completion(columns, beta_hat, beta_null) -> _Completion:
-    """Correct mode's completion of the ``_kp_columns`` with the new subjects."""
-    status, merged_z, anchor_of = columns
-    return _Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of)
-
-
 def _naive_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null,
                       z_new) -> _Completion:
     # Existing subjects by time, each at its own fixed level, on the scale
@@ -854,19 +822,53 @@ def _naive_completion(data: SurvivalDataset, rank: RankData, beta_hat, beta_null
                        fixed_levels=baseline.cumulative(data.times[rank.order]))
 
 
-def _no_new_subjects(lod_ob: float, mc_config: MCConfig | None,
-                     conditioning: str) -> RelInfoResult:
-    """Without new subjects the augmented data are the observed data: exactly 1."""
-    return RelInfoResult(
-        estimate=1.0, mc_standard_error=0.0, n_draws=0,
-        seed=mc_config.seed if mc_config is not None else 0,
-        method=Method.CLOSED_FORM,
-        diagnostics={"lod_observed": lod_ob, "conditioning": conditioning},
-    )
+def _augmentation(data: SurvivalDataset, n_new: int, new_covariates, theta_null_beta,
+                  naive: bool) -> tuple[float, _Completion | None]:
+    """One augmentation of ``data`` by ``n_new`` subjects: ``(lod_ob, completion)``.
+
+    The observed lod is the mode's own: the Breslow partial-likelihood lod
+    (naive) or ``_kp_lod`` (correct), at beta_hat against the null beta
+    (zeros by default).  It is refused unless positive.  The completion,
+    None without new subjects, draws the augmented lods.  The null beta and
+    the new covariates are checked before the fit.
+    """
+    dim = data.covariate_dim
+    beta_null = (np.zeros(dim) if theta_null_beta is None
+                 else np.atleast_1d(np.asarray(theta_null_beta, dtype=float)))
+    if beta_null.shape != (dim,):
+        raise ValidationError("null beta dimension mismatch")
+    if not np.all(np.isfinite(beta_null)):
+        raise ValidationError("null beta must be finite")
+    z_new = _validate_new_covariates(new_covariates, n_new, dim)
+    rank = extract_rank_data(data)
+    beta_hat, _ = fit_partial_likelihood(rank)
+    if naive:
+        lod_ob = partial_lod(rank, beta_hat, beta_null)
+    else:
+        status, merged_z, anchor_of = columns = _kp_columns(data, rank, z_new)
+        lod_ob = _kp_lod(columns, beta_hat, beta_null)
+    if not lod_ob > 0.0:
+        raise UndefinedMeasureError("observed partial-likelihood lod is not positive")
+    if n_new == 0:
+        return lod_ob, None
+    if naive:
+        return lod_ob, _naive_completion(data, rank, beta_hat, beta_null, z_new)
+    return lod_ob, _Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of)
+
+
+def _ri1_cox(lod_ob: float, completion: _Completion | None, mc_config: MCConfig,
+             conditioning: str) -> RelInfoResult:
+    """The Monte Carlo measure of an ``_augmentation``; exactly 1 without new subjects."""
+    if completion is None:  # the augmented data are the observed data
+        return RelInfoResult(estimate=1.0, mc_standard_error=0.0, n_draws=0, seed=mc_config.seed,
+                             method=Method.CLOSED_FORM,
+                             diagnostics={"lod_observed": lod_ob, "conditioning": conditioning})
+    return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
+                           mc_config, conditioning=conditioning)
 
 
 def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
-                    theta_null_beta=None, mc_config: MCConfig | None = None) -> RelInfoResult:
+                    theta_null_beta=None, *, mc_config: MCConfig) -> RelInfoResult:
     """Relative information with the rank-data (partial-data) conditioning.
 
     Each draw keeps the existing failures in their observed order, each
@@ -883,21 +885,12 @@ def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,
     UndefinedMeasureError.  Relative hazards spanning more than
     exp(``_EXP_SPAN``) raise DataIntegrityError.
     """
-    rank, beta_hat, beta_null, z_new = _augmentation_setup(
-        data, n_new, new_covariates, theta_null_beta)
-    columns = _kp_columns(data, rank, z_new)
-    lod_ob = _numerator(_kp_lod(columns, beta_hat, beta_null))
-    if n_new == 0:
-        return _no_new_subjects(lod_ob, mc_config, "rank data (partial data)")
-    if mc_config is None:
-        raise ValidationError("ri1_cox_correct requires an MCConfig when n_new > 0")
-    completion = _correct_completion(columns, beta_hat, beta_null)
-    return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
-                           mc_config, conditioning="rank data (partial data)")
+    return _ri1_cox(*_augmentation(data, n_new, new_covariates, theta_null_beta, naive=False),
+                    mc_config, "rank data (partial data)")
 
 
 def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
-                  theta_null_beta=None, mc_config: MCConfig | None = None) -> RelInfoResult:
+                  theta_null_beta=None, *, mc_config: MCConfig) -> RelInfoResult:
     """Relative information with the censored-data conditioning.
 
     Existing subjects' observed times are held fixed, as their levels
@@ -907,16 +900,8 @@ def ri1_cox_naive(data: SurvivalDataset, n_new: int, new_covariates,
     (see ``_Completion``).  Tied observed times keep their Breslow risk
     sets.  The resulting measure may exceed 1.
     """
-    rank, beta_hat, beta_null, z_new = _augmentation_setup(
-        data, n_new, new_covariates, theta_null_beta)
-    lod_ob = _numerator(partial_lod(rank, beta_hat, beta_null))
-    if n_new == 0:
-        return _no_new_subjects(lod_ob, mc_config, "censored data (observed times fixed)")
-    if mc_config is None:
-        raise ValidationError("ri1_cox_naive requires an MCConfig when n_new > 0")
-    completion = _naive_completion(data, rank, beta_hat, beta_null, z_new)
-    return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
-                           mc_config, conditioning="censored data (observed times fixed)")
+    return _ri1_cox(*_augmentation(data, n_new, new_covariates, theta_null_beta, naive=True),
+                    mc_config, "censored data (observed times fixed)")
 
 
 def ri1_cox_correct_exact(data: SurvivalDataset, n_new: int, new_covariates,
@@ -929,13 +914,8 @@ def ri1_cox_correct_exact(data: SurvivalDataset, n_new: int, new_covariates,
     ``_Completion.expected_lod`` sums exactly, tied event times included,
     in O(m K) work per state.  Refuses what ``ri1_cox_correct`` refuses.
     """
-    rank, beta_hat, beta_null, z_new = _augmentation_setup(
-        data, n_new, new_covariates, theta_null_beta)
-    columns = _kp_columns(data, rank, z_new)
-    lod_ob = _numerator(_kp_lod(columns, beta_hat, beta_null))
-    if n_new == 0:
-        return 1.0
-    return lod_ob / _correct_completion(columns, beta_hat, beta_null).expected_lod()
+    lod_ob, completion = _augmentation(data, n_new, new_covariates, theta_null_beta, naive=False)
+    return 1.0 if completion is None else lod_ob / completion.expected_lod()
 
 
 def ri_w_wald(observed_stat: float, observed_var: float, complete_stat_mean: float,

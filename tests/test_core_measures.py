@@ -10,6 +10,7 @@ from relinfo.binomial import BinomialObserved, binomial_model
 from relinfo.core import HypothesisPair, Method
 from relinfo.errors import (
     BoundaryError,
+    DomainError,
     InstabilityError,
     UndefinedMeasureError,
     ValidationError,
@@ -309,6 +310,26 @@ def test_gathering_from_the_support_equals_one_row_per_draw(obs, p0, p1, seed):
 def test_every_measure_refuses_a_boundary_mle(measure, x):
     with pytest.raises(BoundaryError):
         measure(BinomialObserved(x, 10, 10))
+
+
+TWO = np.array([0.4, 0.5]), np.array([0.6, 0.6])  # a null and an alternative of two values
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda obs: core.ri1(MODEL, obs, 0.4, draw_theta=1.5), DomainError),
+    (lambda obs: core.ri1(MODEL, obs, 0.4, mc.MCConfig(100, 1), draw_theta=1.5), DomainError),
+    (lambda obs: core.lod(MODEL, HypothesisPair(*TWO), obs), ValidationError),
+    (lambda obs: core.ri1(MODEL, obs, TWO[0], theta_alt=TWO[1]), ValidationError),
+    (lambda obs: core.ri_y_samples(MODEL, obs, HypothesisPair(*TWO), 100, 1), ValidationError),
+    (lambda obs: core.ri1(MODEL, obs, 0.4, mc.MCConfig(100, 1), draw_theta=TWO[1]),
+     ValidationError),
+], ids=["ri1 draw_theta out of domain", "Monte Carlo ri1 draw_theta out of domain",
+        "lod", "ri1 theta_alt", "ri_y_samples", "Monte Carlo ri1 draw_theta"])
+def test_every_parameter_is_one_value_in_the_domain(call, error):
+    # A draw_theta outside (0, 1) used to give a measure (0.0909 exact, 0.1667
+    # by Monte Carlo), and a parameter of two values a numpy ValueError.
+    with pytest.raises(error, match="outside the domain" if error is DomainError else r"\(2,\)"):
+        call(BinomialObserved(30, 50, 50))
 
 
 def test_ri_y_refuses_an_observed_lod_of_zero():

@@ -268,9 +268,7 @@ class TestRankConditionalSampler:
     def test_walk_invariants_on_censored_data(self):
         censored, _ = simulate_ph_binary(8, 0.5, np.random.default_rng(3), 0.2)
         z_new = np.array([[0.0], [1.0], [1.0]])
-        rank, beta_hat, beta_null, z_new = cox._augmentation_setup(censored, 3, z_new, None)
-        columns = cox._kp_columns(censored, rank, z_new)
-        completion = cox._correct_completion(columns, beta_hat, beta_null)
+        _, completion = cox._augmentation(censored, 3, z_new, None, naive=False)
         n_failures = int(censored.status.sum())
         assert n_failures < censored.n
         passed, _, alive = walk_placements(completion, 77, 2_000)
@@ -287,8 +285,9 @@ class TestRankConditionalSampler:
         # slots among the K failures are uniform over C(K + m, m) placements.
         data = dataset([1.0, 2.0, 3.0], [1, 1, 1], [0.0, 0.0, 0.0])
         z_new = np.arange(m, dtype=float)[:, None]
-        columns = cox._kp_columns(data, extract_rank_data(data), z_new)
-        completion = cox._correct_completion(columns, np.zeros(1), np.zeros(1))
+        status, merged_z, anchor_of = cox._kp_columns(data, extract_rank_data(data), z_new)
+        completion = cox._Completion(status, merged_z @ np.zeros(1), merged_z @ np.zeros(1),
+                                     anchor_of)
         n_draws = 20_000
         passed, _, _ = walk_placements(completion, 101, n_draws)
         placements = list(itertools.combinations_with_replacement(range(4), m))
@@ -356,8 +355,7 @@ class TestNaiveWalk:
         # arithmetic: V_S summed over the alive groups in group order.
         censored, _ = simulate_ph_binary(n, 0.5, np.random.default_rng(n), 0.25)
         z_new = np.array([[0.0], [1.0], [1.0], [0.0], [1.0]])
-        rank, beta_hat, beta_null, z_new = cox._augmentation_setup(censored, 5, z_new, None)
-        completion = cox._naive_completion(censored, rank, beta_hat, beta_null, z_new)
+        _, completion = cox._augmentation(censored, 5, z_new, None, naive=True)
         n_draws = 4000
         u = mc.stream_uniforms(n, n_draws, completion.per_draw, cox._COX_STREAM_TAG)
         u = u.reshape(n_draws, completion.per_draw).T
@@ -424,12 +422,14 @@ def test_group_pick_is_searchsorted_on_the_running_weights(sizes, etas, mode, se
 
 class TestAugmentationMeasures:
     @pytest.mark.parametrize("measure", [ri1_cox_naive, ri1_cox_correct])
-    def test_no_new_subjects_is_exactly_one_without_a_config(self, measure):
+    def test_no_new_subjects_is_exactly_one_with_the_config_seed(self, measure):
         rng = np.random.default_rng(21)
         censored, _ = simulate_ph_binary(15, 0.5, rng, 0.2)
-        result = measure(censored, 0, None)
+        config = MCConfig(n_draws=200, seed=17)
+        result = measure(censored, 0, None, mc_config=config)
         assert result.estimate == 1.0
         assert result.mc_standard_error == 0.0
+        assert result.seed == config.seed
 
     def test_correct_no_new_no_censoring_is_one(self):
         rng = np.random.default_rng(23)
@@ -474,8 +474,8 @@ class TestAugmentationMeasures:
         censored, _ = simulate_ph_binary(20, 0.5, np.random.default_rng(5), 0.25)
         config = MCConfig(n_draws=64, seed=1)
         run = {
-            "correct": lambda z, beta0: ri1_cox_correct(censored, 1, z, beta0, config),
-            "naive": lambda z, beta0: ri1_cox_naive(censored, 1, z, beta0, config),
+            "correct": lambda z, beta0: ri1_cox_correct(censored, 1, z, beta0, mc_config=config),
+            "naive": lambda z, beta0: ri1_cox_naive(censored, 1, z, beta0, mc_config=config),
             "exact": lambda z, beta0: cox.ri1_cox_correct_exact(censored, 1, z, beta0),
         }[measure]
         monkeypatch.setattr(cox, "fit_partial_likelihood", None)  # refused before any fit
@@ -670,11 +670,12 @@ class TestInputValidation:
         data = dataset(np.arange(1.0, 11.0), np.ones(10, dtype=int), z)
         rank = extract_rank_data(data)
         beta, h = 0.8, 1e-7
-        score, info = cox._score_and_information(rank, [beta])
+        score_and_information = cox._score_and_information_at(rank)
+        score, info = score_and_information(np.array([beta]))
         numeric_score = (partial_log_likelihood_at(rank, beta + h)
                          - partial_log_likelihood_at(rank, beta - h)) / (2 * h)
-        upper, _ = cox._score_and_information(rank, [beta + h])
-        lower, _ = cox._score_and_information(rank, [beta - h])
+        upper, _ = score_and_information(np.array([beta + h]))
+        lower, _ = score_and_information(np.array([beta - h]))
         assert np.all(np.isfinite(score)) and np.all(np.isfinite(info))
         assert score[0] == pytest.approx(numeric_score, rel=1e-5, abs=1e-5)
         assert info[0, 0] == pytest.approx(-(upper[0] - lower[0]) / (2 * h), rel=1e-4, abs=1e-4)
@@ -854,8 +855,7 @@ def tied_sample(case):
 
 def correct_completion(data, z_new):
     """Correct mode's completion of a sample, at its fitted beta_hat and beta_null = 0."""
-    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
-    return cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null)
+    return cox._augmentation(data, z_new.shape[0], z_new, None, naive=False)[1]
 
 
 class TestCorrectExact:
@@ -1065,7 +1065,9 @@ def test_kp_lod_is_the_reference_sort_of_its_columns(sample):
     # The observed lod scores the columns in their own order, each subject
     # its own tie group, as the reference sort of their positions does.
     data, z_new, _ = sample()
-    rank, beta_hat, beta_null, _ = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
+    rank = extract_rank_data(data)
+    beta_hat, _ = fit_partial_likelihood(rank)
+    beta_null = np.zeros(data.covariate_dim)
     status, z, _ = cox._kp_columns(data, rank, np.zeros((0, data.covariate_dim)))
     expected = lod_rows(np.arange(data.n), status, z @ beta_hat, z @ beta_null)
     assert kp_lod(data, rank, beta_hat, beta_null) == float(expected)
@@ -1088,12 +1090,11 @@ def test_walk_law_on_tied_event_times_is_the_lods_plackett_luce_law(case):
     times, status, z, z_new = case
     data = dataset(np.asarray(times, float), status, z)
     z_new = np.asarray(z_new, float)[:, None]
-    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, 2, z_new, None)
-    completion = cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null)
+    lod_ob, completion = cox._augmentation(data, 2, z_new, None, naive=False)
     groups, passed, prob = walk_paths(completion)
     lods = completion._lods(groups, passed + 1)
     assert prob @ lods == pytest.approx(plackett_luce_expected_lod(completion), rel=1e-10)
-    assert 0.0 < kp_lod(data, rank, beta_hat, beta_null) / (prob @ lods) <= 1.0
+    assert 0.0 < lod_ob / (prob @ lods) <= 1.0
 
 
 def kernel_case(n=30, distinct=0):
@@ -1113,11 +1114,8 @@ def kernel_case(n=30, distinct=0):
 
 def kernel_completions(n=30, distinct=0):
     data, z_new = kernel_case(n, distinct)
-    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, z_new.shape[0], z_new, None)
-    return {
-        "correct": cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null),
-        "naive": cox._naive_completion(data, rank, beta_hat, beta_null, z_new),
-    }
+    return {mode: cox._augmentation(data, z_new.shape[0], z_new, None, naive=mode == "naive")[1]
+            for mode in ("correct", "naive")}
 
 
 def benchmark_completions(n, distinct=False):
@@ -1128,12 +1126,8 @@ def benchmark_completions(n, distinct=False):
     """
     censored, _ = simulate_ph_binary(n, 0.5, np.random.default_rng(n), 0.25)
     z_new = np.linspace(-1.0, 1.0, 5) if distinct else np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(censored, 5, z_new[:, None], None)
-    columns = cox._kp_columns(censored, rank, z_new)
-    return {
-        "correct": cox._correct_completion(columns, beta_hat, beta_null),
-        "naive": cox._naive_completion(censored, rank, beta_hat, beta_null, z_new),
-    }
+    return {mode: cox._augmentation(censored, 5, z_new[:, None], None, naive=mode == "naive")[1]
+            for mode in ("correct", "naive")}
 
 
 # (n, distinct) of kernel_case: binary new subjects, and all-distinct m = 10,
@@ -1219,15 +1213,13 @@ def censored_at_and_before_event_times(rng):
 
 def existing_subjects_lods(data, z_new, rng):
     """Each of 500 correct draws' lods restricted to the existing subjects."""
-    m = z_new.shape[0]
-    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, m, z_new, None)
-    completion = cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null)
+    _, completion = cox._augmentation(data, z_new.shape[0], z_new, None, naive=False)
     levels = explicit_levels(completion, *levels_of(
         completion, rng.standard_exponential((500, n_levels(completion)))))
     n = data.n  # columns: the existing subjects, then the new ones
     lods = lod_rows(levels[:, :n], completion.status[:n],
                     completion.eta_alt[:n], completion.eta_null[:n])
-    return lods, rank, beta_hat, beta_null
+    return lods
 
 
 def test_correct_draws_keep_the_observed_partial_data():
@@ -1237,8 +1229,9 @@ def test_correct_draws_keep_the_observed_partial_data():
     # with untied event times the tie-broken lod is the Breslow lod.
     rng = np.random.default_rng(67)
     data, z_new = censored_at_and_before_event_times(rng)
-    lods, rank, beta_hat, beta_null = existing_subjects_lods(data, z_new, rng)
-    lod_ob = partial_lod(rank, beta_hat, beta_null)
+    lods = existing_subjects_lods(data, z_new, rng)
+    rank = extract_rank_data(data)
+    lod_ob = partial_lod(rank, fit_partial_likelihood(rank)[0], np.zeros(1))
     np.testing.assert_allclose(lods, lod_ob, rtol=1e-12)
     result = ri1_cox_correct(data, 3, z_new, mc_config=MCConfig(n_draws=64, seed=1))
     assert result.diagnostics["lod_observed"] == pytest.approx(lod_ob, rel=1e-12)
@@ -1250,7 +1243,7 @@ def test_correct_draws_keep_the_tie_broken_observed_lod(case):
     # each with its own risk set, and so must the numerator.
     times, status, z, z_new = case
     data, z_new = dataset(np.asarray(times, float), status, z), np.asarray(z_new, float)[:, None]
-    lods, *_ = existing_subjects_lods(data, z_new, np.random.default_rng(67))
+    lods = existing_subjects_lods(data, z_new, np.random.default_rng(67))
     result = ri1_cox_correct(data, 2, z_new, mc_config=MCConfig(n_draws=64, seed=1))
     np.testing.assert_allclose(lods, result.diagnostics["lod_observed"], rtol=1e-12)
 
@@ -1261,9 +1254,10 @@ def test_negative_tie_broken_observed_lod_is_refused():
     # would be too (about -0.33 at 2,000 draws).
     data = dataset(np.array([1.0, 2, 2, 3, 1, 2, 2]), [0, 1, 0, 0, 0, 0, 1],
                    [-2, 1, -1, -1, -1, 2, -2])
-    rank, beta_hat, beta_null, _ = cox._augmentation_setup(data, 1, [[1.0]], None)
-    assert partial_lod(rank, beta_hat, beta_null) > 0
-    assert kp_lod(data, rank, beta_hat, beta_null) < 0
+    rank = extract_rank_data(data)
+    beta_hat, _ = fit_partial_likelihood(rank)
+    assert partial_lod(rank, beta_hat, np.zeros(1)) > 0
+    assert kp_lod(data, rank, beta_hat, np.zeros(1)) < 0
     with pytest.raises(UndefinedMeasureError, match="not positive"):
         ri1_cox_correct(data, 1, [[1.0]], mc_config=MCConfig(n_draws=2000, seed=1))
     assert ri1_cox_naive(data, 1, [[1.0]], mc_config=MCConfig(n_draws=200, seed=1)).estimate > 0
@@ -1549,11 +1543,8 @@ def edge_completion(mode, case):
         return None
     data = dataset(np.asarray(times, float), status, z)
     try:
-        rank, beta_hat, beta_null, z_new = cox._augmentation_setup(
-            data, len(z_new), np.asarray(z_new, float)[:, None], None)
-        if mode == "correct":
-            return cox._correct_completion(cox._kp_columns(data, rank, z_new), beta_hat, beta_null)
-        return cox._naive_completion(data, rank, beta_hat, beta_null, z_new)
+        return cox._augmentation(data, len(z_new), np.asarray(z_new, float)[:, None], None,
+                                 naive=mode == "naive")[1]
     except RelInfoError:
         return None
 

@@ -61,6 +61,32 @@ def test_every_error_class_has_a_raiser():
     assert sorted(declared - raised - {"RelInfoError"}) == []
 
 
+def statement_references(path):
+    """``(statement, names)`` for each top-level statement of ``path``, with the names it reads.
+
+    A name is read as a bare name or as an attribute (``module.name``).
+    """
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        yield node, {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_private_definition_has_a_reference():
+    # A module-level private function or class that nothing outside its own
+    # definition names is dead code.
+    private, referenced = {}, set()
+    for path in sorted([*SOURCE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                        *(ROOT / "demos").glob("*.py")]):
+        for node, names in statement_references(path):
+            name = getattr(node, "name", "")
+            if (path.parent == SOURCE and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and name.startswith("_") and not name.startswith("__")):
+                private[name] = f"{path.name}:{node.lineno}"
+            referenced |= names - {name}
+    assert "_Completion" in private
+    assert [f"{where}: {name}" for name, where in private.items() if name not in referenced] == []
+
+
 # Every subcommand at a tiny size, then the modules the run loaded.
 RUN_EVERY_COMMAND = """
 import contextlib, io, json, sys

@@ -159,8 +159,8 @@ def assert_walk_matches_rejection(n, beta_true, seed, z_new):
     """The walk at beta_true against the oracle on uncensored PH data, 20,000 vs 4,000 draws."""
     data, _ = cox.simulate_ph_binary(n, beta_true, np.random.default_rng(seed), 0.0)
     beta = np.array([beta_true])
-    columns = cox._kp_columns(data, cox.extract_rank_data(data), z_new)
-    completion = cox._correct_completion(columns, beta, np.zeros(1))
+    status, merged_z, anchor_of = cox._kp_columns(data, cox.extract_rank_data(data), z_new)
+    completion = cox._Completion(status, merged_z @ beta, merged_z @ np.zeros(1), anchor_of)
     passed, label, _ = walk_placements(completion, seed, 20_000)
     assert np.all(np.diff(passed, axis=1) >= 0) and passed.min() >= 0 and passed.max() <= n
     oracle_passed, oracle_label = rejection_placements(
@@ -177,8 +177,7 @@ def tied_naive_completion(z_new):
     data = cox.SurvivalDataset.from_arrays(np.round(censored.times, 1) + 0.1, censored.status,
                                            censored.covariates)
     assert np.any(data.status == 0) and np.unique(data.times).size < data.n
-    rank, beta_hat, beta_null, z_new = cox._augmentation_setup(data, len(z_new), z_new, None)
-    return cox._naive_completion(data, rank, beta_hat, beta_null, z_new)
+    return cox._augmentation(data, len(z_new), z_new, None, naive=True)[1]
 
 
 def assert_naive_walk_matches_sorted_levels(completion, seed):
