@@ -845,7 +845,7 @@ def _augmentation(data: SurvivalDataset, n_new: int, new_covariates, theta_null_
     if naive:
         lod_ob = partial_lod(rank, beta_hat, beta_null)
     else:
-        status, merged_z, anchor_of = columns = _kp_columns(data, rank, z_new)
+        columns = _kp_columns(data, rank, z_new)
         lod_ob = _kp_lod(columns, beta_hat, beta_null)
     if not lod_ob > 0.0:
         raise UndefinedMeasureError("observed partial-likelihood lod is not positive")
@@ -853,6 +853,7 @@ def _augmentation(data: SurvivalDataset, n_new: int, new_covariates, theta_null_
         return lod_ob, None
     if naive:
         return lod_ob, _naive_completion(data, rank, beta_hat, beta_null, z_new)
+    status, merged_z, anchor_of = columns
     return lod_ob, _Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of)
 
 

@@ -1542,9 +1542,14 @@ def edge_completion(mode, case):
     if not z_new:
         return None
     data = dataset(np.asarray(times, float), status, z)
-    try:
-        return cox._augmentation(data, len(z_new), np.asarray(z_new, float)[:, None], None,
-                                 naive=mode == "naive")[1]
+    z_new, beta_null = np.asarray(z_new, float)[:, None], np.zeros(1)
+    try:  # no observed-lod refusal: the kernel does not depend on its sign
+        rank = extract_rank_data(data)
+        beta_hat, _ = fit_partial_likelihood(rank)
+        if mode == "naive":
+            return cox._naive_completion(data, rank, beta_hat, beta_null, z_new)
+        status, merged_z, anchor_of = cox._kp_columns(data, rank, z_new)
+        return cox._Completion(status, merged_z @ beta_hat, merged_z @ beta_null, anchor_of)
     except RelInfoError:
         return None
 
