@@ -14,16 +14,23 @@ count the block reaches, and how many draws reached each row.  Every
 binomial measure is a functional of the count alone, so it is evaluated
 once per row and reduced with the row counts as weights.
 
-The block is drawn in sub-blocks of at most ``_BLOCK_DRAWS`` draws, or of
-the table's row count when the table is longer, since each sub-block's
-bincount costs one pass over the table.  Each sub-block's uniforms are
-searched and counted into one histogram, so a block's memory follows its
-table, not its draw count; draw i still reads counter block i, so the
-histogram does not depend on the sub-block size.
+Draw i's uniform is u = (w >> 11) 2**-53 for w, the raw 64-bit word i of
+the stream :func:`relinfo.mc.open_stream` opens once per block.  The table
+is searched through a guide of G buckets (Chen and Asau 1974), G a power
+of two, and a draw's bucket floor(u G) is the top log2 G bits of its word.
+So the words are counted into a bucket histogram, and only the draws in a
+bucket that holds a cdf value are turned into uniforms and searched; every
+other bucket's draws share one quantile row.  The words are read in
+sub-blocks of at most ``_BLOCK_DRAWS`` draws, or of the table's row count
+when the table is longer, so a block's memory follows its table, not its
+draw count; draw i still reads word i, so the histogram does not depend
+on the sub-block size.  The last table and guide are kept, read-only, for
+the next block, which is usually the next batch of the same run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,14 +39,13 @@ import numpy as np
 
 from .core import ModelContract
 from .errors import BoundaryError, OracleUnavailableError, ValidationError
-from .mc import stream_uniforms
+from .mc import open_stream
 
 ENUMERATION_CAP = 25
 
-# Most draws searched and counted at once.  A sub-block's arrays (128 KiB
-# of uniforms, and the search's temporaries of about that size) stay in
-# cache and are reused from freed memory; 2**15 and 2**16 took as long but
-# faulted in fresh pages on every call.
+# Most draws counted at once.  A sub-block's arrays (128 KiB of words and
+# 128 KiB of bucket indices) stay in cache; at 250,000 draws with
+# n_missing = 500, 2**15 took as long and 2**12 and 2**16 longer.
 _BLOCK_DRAWS = 2**14
 
 # Most rows a pmf window may hold, 64 MiB per float64 array built over it.
@@ -148,26 +154,37 @@ def _cdf_table(n: int, theta) -> tuple[np.ndarray, np.ndarray]:
     return np.r_[0, lo:lo + table.size], np.r_[0.0, table]
 
 
-def _guide(table: np.ndarray, n: int) -> np.ndarray:
-    """Guide table for searching ``table`` with n uniforms (Chen and Asau 1974).
+def _guide(table: np.ndarray, bits: int) -> np.ndarray:
+    """Guide table for searching ``table`` (Chen and Asau 1974), with G = 2**bits.
 
-    Entry j is the first row whose cdf reaches j / G, for G the power of two
-    (so u G is exact) that first reaches twice the table's length or n.
+    Entry j, for j = 0..G, is the first row whose cdf reaches j / G, so it
+    counts the rows before it: those whose cdf c has floor(c G) < j.  A
+    power of two keeps c G and u G exact.
     """
-    size = 1 << (min(2 * table.size, n) - 1).bit_length()
-    return np.searchsorted(table, np.arange(size) / size, side="left")
+    size = 1 << bits
+    below = np.bincount((table * size).astype(np.intp), minlength=size + 1)
+    return np.concatenate(([0], np.cumsum(below[:size])))
+
+
+def _guide_bits(rows: int, n: int) -> int:
+    """log2 of the guide size G for a table of ``rows`` rows searched with n uniforms.
+
+    G is the power of two, at least 2, that first reaches the least of
+    8 rows, n and the sub-block size max(``_BLOCK_DRAWS``, rows), so that
+    a sub-block's bucket histogram costs about one pass over its draws.
+    """
+    return max((min(8 * rows, n, max(_BLOCK_DRAWS, rows)) - 1).bit_length(), 1)
 
 
 def _quantile_rows(u: np.ndarray, table: np.ndarray, guide: np.ndarray) -> np.ndarray:
     """For each u, the first row r of the nondecreasing ``table`` with table[r] >= u.
 
-    The :func:`_guide` of G entries starts each u at the first row whose
-    cdf reaches floor(u G) / G (Devroye 1986, III.2); a draw still below u
-    steps once, and the few still below after that, in tails where one
-    guide interval spans many rows, are placed by binary search.  G is
-    sized by the calling draw count, so one guide serves all its sub-blocks.
+    The :func:`_guide` of G + 1 entries starts each u at the first row
+    whose cdf reaches floor(u G) / G (Devroye 1986, III.2); a draw still
+    below u steps once, and the few still below after that, in tails where
+    one guide interval spans many rows, are placed by binary search.
     """
-    k = guide[(u * guide.size).astype(np.intp)]
+    k = guide[(u * (guide.size - 1)).astype(np.intp)]
     behind = np.flatnonzero(table[k] < u)
     k[behind] += 1
     behind = behind[table[k[behind]] < u[behind]]
@@ -182,7 +199,25 @@ def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     :func:`_draw_completions_batch` returns.
     """
     labels, table = _cdf_table(n, theta)
-    return labels[_quantile_rows(u, table, _guide(table, u.size))]
+    return labels[_quantile_rows(u, table, _guide(table, _guide_bits(table.size, u.size)))]
+
+
+@functools.lru_cache(maxsize=1)
+def _bucket_table(n: int, theta: float, draw_bits: int):
+    """Read-only (labels, table, guide, split) of Binomial(n, theta) for up to 2**draw_bits draws.
+
+    ``labels`` and ``table`` are :func:`_cdf_table`'s, ``guide`` their
+    :func:`_guide` and ``split[j]`` is true when bucket j holds a cdf
+    value, i.e. guide entries j and j + 1 differ; every uniform in any
+    other bucket j has quantile row guide[j].  One entry is cached, which
+    serves all the equal batches of an adaptive run.
+    """
+    labels, table = _cdf_table(n, theta)
+    guide = _guide(table, _guide_bits(table.size, 1 << draw_bits))
+    split = guide[1:] != guide[:-1]
+    for array in (labels, table, guide, split):
+        array.flags.writeable = False
+    return labels, table, guide, split
 
 
 def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
@@ -191,23 +226,25 @@ def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, see
 
     ``support`` holds the distinct completions the draws reach, by
     increasing success count, and ``counts[r]`` how many draws reach row r.
-    The draws are searched and counted in sub-blocks of
-    max(``_BLOCK_DRAWS``, table rows) draws against one table and guide.
+    The counts are those of the draws' :func:`_quantile_rows`, found by
+    bucket (see the module docstring).
     """
-    labels, table = _cdf_table(observed.n_missing, theta)
-    guide = _guide(table, n_draws)
+    labels, table, guide, split = _bucket_table(observed.n_missing, float(theta),
+                                                max(n_draws - 1, 1).bit_length())
+    shift = 65 - guide.size.bit_length()  # 64 - log2 G
+    buckets = np.zeros(split.size, dtype=np.int64)
+    counts = np.zeros(table.size, dtype=np.int64)
     step = max(_BLOCK_DRAWS, table.size)
-
-    def count(lo):
-        u = stream_uniforms(seed, min(step, start + n_draws - lo), start=lo)
-        return np.bincount(_quantile_rows(u, table, guide), minlength=table.size)
-
-    # The first sub-block's histogram is the accumulator, so a one-block
-    # call (every call whose table is longer than its draws) adds nothing.
-    counts = count(start)
-    for lo in range(start + step, start + n_draws, step):
-        counts += count(lo)
-    reached = np.flatnonzero(counts)
+    stream = open_stream(seed, start)
+    for lo in range(0, n_draws, step):
+        words = stream.random_raw(min(step, n_draws - lo))
+        bucket = (words >> shift).view(np.int64)
+        buckets += np.bincount(bucket, minlength=split.size)
+        searched = words[split[bucket]]
+        np.add.at(counts, _quantile_rows((searched >> 11) * 2.0**-53, table, guide), 1)
+    buckets[split] = 0
+    np.add.at(counts, guide[:-1], buckets)
+    reached = np.flatnonzero(counts > 0)
     support = BinomialComplete(observed.successes + labels[reached].astype(float),
                                observed.n_total)
     return support, counts[reached]

@@ -36,14 +36,14 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HypothesisPair:
-    """Null and alternative parameter values at which lods are evaluated."""
+    """Null and alternative parameter values at which lods are evaluated.
+
+    Each is one value, a number or a one-element array; the measures check
+    both against the model's domain.
+    """
 
     theta_null: Any
     theta_alt: Any
-
-    def __post_init__(self):
-        if np.shape(self.theta_null) != np.shape(self.theta_alt):
-            raise ValidationError("theta_null and theta_alt must have equal dimension")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ModelContract:
     reduce it with the counts as weights (see
     :func:`relinfo.mc.estimate_from_values`), which equals reducing it over
     the draws.  Draw i's completion must derive from the counter block
-    owned by i (see :func:`relinfo.mc.stream_uniforms`), so any range of
+    owned by i (see :func:`relinfo.mc.open_stream`), so any range of
     draws gives the same completions as those draws of a run from draw 0,
     and the histograms of two ranges add up to the histogram of their
     union.  ``impute_completion(observed, theta)`` returns pseudo-complete
@@ -130,39 +130,48 @@ def _as_scalar(value) -> float:
     return float(arr.reshape(()))
 
 
-def _check_parameter(model: ModelContract, theta) -> None:
-    """Refuse a parameter that is not one value (a one-element array is) in the model's domain."""
+def _check_parameter(model: ModelContract, theta) -> float:
+    """``theta`` as a float, refused unless it is one value (a one-element array is) in the domain."""
     if np.size(theta) != 1:
         raise ValidationError(f"a parameter must be one value, got shape {np.shape(theta)}")
-    if not model.in_domain(theta):
+    value = float(np.asarray(theta, dtype=float).reshape(()))
+    if not model.in_domain(value):
         raise DomainError(f"parameter {theta!r} outside the domain of model {model.name!r}")
+    return value
 
 
-def lod(model: ModelContract, pair: HypothesisPair, data) -> float:
-    """Lod score of ``pair.theta_alt`` against ``pair.theta_null`` on ``data``."""
-    for theta in (pair.theta_alt, pair.theta_null):
-        _check_parameter(model, theta)
-    value = _as_scalar(_lod_value(model, pair.theta_alt, pair.theta_null, data))
+def _finite_lod(model: ModelContract, theta_alt: float, theta_null: float, data) -> float:
+    """The lod of checked parameters on ``data`` as a float; a non-finite lod is refused."""
+    value = _as_scalar(_lod_value(model, theta_alt, theta_null, data))
     if not math.isfinite(value):
         raise DomainError("lod is not finite; parameter on a degenerate boundary")
     return value
 
 
-def _observed_setup(model: ModelContract, observed, theta_null, theta_alt=None):
-    """Every measure's preamble: the observed-data MLE and lod, ``(theta_hat, lod_ob)``.
+def lod(model: ModelContract, pair: HypothesisPair, data) -> float:
+    """Lod score of ``pair.theta_alt`` against ``pair.theta_null`` on ``data``."""
+    theta_alt = _check_parameter(model, pair.theta_alt)
+    return _finite_lod(model, theta_alt, _check_parameter(model, pair.theta_null), data)
 
-    The lod's alternative is ``theta_alt``, or the MLE when it is None.  An
-    MLE outside the model's open domain (on its boundary), a parameter
-    outside the domain and a zero lod are refused.
+
+def _observed_setup(model: ModelContract, observed, theta_null, theta_alt=None):
+    """Every measure's preamble: ``(theta_hat, theta_null, theta_alt, lod_ob)``.
+
+    These are the observed-data MLE, the two parameters as floats and the
+    observed lod of the alternative against the null.  The alternative is
+    ``theta_alt``, or the MLE when it is None.  An MLE outside the model's
+    open domain (on its boundary), a parameter that is not one value in
+    the domain and a zero lod are refused.
     """
     theta_hat = model.mle(observed)
     if not model.in_domain(theta_hat):
         raise BoundaryError("observed-data MLE lies on the parameter boundary")
-    pair = HypothesisPair(theta_null, theta_hat if theta_alt is None else theta_alt)
-    lod_ob = lod(model, pair, observed)
+    theta_alt = theta_hat if theta_alt is None else _check_parameter(model, theta_alt)
+    theta_null = _check_parameter(model, theta_null)
+    lod_ob = _finite_lod(model, theta_alt, theta_null, observed)
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero; measure undefined")
-    return theta_hat, lod_ob
+    return theta_hat, theta_null, theta_alt, lod_ob
 
 
 def _completion_lods(model: ModelContract, observed, draw_theta,
@@ -225,13 +234,9 @@ def ri1(model: ModelContract, observed, theta_null, engine: MCConfig | None = No
     statistic).  An ``engine`` selects the Monte Carlo path: the mean of
     the complete-data lods of ``engine.n_draws`` drawn completions.
     """
-    theta_hat, lod_ob = _observed_setup(model, observed, theta_null, theta_alt)
-    if theta_alt is None:
-        theta_alt = theta_hat
-    if draw_theta is None:
-        draw_theta = theta_hat
-    else:
-        _check_parameter(model, draw_theta)
+    theta_hat, theta_null, theta_alt, lod_ob = _observed_setup(model, observed, theta_null,
+                                                               theta_alt)
+    draw_theta = theta_hat if draw_theta is None else _check_parameter(model, draw_theta)
     if engine is not None:
         return ri1_monte_carlo(
             lod_ob, _completion_lods(model, observed, draw_theta, theta_alt, theta_null,
@@ -258,7 +263,7 @@ def ri0(model: ModelContract, observed, theta_null) -> RelInfoResult:
     divided by the observed lod.  Orientation is chosen so the result lies
     in (0, 1] for this family; the choice is recorded in diagnostics.
     """
-    _, lod_ob = _observed_setup(model, observed, theta_null)
+    _, theta_null, _, lod_ob = _observed_setup(model, observed, theta_null)
     pseudo = model.impute_completion(observed, theta_null)
     theta_imp = model.mle(pseudo)
     lod_imp = _as_scalar(_lod_value(model, theta_imp, theta_null, pseudo))
@@ -285,10 +290,10 @@ def ri_y_samples(model: ModelContract, observed, pair: HypothesisPair,
     lod is exactly zero are recorded as +inf sentinels.
     """
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat, lod_ob = _observed_setup(model, observed, pair.theta_null, pair.theta_alt)
+    theta_hat, theta_null, theta_alt, lod_ob = _observed_setup(model, observed,
+                                                               pair.theta_null, pair.theta_alt)
     support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
-    lods_co = np.asarray(_lod_value(model, pair.theta_alt, pair.theta_null, support),
-                         dtype=float)
+    lods_co = np.asarray(_lod_value(model, theta_alt, theta_null, support), dtype=float)
     with np.errstate(divide="ignore"):
         return np.where(lods_co == 0.0, np.inf, lod_ob / lods_co), counts
 
@@ -300,7 +305,7 @@ def lod_ratio_variance(model: ModelContract, observed, theta_null,
     Each draw's lod is evaluated at that draw's own complete-data MLE.
     """
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat, lod_ob = _observed_setup(model, observed, theta_null)
+    theta_hat, theta_null, _, lod_ob = _observed_setup(model, observed, theta_null)
     support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     lods = np.asarray(_lod_value(model, model.mle(support), theta_null, support), dtype=float)
     var = mc.variance_from_values(lods, counts)
@@ -334,7 +339,7 @@ def expected_lod_gap(model: ModelContract, observed, theta_null,
     breaks the naive identity between the two conditional expectations.
     """
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat, _ = _observed_setup(model, observed, theta_null)
+    theta_hat, theta_null, _, _ = _observed_setup(model, observed, theta_null)
     support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
     at_mle = np.asarray(_lod_value(model, model.mle(support), theta_null, support),
                         dtype=float)

@@ -1,12 +1,15 @@
 """Seeded Monte Carlo estimation over blocks of draws.
 
 Every sampler, the binomial completions and the Cox measures alike, reads
-draw i's uniforms from counter block i of one keyed Philox stream
-(:func:`stream_uniforms`), where ``start`` selects the first block, so any
-range of draws [lo, hi) is bit-identical to the same rows of a one-shot
-run.  Measures hand :func:`collect_blocks` an ``evaluate(lo, hi)`` that
-returns draws lo..hi-1, as their values or as a histogram of rows and
-counts; it is the one adaptive-stopping loop.  Reduction uses numpy's
+draw i's uniforms from counter block i of one keyed Philox stream, opened
+at a given 64-bit word by :func:`open_stream`, where ``start`` selects the
+first block, so any range of draws [lo, hi) is bit-identical to the same
+rows of a one-shot run.  The Cox measures take uniforms from
+:func:`stream_uniforms`; the binomial sampler reads the raw words, whose
+top bits are its search buckets, and forms only the uniforms it searches.
+Measures hand :func:`collect_blocks` an ``evaluate(lo, hi)`` that returns
+draws lo..hi-1, as their values or as a histogram of rows and counts; it
+is the one adaptive-stopping loop.  Reduction uses numpy's
 pairwise summation over the index-ordered values, or over a histogram's
 rows sorted by value (:func:`histogram`), which likewise depends neither
 on the grouping nor on the number of BLAS threads.  :func:`substream`
@@ -74,23 +77,32 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def open_stream(seed: int, start: int = 0, tag: int = 0) -> np.random.Philox:
+    """The samplers' keyed Philox stream, positioned at its 64-bit word ``start``.
+
+    Every sampler opens its stream here.  Word k of the stream is the same
+    whatever ``start`` it is read from, so any range of words equals those
+    words of a run from word 0.
+    """
+    key = np.array([seed, _VECTOR_STREAM_BASE + tag], dtype=np.uint64)
+    bit_generator = np.random.Philox(key=key)
+    if start:
+        # One Philox counter step yields four 64-bit words.
+        bit_generator.advance(start // 4)
+        bit_generator.random_raw(start % 4)
+    return bit_generator
+
+
 def stream_uniforms(seed: int, n_draws: int, per_draw: int = 1, tag: int = 0,
                     start: int = 0) -> np.ndarray:
     """Uniforms for samplers; draw i owns a fixed counter block.
 
     Returns the blocks of draws ``start`` .. ``start + n_draws - 1``, equal
     to those rows of a run from draw 0.  Shape is (n_draws,) when
-    per_draw == 1, else (n_draws, per_draw).
+    per_draw == 1, else (n_draws, per_draw).  Uniform k is word k of
+    :func:`open_stream` as (word >> 11) 2**-53.
     """
-    key = np.array([seed, _VECTOR_STREAM_BASE + tag], dtype=np.uint64)
-    bit_generator = np.random.Philox(key=key)
-    skip = start * per_draw
-    if skip:
-        # One Philox counter step yields four 64-bit outputs, one per uniform.
-        bit_generator.advance(skip // 4)
-    gen = np.random.Generator(bit_generator)
-    if skip % 4:
-        gen.random(skip % 4)
+    gen = np.random.Generator(open_stream(seed, start * per_draw, tag))
     u = gen.random(n_draws * per_draw)
     return u if per_draw == 1 else u.reshape(n_draws, per_draw)
 

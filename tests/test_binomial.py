@@ -141,16 +141,36 @@ def smallest_count_reaching(u, lo, table):
     return np.array([lo + np.flatnonzero(table >= v)[0] for v in u])
 
 
+class RecordedStream:
+    """Stand-in for ``mc.open_stream(seed, start)`` that records each read as (first word, count).
+
+    It serves the stream's own words, or ``words`` when given.
+    """
+
+    def __init__(self, seed, start, reads, words=None):
+        self.stream = mc.open_stream(seed, start)
+        self.position, self.reads, self.words = start, reads, words
+
+    def random_raw(self, n):
+        self.reads.append((self.position, n))
+        self.position += n
+        if self.words is None:
+            return self.stream.random_raw(n)
+        return self.words[self.position - n:self.position]
+
+
 def test_zero_uniform_completes_within_support(monkeypatch):
     # scipy's binom.ppf(0) is -1, one success fewer than observed.
     obs = BinomialObserved(30, 50, 50)
     u = np.array([0.0, 0.25, 0.0, 0.75, 1.0 - 2.0**-53])
-    monkeypatch.setattr(binomial, "stream_uniforms", lambda seed, n, start=0: u[start:start + n])
+    words = (u * 2.0**53).astype(np.uint64) << np.uint64(11)  # (word >> 11) 2**-53 == u
+    monkeypatch.setattr(binomial, "open_stream",
+                        lambda seed, start=0: RecordedStream(seed, start, [], words))
     support, counts = MODEL.draw_completions_batch(obs, 0.6, u.size, 0)
     assert np.all(support.successes_total >= obs.successes)
     assert np.all(support.successes_total <= obs.n_total)
     assert support.successes_total[0] == obs.successes and counts[0] == 2
-    # Below the window, u = 0 still completes with zero missing successes.
+    # Below the window, zero words still complete with zero missing successes.
     large = BinomialObserved(30, 50, 10**5)
     support, counts = MODEL.draw_completions_batch(large, 0.55, u.size, 0)
     assert_histogram_of(support, counts, large.successes + binomial._inverse_cdf(u, 10**5, 0.55))
@@ -206,6 +226,16 @@ def test_searched_table_matches_scipy(n_missing, theta):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_missing, theta", TABLE_CASES + [(0, 0.3), (500, 0.0), (500, 1.0),
+                                                   (10**8, 0.55)])
+@pytest.mark.parametrize("bits", [1, 4, 10, 13, 18])
+def test_guide_is_the_first_row_reaching_each_bucket_edge(n_missing, theta, bits):
+    _, table = binomial._cdf_table(n_missing, theta)
+    edges = np.arange(2**bits + 1) / 2**bits
+    np.testing.assert_array_equal(binomial._guide(table, bits),
+                                  np.searchsorted(table, edges, side="left"))
+
+
 @pytest.mark.parametrize("n_missing, theta", TABLE_CASES + [
     (10**8, 1e-9), (10**8, 1e-4), (10**8, 0.5), (10**8, 1 - 1e-4)])
 def test_window_leaves_out_tails_below_1e_26(n_missing, theta):
@@ -258,19 +288,76 @@ def test_uneven_blocks_equal_one_shot_rows_at_large_missing_count():
 def test_sub_blocks_leave_the_histogram_unchanged(monkeypatch, obs, theta, block, n_draws,
                                                   start):
     calls = []
-
-    def recording(seed, n, start=0):
-        calls.append((start, n))
-        return mc.stream_uniforms(seed, n, start=start)
-
     monkeypatch.setattr(binomial, "_BLOCK_DRAWS", block)
-    monkeypatch.setattr(binomial, "stream_uniforms", recording)
+    monkeypatch.setattr(binomial, "open_stream",
+                        lambda seed, start=0: RecordedStream(seed, start, calls))
     support, counts = MODEL.draw_completions_batch(obs, theta, n_draws, 4, start=start)
     # Sub-blocks hold max(block, table rows) draws; the last one holds the rest.
     step = max(block, binomial._cdf_table(obs.n_missing, theta)[1].size)
     edges = [*range(start, start + n_draws, step), start + n_draws]
     assert calls == [(lo, hi - lo) for lo, hi in zip(edges[:-1], edges[1:])]
     assert_histogram_of(support, counts, drawn_successes(obs, theta, n_draws, 4, start=start))
+
+
+@pytest.mark.parametrize("n_missing", [0, 1, 50, 500, 10**6, 10**8])
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.55, 1.0])
+@pytest.mark.parametrize("n_draws", [1, 2, 1_023, 1_024, 16_385, 250_000])
+@pytest.mark.parametrize("start", [4_097, 2, 16_387])  # start % 4 = 1, 2, 3
+def test_bucket_counts_equal_the_per_draw_quantiles(n_missing, theta, n_draws, start):
+    obs = BinomialObserved(7, 10, n_missing)
+    support, counts = MODEL.draw_completions_batch(obs, theta, n_draws, 19, start=start)
+    assert_histogram_of(support, counts, drawn_successes(obs, theta, n_draws, 19, start=start))
+
+
+@st.composite
+def chosen_words(draw):
+    """(n_missing, theta, words): words at and around each cdf value and each bucket edge.
+
+    The bucket edges are those of G = 2**13, which include the edges of every
+    smaller G; 600 rows or fewer never need more buckets than that.
+    """
+    n_missing = draw(st.integers(0, 600))
+    theta = draw(st.sampled_from([0.0, 1e-4, 0.1, 0.55, 0.9, 1.0]) | st.floats(0.0, 1.0))
+    _, table = binomial._cdf_table(n_missing, theta)
+    knots = [int(t * 2.0**53) << 11 for t in table.tolist() if t < 1.0]
+    edges = [j << 51 for j in range(1, 2**13)]
+    words = ([w + d for w in knots for d in (0, 2047, 2048)]
+             + edges + [w - 1 for w in edges] + [0, 2**64 - 1])
+    return n_missing, theta, [w for w in words if w < 2**64]
+
+
+@given(case=chosen_words())
+@example(case=(500, 0.55, [0, 2**64 - 1, 1 << 51, (1 << 51) - 1]))
+@settings(max_examples=30, deadline=None)
+def test_bucket_counts_at_cdf_values_and_bucket_edges(case):
+    n_missing, theta, words = case
+    words = np.array(words, dtype=np.uint64)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(binomial, "open_stream",
+                        lambda seed, start=0: RecordedStream(seed, start, [], words))
+        support, counts = MODEL.draw_completions_batch(BinomialObserved(0, 1, n_missing),
+                                                       theta, words.size, 0)
+    # The first row whose cdf reaches each uniform, by a plain binary search.
+    labels, table = binomial._cdf_table(n_missing, theta)
+    u = (words >> np.uint64(11)) * 2.0**-53
+    assert_histogram_of(support, counts, labels[np.searchsorted(table, u, side="left")])
+
+
+def test_the_table_cache_keeps_one_read_only_entry():
+    binomial._bucket_table.cache_clear()
+    small, large = BinomialObserved(30, 50, 50), BinomialObserved(550, 1000, 500)
+    # Two batches of one adaptive run share a table; another instance replaces it.
+    MODEL.draw_completions_batch(small, 0.6, 1_024, 1)
+    MODEL.draw_completions_batch(small, 0.6, 1_000, 1, start=1_024)
+    assert binomial._bucket_table.cache_info()[:2] == (1, 1)  # hits, misses
+    MODEL.draw_completions_batch(large, 0.55, 1_024, 1)
+    info = binomial._bucket_table.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (2, 1, 1)
+    for array in binomial._bucket_table(500, 0.55, 10):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert binomial._bucket_table.cache_info().hits == 2
 
 
 def test_sub_blocks_leave_an_adaptive_run_unchanged(monkeypatch):
@@ -286,7 +373,7 @@ def test_sub_blocks_leave_an_adaptive_run_unchanged(monkeypatch):
 
 
 def test_peak_memory_does_not_grow_with_the_draw_count():
-    # 10**6 uniforms alone take 8 MB; the sub-blocks hold about 0.4 MB.
+    # 10**6 uniforms alone take 8 MB; the sub-blocks hold about 0.5 MB.
     obs = BinomialObserved(550, 1000, 500)
     MODEL.draw_completions_batch(obs, 0.55, 1_000, 1)  # first-call allocations
     tracemalloc.start()

@@ -24,18 +24,31 @@ def run_report(capsys, argv):
 
 @pytest.fixture()
 def uniforms_drawn(monkeypatch):
-    """A list whose length is the number of uniforms drawn through ``mc.stream_uniforms``."""
+    """A list whose length is the number of uniforms drawn.
+
+    They are the uniforms ``mc.stream_uniforms`` returns and the raw words
+    the binomial sampler reads, one per draw.
+    """
     drawn = []
-    original = mc.stream_uniforms
+    original_uniforms, original_open = mc.stream_uniforms, mc.open_stream
 
     def counting(*args, **kwargs):
-        u = original(*args, **kwargs)
+        u = original_uniforms(*args, **kwargs)
         drawn.extend([None] * u.size)
         return u
 
-    # The binomial sampler holds its own binding of the function.
+    class CountingStream:
+        def __init__(self, *args, **kwargs):
+            self.stream = original_open(*args, **kwargs)
+
+        def random_raw(self, n):
+            words = self.stream.random_raw(n)
+            drawn.extend([None] * words.size)
+            return words
+
     monkeypatch.setattr(mc, "stream_uniforms", counting)
-    monkeypatch.setattr(binomial, "stream_uniforms", counting)
+    # The binomial sampler holds its own binding of the stream opener.
+    monkeypatch.setattr(binomial, "open_stream", CountingStream)
     return drawn
 
 

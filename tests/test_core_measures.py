@@ -43,8 +43,9 @@ class TestLod:
             assert at_mle >= float(core.lod(MODEL, HypothesisPair(0.5, theta), data))
 
     def test_pair_dimension_mismatch(self):
+        pair = HypothesisPair(theta_null=0.5, theta_alt=np.array([0.5, 0.6]))
         with pytest.raises(ValidationError):
-            HypothesisPair(theta_null=0.5, theta_alt=np.array([0.5, 0.6]))
+            core.lod(MODEL, pair, BinomialObserved(5, 10, 0))
 
 
 class TestRi1:
@@ -330,6 +331,27 @@ def test_every_parameter_is_one_value_in_the_domain(call, error):
     # by Monte Carlo), and a parameter of two values a numpy ValueError.
     with pytest.raises(error, match="outside the domain" if error is DomainError else r"\(2,\)"):
         call(BinomialObserved(30, 50, 50))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda p0: core.ri1(MODEL, BinomialObserved(30, 50, 50), p0),
+    lambda p0: core.ri1(MODEL, BinomialObserved(30, 50, 50), p0, mc.MCConfig(2_000, seed=3)),
+    lambda p0: core.ri0(MODEL, BinomialObserved(30, 50, 50), p0),
+    lambda p0: core.lod_ratio_variance(MODEL, BinomialObserved(30, 50, 50), p0, 2_000, 3),
+    lambda p0: core.expected_lod_gap(MODEL, BinomialObserved(30, 50, 50), p0, 2_000, 3),
+    lambda p0: mc.histogram(*core.ri_y_samples(MODEL, BinomialObserved(30, 50, 50),
+                                               HypothesisPair(p0, 0.65), 2_000, 3)),
+], ids=["ri1", "Monte Carlo ri1", "ri0", "lod_ratio_variance", "expected_lod_gap",
+        "ri_y_samples"])
+def test_a_one_element_null_equals_the_scalar(measure):
+    # The default alternative, the observed MLE, is a scalar; a one-element
+    # null used to be refused as a pair of unequal dimension.
+    one, scalar = measure(np.array([0.4])), measure(0.4)
+    if isinstance(scalar, tuple):
+        for got, want in zip(one, scalar):
+            np.testing.assert_array_equal(got, want)
+    else:
+        assert one == scalar
 
 
 def test_ri_y_refuses_an_observed_lod_of_zero():
