@@ -24,13 +24,11 @@ other bucket's draws share one quantile row.  The words are read in
 sub-blocks of at most ``_BLOCK_DRAWS`` draws, or of the table's row count
 when the table is longer, so a block's memory follows its table, not its
 draw count; draw i still reads word i, so the histogram does not depend
-on the sub-block size.  The last table and guide are kept, read-only, for
-the next block, which is usually the next batch of the same run.
+on the sub-block size.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -159,11 +157,18 @@ def _guide(table: np.ndarray, bits: int) -> np.ndarray:
 
     Entry j, for j = 0..G, is the first row whose cdf reaches j / G, so it
     counts the rows before it: those whose cdf c has floor(c G) < j.  A
-    power of two keeps c G and u G exact.
+    power of two keeps c G and u G exact.  Only the rows with
+    1 / G <= c < 1 - 1 / G are binned: the rows below them have
+    floor(c G) = 0, those above them and below 1 have floor(c G) = G - 1,
+    and those from the first c = 1 on are before no entry.  The cdf
+    reaches 1 only at its last row or so, so this skips both tails.
     """
     size = 1 << bits
-    below = np.bincount((table * size).astype(np.intp), minlength=size + 1)
-    return np.concatenate(([0], np.cumsum(below[:size])))
+    lo, hi, top = np.searchsorted(table, [1.0 / size, 1.0 - 1.0 / size, 1.0])
+    below = np.bincount((table[lo:hi] * size).astype(np.intp), minlength=size)
+    below[0] += lo
+    below[-1] += top - hi
+    return np.concatenate(([0], np.cumsum(below)))
 
 
 def _guide_bits(rows: int, n: int) -> int:
@@ -202,24 +207,6 @@ def _inverse_cdf(u: np.ndarray, n: int, theta) -> np.ndarray:
     return labels[_quantile_rows(u, table, _guide(table, _guide_bits(table.size, u.size)))]
 
 
-@functools.lru_cache(maxsize=1)
-def _bucket_table(n: int, theta: float, draw_bits: int):
-    """Read-only (labels, table, guide, split) of Binomial(n, theta) for up to 2**draw_bits draws.
-
-    ``labels`` and ``table`` are :func:`_cdf_table`'s, ``guide`` their
-    :func:`_guide` and ``split[j]`` is true when bucket j holds a cdf
-    value, i.e. guide entries j and j + 1 differ; every uniform in any
-    other bucket j has quantile row guide[j].  One entry is cached, which
-    serves all the equal batches of an adaptive run.
-    """
-    labels, table = _cdf_table(n, theta)
-    guide = _guide(table, _guide_bits(table.size, 1 << draw_bits))
-    split = guide[1:] != guide[:-1]
-    for array in (labels, table, guide, split):
-        array.flags.writeable = False
-    return labels, table, guide, split
-
-
 def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, seed: int,
                             start: int = 0):
     """Completions ``start`` .. ``start + n_draws - 1`` as a histogram (support, counts).
@@ -227,23 +214,37 @@ def _draw_completions_batch(observed: BinomialObserved, theta, n_draws: int, see
     ``support`` holds the distinct completions the draws reach, by
     increasing success count, and ``counts[r]`` how many draws reach row r.
     The counts are those of the draws' :func:`_quantile_rows`, found by
-    bucket (see the module docstring).
+    bucket (see the module docstring): ``split[j]`` is true when bucket j
+    holds a cdf value, i.e. guide entries j and j + 1 differ, and every
+    uniform in any other bucket j has quantile row guide[j].
     """
-    labels, table, guide, split = _bucket_table(observed.n_missing, float(theta),
-                                                max(n_draws - 1, 1).bit_length())
+    labels, table = _cdf_table(observed.n_missing, theta)
+    guide = _guide(table, _guide_bits(table.size, n_draws))
+    split = guide[1:] != guide[:-1]
     shift = 65 - guide.size.bit_length()  # 64 - log2 G
-    buckets = np.zeros(split.size, dtype=np.int64)
-    counts = np.zeros(table.size, dtype=np.int64)
     step = max(_BLOCK_DRAWS, table.size)
     stream = open_stream(seed, start)
-    for lo in range(0, n_draws, step):
-        words = stream.random_raw(min(step, n_draws - lo))
+
+    def count(n):
+        """Bucket and searched-row histograms of the stream's next n draws."""
+        words = stream.random_raw(n)
         bucket = (words >> shift).view(np.int64)
-        buckets += np.bincount(bucket, minlength=split.size)
-        searched = words[split[bucket]]
-        np.add.at(counts, _quantile_rows((searched >> 11) * 2.0**-53, table, guide), 1)
+        u = (words[split[bucket]] >> 11) * 2.0**-53
+        return (np.bincount(bucket, minlength=split.size),
+                np.bincount(_quantile_rows(u, table, guide), minlength=table.size))
+
+    # The first sub-block's histograms are the accumulators, so a one-block
+    # call (every call whose table is longer than its draws) adds nothing.
+    buckets, counts = count(min(step, n_draws))
+    for lo in range(step, n_draws, step):
+        more_buckets, more_counts = count(min(step, n_draws - lo))
+        buckets += more_buckets
+        counts += more_counts
+    # A run of equal guide entries starts at bucket 0 or after a split
+    # bucket, and the draws of its other buckets all reach its row.
     buckets[split] = 0
-    np.add.at(counts, guide[:-1], buckets)
+    runs = np.flatnonzero(np.concatenate(([True], split[:-1])))
+    counts[guide[runs]] += np.add.reduceat(buckets, runs)
     reached = np.flatnonzero(counts > 0)
     support = BinomialComplete(observed.successes + labels[reached].astype(float),
                                observed.n_total)

@@ -343,23 +343,6 @@ def test_bucket_counts_at_cdf_values_and_bucket_edges(case):
     assert_histogram_of(support, counts, labels[np.searchsorted(table, u, side="left")])
 
 
-def test_the_table_cache_keeps_one_read_only_entry():
-    binomial._bucket_table.cache_clear()
-    small, large = BinomialObserved(30, 50, 50), BinomialObserved(550, 1000, 500)
-    # Two batches of one adaptive run share a table; another instance replaces it.
-    MODEL.draw_completions_batch(small, 0.6, 1_024, 1)
-    MODEL.draw_completions_batch(small, 0.6, 1_000, 1, start=1_024)
-    assert binomial._bucket_table.cache_info()[:2] == (1, 1)  # hits, misses
-    MODEL.draw_completions_batch(large, 0.55, 1_024, 1)
-    info = binomial._bucket_table.cache_info()
-    assert (info.misses, info.maxsize, info.currsize) == (2, 1, 1)
-    for array in binomial._bucket_table(500, 0.55, 10):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-    assert binomial._bucket_table.cache_info().hits == 2
-
-
 def test_sub_blocks_leave_an_adaptive_run_unchanged(monkeypatch):
     # Sub-blocks of 51 draws straddle the 1024-draw adaptive batches.
     obs = BinomialObserved(30, 50, 50)

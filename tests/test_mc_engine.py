@@ -67,6 +67,19 @@ def test_stream_uniforms_shapes_and_determinism():
     assert mc.stream_uniforms(7, 10, per_draw=3).shape == (10, 3)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("tag", [0, 3])
+def test_stream_is_numpys_philox_under_the_vector_key(seed, tag):
+    key = np.array([seed, mc._VECTOR_STREAM_BASE + tag], dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw(64)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(64)
+    for start in [0, 1, 2, 3, 4, 5, 13, 40]:
+        np.testing.assert_array_equal(mc.open_stream(seed, start, tag).random_raw(64 - start),
+                                      words[start:])
+        np.testing.assert_array_equal(mc.stream_uniforms(seed, 64 - start, tag=tag, start=start),
+                                      uniforms[start:])
+
+
 @pytest.mark.parametrize("per_draw", [1, 3, 4, 7])
 def test_stream_uniforms_start_selects_rows_of_one_shot_run(per_draw):
     full = mc.stream_uniforms(11, 40, per_draw=per_draw, tag=2)
