@@ -1,11 +1,12 @@
 """Model-agnostic lod-score and relative-information measures.
 
 The measures are parameterized by a :class:`ModelContract`, which the
-binomial module supplies; the Cox measures evaluate their own completion
-lods and call :func:`ri1_monte_carlo` directly.  The central quantity is the
-lod score, the natural-log likelihood ratio between an alternative and a
-null parameter value.  Relative information compares the observed-data lod
-with the expected lod that complete data would have produced.
+binomial module supplies, and every Monte Carlo one draws its completions
+through one path, ``_completions``; the Cox measures evaluate their own
+completion lods and call :func:`ri1_monte_carlo` directly.  The central
+quantity is the lod score, the natural-log likelihood ratio between an
+alternative and a null parameter value.  Relative information compares
+the observed-data lod with the expected lod of the complete data.
 """
 
 from __future__ import annotations
@@ -123,13 +124,6 @@ def _lod_value(model: ModelContract, theta_alt, theta_null, data):
     return model.log_likelihood(theta_alt, data) - model.log_likelihood(theta_null, data)
 
 
-def _as_scalar(value) -> float:
-    arr = np.asarray(value, dtype=float)
-    if arr.size != 1:
-        raise ValidationError(f"expected a scalar lod, got shape {arr.shape}")
-    return float(arr.reshape(()))
-
-
 def _check_parameter(model: ModelContract, theta) -> float:
     """``theta`` as a float, refused unless it is one value (a one-element array is) in the domain."""
     if np.size(theta) != 1:
@@ -142,7 +136,7 @@ def _check_parameter(model: ModelContract, theta) -> float:
 
 def _finite_lod(model: ModelContract, theta_alt: float, theta_null: float, data) -> float:
     """The lod of checked parameters on ``data`` as a float; a non-finite lod is refused."""
-    value = _as_scalar(_lod_value(model, theta_alt, theta_null, data))
+    value = float(_lod_value(model, theta_alt, theta_null, data))
     if not math.isfinite(value):
         raise DomainError("lod is not finite; parameter on a degenerate boundary")
     return value
@@ -154,14 +148,13 @@ def lod(model: ModelContract, pair: HypothesisPair, data) -> float:
     return _finite_lod(model, theta_alt, _check_parameter(model, pair.theta_null), data)
 
 
-def _observed_setup(model: ModelContract, observed, theta_null, theta_alt=None):
-    """Every measure's preamble: ``(theta_hat, theta_null, theta_alt, lod_ob)``.
+def _observed_setup(model: ModelContract, observed, theta_null, theta_alt=None, draw_theta=None):
+    """Every measure's preamble: ``(draw_theta, theta_null, theta_alt, lod_ob)``.
 
-    These are the observed-data MLE, the two parameters as floats and the
-    observed lod of the alternative against the null.  The alternative is
-    ``theta_alt``, or the MLE when it is None.  An MLE outside the model's
-    open domain (on its boundary), a parameter that is not one value in
-    the domain and a zero lod are refused.
+    The parameters come out as floats, and ``theta_alt`` and ``draw_theta``
+    (where completions are drawn or imputed) default to the observed-data
+    MLE.  An MLE on the parameter boundary, a parameter that is not one
+    value in the domain and a zero observed lod are refused.
     """
     theta_hat = model.mle(observed)
     if not model.in_domain(theta_hat):
@@ -171,20 +164,28 @@ def _observed_setup(model: ModelContract, observed, theta_null, theta_alt=None):
     lod_ob = _finite_lod(model, theta_alt, theta_null, observed)
     if lod_ob == 0.0:
         raise UndefinedMeasureError("observed lod is zero; measure undefined")
-    return theta_hat, theta_null, theta_alt, lod_ob
+    draw_theta = theta_hat if draw_theta is None else _check_parameter(model, draw_theta)
+    return draw_theta, theta_null, theta_alt, lod_ob
 
 
-def _completion_lods(model: ModelContract, observed, draw_theta,
-                     theta_alt, theta_null, seed: int) -> Callable[[int, int], tuple]:
-    """Block evaluator of lod(theta_alt, theta_null | Y_co) for completions at draw_theta.
+def _completions(model: ModelContract, observed, theta_null, n_draws: int, seed: int,
+                 theta_alt=None, draw_theta=None):
+    """The Monte Carlo measures' one draw path: ``(theta_null, theta_alt, lod_ob, draw)``.
 
-    A block is a histogram: the lod of each support row, and the row counts.
+    It checks ``n_draws`` and ``seed`` as :class:`MCConfig` does, then runs
+    ``_observed_setup``; ``draw(lo, hi)`` returns completions lo..hi-1 at the
+    drawing parameter as a histogram ``(support, counts)``.
     """
-    def evaluate(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        support, counts = model.draw_completions_batch(observed, draw_theta, hi - lo, seed,
-                                                       start=lo)
-        return np.asarray(_lod_value(model, theta_alt, theta_null, support), dtype=float), counts
-    return evaluate
+    MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
+    draw_theta, theta_null, theta_alt, lod_ob = _observed_setup(model, observed, theta_null,
+                                                                theta_alt, draw_theta)
+    return theta_null, theta_alt, lod_ob, lambda lo, hi: model.draw_completions_batch(
+        observed, draw_theta, hi - lo, seed, start=lo)
+
+
+def _lod_at_own_mle(model: ModelContract, theta_null: float, support):
+    """Each support row's lod at its own complete-data MLE against the null."""
+    return _lod_value(model, model.mle(support), theta_null, support)
 
 
 def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
@@ -234,17 +235,19 @@ def ri1(model: ModelContract, observed, theta_null, engine: MCConfig | None = No
     statistic).  An ``engine`` selects the Monte Carlo path: the mean of
     the complete-data lods of ``engine.n_draws`` drawn completions.
     """
-    theta_hat, theta_null, theta_alt, lod_ob = _observed_setup(model, observed, theta_null,
-                                                               theta_alt)
-    draw_theta = theta_hat if draw_theta is None else _check_parameter(model, draw_theta)
     if engine is not None:
-        return ri1_monte_carlo(
-            lod_ob, _completion_lods(model, observed, draw_theta, theta_alt, theta_null,
-                                     engine.seed),
-            engine)
+        theta_null, theta_alt, lod_ob, draw = _completions(
+            model, observed, theta_null, engine.n_draws, engine.seed, theta_alt, draw_theta)
 
+        def evaluate(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            support, counts = draw(lo, hi)
+            return _lod_value(model, theta_alt, theta_null, support), counts
+        return ri1_monte_carlo(lod_ob, evaluate, engine)
+
+    draw_theta, theta_null, theta_alt, lod_ob = _observed_setup(model, observed, theta_null,
+                                                                theta_alt, draw_theta)
     pseudo = model.impute_completion(observed, draw_theta)
-    denom = _as_scalar(_lod_value(model, theta_alt, theta_null, pseudo))
+    denom = float(_lod_value(model, theta_alt, theta_null, pseudo))
     if denom <= 0.0:
         raise InstabilityError("imputed complete-data lod is nonpositive",
                                {"denominator": denom})
@@ -266,7 +269,7 @@ def ri0(model: ModelContract, observed, theta_null) -> RelInfoResult:
     _, theta_null, _, lod_ob = _observed_setup(model, observed, theta_null)
     pseudo = model.impute_completion(observed, theta_null)
     theta_imp = model.mle(pseudo)
-    lod_imp = _as_scalar(_lod_value(model, theta_imp, theta_null, pseudo))
+    lod_imp = float(_lod_value(model, theta_imp, theta_null, pseudo))
     return RelInfoResult(
         estimate=lod_imp / lod_ob, mc_standard_error=0.0, n_draws=0,
         seed=0, method=Method.SUFFICIENT_STAT,
@@ -289,11 +292,10 @@ def ri_y_samples(model: ModelContract, observed, pair: HypothesisPair,
     fixed (the sharp-alternative setting).  Completions whose complete-data
     lod is exactly zero are recorded as +inf sentinels.
     """
-    MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat, theta_null, theta_alt, lod_ob = _observed_setup(model, observed,
-                                                               pair.theta_null, pair.theta_alt)
-    support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
-    lods_co = np.asarray(_lod_value(model, theta_alt, theta_null, support), dtype=float)
+    theta_null, theta_alt, lod_ob, draw = _completions(model, observed, pair.theta_null,
+                                                       n_draws, seed, pair.theta_alt)
+    support, counts = draw(0, n_draws)
+    lods_co = _lod_value(model, theta_alt, theta_null, support)
     with np.errstate(divide="ignore"):
         return np.where(lods_co == 0.0, np.inf, lod_ob / lods_co), counts
 
@@ -304,11 +306,9 @@ def lod_ratio_variance(model: ModelContract, observed, theta_null,
 
     Each draw's lod is evaluated at that draw's own complete-data MLE.
     """
-    MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat, theta_null, _, lod_ob = _observed_setup(model, observed, theta_null)
-    support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
-    lods = np.asarray(_lod_value(model, model.mle(support), theta_null, support), dtype=float)
-    var = mc.variance_from_values(lods, counts)
+    theta_null, _, lod_ob, draw = _completions(model, observed, theta_null, n_draws, seed)
+    support, counts = draw(0, n_draws)
+    var = mc.variance_from_values(_lod_at_own_mle(model, theta_null, support), counts)
 
     scale = lod_ob**2
     return RelInfoResult(
@@ -338,12 +338,10 @@ def expected_lod_gap(model: ModelContract, observed, theta_null,
     nonnegative draw by draw (MLE maximality) and its mean is the gap that
     breaks the naive identity between the two conditional expectations.
     """
-    MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
-    theta_hat, theta_null, _, _ = _observed_setup(model, observed, theta_null)
-    support, counts = model.draw_completions_batch(observed, theta_hat, n_draws, seed)
-    at_mle = np.asarray(_lod_value(model, model.mle(support), theta_null, support),
-                        dtype=float)
-    at_fixed = np.asarray(_lod_value(model, theta_hat, theta_null, support), dtype=float)
+    theta_null, theta_hat, _, draw = _completions(model, observed, theta_null, n_draws, seed)
+    support, counts = draw(0, n_draws)
+    at_mle = _lod_at_own_mle(model, theta_null, support)
+    at_fixed = _lod_value(model, theta_hat, theta_null, support)
     diff = at_mle - at_fixed
     return ExpectedLodGap(
         at_draw_mle=mc.estimate_from_values(at_mle, counts),

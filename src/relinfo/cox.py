@@ -757,16 +757,19 @@ class _Completion:
             event_terms = terms if t == 0 else event_terms + terms
             if t + 1 < m:
                 counts -= groups[t] == labels
-        # The new subjects' own terms, in place of their alive weights.
-        above = self._first_at[below]
+        own = self._own_terms(weight, self._first_at[below])
+        new_terms = own[:, 0]
+        for t in range(1, m):
+            new_terms = new_terms + own[:, t]
+        ll = self._base - event_terms - new_terms
+        return ll[0] - ll[1]
+
+    def _own_terms(self, weight: np.ndarray, above: np.ndarray) -> np.ndarray:
+        """New subjects' own terms, log(W_S + capped risk above) + removed, in place of W_S."""
         weight += np.take(self._risk_capped, above, axis=1)
         np.log(weight, out=weight)
         weight += np.take(self._risk_removed, above, axis=1)
-        new_terms = weight[:, 0]
-        for t in range(1, m):
-            new_terms = new_terms + weight[:, t]
-        ll = self._base - event_terms - new_terms
-        return ll[0] - ll[1]
+        return weight
 
     def expected_lod(self) -> float:
         """The exact mean of correct mode's lods, by one forward pass over the walk's lattice.
@@ -784,7 +787,7 @@ class _Completion:
         """
         k, m = self._event_factor.shape[1], self._group.size
         states, mass = self._group_size[None, :], np.eye(1, k + 1)  # all mass at (0, S_0)
-        above = self._first_at[1:]
+        above = self._first_at[None, 1:]
         lod = self._base[0, 0] - self._base[1, 0]
         for t in range(m):
             rows = _state_rows(states, self._group_weight, self._event_factor)
@@ -793,8 +796,7 @@ class _Completion:
             with np.errstate(divide="ignore"):  # log(0) where a state has no mass
                 arrive = np.exp(np.logaddexp.accumulate(np.log(mass) + skip, axis=1) - skip)
             arrive[:, :-1] *= -np.expm1(-np.diff(skip, axis=1))
-            own = (self._risk_removed[:, None, above]
-                   + np.log(self._risk_capped[:, None, above] + rows.own[:, :, None]))
+            own = self._own_terms(rows.own[:, :, None].repeat(k + 1, axis=2), above)
             event_lod = table[0] - table[1]
             lod -= np.sum(arrive * (event_lod + own[0] - own[1])) - np.sum(mass * event_lod)
             if t + 1 == m:
@@ -828,9 +830,10 @@ def _augmentation(data: SurvivalDataset, n_new: int, new_covariates, theta_null_
 
     The observed lod is the mode's own: the Breslow partial-likelihood lod
     (naive) or ``_kp_lod`` (correct), at beta_hat against the null beta
-    (zeros by default).  It is refused unless positive.  The completion,
-    None without new subjects, draws the augmented lods.  The null beta and
-    the new covariates are checked before the fit.
+    (zeros by default).  It is refused unless positive and finite, before
+    any completion is built.  The completion, None without new subjects,
+    draws the augmented lods.  The null beta and the new covariates are
+    checked before the fit.
     """
     dim = data.covariate_dim
     beta_null = (np.zeros(dim) if theta_null_beta is None
@@ -842,13 +845,15 @@ def _augmentation(data: SurvivalDataset, n_new: int, new_covariates, theta_null_
     z_new = _validate_new_covariates(new_covariates, n_new, dim)
     rank = extract_rank_data(data)
     beta_hat, _ = fit_partial_likelihood(rank)
-    if naive:
-        lod_ob = partial_lod(rank, beta_hat, beta_null)
-    else:
-        columns = _kp_columns(data, rank, z_new)
-        lod_ob = _kp_lod(columns, beta_hat, beta_null)
-    if not lod_ob > 0.0:
-        raise UndefinedMeasureError("observed partial-likelihood lod is not positive")
+    with np.errstate(over="ignore", invalid="ignore"):  # a lod past the doubles: refused below
+        if naive:
+            lod_ob = partial_lod(rank, beta_hat, beta_null)
+        else:
+            columns = _kp_columns(data, rank, z_new)
+            lod_ob = _kp_lod(columns, beta_hat, beta_null)
+    if not 0.0 < lod_ob < math.inf:
+        raise UndefinedMeasureError(f"observed partial-likelihood lod is {lod_ob}: not positive "
+                                    "and finite")
     if n_new == 0:
         return lod_ob, None
     if naive:

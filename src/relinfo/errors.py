@@ -18,7 +18,7 @@ class BoundaryError(DomainError):
 
 
 class UndefinedMeasureError(RelInfoError):
-    """Observed lod is zero (a Cox lod: not positive), so the ratio measure is undefined."""
+    """Observed lod is zero (a Cox lod: not positive or not finite), so the ratio is undefined."""
 
 
 class InstabilityError(RelInfoError):

@@ -73,9 +73,9 @@ class MCEstimate:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator keyed by (seed, index)."""
+    """Independent generator keyed by (seed, index), drawing no OS entropy."""
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
 @functools.cache
@@ -128,19 +128,6 @@ def stream_uniforms(seed: int, n_draws: int, per_draw: int = 1, tag: int = 0,
     return u if per_draw == 1 else u.reshape(n_draws, per_draw)
 
 
-def _finite_draws(values) -> tuple[np.ndarray, int]:
-    """The finite draw values, in order, and how many non-finite sentinels were dropped.
-
-    When every value is finite the input array itself is returned, not a copy.
-    """
-    values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    kept = values if finite.all() else values[finite]
-    if kept.size == 0:
-        raise EstimationFailureError("all Monte Carlo draws were sentinels")
-    return kept, values.size - kept.size
-
-
 def histogram(values, counts) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``values`` drawn ``counts`` times each, sorted by value with equal values merged.
 
@@ -156,18 +143,22 @@ def histogram(values, counts) -> tuple[np.ndarray, np.ndarray]:
 def _kept(values, counts=None) -> tuple[np.ndarray, np.ndarray | None, int, int]:
     """(finite values, their counts, finite draws, non-finite sentinel draws).
 
-    Without ``counts`` the values are one per draw and their counts None.
+    Without ``counts`` the values are one per draw, kept in order (the input
+    array itself when every value is finite), and their counts None.
     """
     if counts is None:
-        kept, sentinels = _finite_draws(values)
-        return kept, None, kept.size, sentinels
-    values, counts = histogram(values, counts)
-    finite = np.isfinite(values)
-    kept = counts[finite]
-    n = int(kept.sum())
+        values = np.asarray(values, dtype=float)
+        finite = np.isfinite(values)
+        kept, weight = (values if finite.all() else values[finite]), None
+        n, drawn = kept.size, values.size
+    else:
+        values, counts = histogram(values, counts)
+        finite = np.isfinite(values)
+        kept, weight = values[finite], counts[finite]
+        n, drawn = int(weight.sum()), int(counts.sum())
     if n == 0:
         raise EstimationFailureError("all Monte Carlo draws were sentinels")
-    return values[finite], kept, n, int(counts.sum()) - n
+    return kept, weight, n, drawn - n
 
 
 def _counted_mean(values: np.ndarray, counts: np.ndarray, n: int) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,23 @@ class TestCoxRi:
         assert code == 2
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_infinite_observed_lod_is_refused_before_any_draw(self, capsys, tmp_path,
+                                                             uniforms_drawn, mode):
+        # The null log-likelihood at beta 1e308 overflows to -inf.
+        path = tmp_path / "four.csv"
+        path.write_text("time,status,cov1\n1,1,0\n2,1,1\n3,1,0\n4,1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["cox-ri", "--data", str(path), "--mode", mode, "--n-new", "1",
+                            "--new-covariates", "1", "--draws", "50", "--beta0", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: observed partial-likelihood lod is inf: not positive "
+                                "and finite\n")
+        assert uniforms_drawn == []
 
     @pytest.mark.parametrize("flags", [[], ["--new-covariates", "1"]],
                              ids=["without new covariates", "with new covariates"])

@@ -300,6 +300,40 @@ def test_gathering_from_the_support_equals_one_row_per_draw(obs, p0, p1, seed):
             == core.lod_ratio_variance(per_draw, obs, p0, 5_000, seed))
 
 
+def recording(model):
+    """The model with a log of its draw calls, each as (theta, n_draws, seed, start)."""
+    calls = []
+
+    def draw(observed, theta, n_draws, seed, start=0):
+        calls.append((theta, n_draws, seed, start))
+        return model.draw_completions_batch(observed, theta, n_draws, seed, start=start)
+    return dataclasses.replace(model, draw_completions_batch=draw), calls
+
+
+@pytest.mark.parametrize("measure", [
+    lambda model: core.ri_y_samples(model, BinomialObserved(30, 50, 50),
+                                    HypothesisPair(0.5, 0.65), 3_000, 7),
+    lambda model: core.lod_ratio_variance(model, BinomialObserved(30, 50, 50), 0.5, 3_000, 7),
+    lambda model: core.expected_lod_gap(model, BinomialObserved(30, 50, 50), 0.5, 3_000, 7),
+    lambda model: core.ri1(model, BinomialObserved(30, 50, 50), 0.5, mc.MCConfig(3_000, seed=7)),
+], ids=["ri_y_samples", "lod_ratio_variance", "expected_lod_gap", "ri1"])
+def test_each_measure_draws_one_block_at_the_observed_mle(measure):
+    model, calls = recording(MODEL)
+    measure(model)
+    assert calls == [(0.6, 3_000, 7, 0)]
+    assert type(calls[0][0]) is float
+
+
+def test_adaptive_ri1_reads_consecutive_batches_from_draw_zero():
+    model, calls = recording(MODEL)
+    config = mc.MCConfig(100_000, seed=6, max_relative_se=0.005)
+    result = core.ri1(model, BinomialObserved(550, 1000, 500), 0.5, config)
+    assert 1 < len(calls) < 100_000 // 1024
+    assert calls == [(0.55, 1024, 6, 1024 * k) for k in range(len(calls))]
+    assert result.n_draws == 1024 * len(calls)
+    assert result == core.ri1(MODEL, BinomialObserved(550, 1000, 500), 0.5, config)
+
+
 @pytest.mark.parametrize("measure", [
     lambda obs: core.ri1(MODEL, obs, 0.5),
     lambda obs: core.ri0(MODEL, obs, 0.5),

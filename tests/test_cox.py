@@ -1263,6 +1263,27 @@ def test_negative_tie_broken_observed_lod_is_refused():
     assert ri1_cox_naive(data, 1, [[1.0]], mc_config=MCConfig(n_draws=200, seed=1)).estimate > 0
 
 
+@pytest.mark.parametrize("measure", [
+    functools.partial(ri1_cox_correct, mc_config=MCConfig(n_draws=50, seed=1)),
+    functools.partial(ri1_cox_naive, mc_config=MCConfig(n_draws=50, seed=1)),
+    cox.ri1_cox_correct_exact,
+], ids=["correct", "naive", "exact"])
+@pytest.mark.parametrize("z, lod", [([0, 1, 0, 1], "inf"), ([0, 2, 0, 2], "nan")])
+def test_nonfinite_observed_lod_is_refused_before_a_completion(monkeypatch, measure, z, lod):
+    # At the null beta 1e308 the null log-likelihood overflows to -inf, and
+    # with covariates of 2 a linear predictor does too, so the lod is inf or nan.
+    def build(*args, **kwargs):
+        raise AssertionError("a completion was built")
+
+    monkeypatch.setattr(cox, "_Completion", build)
+    data = dataset(np.arange(1.0, 5.0), [1, 1, 1, 1], z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UndefinedMeasureError, match=f"^observed partial-likelihood lod is "
+                                                        f"{lod}: not positive and finite$"):
+            measure(data, 1, [[1.0]], [1e308])
+
+
 class TestInsertionKernel:
     @pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
     @pytest.mark.parametrize("mode", ["correct", "naive"])

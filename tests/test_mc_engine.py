@@ -59,6 +59,26 @@ def test_substreams_are_independent_of_each_other():
     np.testing.assert_array_equal(direct, again)
 
 
+@pytest.mark.parametrize("seed, index", [(0, 0), (9, 5), (20090417, 19), (2**64 - 1, 3)])
+def test_substream_is_numpys_philox_under_its_key(seed, index):
+    want = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    got = mc.substream(seed, index)
+    np.testing.assert_array_equal(got.random(16), want.random(16))
+    np.testing.assert_array_equal(got.integers(0, 2, size=16), want.integers(0, 2, size=16))
+
+
+def test_no_stream_draws_os_entropy(monkeypatch):
+    def entropy(*args):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", entropy)
+    with pytest.raises(AssertionError, match="OS entropy"):  # the patch bites Philox(key=...)
+        np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+    mc.substream(1, 2).random(4)
+    mc.open_stream(1, 5, tag=3).random_raw(4)
+    mc.stream_uniforms(1, 4, per_draw=2)
+
+
 def test_stream_uniforms_shapes_and_determinism():
     u1 = mc.stream_uniforms(7, 10)
     u2 = mc.stream_uniforms(7, 10)

@@ -87,6 +87,25 @@ def test_every_private_definition_has_a_reference():
     assert [f"{where}: {name}" for name, where in private.items() if name not in referenced] == []
 
 
+def philox_calls(path):
+    """``(line, keywords)`` of each call in ``path`` whose callee is named ``Philox``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+            if name == "Philox":
+                yield node.lineno, {keyword.arg for keyword in node.keywords}
+
+
+def test_philox_is_built_only_in_mc_and_never_from_os_entropy():
+    # ``Philox(key=...)`` builds and discards an entropy-seeded SeedSequence;
+    # mc hands Philox its key through a seed sequence that draws none.
+    calls = {path.name: list(philox_calls(path)) for path in sorted(SOURCE.glob("*.py"))}
+    assert calls["mc.py"]
+    assert [f"{name}:{line}" for name, found in calls.items() for line, keywords in found
+            if name != "mc.py" or "key" in keywords] == []
+
+
 # Every subcommand at a tiny size, then the modules the run loaded.
 RUN_EVERY_COMMAND = """
 import contextlib, io, json, sys
