@@ -83,8 +83,9 @@ def _read_text(path) -> str:
             f"{path}: not UTF-8 text: byte 0x{data[offset]:02x} at offset {offset}") from exc
 
 
-def _raise_for_first_bad_row(path: str, header: list[str], lines: list[str]):
-    """Raise for the first data row that breaks the schema; some row does."""
+def _read_rows(path: str, header: list[str], lines: list[str]) -> cox.SurvivalDataset:
+    """The data rows, each read by ``float``; raises for the first that breaks the schema."""
+    values = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -92,31 +93,22 @@ def _raise_for_first_bad_row(path: str, header: list[str], lines: list[str]):
         if len(cells) != len(header):
             raise ValidationError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
+        row = []
         for col, cell in enumerate(cells, start=1):
             where = f"{path}:{lineno}: column {col} ({header[col - 1]})"
             try:
-                value = float(cell)
+                row.append(float(cell))
             except ValueError as exc:
                 raise ValidationError(f"{where}: not a number: {cell.strip()!r}") from exc
-            if not math.isfinite(value):
+            if not math.isfinite(row[-1]):
                 raise ValidationError(f"{where}: not a finite number: {cell.strip()!r}")
-        if float(cells[0]) <= 0:
+        if row[0] <= 0:
             raise ValidationError(f"{path}:{lineno}: column 1 (time): must be positive")
-        if float(cells[1]) not in (0.0, 1.0):
+        if row[1] not in (0.0, 1.0):
             raise ValidationError(f"{path}:{lineno}: column 2 (status): must be 0 or 1")
-    raise AssertionError(f"{path}: the whole-file checks refused a file whose rows all pass")
-
-
-def _checked_values(rows: list[str], width: int) -> np.ndarray | None:
-    """The rows' cells as a (rows, width) array, or None when a row is not ``width`` numbers."""
-    if not all(row.count(",") == width - 1 for row in rows):
-        return None
-    cells = ",".join(rows).split(",")
-    try:
-        values = np.fromiter(map(float, cells), float, count=len(cells))
-    except ValueError:
-        return None
-    return values.reshape(len(rows), width)
+        values.append(row)
+    values = np.array(values)
+    return cox.SurvivalDataset.from_arrays(values[:, 0], values[:, 1], values[:, 2:])
 
 
 def read_survival_csv(path: str) -> cox.SurvivalDataset:
@@ -124,9 +116,14 @@ def read_survival_csv(path: str) -> cox.SurvivalDataset:
 
     Status is 1 for an event, 0 for a censored record.  The file is UTF-8,
     with or without a byte-order mark, and blank lines are skipped.
-    Parsing is locale-free: decimal points only, each cell read by
-    ``float``.  The values are checked by ``SurvivalDataset``; a refused
-    file is reported at its first bad row.
+    Parsing is locale-free, decimal points only, and a ``#`` or a quote is
+    part of its cell.  numpy's C reader parses a valid file in one pass,
+    with the same string-to-double routine as ``float``; a file it refuses,
+    or whose values ``SurvivalDataset`` refuses, is read again row by row
+    with ``float``, which accepts the cells only it reads (``1_0``,
+    full-width digits) and reports the first bad row.  Values the doubles
+    cannot carry are refused later: covariates too large to square and sum
+    (the Cox fit), and fixed terms or a Monte Carlo SE that overflow.
     """
     lines = _read_text(path).splitlines()
     if not lines:
@@ -134,16 +131,17 @@ def read_survival_csv(path: str) -> cox.SurvivalDataset:
     header = [h.strip() for h in lines[0].split(",")]
     if len(header) < 3 or header[0] != "time" or header[1] != "status":
         raise ValidationError(f"{path}:1: header must be time,status,cov1..covK")
+    # numpy's reader refuses whitespace-only lines, so blank lines go here.
     rows = [line for line in lines[1:] if line.strip()]
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    values = _checked_values(rows, len(header))
-    if values is not None:
-        try:
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] == len(header):
             return cox.SurvivalDataset.from_arrays(values[:, 0], values[:, 1], values[:, 2:])
-        except ValidationError:
-            pass  # reported below, at its row
-    _raise_for_first_bad_row(path, header, lines)
+    except (ValueError, ValidationError):
+        pass  # a cell only ``float`` reads, or a bad row: read again below
+    return _read_rows(path, header, lines)
 
 
 def parse_design(spec: str) -> design.Design:

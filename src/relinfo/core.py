@@ -204,8 +204,12 @@ def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
             {"denominator_mean": est.mean, "denominator_se": est.standard_error,
              "n_effective": est.n_effective, "sentinel_count": est.sentinel_count},
         )
-    # Delta method for a ratio with a fixed numerator.
-    se = abs(lod_ob) * est.standard_error / est.mean**2
+    # Delta method for a ratio with a fixed numerator; past about 1e154 the
+    # square of the mean overflows, so the ratio is taken twice.
+    try:
+        se = abs(lod_ob) * est.standard_error / est.mean**2
+    except OverflowError:
+        se = abs(lod_ob) / est.mean * (est.standard_error / est.mean)
     return RelInfoResult(
         estimate=lod_ob / est.mean, mc_standard_error=se,
         n_draws=est.n_draws, seed=config.seed, method=Method.MONTE_CARLO,

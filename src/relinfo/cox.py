@@ -42,6 +42,7 @@ from .mc import MCConfig
 EVENT = 1
 CENSORED = 0
 
+_DOUBLE_MAX = float(np.finfo(float).max)
 _NEWTON_MAX_ITER = 50
 _NEWTON_GRAD_TOL = 1e-8
 _SEPARATION_NORM = 50.0
@@ -265,7 +266,16 @@ def _score_and_information_at(rank: RankData):
     """Score and information as a function of beta, the arrays free of beta built once."""
     # Centering the covariates leaves score and information unchanged and
     # keeps the second-moment difference below well conditioned.
-    z = (rank.covariates - rank.covariates.mean(axis=0))[rank.order]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        z = (rank.covariates - rank.covariates.mean(axis=0))[rank.order]
+    # The score's squared norm, at most d (2 n max|z|)^2, bounds every sum
+    # of squares and products below: it must be a double.
+    n, d = z.shape
+    largest = float(np.abs(z).max(initial=0.0))
+    if not 2.0 * n * largest <= math.sqrt(_DOUBLE_MAX / max(d, 1)):
+        raise ValidationError(f"covariates too large for the Cox fit: centred values up to "
+                              f"{largest:.3g} overflow a double when squared and summed "
+                              f"over {n} subjects")
     zz = (z[:, :, None] * z[:, None, :]).transpose(1, 2, 0)
     event_z, start = z[rank.event].T, rank.tie_start[rank.event]
 
@@ -314,7 +324,9 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
     Step halving enforces a likelihood increase at every iteration.  A
     monotone likelihood is reported as separation: exactly, before Newton,
     for one covariate, and for several by a diverging coefficient norm.  A
-    singular information matrix is reported as rank deficiency.
+    singular information matrix is reported as rank deficiency.  Covariates
+    whose centred squares, summed over the subjects, would overflow a double
+    are refused before Newton (ValidationError).
     """
     d = rank.covariates.shape[1]
     if d == 1:
@@ -592,10 +604,19 @@ class _Completion:
         # Correct mode's walk puts the failures' risk sums and the new
         # relative hazards at beta_hat on one scale.
         law = np.concatenate([event_log_risk[0], new_eta[0]])
-        if (np.any(shift - new_eta.min(axis=1, keepdims=True) > _EXP_SPAN)
-                or np.any(shift - event_log_risk.min(axis=1, keepdims=True) > _EXP_SPAN)
-                or self.fixed_levels is None and law.max() - law.min() > _EXP_SPAN):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            span = (np.any(shift - new_eta.min(axis=1, keepdims=True) > _EXP_SPAN)
+                    or np.any(shift - event_log_risk.min(axis=1, keepdims=True) > _EXP_SPAN)
+                    or self.fixed_levels is None and law.max() - law.min() > _EXP_SPAN)
+            # Partial log-likelihood of the existing subjects alone, plus the
+            # new subjects' own eta.
+            base = (eta[:, :n][:, event].sum(axis=1) - event_log_risk.sum(axis=1)
+                    + new_eta.sum(axis=1))[:, None]
+        if span:
             raise DataIntegrityError("relative hazards span more than the range of doubles")
+        if not np.all(np.isfinite(base)):
+            raise DataIntegrityError("the augmented partial log-likelihood's fixed terms are "
+                                     "outside the range of doubles")
         # Existing risk sums in units of exp(shift), capped at exp(_EXP_SPAN),
         # where the new weights (at most m) vanish beside them; the log of
         # what the cap removes is kept apart, with the shift.
@@ -620,10 +641,7 @@ class _Completion:
             "_event_factor": event_factor,
             "_risk_capped": np.exp(capped),
             "_risk_removed": removed + shift,
-            # Partial log-likelihood of the existing subjects alone, plus the
-            # new subjects' own eta.
-            "_base": (eta[:, :n][:, event].sum(axis=1) - event_log_risk.sum(axis=1)
-                      + new_eta.sum(axis=1))[:, None],
+            "_base": base,
             "_group": group,
             "_group_size": size,
             "_group_weight": group_weight,
@@ -1031,8 +1049,9 @@ def conditioning_anomaly_study(n_datasets: int = 100, n_subjects: int = 20,
         raise ValidationError("n_new must be >= 0")
     if not (math.isfinite(censoring_rate) and censoring_rate >= 0):
         raise ValidationError("censoring_rate must be a finite exponential rate >= 0 (0: none)")
-    if not math.isfinite(beta_true):
-        raise ValidationError("beta_true must be finite")
+    if not abs(beta_true) <= math.log(_DOUBLE_MAX):
+        raise ValidationError(f"beta_true must have a finite relative hazard "
+                              f"exp(|beta_true|); got {beta_true!r}")
     MCConfig(n_draws=n_draws, seed=seed)  # refuses n_draws < 2 and a non-uint64 seed
     child = np.random.SeedSequence(seed).generate_state(4 * n_datasets, np.uint64)
     child = child.reshape(n_datasets, 4)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EstimationFailureError, ValidationError
+from .errors import EstimationFailureError, InstabilityError, ValidationError
 
 #: Fixed default so unseeded runs are reproducible.
 DEFAULT_SEED = 20090417
@@ -172,17 +172,24 @@ def _counted_mean(values: np.ndarray, counts: np.ndarray, n: int) -> float:
 
 
 def _mean_and_se(kept: np.ndarray, weight: np.ndarray | None, n: int) -> tuple[float, float]:
-    """Mean of the finite draws and its standard error (inf below two draws)."""
-    if weight is None:
-        mean = float(np.mean(kept))
-        if n < 2:
-            return mean, math.inf
-        return mean, float(np.std(kept, ddof=1) / math.sqrt(n))
-    mean = _counted_mean(kept, weight, n)
+    """Mean of the finite draws and its standard error (inf below two draws).
+
+    Raises InstabilityError when the mean is finite but the squared
+    deviations from it overflow, as they do for draws beyond about 1e154.
+    """
+    mean = float(np.mean(kept)) if weight is None else _counted_mean(kept, weight, n)
     if n < 2:
         return mean, math.inf
-    d = kept - mean
-    return mean, math.sqrt(float(np.sum(weight * (d * d))) / (n - 1)) / math.sqrt(n)
+    with np.errstate(over="ignore"):
+        if weight is None:
+            se = float(np.std(kept, ddof=1) / math.sqrt(n))
+        else:
+            d = kept - mean
+            se = math.sqrt(float(np.sum(weight * (d * d))) / (n - 1)) / math.sqrt(n)
+    if math.isfinite(mean) and not math.isfinite(se):
+        raise InstabilityError(f"Monte Carlo standard error overflows: the draws near {mean:.3g} "
+                               "are too large to square", {"mean": mean, "n_effective": n})
+    return mean, se
 
 
 def estimate_from_values(values: np.ndarray, counts: np.ndarray | None = None) -> MCEstimate:

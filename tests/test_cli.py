@@ -467,6 +467,12 @@ class TestCoxRi:
             cli.read_survival_csv(str(path))
 
 
+def assert_same_arrays(got, want):
+    for a, b in zip(got.arrays(), want.arrays(), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 # Cells that ``float`` reads in its own way: underscores, padding, full-width
 # digits and overflow are accepted, hexadecimal and stray underscores are not.
 ODD_CELLS = ["1_0", " 2.5 ", "\t3", "１２", "inf", "nan", "1e400", "1e-400", "-0",
@@ -558,6 +564,46 @@ class TestSurvivalCsvReader:
             cli.read_survival_csv(str(path))
         assert str(info.value) == f"{path}:2001: column 3 (cov1): not a number: '0x10'"
         assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("cell", ["1_0", "１２", "\xa00.5\xa0"],
+                             ids=["underscore", "full-width digits", "no-break space padding"])
+    def test_cells_only_float_reads_load_as_the_reference_reads_them(self, tmp_path, cell):
+        path = tmp_path / "odd.csv"
+        path.write_text(f"time,status,cov1\n{cell},1,{cell}\n2.5,0,-1\n", encoding="utf-8")
+        assert_same_arrays(cli.read_survival_csv(str(path)),
+                           reference_reader.read_survival_csv(str(path)))
+
+    @pytest.mark.parametrize("cell", ["0.5#9", '"0.5"'], ids=["hash", "quotes"])
+    def test_a_hash_or_a_quote_is_part_of_its_cell(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,status,cov1\n2.5,0,0.25\n1.5,1,{cell}\n")
+        with pytest.raises(ValidationError) as info:
+            cli.read_survival_csv(str(path))
+        assert str(info.value) == f"{path}:3: column 3 (cov1): not a number: {cell!r}"
+
+    def test_a_file_past_numpys_chunk_of_rows_matches_the_reference(self, tmp_path):
+        # numpy's reader takes 50,000 rows at a time.
+        rows = [f"{t + 1}.5,{t % 2},{t / 7!r}" for t in range(50_010)]
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(["time,status,cov1", *rows]) + "\n")
+        assert_same_arrays(cli.read_survival_csv(str(path)),
+                           reference_reader.read_survival_csv(str(path)))
+        path.write_text("\n".join(["time,status,cov1", *rows[:-1], "7.5,1,0x10"]) + "\n")
+        with pytest.raises(ValidationError) as info:
+            cli.read_survival_csv(str(path))
+        assert str(info.value) == f"{path}:50011: column 3 (cov1): not a number: '0x10'"
+
+    def test_a_valid_file_is_never_read_row_by_row(self, tmp_path, monkeypatch):
+        censored, _ = simulate_ph_binary(2000, 0.5, np.random.default_rng(3), 0.25)
+        path = tmp_path / "surv.csv"
+        write_survival_csv(path, censored)
+        want = reference_reader.read_survival_csv(str(path))
+
+        def refuse(*args):
+            raise AssertionError("read row by row")
+
+        monkeypatch.setattr(cli, "_read_rows", refuse)
+        assert_same_arrays(cli.read_survival_csv(str(path)), want)
 
     @pytest.mark.parametrize("text", ["time,status,cov1\n", "time,status,cov1\n\n  \n\t\n"],
                              ids=["header only", "blank rows only"])
@@ -746,3 +792,48 @@ def test_doss_replication_on_two_subjects_is_a_measure_error(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: all 2 simulated datasets failed")
+
+
+FOUR_ROWS = "time,status,cov1\n1,1,0\n2,1,1\n3,1,0\n4,1,1\n"
+COX_ONE_NEW = ["cox-ri", "--data", "{data}", "--n-new", "1", "--new-covariates", "1"]
+
+
+def huge_covariate(z):
+    return f"time,status,cov1\n1,1,0\n2,1,{z}\n3,1,0\n4,0,1\n5,1,0.5\n"
+
+
+# Hostile input, one row each: a name, the input file's contents (None for
+# none) and the argv, where "{data}" stands for the file.  Cox rows run in
+# both modes.
+HOSTILE_COX = [
+    ("observed lod about 1e300", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "50", "--beta0", "1e300"]),
+    ("null fixed terms overflow", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "50", "--beta0=-1e308"]),
+    ("infinite observed lod", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "50", "--beta0", "1e308"]),
+    ("covariate 1e300", huge_covariate("1e300"), [*COX_ONE_NEW, "--draws", "10"]),
+    ("covariate 1e160", huge_covariate("1e160"), [*COX_ONE_NEW, "--draws", "10"]),
+    ("one draw", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "1"]),
+    ("not UTF-8", b"time,status,cov1\n1.5,1,0.\xff\n2.5,1,1\n", COX_ONE_NEW),
+    ("non-finite covariate", "time,status,cov1\n1,1,0\n2,1,-inf\n3,1,1\n", COX_ONE_NEW),
+]
+HOSTILE = [
+    *(pytest.param(data, [*argv, "--mode", mode], id=f"{name}, {mode}")
+      for name, data, argv in HOSTILE_COX for mode in ("correct", "naive")),
+    pytest.param(None, ["doss-replication", "--beta-true=1e3", "--n-datasets", "2"],
+                 id="beta_true 1e3"),
+    pytest.param(None, ["doss-replication", "--beta-true=-1e3", "--n-datasets", "2"],
+                 id="beta_true -1e3"),
+]
+
+
+@pytest.mark.parametrize("data, argv", HOSTILE)
+def test_hostile_input_ends_in_one_error_line(capsys, tmp_path, data, argv):
+    path = tmp_path / "input.csv"
+    if data is not None:
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run([arg.replace("{data}", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

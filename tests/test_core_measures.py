@@ -115,6 +115,15 @@ class TestNonpositiveDenominator:
             <= 3 * diagnostics["denominator_se"]
 
 
+def test_delta_method_se_survives_a_mean_whose_square_overflows():
+    # Lods near 2e160 whose spread stays squarable: mean**2 overflows.
+    lods = 2e160 * (1.0 + 1e-10 * np.random.default_rng(5).random(100))
+    result = core.ri1_monte_carlo(2e160, lambda lo, hi: lods[lo:hi], mc.MCConfig(100, seed=1))
+    mean, se = result.diagnostics["denominator_mean"], result.diagnostics["denominator_se"]
+    assert 0.0 < se < math.inf
+    assert result.mc_standard_error == pytest.approx(2e160 / mean * (se / mean), rel=1e-12)
+
+
 class TestRi0:
     def test_no_missing_gives_one(self):
         assert core.ri0(MODEL, BinomialObserved(7, 10, 0), 0.5).estimate == \

@@ -130,6 +130,18 @@ class TestFit:
         with pytest.raises(RankDeficiencyError):
             fit_partial_likelihood(extract_rank_data(data))
 
+    @pytest.mark.parametrize("z", [1e300, 1e160, 1e154])
+    def test_covariates_whose_squares_overflow_are_refused(self, z):
+        data = dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 0, 1], [0.0, z, 0.0, 1.0, 0.5])
+        with pytest.raises(ValidationError, match="covariates too large for the Cox fit"):
+            fit_partial_likelihood(extract_rank_data(data))
+
+    def test_the_largest_accepted_covariates_fit_without_a_warning(self):
+        # Centred, the largest is 8e152: 2 n times it is below sqrt(max double).
+        data = dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 0, 1], [0.0, 1e153, 0.0, 1.0, 0.5])
+        beta, se = fit_partial_likelihood(extract_rank_data(data))
+        assert np.all(np.isfinite(beta)) and np.all(np.isfinite(se))
+
     def test_contrast_only_outside_every_risk_set_is_rank_deficient(self):
         # The one nonzero covariate is censored before the first event, so
         # the information is a rounding residue that once gave a NaN SE.
@@ -498,6 +510,19 @@ class TestAugmentationMeasures:
         with pytest.raises(DataIntegrityError, match="span more than the range of doubles"):
             measure(data, 1, [[-1e6]], mc_config=MCConfig(n_draws=64, seed=1))
 
+    @pytest.mark.parametrize("mode", ["correct", "naive", "exact"])
+    def test_fixed_terms_past_the_doubles_are_refused_before_any_draw(self, monkeypatch, mode):
+        # At a null beta of -1e308 the observed lod is about 1e308, but the
+        # null's sum of the events' eta overflows.
+        data = dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], [0.0, 1.0, 0.0, 1.0])
+        config = MCConfig(n_draws=50, seed=1)
+        measure = {"correct": functools.partial(ri1_cox_correct, mc_config=config),
+                   "naive": functools.partial(ri1_cox_naive, mc_config=config),
+                   "exact": cox.ri1_cox_correct_exact}[mode]
+        monkeypatch.setattr(mc, "stream_uniforms", None)
+        with pytest.raises(DataIntegrityError, match="fixed terms are outside the range"):
+            measure(data, 1, [[1.0]], [-1e308])
+
     def test_exact_refuses_the_span_monte_carlo_refuses(self):
         data, _ = simulate_ph_binary(8, 0.5, np.random.default_rng(5), 0.0)
         with pytest.raises(DataIntegrityError, match="span more than the range of doubles"):
@@ -524,6 +549,13 @@ class TestConditioningStudy:
         assert study.max_correct_excess_se == pytest.approx(-0.5)
         assert correct_study([1.0, 0.5], [0.0, 0.0]).max_correct_excess_se == -math.inf
         assert correct_study([], []).max_correct_excess_se == -math.inf
+
+    @pytest.mark.parametrize("beta_true", [1e3, -1e3, 710.0, math.nan])
+    def test_beta_true_without_a_finite_relative_hazard_is_refused(self, monkeypatch,
+                                                                   beta_true):
+        monkeypatch.setattr(cox, "simulate_ph_binary", None)  # refused before any simulation
+        with pytest.raises(ValidationError, match="beta_true"):
+            cox.conditioning_anomaly_study(n_datasets=2, beta_true=beta_true)
 
     def test_no_usable_dataset_gives_a_nan_fraction(self):
         # Every two-subject fit fails; the fraction was a mean of no

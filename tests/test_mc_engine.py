@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_reductions
 from relinfo import mc
-from relinfo.errors import EstimationFailureError, ValidationError
+from relinfo.errors import EstimationFailureError, InstabilityError, ValidationError
 from relinfo.mc import MCConfig
 
 
@@ -128,6 +128,13 @@ def test_sentinels_excluded_and_counted():
 def test_all_sentinels_raise():
     with pytest.raises(EstimationFailureError):
         mc.estimate_from_values(np.array([np.inf, np.nan]))
+
+
+@pytest.mark.parametrize("counts", [None, np.array([3, 1])], ids=["per draw", "histogram"])
+def test_standard_error_that_overflows_is_an_instability(counts):
+    # Deviations near 5e299 from a finite mean overflow when squared.
+    with pytest.raises(InstabilityError, match="standard error overflows"):
+        mc.estimate_from_values(np.array([1e300, 2e300]), counts)
 
 
 def test_variance_excludes_and_counts_sentinels():
