@@ -346,11 +346,15 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
         scale = 1.0
         for _ in range(40):
             candidate = beta + scale * step
+            # Once the step rounds away, so do all smaller ones.
+            if np.array_equal(candidate, beta):
+                cand_ll = ll
+                break
             cand_ll = partial_log_likelihood(rank, candidate)
             if cand_ll > ll:
                 break
             scale /= 2.0
-        else:
+        if not cand_ll > ll:
             # No step improves the likelihood: at a machine-precision
             # optimum the gradient is tiny but above the strict tolerance.
             if float(np.linalg.norm(score)) < 1e-6:
@@ -458,9 +462,10 @@ def _count_at_most(table: np.ndarray, start: np.ndarray | int, width: int,
                    target: np.ndarray) -> np.ndarray:
     """How many entries of ``table[start[i]:start[i] + width]`` lie at or below ``target[i]``.
 
-    ``table`` is flat, and each of its rows of ``width`` entries is sorted
-    and ends in at least one +inf.  The width is a power of two, so one
-    bisection serves every draw at once, whatever its row.
+    Correct mode's search in the state's prefix table.  ``table`` is flat,
+    and each of its rows of ``width`` entries is sorted and ends in at
+    least one +inf.  The width is a power of two, so one bisection serves
+    every draw at once, whatever its row.
     """
     count = start  # start plus the entries found so far
     step = width // 2
@@ -469,6 +474,17 @@ def _count_at_most(table: np.ndarray, start: np.ndarray | int, width: int,
         count = count + step * (np.take(table[step - 1:], count) <= target)
         step //= 2
     return count - start
+
+
+def _bucket(level: np.ndarray, scale: float, n_buckets: int) -> np.ndarray:
+    """Naive mode's guide bucket of each level: trunc(clip(level * scale, 0, n_buckets)).
+
+    Nondecreasing in the level, as an IEEE product by a constant >= 0 and
+    truncation are, so a level in a lower bucket lies strictly below.
+    """
+    # An overflow is clipped to the top bucket; inf * 0 (NaN) falls to 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.minimum(np.fmax(level * scale, 0), n_buckets).astype(np.intp)
 
 
 class _Rows(NamedTuple):
@@ -557,9 +573,9 @@ class _Completion:
     walks the Plackett-Luce lattice (i, S) of Kalbfleisch and Prentice, i
     failures done: from (i, S) failure i comes next with probability r_i /
     (r_i + V_S), r_i its risk sum, which is the law of independent
-    exponential levels, by memorylessness.  Both modes place a new subject
-    by one bisection over all draws (``_count_at_most``): naive mode in the
-    fixed levels padded with +inf, correct mode in the state's prefix table.
+    exponential levels, by memorylessness.  Naive mode places a new subject
+    through a guide over the fixed levels (``_below``), correct mode by one
+    bisection over all draws in the state's prefix table (``_count_at_most``).
 
     New subjects whose linear predictors are equal under both parameters
     are exchangeable, so a state S counts the alive subjects of each such
@@ -571,9 +587,11 @@ class _Completion:
     At the alternative W_S f_i is V_S / r_i, so the same table is correct
     mode's walk law.  When every state but the all-failed one, which no
     round reads, fits ``_BLOCK_ELEMENTS`` with its rows, the completion
-    builds them all once, indexed by code (see ``_in_code_order``);
-    otherwise each round builds the rows of the states its draws are in,
-    in runs that fit the budget.  So that the linear scale stays exact, it
+    builds them all once, indexed by code (see ``_in_code_order``), and
+    beside them, if the budget holds it too, each state's own term of a
+    failing new subject at every number of anchors below it; otherwise
+    each round builds the rows of the states its draws are in, in runs
+    that fit the budget.  So that the linear scale stays exact, it
     refuses a new subject whose relative hazard exceeds another new
     subject's, or an existing event's risk sum, by more than
     exp(``_EXP_SPAN``); correct mode also refuses failures' risk sums and
@@ -635,6 +653,15 @@ class _Completion:
             place = np.cumprod(np.concatenate([[1], radix[:-1]]))
             codes = np.arange(1, n_states + 1)
             table = _state_rows(codes[:, None] // place % radix, group_weight, event_factor)
+        guide = scale = None
+        if self.fixed_levels is not None:
+            # Naive mode's guide (Chen and Asau): guide[b] fixed levels lie
+            # in buckets below b.  O(n) per completion, like the level
+            # table, so the state budget does not count it.
+            n_buckets, top = 8 << n.bit_length(), self.fixed_levels[-1]
+            scale = n_buckets / top if top > n_buckets / _DOUBLE_MAX else 0.0
+            guide = np.searchsorted(_bucket(self.fixed_levels, scale, n_buckets),
+                                    np.arange(n_buckets + 1))
         for name, value in {
             "_first_at": first_at,
             "_events_before": np.searchsorted(event_anchor, np.arange(n_anchors + 1)),
@@ -648,10 +675,20 @@ class _Completion:
             "_state_elements": state_elements,
             "_place": place,
             "_table": table,
-            "_level_table": None if self.fixed_levels is None else np.concatenate(
-                [self.fixed_levels, np.full((1 << n.bit_length()) - n, np.inf)]),
+            "_guide": guide,
+            "_guide_scale": scale,
+            "_level_table": None if self.fixed_levels is None else np.append(
+                self.fixed_levels, np.inf),
         }.items():
             object.__setattr__(self, name, value)
+        # (2, states, anchors + 1): the own term of a new subject failing
+        # from each state with each number of anchors below it, when the
+        # budget holds it beside the whole table.
+        own_table, width = None, n_anchors + 1
+        if table is not None and n_states * (state_elements + 2 * width) <= _BLOCK_ELEMENTS:
+            own_table = self._own_terms(table.own[:, :, None].repeat(width, axis=2),
+                                        first_at[None, :])
+        object.__setattr__(self, "_own_table", own_table)
 
     @property
     def per_draw(self) -> int:
@@ -673,9 +710,18 @@ class _Completion:
         return out
 
     def _below(self, level: np.ndarray) -> np.ndarray:
-        """How many fixed levels lie strictly below each level: at or below the next double down."""
-        table = self._level_table
-        return _count_at_most(table, 0, table.size, np.nextafter(level, -np.inf))
+        """How many fixed levels lie strictly below each level, as ``np.searchsorted`` counts them.
+
+        The guide gives the fixed levels in lower buckets, all below the
+        level; one step passes the next one if it is below too, and the
+        few draws still behind it are searched.
+        """
+        below = np.take(self._guide, _bucket(level, self._guide_scale, self._guide.size - 1))
+        below += np.take(self._level_table, below) < level
+        behind = np.take(self._level_table, below) < level
+        if behind.any():
+            below[behind] = np.searchsorted(self.fixed_levels, level[behind])
+        return below
 
     def _walk(self, u: np.ndarray):
         """Each draw's walk: where its new subjects fall, in the order they fail, and its lod.
@@ -688,10 +734,10 @@ class _Completion:
         fixed levels below it (``_below``).  Correct mode passes failures:
         from (i, S), the last i' with A_S(i') <= A_S(i) + E in the state's
         prefix table at the alternative, so that at least j are passed with
-        probability prod_{l < j} r_{i+l} / (r_{i+l} + V_S).  Both searches
-        are one ``_count_at_most`` bisection over all draws.  Returns the
-        lods, the group that fails in each round but the last, (m - 1,
-        draws), and the anchors below each new subject, (m, draws).
+        probability prod_{l < j} r_{i+l} / (r_{i+l} + V_S), by one
+        ``_count_at_most`` bisection over all draws.  Returns the lods, the
+        group that fails in each round but the last, (m - 1, draws), and
+        the anchors below each new subject, (m, draws).
         """
         m, n_draws = self._group.size, u.shape[1]
         groups = np.empty((m - 1, n_draws), dtype=np.intp)
@@ -736,15 +782,21 @@ class _Completion:
         (Breslow).  The existing events between new subjects t - 1 and t
         see W_{S_t}, S_t the alive state before new subject t fails, and new
         subject t's own risk set is the existing subjects above its level
-        plus W_{S_t}.  Each draw's terms are summed in round order, so its
-        lod does not depend on the other draws.
+        plus W_{S_t}: read from the own table at S_t's row when the
+        completion holds one, else formed from W_{S_t} (``_own_terms``),
+        the same doubles.  Each draw's terms are summed in round order, so
+        its lod does not depend on the other draws.
         """
         m, n_draws = below.shape
         walk, naive = exps is not None, self.fixed_levels is not None
         counts = np.repeat(self._group_size[:, None], n_draws, axis=1)
         labels = np.arange(counts.shape[0])[:, None]
         level = np.zeros(n_draws)
-        weight = np.empty((2, m, n_draws))
+        # Each new subject's state row in the whole table, or W_S per parameter.
+        if self._own_table is None:
+            weight = np.empty((2, m, n_draws))
+        else:
+            state_row = np.empty((m, n_draws), dtype=np.intp)
         start = np.zeros(n_draws, dtype=np.intp)  # the events below the last new subject
         for t in range(m):
             if walk and (naive or t + 1 < m):
@@ -769,13 +821,20 @@ class _Completion:
                 bounds = self._events_before[below[t, here]]
                 terms[:, here] = np.take(table, flat + bounds, axis=1) - passed
                 start[here] = bounds
-                weight[:, t, here] = np.take(rows.own, row, axis=1)
+                if self._own_table is None:
+                    weight[:, t, here] = np.take(rows.own, row, axis=1)
+                else:
+                    state_row[t] = row
             # Summed in round order: numpy's sum over the rounds is pairwise
             # for one draw and m >= 8.
             event_terms = terms if t == 0 else event_terms + terms
             if t + 1 < m:
                 counts -= groups[t] == labels
-        own = self._own_terms(weight, self._first_at[below])
+        if self._own_table is None:
+            own = self._own_terms(weight, self._first_at[below])
+        else:
+            width = self._own_table.shape[2]
+            own = np.take(self._own_table.reshape(2, -1), state_row * width + below, axis=1)
         new_terms = own[:, 0]
         for t in range(1, m):
             new_terms = new_terms + own[:, t]

@@ -174,10 +174,15 @@ def _counted_mean(values: np.ndarray, counts: np.ndarray, n: int) -> float:
 def _mean_and_se(kept: np.ndarray, weight: np.ndarray | None, n: int) -> tuple[float, float]:
     """Mean of the finite draws and its standard error (inf below two draws).
 
-    Raises InstabilityError when the mean is finite but the squared
-    deviations from it overflow, as they do for draws beyond about 1e154.
+    Raises InstabilityError when the finite draws' mean overflows, or when
+    the mean is finite but the squared deviations from it overflow, as they
+    do for draws beyond about 1e154.
     """
-    mean = float(np.mean(kept)) if weight is None else _counted_mean(kept, weight, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(kept)) if weight is None else _counted_mean(kept, weight, n)
+    if not math.isfinite(mean):
+        raise InstabilityError(f"Monte Carlo mean overflows: {n} finite draws sum past the "
+                               "range of doubles", {"n_effective": n})
     if n < 2:
         return mean, math.inf
     with np.errstate(over="ignore"):
@@ -186,7 +191,7 @@ def _mean_and_se(kept: np.ndarray, weight: np.ndarray | None, n: int) -> tuple[f
         else:
             d = kept - mean
             se = math.sqrt(float(np.sum(weight * (d * d))) / (n - 1)) / math.sqrt(n)
-    if math.isfinite(mean) and not math.isfinite(se):
+    if not math.isfinite(se):
         raise InstabilityError(f"Monte Carlo standard error overflows: the draws near {mean:.3g} "
                                "are too large to square", {"mean": mean, "n_effective": n})
     return mean, se

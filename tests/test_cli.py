@@ -809,6 +809,7 @@ HOSTILE_COX = [
     ("observed lod about 1e300", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "50", "--beta0", "1e300"]),
     ("null fixed terms overflow", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "50", "--beta0=-1e308"]),
     ("infinite observed lod", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "50", "--beta0", "1e308"]),
+    ("draws' mean overflows", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "50", "--beta0", "1e307"]),
     ("covariate 1e300", huge_covariate("1e300"), [*COX_ONE_NEW, "--draws", "10"]),
     ("covariate 1e160", huge_covariate("1e160"), [*COX_ONE_NEW, "--draws", "10"]),
     ("one draw", FOUR_ROWS, [*COX_ONE_NEW, "--draws", "1"]),

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+import reference_newton
 from relinfo import cox, mc
 from relinfo.cox import (
     ConditioningStudy,
@@ -217,6 +218,41 @@ class TestFit:
             assert abs(beta[0] - grid_search_beta(censored)) <= 1e-6
             checked += 1
 
+    def test_line_search_stops_once_the_step_no_longer_moves_beta(self, monkeypatch):
+        # Near the optimum at n = 20 and 30, some Newton steps are too small
+        # to move beta: the reference halves them 40 times before it gives
+        # up, and the fit stops at the first step that rounds to beta.
+        calls, evaluate = [0], cox.partial_log_likelihood
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(cox, "partial_log_likelihood", counted)
+        samples = [simulate_ph_binary(20, 0.5, np.random.default_rng(seed), 0.25)[0]
+                   for seed in range(40)]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            z = rng.normal(size=(30, 2))
+            times = rng.exponential(size=30) / np.exp(z @ [0.5, -0.3])
+            samples.append(SurvivalDataset(times, (rng.random(30) < 0.8).astype(int), z))
+        saved = []
+        for data in samples:
+            rank = extract_rank_data(data)
+            outcomes = []
+            for fit in (reference_newton.fit_partial_likelihood, fit_partial_likelihood):
+                calls[0] = 0
+                try:
+                    beta, se = fit(rank)
+                    outcome = beta.tobytes(), se.tobytes()
+                except RelInfoError as exc:
+                    outcome = repr(exc)
+                outcomes.append((outcome, calls[0]))
+            (want, reference_calls), (got, fit_calls) = outcomes
+            assert got == want
+            saved.append(reference_calls - fit_calls)
+        assert min(saved) >= 0 and sum(s > 0 for s in saved) >= 5
+
     def test_invariant_under_monotone_time_transform(self):
         data = dataset([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1, 1, 0, 1, 1, 1],
                        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
@@ -336,8 +372,7 @@ class TestNaiveWalk:
             se = math.sqrt(p * (1 - p) / n_draws)
             assert abs(np.mean(passed[:, 0] == j) - p) <= 3 * se
 
-    # n = 2**k - 1 and 2**k: the level table's +inf padding is 1 entry,
-    # then 2**k entries.
+    # n = 2**k - 1 and 2**k: the guide has 2**(k + 3), then 2**(k + 4) buckets.
     PADDING_EDGES = [1] + [size for k in range(1, 11) for size in (2**k - 1, 2**k)]
 
     @settings(max_examples=300, deadline=None)
@@ -358,6 +393,31 @@ class TestNaiveWalk:
         status = np.ones(n + 1, dtype=int)
         completion = cox._Completion(status, np.zeros(n + 1), np.zeros(n + 1), np.arange(n),
                                      fixed_levels=levels)
+        np.testing.assert_array_equal(completion._below(queries),
+                                      np.searchsorted(levels, queries, side="left"))
+
+    # Fixed levels that the guide's buckets split badly: every level in
+    # bucket 0 (a top level of 0), all in one bucket, or most of them in
+    # bucket 0 below a long geometric tail.
+    STRESSED_LEVELS = {
+        "all 0": np.zeros(50),
+        "all equal": np.full(50, 0.7),
+        "dense near 0, geometric tail": np.concatenate(
+            [np.linspace(0.0, 1e-6, 400), 1e-6 * 2.0 ** np.arange(1, 60)]),
+    }
+
+    @pytest.mark.parametrize("levels", STRESSED_LEVELS.values(), ids=STRESSED_LEVELS.keys())
+    def test_level_search_on_levels_that_stress_the_guide(self, levels):
+        n = levels.size
+        completion = cox._Completion(np.ones(n + 1, dtype=int), np.zeros(n + 1),
+                                     np.zeros(n + 1), np.arange(n), fixed_levels=levels)
+        # Most of the levels share one bucket, so most queries among them
+        # are found by the search past the guide's one step.
+        assert np.diff(completion._guide, append=n).max() > n // 2
+        queries = np.concatenate([
+            levels, np.nextafter(levels, np.inf), np.nextafter(levels, -np.inf),
+            [-1.0, -0.0, 0.0, 1e307, 1e308, np.finfo(float).max, np.inf],
+            np.linspace(-1.0, 2 * levels[-1] + 1.0, 300), np.geomspace(1e-300, 1e308, 300)])
         np.testing.assert_array_equal(completion._below(queries),
                                       np.searchsorted(levels, queries, side="left"))
 
@@ -1491,6 +1551,31 @@ class TestBlockKernelDeterminism:
             if mode == "correct":
                 assert other.expected_lod() == completion.expected_lod()
 
+    @pytest.mark.parametrize("mode", ["correct", "naive"])
+    def test_regimes_agree_on_a_heavily_censored_sample(self, monkeypatch, mode):
+        # About 90% censored at n = 200: naive mode's own terms have n + 1 =
+        # 201 anchors, many times the prefix tables' width of 32.
+        censored, _ = simulate_ph_binary(200, 0.5, np.random.default_rng(200), 12.0)
+        assert 10 <= censored.status.sum() <= 30
+        z_new = np.array([[0.0], [1.0], [1.0], [0.0], [1.0]])
+
+        def build():
+            return cox._augmentation(censored, 5, z_new, None, naive=mode == "naive")[1]
+
+        completion = build()
+        assert completion._table is not None and completion._own_table is not None
+        assert completion._table.prefix.shape[2] == 32
+        expected = completion.lods(5, 0, 2000)
+        rng = np.random.default_rng(83)
+        gaps, new = levels_of(completion, rng.standard_exponential((300, n_levels(completion))))
+        assert_insertion_matches_explicit_levels(completion, new, gaps)
+        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 2 * completion._state_elements)
+        per_round = build()
+        assert per_round._table is None
+        np.testing.assert_array_equal(per_round.lods(5, 0, 2000), expected)
+        if mode == "correct":
+            assert per_round.expected_lod() == completion.expected_lod()
+
     @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
     def test_adaptive_stop_does_not_depend_on_sub_block_size(self, monkeypatch, measure):
         data, z_new = kernel_case()
@@ -1527,6 +1612,27 @@ def test_kernel_memory_stays_bounded(monkeypatch):
     assert completion._table is None  # each round builds its states' rows
     # Every run of state rows a round builds fits the budget.
     assert held and max(held) <= cox._BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("n", [20, 2000])
+@pytest.mark.parametrize("mode", ["correct", "naive"])
+def test_table_regime_stays_within_the_budget(monkeypatch, mode, n):
+    # A completion that holds every state's rows holds them, their alive
+    # weights and their own terms within the one budget.  Naive mode's
+    # guide is O(n) per completion, like its level table, and is not
+    # counted per state.
+    completion = benchmark_completions(n)[mode]
+    table = completion._table
+    held = table.prefix.size + table.own.size + completion._own_table.size
+    assert held <= cox._BLOCK_ELEMENTS
+    # A budget that admits the rows but not the own terms keeps the rows
+    # and forms each draw's own terms from W_S, the same doubles.
+    expected = completion.lods(5, 0, 1000)
+    for budget, own_table in [(held, True), (held - 1, False)]:
+        monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", budget)
+        other = benchmark_completions(n)[mode]
+        assert other._table is not None and (other._own_table is not None) == own_table
+        np.testing.assert_array_equal(other.lods(5, 0, 1000), expected)
 
 
 # (times, status, covariates, new subjects' covariates)

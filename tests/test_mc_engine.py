@@ -137,6 +137,15 @@ def test_standard_error_that_overflows_is_an_instability(counts):
         mc.estimate_from_values(np.array([1e300, 2e300]), counts)
 
 
+@pytest.mark.parametrize("counts", [None, np.array([3, 1])], ids=["per draw", "histogram"])
+def test_mean_that_overflows_is_an_instability(counts):
+    # Finite draws whose sum, or whose spread about the first, passes the
+    # largest double: no infinite mean, and no overflow warning.
+    values = np.array([1.5e308, 1.7e308]) if counts is None else np.array([-1.5e308, 1.7e308])
+    with pytest.raises(InstabilityError, match="mean overflows"):
+        mc.estimate_from_values(values, counts)
+
+
 def test_variance_excludes_and_counts_sentinels():
     est = mc.variance_from_values(np.array([1.0, np.inf, 3.0, np.nan]))
     assert (est.mean, est.n_effective, est.sentinel_count) == (2.0, 2, 2)
