@@ -44,7 +44,7 @@ CENSORED = 0
 
 _DOUBLE_MAX = float(np.finfo(float).max)
 _NEWTON_MAX_ITER = 50
-_NEWTON_GRAD_TOL = 1e-8
+_NEWTON_STOP = 4.0 * float(np.finfo(float).eps)  # relative to the log-likelihood
 _SEPARATION_NORM = 50.0
 
 # Relative hazards are exponentiated after shifting eta by its maximum.
@@ -262,10 +262,13 @@ def partial_lod(rank: RankData, beta_alt, beta_null) -> float:
     return partial_log_likelihood(rank, beta_alt) - partial_log_likelihood(rank, beta_null)
 
 
-def _score_and_information_at(rank: RankData):
-    """Score and information as a function of beta, the arrays free of beta built once."""
-    # Centering the covariates leaves score and information unchanged and
-    # keeps the second-moment difference below well conditioned.
+def _newton_terms_at(rank: RankData):
+    """Log-likelihood, score and information at beta, from one pass of risk-set sums.
+
+    The arrays free of beta are built once.  Centering the covariates leaves
+    all three unchanged and keeps the second-moment difference well
+    conditioned.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         z = (rank.covariates - rank.covariates.mean(axis=0))[rank.order]
     # The score's squared norm, at most d (2 n max|z|)^2, bounds every sum
@@ -280,24 +283,13 @@ def _score_and_information_at(rank: RankData):
     event_z, start = z[rank.event].T, rank.tie_start[rank.event]
 
     def at(beta: np.ndarray):
-        _, (mean, second) = _risk_sums(z @ beta, z.T, zz)
+        eta = z @ beta
+        log_risk, (mean, second) = _risk_sums(eta, z.T, zz)
         m = mean[:, start]
-        return (event_z - m).sum(axis=-1), second[:, :, start].sum(axis=-1) - m @ m.T
+        ll = float((eta[rank.event] - log_risk[start]).sum())
+        return ll, (event_z - m).sum(axis=-1), second[:, :, start].sum(axis=-1) - m @ m.T
 
     return at
-
-
-def _standard_errors(info: np.ndarray) -> np.ndarray:
-    # Without covariate contrast in any risk set the information is zero up
-    # to rounding: singular, or with a negative "variance".
-    try:
-        variance = np.diag(np.linalg.inv(info))
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("singular information at the optimum") from exc
-    if not np.all(variance > 0):
-        raise RankDeficiencyError("information at the optimum is not positive definite "
-                                  "(no covariate contrast)")
-    return np.sqrt(variance)
 
 
 def _refuse_monotone(rank: RankData) -> None:
@@ -321,49 +313,54 @@ def _refuse_monotone(rank: RankData) -> None:
 def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
     """Damped-Newton maximizer of the partial likelihood, with SEs.
 
-    Step halving enforces a likelihood increase at every iteration.  A
-    monotone likelihood is reported as separation: exactly, before Newton,
-    for one covariate, and for several by a diverging coefficient norm.  A
-    singular information matrix is reported as rank deficiency.  Covariates
-    whose centred squares, summed over the subjects, would overflow a double
-    are refused before Newton (ValidationError).
+    Newton stops when the gain it predicts, half the Newton decrement
+    s' I^-1 s, is within rounding of the log-likelihood l: at most
+    4 eps max(|l|, 1).  It then takes that last full step.  Rescaling the
+    covariates leaves the decrement, and so the stop, unchanged.  Until
+    then, step halving enforces a likelihood increase at every iteration.
+    A monotone likelihood is reported as separation: exactly, before
+    Newton, for one covariate, and for several by a diverging coefficient
+    norm.  A singular information matrix is reported as rank deficiency.
+    Covariates whose centred squares, summed over the subjects, would
+    overflow a double are refused before Newton (ValidationError).
     """
     d = rank.covariates.shape[1]
     if d == 1:
         _refuse_monotone(rank)
+    terms_at = _newton_terms_at(rank)
     beta = np.zeros(d)
-    ll = partial_log_likelihood(rank, beta)
-    score_and_information = _score_and_information_at(rank)
+    ll, score, info = terms_at(beta)
     for _ in range(_NEWTON_MAX_ITER):
-        score, info = score_and_information(beta)
-        if float(np.linalg.norm(score)) < _NEWTON_GRAD_TOL:
-            return beta, _standard_errors(info)
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(
                 "singular partial-likelihood information (no covariate contrast)") from exc
-        scale = 1.0
+        if score @ step / 2.0 <= _NEWTON_STOP * max(abs(ll), 1.0):
+            break
         for _ in range(40):
-            candidate = beta + scale * step
-            # Once the step rounds away, so do all smaller ones.
-            if np.array_equal(candidate, beta):
-                cand_ll = ll
+            terms = terms_at(beta + step)
+            if terms[0] > ll:
                 break
-            cand_ll = partial_log_likelihood(rank, candidate)
-            if cand_ll > ll:
-                break
-            scale /= 2.0
-        if not cand_ll > ll:
-            # No step improves the likelihood: at a machine-precision
-            # optimum the gradient is tiny but above the strict tolerance.
-            if float(np.linalg.norm(score)) < 1e-6:
-                return beta, _standard_errors(info)
+            step = step / 2.0
+        else:
             raise EstimationFailureError("Newton step failed to increase the partial likelihood")
-        beta, ll = candidate, cand_ll
+        beta, (ll, score, info) = beta + step, terms
         if float(np.linalg.norm(beta)) > _SEPARATION_NORM:
             raise SeparationError("monotone partial likelihood: estimate diverges")
-    raise EstimationFailureError("partial-likelihood Newton did not converge")
+    else:
+        raise EstimationFailureError("partial-likelihood Newton did not converge")
+    beta = beta + step
+    # Without covariate contrast in any risk set the information is zero up
+    # to rounding: singular, or with a negative "variance".
+    try:
+        variance = np.diag(np.linalg.inv(terms_at(beta)[2]))
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("singular information at the optimum") from exc
+    if not np.all(variance > 0):
+        raise RankDeficiencyError("information at the optimum is not positive definite "
+                                  "(no covariate contrast)")
+    return beta, np.sqrt(variance)
 
 
 def _breslow_log_increments(rank: RankData, times: np.ndarray,

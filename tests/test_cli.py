@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import warnings
 
 import numpy as np
@@ -824,6 +825,18 @@ HOSTILE = [
     pytest.param(None, ["doss-replication", "--beta-true=-1e3", "--n-datasets", "2"],
                  id="beta_true -1e3"),
 ]
+
+
+@pytest.mark.parametrize("mode", ["correct", "naive"])
+@pytest.mark.parametrize("z", ["1e20", "1e150"])
+def test_a_large_covariate_is_fitted(capsys, tmp_path, z, mode):
+    # The fit converges here; its score is rounding noise of order z.
+    path = tmp_path / "input.csv"
+    path.write_text(huge_covariate(z))
+    argv = [arg.replace("{data}", str(path)) for arg in COX_ONE_NEW]
+    code, pairs = run_report(capsys, [*argv, "--draws", "10", "--mode", mode])
+    assert code == 0
+    assert math.isfinite(float(pairs["result.ri1.estimate"]))
 
 
 @pytest.mark.parametrize("data, argv", HOSTILE)
