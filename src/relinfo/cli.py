@@ -320,16 +320,15 @@ def _cmd_ri_y(args, report: Report) -> None:
     exact = core.ri1(model, obs, args.p0, theta_alt=args.p1)
     pair = core.HypothesisPair(theta_null=args.p0, theta_alt=args.p1)
     ratios, counts = core.ri_y_samples(model, obs, pair, args.draws, args.seed)
-    try:
-        ri_y = mc.estimate_from_values(ratios, counts)
-    except EstimationFailureError:  # every draw is a sentinel
-        ri_y = mc.MCEstimate(math.nan, math.nan, 0, args.draws)
-    report.add("result.n_draws", ri_y.n_draws)
-    report.add("result.sentinel_count", ri_y.sentinel_count)
-    # Sentinel draws (complete-data lod 0) leave no finite ratio to average.
-    report.add("result.ri_y_mean", ri_y.mean)
-    report.add("result.ri_y_sd", ri_y.standard_error * math.sqrt(ri_y.n_effective)
-               if ri_y.n_effective > 1 else math.nan)
+    # Sentinel draws (complete-data lod 0) are set aside: they leave no
+    # finite ratio to average.
+    finite = np.isfinite(ratios)
+    n = int(counts[finite].sum())
+    report.add("result.n_draws", args.draws)
+    report.add("result.sentinel_count", args.draws - n)
+    ri_y = mc.estimate_from_values(ratios[finite], counts[finite]) if n else None
+    report.add("result.ri_y_mean", ri_y.mean if n else math.nan)
+    report.add("result.ri_y_sd", ri_y.standard_error * math.sqrt(n) if n > 1 else math.nan)
     recip = mc.estimate_from_values(1.0 / ratios, counts)
     report.add("result.ri_y_reciprocal_mean", recip.mean)
     report.add("result.ri_y_reciprocal_se", recip.standard_error)

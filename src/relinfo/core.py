@@ -202,7 +202,7 @@ def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
         raise InstabilityError(
             "Monte Carlo denominator estimate is nonpositive",
             {"denominator_mean": est.mean, "denominator_se": est.standard_error,
-             "n_effective": est.n_effective, "sentinel_count": est.sentinel_count},
+             "n_draws": est.n_draws},
         )
     # Delta method for a ratio with a fixed numerator; past about 1e154 the
     # square of the mean overflows, so the ratio is taken twice.
@@ -217,7 +217,6 @@ def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
             "lod_observed": lod_ob,
             "denominator_mean": est.mean,
             "denominator_se": est.standard_error,
-            "sentinel_count": est.sentinel_count,
             "se_method": "delta-method ratio, fixed numerator",
             "generator": mc.GENERATOR_ID,
             **diagnostics,
@@ -294,7 +293,8 @@ def ri_y_samples(model: ModelContract, observed, pair: HypothesisPair,
     draws reach, and how many of the ``n_draws`` draws reached it.
     Completions are drawn at the observed-data MLE; the hypothesis pair is
     fixed (the sharp-alternative setting).  Completions whose complete-data
-    lod is exactly zero are recorded as +inf sentinels.
+    lod is exactly zero are recorded as +inf sentinels; ri-y is the one
+    measure that defines them, and it sets them aside before reducing.
     """
     theta_null, theta_alt, lod_ob, draw = _completions(model, observed, pair.theta_null,
                                                        n_draws, seed, pair.theta_alt)
@@ -322,7 +322,6 @@ def lod_ratio_variance(model: ModelContract, observed, theta_null,
             "lod_observed": lod_ob,
             "variance_mean": var.mean,
             "variance_se": var.standard_error,
-            "sentinel_count": var.sentinel_count,
             "generator": mc.GENERATOR_ID,
         },
     )

@@ -45,7 +45,6 @@ CENSORED = 0
 _DOUBLE_MAX = float(np.finfo(float).max)
 _NEWTON_MAX_ITER = 50
 _NEWTON_STOP = 4.0 * float(np.finfo(float).eps)  # relative to the log-likelihood
-_SEPARATION_NORM = 50.0
 
 # Relative hazards are exponentiated after shifting eta by its maximum.
 # While eta spans at most this much, every shifted weight is a normal
@@ -318,9 +317,10 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
     4 eps max(|l|, 1).  It then takes that last full step.  Rescaling the
     covariates leaves the decrement, and so the stop, unchanged.  Until
     then, step halving enforces a likelihood increase at every iteration.
-    A monotone likelihood is reported as separation: exactly, before
-    Newton, for one covariate, and for several by a diverging coefficient
-    norm.  A singular information matrix is reported as rank deficiency.
+    A monotone likelihood is reported as separation, exactly and before
+    Newton, for one covariate; with several covariates it is not detected
+    yet, and Newton returns a large but finite estimate.  A singular
+    information matrix is reported as rank deficiency.
     Covariates whose centred squares, summed over the subjects, would
     overflow a double are refused before Newton (ValidationError).
     """
@@ -346,8 +346,6 @@ def fit_partial_likelihood(rank: RankData) -> tuple[np.ndarray, np.ndarray]:
         else:
             raise EstimationFailureError("Newton step failed to increase the partial likelihood")
         beta, (ll, score, info) = beta + step, terms
-        if float(np.linalg.norm(beta)) > _SEPARATION_NORM:
-            raise SeparationError("monotone partial likelihood: estimate diverges")
     else:
         raise EstimationFailureError("partial-likelihood Newton did not converge")
     beta = beta + step

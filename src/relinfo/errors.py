@@ -50,4 +50,4 @@ class OracleUnavailableError(RelInfoError):
 
 
 class EstimationFailureError(RelInfoError):
-    """No usable Monte Carlo draws (all sentinels) or no convergence."""
+    """No estimate could be formed: Newton did not converge, or every simulated dataset failed."""

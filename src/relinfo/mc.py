@@ -9,10 +9,12 @@ rows of a one-shot run.  The Cox measures take uniforms from
 top bits are its search buckets, and forms only the uniforms it searches.
 Measures hand :func:`collect_blocks` an ``evaluate(lo, hi)`` that returns
 draws lo..hi-1, as their values or as a histogram of rows and counts; it
-is the one adaptive-stopping loop.  Reduction uses numpy's
-pairwise summation over the index-ordered values, or over a histogram's
-rows sorted by value (:func:`histogram`), which likewise depends neither
-on the grouping nor on the number of BLAS threads.  :func:`substream`
+is the one adaptive-stopping loop.  Reduction takes every draw and
+refuses one that is not finite; only ri-y defines sentinel draws, and it
+sets them aside before it reduces.  It uses numpy's pairwise summation
+over the index-ordered values, or over a histogram's rows sorted by value
+(:func:`histogram`), which likewise depends neither on the grouping nor on
+the number of BLAS threads.  :func:`substream`
 seeds what is not a draw, such as simulated datasets.
 """
 
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EstimationFailureError, InstabilityError, ValidationError
+from .errors import DataIntegrityError, InstabilityError, ValidationError
 
 #: Fixed default so unseeded runs are reproducible.
 DEFAULT_SEED = 20090417
@@ -60,12 +62,15 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Mean (or variance) estimate with its standard error."""
+    """Mean (or variance) estimate with its standard error.
+
+    The reductions take every draw, so ``sentinel_count`` stays 0 (the benchmark reads it).
+    """
 
     mean: float
     standard_error: float
     n_effective: int
-    sentinel_count: int
+    sentinel_count: int = 0
 
     @property
     def n_draws(self) -> int:
@@ -140,25 +145,26 @@ def histogram(values, counts) -> tuple[np.ndarray, np.ndarray]:
     return values, merged.astype(np.int64)
 
 
-def _kept(values, counts=None) -> tuple[np.ndarray, np.ndarray | None, int, int]:
-    """(finite values, their counts, finite draws, non-finite sentinel draws).
+def _draws(values, counts=None) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """(values, their counts, draws), refused at the first value that is not finite.
 
-    Without ``counts`` the values are one per draw, kept in order (the input
-    array itself when every value is finite), and their counts None.
+    Without ``counts`` the values are one per draw, in order, and their
+    counts None.  Every draw is taken: a measure whose draw is not finite
+    estimates nothing, so it stops with DataIntegrityError naming the draw.
     """
     if counts is None:
         values = np.asarray(values, dtype=float)
-        finite = np.isfinite(values)
-        kept, weight = (values if finite.all() else values[finite]), None
-        n, drawn = kept.size, values.size
+        n = values.size
     else:
         values, counts = histogram(values, counts)
-        finite = np.isfinite(values)
-        kept, weight = values[finite], counts[finite]
-        n, drawn = int(weight.sum()), int(counts.sum())
+        n = int(counts.sum())
     if n == 0:
-        raise EstimationFailureError("all Monte Carlo draws were sentinels")
-    return kept, weight, n, drawn - n
+        raise ValidationError("no Monte Carlo draws to reduce")
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        which = f"draw {i} is" if counts is None else f"{counts[i]} draws are"
+        raise DataIntegrityError(f"non-finite Monte Carlo draw: {which} {values[i]}")
+    return values, counts, n
 
 
 def _counted_mean(values: np.ndarray, counts: np.ndarray, n: int) -> float:
@@ -171,41 +177,42 @@ def _counted_mean(values: np.ndarray, counts: np.ndarray, n: int) -> float:
     return float(shift + np.sum(counts * (values - shift)) / n)
 
 
-def _mean_and_se(kept: np.ndarray, weight: np.ndarray | None, n: int) -> tuple[float, float]:
-    """Mean of the finite draws and its standard error (inf below two draws).
+def _mean_and_se(values: np.ndarray, counts: np.ndarray | None, n: int) -> tuple[float, float]:
+    """Mean of the draws and its standard error (inf below two draws).
 
-    Raises InstabilityError when the finite draws' mean overflows, or when
-    the mean is finite but the squared deviations from it overflow, as they
-    do for draws beyond about 1e154.
+    Raises InstabilityError when the draws' mean overflows, or when the mean
+    is finite but the squared deviations from it overflow, as they do for
+    draws beyond about 1e154.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(kept)) if weight is None else _counted_mean(kept, weight, n)
+        mean = float(np.mean(values)) if counts is None else _counted_mean(values, counts, n)
     if not math.isfinite(mean):
         raise InstabilityError(f"Monte Carlo mean overflows: {n} finite draws sum past the "
-                               "range of doubles", {"n_effective": n})
+                               "range of doubles", {"n_draws": n})
     if n < 2:
         return mean, math.inf
     with np.errstate(over="ignore"):
-        if weight is None:
-            se = float(np.std(kept, ddof=1) / math.sqrt(n))
+        if counts is None:
+            se = float(np.std(values, ddof=1) / math.sqrt(n))
         else:
-            d = kept - mean
-            se = math.sqrt(float(np.sum(weight * (d * d))) / (n - 1)) / math.sqrt(n)
+            d = values - mean
+            se = math.sqrt(float(np.sum(counts * (d * d))) / (n - 1)) / math.sqrt(n)
     if not math.isfinite(se):
         raise InstabilityError(f"Monte Carlo standard error overflows: the draws near {mean:.3g} "
-                               "are too large to square", {"mean": mean, "n_effective": n})
+                               "are too large to square", {"mean": mean, "n_draws": n})
     return mean, se
 
 
 def estimate_from_values(values: np.ndarray, counts: np.ndarray | None = None) -> MCEstimate:
-    """Mean/SE over draw values; non-finite sentinels are excluded and counted.
+    """Mean/SE over draw values; a draw that is not finite is refused (DataIntegrityError).
 
     With ``counts``, ``values`` are the rows of a histogram and ``counts[r]``
-    the number of draws of row r.
+    the number of draws of row r.  Only ri-y defines sentinel draws, and it
+    sets them aside before it reduces (see :func:`relinfo.core.ri_y_samples`).
     """
-    kept, weight, n, sentinels = _kept(values, counts)
-    mean, se = _mean_and_se(kept, weight, n)
-    return MCEstimate(mean=mean, standard_error=se, n_effective=n, sentinel_count=sentinels)
+    values, counts, n = _draws(values, counts)
+    mean, se = _mean_and_se(values, counts, n)
+    return MCEstimate(mean=mean, standard_error=se, n_effective=n)
 
 
 def variance_from_values(values: np.ndarray, counts: np.ndarray | None = None) -> MCEstimate:
@@ -213,15 +220,14 @@ def variance_from_values(values: np.ndarray, counts: np.ndarray | None = None) -
 
     ``counts`` are optional row counts, as for :func:`estimate_from_values`.
     """
-    kept, weight, n, sentinels = _kept(values, counts)
+    values, counts, n = _draws(values, counts)
     if n < 2:
-        return MCEstimate(mean=0.0, standard_error=math.inf,
-                          n_effective=n, sentinel_count=sentinels)
+        return MCEstimate(mean=0.0, standard_error=math.inf, n_effective=n)
 
     def total(a):
-        return np.sum(a if weight is None else weight * a)
+        return np.sum(a if counts is None else counts * a)
 
-    d = kept - (np.mean(kept) if weight is None else _counted_mean(kept, weight, n))
+    d = values - (np.mean(values) if counts is None else _counted_mean(values, counts, n))
     # Squares in place, summed pairwise: a BLAS dot would split the sum
     # across threads, and its bits with the thread count.
     d *= d
@@ -230,7 +236,7 @@ def variance_from_values(values: np.ndarray, counts: np.ndarray | None = None) -
     m4 = float(total(d) / n)
     var_s2 = (m4 - (n - 3) / (n - 1) * s2 * s2) / n
     se = math.sqrt(max(var_s2, 0.0))
-    return MCEstimate(mean=s2, standard_error=se, n_effective=n, sentinel_count=sentinels)
+    return MCEstimate(mean=s2, standard_error=se, n_effective=n)
 
 
 def collect_blocks(evaluate: Callable, config: MCConfig):
@@ -259,11 +265,7 @@ def collect_blocks(evaluate: Callable, config: MCConfig):
             drawn = blocks[0]
         else:
             drawn = (np.concatenate(blocks),)
-        try:
-            kept, weight, n, _ = _kept(*drawn)
-        except EstimationFailureError:
-            continue
-        mean, se = _mean_and_se(kept, weight, n)
+        mean, se = _mean_and_se(*_draws(*drawn))
         if mean != 0.0 and se / abs(mean) <= config.max_relative_se:
             break
     return blocks[0] if isinstance(blocks[0], tuple) else np.concatenate(blocks)

@@ -108,9 +108,8 @@ class TestNonpositiveDenominator:
         with pytest.raises(InstabilityError) as info:
             core.ri1(MODEL, self.OBS, 0.5, mc.MCConfig(1000, seed=1), theta_alt=0.3)
         diagnostics = info.value.diagnostics
-        assert set(diagnostics) == {"denominator_mean", "denominator_se", "n_effective",
-                                    "sentinel_count"}
-        assert (diagnostics["n_effective"], diagnostics["sentinel_count"]) == (1000, 0)
+        assert set(diagnostics) == {"denominator_mean", "denominator_se", "n_draws"}
+        assert diagnostics["n_draws"] == 1000
         assert abs(diagnostics["denominator_mean"] - binom_lod(0.3, 0.5, 900, 1500)) \
             <= 3 * diagnostics["denominator_se"]
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_reductions
 from relinfo import mc
-from relinfo.errors import EstimationFailureError, InstabilityError, ValidationError
+from relinfo.errors import DataIntegrityError, InstabilityError, ValidationError
 from relinfo.mc import MCConfig
 
 
@@ -117,17 +117,37 @@ def test_collect_blocks_stops_at_a_block_boundary():
     assert blocks.size % 1024 == 0 and blocks.size < config.n_draws
 
 
-def test_sentinels_excluded_and_counted():
-    values = np.array([1.0, np.inf, 2.0, np.nan, 3.0])
-    est = mc.estimate_from_values(values)
-    assert est.mean == 2.0
-    assert est.n_effective == 3
-    assert est.sentinel_count == 2
+@pytest.mark.parametrize("reduce", [mc.estimate_from_values, mc.variance_from_values])
+def test_a_draw_that_is_not_finite_is_refused_by_name(reduce):
+    # Per draw, the first such draw is named by its index and value; in a
+    # histogram, the first such row in sorted order by its value and count.
+    with pytest.raises(DataIntegrityError, match=r"draw: draw 1 is inf$"):
+        reduce(np.array([1.0, np.inf, 2.0, np.nan, 3.0]))
+    with pytest.raises(DataIntegrityError, match=r"draw: 6 draws are nan$"):
+        reduce(np.array([1.0, np.nan, 2.0, np.nan]), np.array([3, 4, 5, 2]))
+    with pytest.raises(DataIntegrityError, match=r"draw: 5 draws are -inf$"):
+        reduce(np.array([np.nan, 2.0, -np.inf]), np.array([3, 4, 5]))
+    with pytest.raises(ValidationError, match="no Monte Carlo draws"):
+        reduce(np.array([]))
 
 
-def test_all_sentinels_raise():
-    with pytest.raises(EstimationFailureError):
-        mc.estimate_from_values(np.array([np.inf, np.nan]))
+@pytest.mark.parametrize("as_histogram", [False, True], ids=["per draw", "histogram"])
+def test_adaptive_run_stops_at_the_batch_with_a_draw_that_is_not_finite(as_histogram):
+    # Draws are NaN from draw 1500 on, in the second 1024-draw batch: the
+    # run stops there.
+    calls = []
+
+    def evaluate(lo, hi):
+        calls.append((lo, hi))
+        draws = np.arange(lo, hi, dtype=float)
+        draws[draws >= 1500] = math.nan
+        return draws
+
+    message = r"548 draws are nan$" if as_histogram else r"draw 1500 is nan$"
+    with pytest.raises(DataIntegrityError, match=message):
+        mc.collect_blocks(histogram_of(evaluate) if as_histogram else evaluate,
+                          MCConfig(n_draws=5_000, seed=1, max_relative_se=1e-9))
+    assert calls == [(0, 1024), (1024, 2048)]
 
 
 @pytest.mark.parametrize("counts", [None, np.array([3, 1])], ids=["per draw", "histogram"])
@@ -146,19 +166,12 @@ def test_mean_that_overflows_is_an_instability(counts):
         mc.estimate_from_values(values, counts)
 
 
-def test_variance_excludes_and_counts_sentinels():
-    est = mc.variance_from_values(np.array([1.0, np.inf, 3.0, np.nan]))
-    assert (est.mean, est.n_effective, est.sentinel_count) == (2.0, 2, 2)
-    with pytest.raises(EstimationFailureError):
-        mc.variance_from_values(np.array([np.nan, -np.inf]))
-
-
 def test_adaptive_stop_agrees_with_the_reported_standard_error():
-    # The stopping rule skips sentinels and reads the SE as the estimate
-    # reports it: it stops at the first block where the target is met.
+    # The stopping rule reads the SE as the estimate reports it: it stops
+    # at the first block where the target is met.
     def evaluate(lo, hi):
         u = mc.stream_uniforms(8, hi - lo, 2, start=lo)
-        return np.where(u[:, 0] < 0.1, np.inf, 10.0 + 20.0 * (u[:, 1] - 0.5))
+        return np.where(u[:, 0] < 0.1, 40.0, 10.0 + 20.0 * (u[:, 1] - 0.5))
 
     values = mc.collect_blocks(evaluate, MCConfig(n_draws=100_000, seed=8, max_relative_se=0.005))
 
@@ -166,7 +179,7 @@ def test_adaptive_stop_agrees_with_the_reported_standard_error():
         est = mc.estimate_from_values(v)
         return est.standard_error / abs(est.mean)
 
-    assert np.any(np.isinf(values)) and values.size % 1024 == 0
+    assert np.any(values == 40.0) and values.size % 1024 == 0
     assert relative_se(values) <= 0.005 < relative_se(values[:-1024])
 
 
@@ -204,23 +217,23 @@ REDUCTIONS = [(mc.estimate_from_values, reference_reductions.estimate_from_value
               (mc.variance_from_values, reference_reductions.variance_from_values)]
 
 _FINITE = st.floats(-1e6, 1e6)
-_SENTINEL = st.sampled_from([math.inf, -math.inf, math.nan])
+_NONFINITE = st.sampled_from([math.inf, -math.inf, math.nan])
 
 
 @st.composite
 def _long_draws(draw):
-    """Long enough for numpy's pairwise summation to recurse, with or without sentinels."""
+    """Long enough for numpy's pairwise summation to recurse, with or without non-finite draws."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.normal(draw(_FINITE), 10.0 ** draw(st.integers(-3, 5)),
                         draw(st.integers(2, 20_000)))
-    sentinels = rng.random(values.size) < draw(st.sampled_from([0.0, 0.001, 0.3]))
-    values[sentinels] = rng.choice([math.inf, -math.inf, math.nan], sentinels.sum())
+    bad = rng.random(values.size) < draw(st.sampled_from([0.0, 0.001, 0.3]))
+    values[bad] = rng.choice([math.inf, -math.inf, math.nan], bad.sum())
     return values
 
 
 _DRAWS = st.one_of(
     st.lists(_FINITE, max_size=40).map(np.array),
-    st.lists(st.one_of(_FINITE, _SENTINEL), max_size=40).map(np.array),
+    st.lists(st.one_of(_FINITE, _NONFINITE), max_size=40).map(np.array),
     _long_draws(),
 )
 
@@ -228,8 +241,8 @@ _DRAWS = st.one_of(
 def _outcome(reduce, values):
     try:
         return reduce(values)
-    except EstimationFailureError as exc:
-        return str(exc)
+    except (DataIntegrityError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,9 +272,9 @@ def test_reduction_peak_memory_is_about_one_copy_of_the_draws(reduce):
 
 @st.composite
 def _histograms(draw):
-    """Rows (finite values and sentinels, some repeated) with positive draw counts."""
+    """Rows (finite and non-finite values, some repeated) with positive draw counts."""
     if draw(st.booleans()):
-        values = np.array(draw(st.lists(st.one_of(_FINITE, _SENTINEL), max_size=40)))
+        values = np.array(draw(st.lists(st.one_of(_FINITE, _NONFINITE), max_size=40)))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -283,7 +296,7 @@ def _scale(values):
 @settings(max_examples=300, deadline=None)
 @given(_histograms())
 def test_counted_reductions_equal_the_reference_on_the_repeated_draws(histogram):
-    # Counts and sentinels are exact; the mean and SE are sums in another
+    # Counts and refusals are exact; the mean and SE are sums in another
     # order, so they agree to 1e-12 relative, or 1e-12 of the values' own
     # scale for a mean near 0 (squared scale for the variance).  The SE is
     # compared squared, where that scale bounds its error.
@@ -291,11 +304,12 @@ def test_counted_reductions_equal_the_reference_on_the_repeated_draws(histogram)
     draws = np.repeat(values, counts)
     scale = _scale(values)
     for (reduce, reference), power in zip(REDUCTIONS, (1, 2)):
-        got, want = _outcome(lambda v: reduce(v, counts), values), _outcome(reference, draws)
+        got = _outcome(lambda v: reduce(v, counts), values)
+        want = _outcome(lambda v: reference(v, counted=True), draws)
         if isinstance(want, str):
             assert got == want
             continue
-        assert (got.n_effective, got.sentinel_count) == (want.n_effective, want.sentinel_count)
+        assert got.n_effective == want.n_effective
         assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-12 * scale**power)
         if math.isinf(want.standard_error):
             assert got.standard_error == want.standard_error
@@ -328,8 +342,8 @@ def test_one_row_reduces_to_its_value_exactly(value, count):
     est = mc.estimate_from_values(np.array([value]), np.array([count]))
     assert (est.mean, est.n_effective) == (value, count)
     assert est.standard_error == (0.0 if count > 1 else math.inf)
-    var = mc.variance_from_values(np.array([value, math.nan]), np.array([count, 4]))
-    assert (var.mean, var.n_effective, var.sentinel_count) == (0.0, count, 4)
+    var = mc.variance_from_values(np.array([value]), np.array([count]))
+    assert (var.mean, var.n_effective) == (0.0, count)
     assert var.standard_error == (0.0 if count > 1 else math.inf)
 
 
@@ -344,7 +358,7 @@ def test_adaptive_histograms_merge_to_the_one_block_histogram():
     # A target no run reaches evaluates every draw in 1024-draw batches.
     def evaluate(lo, hi):
         u = mc.stream_uniforms(8, hi - lo, 2, start=lo)
-        return np.where(u[:, 0] < 0.1, np.inf, np.floor(20.0 * u[:, 1]))
+        return np.where(u[:, 0] < 0.1, 25.0, np.floor(20.0 * u[:, 1]))
 
     blocks = mc.collect_blocks(histogram_of(evaluate),
                                MCConfig(n_draws=5_000, seed=8, max_relative_se=1e-9))
@@ -354,7 +368,7 @@ def test_adaptive_histograms_merge_to_the_one_block_histogram():
     est = mc.estimate_from_values(*one)
     assert mc.estimate_from_values(*blocks) == est
     want = reference_reductions.estimate_from_values(evaluate(0, 5_000))
-    assert (est.n_effective, est.sentinel_count) == (want.n_effective, want.sentinel_count)
+    assert est.n_effective == want.n_effective
     assert est.mean == pytest.approx(want.mean, rel=1e-12)
     assert est.standard_error == pytest.approx(want.standard_error, rel=1e-12)
 
@@ -364,7 +378,7 @@ def test_adaptive_histograms_stop_where_the_draws_do():
     # per-draw one: both stop at the same batch.
     def evaluate(lo, hi):
         u = mc.stream_uniforms(8, hi - lo, 2, start=lo)
-        return np.where(u[:, 0] < 0.1, np.inf, np.floor(10.0 + 20.0 * (u[:, 1] - 0.5)))
+        return np.where(u[:, 0] < 0.1, 25.0, np.floor(10.0 + 20.0 * (u[:, 1] - 0.5)))
 
     config = MCConfig(n_draws=100_000, seed=8, max_relative_se=0.005)
     values = mc.collect_blocks(evaluate, config)
