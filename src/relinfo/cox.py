@@ -58,7 +58,7 @@ _EXP_SPAN = 600.0
 # the number of new subjects.
 _BLOCK_ELEMENTS = 2**17
 
-# Stream tag of the Cox completion draws (see mc.stream_uniforms).
+# Stream tag of the Cox completion draws (see mc.draw_points).
 _COX_STREAM_TAG = 1
 
 
@@ -693,15 +693,15 @@ class _Completion:
     def lods(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Augmented lods of draws lo..hi-1, in sub-blocks of bounded size.
 
-        Draw i's uniforms are counter block i of the Cox stream, so its lod
-        does not depend on how the draws are grouped.
+        Draw i walks its point of ``mc.draw_points``, a function of (seed,
+        i) alone, so its lod does not depend on how the draws are grouped.
         """
         rows = max(1, _BLOCK_ELEMENTS // self.per_draw)
         out = np.empty(hi - lo)
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
-            u = mc.stream_uniforms(seed, b - a, self.per_draw, _COX_STREAM_TAG, start=a)
-            out[a - lo:b - lo] = self._walk(u.reshape(b - a, self.per_draw).T)[0]
+            out[a - lo:b - lo] = self._walk(
+                mc.draw_points(seed, a, b, self.per_draw, _COX_STREAM_TAG))[0]
         return out
 
     def _below(self, level: np.ndarray) -> np.ndarray:

@@ -133,6 +133,15 @@ def stream_uniforms(seed: int, n_draws: int, per_draw: int = 1, tag: int = 0,
     return u if per_draw == 1 else u.reshape(n_draws, per_draw)
 
 
+def draw_points(seed: int, lo: int, hi: int, per_draw: int, tag: int) -> np.ndarray:
+    """The points of draws lo..hi-1, one column each: shape (per_draw, hi - lo).
+
+    Draw i's point is counter block i of :func:`stream_uniforms`, so it
+    does not depend on how the draws are grouped.
+    """
+    return stream_uniforms(seed, hi - lo, per_draw, tag, start=lo).reshape(hi - lo, per_draw).T
+
+
 def histogram(values, counts) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``values`` drawn ``counts`` times each, sorted by value with equal values merged.
 
