@@ -30,14 +30,15 @@ LN10 = math.log(10.0)
 class Report:
     """Ordered key/value document with provenance."""
 
-    def __init__(self, command: str, seed: int | None = None):
+    def __init__(self, command: str, seed: int | None = None,
+                 generator: str = mc.GENERATOR_ID):
         self.pairs: list[tuple[str, str]] = []
         self.add("report.command", command)
         self.add("report.version", __version__)
         self.add("report.timestamp", datetime.datetime.now(datetime.timezone.utc).isoformat())
         if seed is not None:
             self.add("provenance.seed", seed)
-        self.add("provenance.generator", mc.GENERATOR_ID)
+        self.add("provenance.generator", generator)
         self._warnings = 0
 
     def add(self, key: str, value) -> None:
@@ -437,7 +438,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    report = Report(args.command, seed=getattr(args, "seed", None))
+    # The Cox measures draw from the lattice rule, the binomial ones from Philox.
+    generator = (mc.LATTICE_GENERATOR_ID if args.command in ("cox-ri", "doss-replication")
+                 else mc.GENERATOR_ID)
+    report = Report(args.command, seed=getattr(args, "seed", None), generator=generator)
     try:
         _COMMANDS[args.command](args, report)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:

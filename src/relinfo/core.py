@@ -189,15 +189,17 @@ def _lod_at_own_mle(model: ModelContract, theta_null: float, support):
 
 
 def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
-                    config: MCConfig, **diagnostics) -> RelInfoResult:
+                    config: MCConfig, replicates: int | None = None,
+                    **diagnostics) -> RelInfoResult:
     """Observed lod over the Monte Carlo mean of the complete-data lods.
 
     ``evaluate(lo, hi)`` returns the complete-data lods of draws lo..hi-1,
     one per draw or as a histogram ``(lods, counts)``; the mean honours
     ``config.max_relative_se`` (see :func:`relinfo.mc.collect_blocks`).
-    ``diagnostics`` are added to the result's own.
+    Draws of :func:`relinfo.mc.draw_points` pass its ``replicates``, whose
+    means give the mean's SE.  ``diagnostics`` are added to the result's own.
     """
-    est = mc.mc_expectation(evaluate, config)
+    est = mc.mc_expectation(evaluate, config, replicates)
     if est.mean <= 0.0:
         raise InstabilityError(
             "Monte Carlo denominator estimate is nonpositive",
@@ -210,6 +212,12 @@ def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
         se = abs(lod_ob) * est.standard_error / est.mean**2
     except OverflowError:
         se = abs(lod_ob) / est.mean * (est.standard_error / est.mean)
+    se_method, generator = "delta-method ratio, fixed numerator", mc.GENERATOR_ID
+    if replicates is not None:
+        se_method += (f"; the mean's SE from its {replicates} replicates' means, each weighted "
+                      "by its share of the draws")
+        generator = mc.LATTICE_GENERATOR_ID
+        diagnostics["replicates"] = replicates
     return RelInfoResult(
         estimate=lod_ob / est.mean, mc_standard_error=se,
         n_draws=est.n_draws, seed=config.seed, method=Method.MONTE_CARLO,
@@ -217,8 +225,8 @@ def ri1_monte_carlo(lod_ob: float, evaluate: Callable[[int, int], Any],
             "lod_observed": lod_ob,
             "denominator_mean": est.mean,
             "denominator_se": est.standard_error,
-            "se_method": "delta-method ratio, fixed numerator",
-            "generator": mc.GENERATOR_ID,
+            "se_method": se_method,
+            "generator": generator,
             **diagnostics,
         },
     )

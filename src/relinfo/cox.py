@@ -693,8 +693,10 @@ class _Completion:
     def lods(self, seed: int, lo: int, hi: int) -> np.ndarray:
         """Augmented lods of draws lo..hi-1, in sub-blocks of bounded size.
 
-        Draw i walks its point of ``mc.draw_points``, a function of (seed,
-        i) alone, so its lod does not depend on how the draws are grouped.
+        Draw i walks its point of the randomly shifted rank-1 lattice rule
+        (``mc.draw_points``), a function of (seed, i) alone, so its lod does
+        not depend on how the draws are grouped; the mean of the lods has its
+        SE from the rule's ``mc.LATTICE_REPLICATES`` replicates.
         """
         rows = max(1, _BLOCK_ELEMENTS // self.per_draw)
         out = np.empty(hi - lo)
@@ -942,7 +944,7 @@ def _ri1_cox(lod_ob: float, completion: _Completion | None, mc_config: MCConfig,
                              method=Method.CLOSED_FORM,
                              diagnostics={"lod_observed": lod_ob, "conditioning": conditioning})
     return ri1_monte_carlo(lod_ob, lambda lo, hi: completion.lods(mc_config.seed, lo, hi),
-                           mc_config, conditioning=conditioning)
+                           mc_config, mc.LATTICE_REPLICATES, conditioning=conditioning)
 
 
 def ri1_cox_correct(data: SurvivalDataset, n_new: int, new_covariates,

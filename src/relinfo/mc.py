@@ -1,12 +1,16 @@
 """Seeded Monte Carlo estimation over blocks of draws.
 
-Every sampler, the binomial completions and the Cox measures alike, reads
-draw i's uniforms from counter block i of one keyed Philox stream, opened
-at a given 64-bit word by :func:`open_stream`, where ``start`` selects the
-first block, so any range of draws [lo, hi) is bit-identical to the same
-rows of a one-shot run.  The Cox measures take uniforms from
-:func:`stream_uniforms`; the binomial sampler reads the raw words, whose
-top bits are its search buckets, and forms only the uniforms it searches.
+Every draw is a function of the seed and its draw index alone, so any
+range of draws [lo, hi) is bit-identical to the same rows of a one-shot
+run.  The binomial sampler reads draw i's raw words from counter block i
+of one keyed Philox stream, opened at a given 64-bit word by
+:func:`open_stream`; their top bits are its search buckets, and it forms
+only the uniforms it searches.  The Cox measures walk the points of a
+randomly shifted rank-1 lattice rule (:func:`draw_points`): draw j is
+point j // R of replicate j % R, each replicate shifted by its own Philox
+uniforms (:func:`stream_uniforms`), so every point is uniform and the
+mean stays unbiased, while the lattice spreads the points more evenly
+than independent ones.
 Measures hand :func:`collect_blocks` an ``evaluate(lo, hi)`` that returns
 draws lo..hi-1, as their values or as a histogram of rows and counts; it
 is the one adaptive-stopping loop.  Reduction takes every draw and
@@ -14,8 +18,10 @@ refuses one that is not finite; only ri-y defines sentinel draws, and it
 sets them aside before it reduces.  It uses numpy's pairwise summation
 over the index-ordered values, or over a histogram's rows sorted by value
 (:func:`histogram`), which likewise depends neither on the grouping nor on
-the number of BLAS threads.  :func:`substream`
-seeds what is not a draw, such as simulated datasets.
+the number of BLAS threads.  The SE of independent draws is their
+spread's; that of lattice draws comes from the spread of the R replicate
+means (:func:`_replicate_se`).  :func:`substream` seeds what is not a
+draw, such as simulated datasets.
 """
 
 from __future__ import annotations
@@ -41,6 +47,28 @@ GENERATOR_ID = "philox4x64, vector key = (seed, tag) at counter block draw_index
 _VECTOR_STREAM_BASE = 0xC0FFEE00_00000000
 
 _ADAPTIVE_BATCH = 1024
+
+#: Independently shifted replicates of the lattice rule (see
+#: :func:`draw_points`); the SE of the mean of their draws comes from the
+#: spread of the replicate means, with LATTICE_REPLICATES - 1 degrees of freedom.
+LATTICE_REPLICATES = 32
+
+#: Korobov multiplier of the lattice rule: coordinate k's generator is
+#: KOROBOV**k mod 2**32, odd like KOROBOV, so any number of coordinates is
+#: covered.  The rule of 2**b points depends only on KOROBOV mod 2**b, and
+#: the bits were chosen lowest first by a beam search (64 kept) for the
+#: least sum over b = 4..14 of log e2(2**b), e2 the shift-averaged squared
+#: worst-case error, in the unanchored Sobolev space, of the first 27
+#: coordinates (14 new subjects) with product weights 0.75**k:
+#: e2 = -1 + mean_i prod_k (1 + 0.75**k B2({i a**k / 2**b})), B2(x) = x**2 - x + 1/6.
+#: tests/test_mc_engine.py runs the search again.
+KOROBOV = 0x1C43
+
+#: Recorded in the Cox reports' provenance and diagnostics.
+LATTICE_GENERATOR_ID = (f"randomly shifted rank-1 lattice rule, Korobov a = {KOROBOV:#x}, points "
+                        f"in radical-inverse order; draw j is point j // {LATTICE_REPLICATES} "
+                        f"shifted by row j % {LATTICE_REPLICATES} of philox4x64 uniforms, "
+                        "vector key = (seed, tag)")
 
 
 @dataclass(frozen=True)
@@ -133,13 +161,41 @@ def stream_uniforms(seed: int, n_draws: int, per_draw: int = 1, tag: int = 0,
     return u if per_draw == 1 else u.reshape(n_draws, per_draw)
 
 
+def _radical_inverse(i: np.ndarray) -> np.ndarray:
+    """The 32-bit radical inverse in base 2 of uint64 integers below 2**32, times 2**32.
+
+    That is ``i``'s 32 low bits in reverse order, swapped in halves, bytes,
+    nibbles, pairs and single bits.
+    """
+    for shift, mask in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F), (8, 0x00FF00FF)):
+        i = ((i & mask) << shift) | ((i >> shift) & mask)
+    return ((i & 0xFFFF) << 16) | (i >> 16)
+
+
 def draw_points(seed: int, lo: int, hi: int, per_draw: int, tag: int) -> np.ndarray:
     """The points of draws lo..hi-1, one column each: shape (per_draw, hi - lo).
 
-    Draw i's point is counter block i of :func:`stream_uniforms`, so it
-    does not depend on how the draws are grouped.
+    Draw j is point i = j // R of replicate r = j % R, R =
+    ``LATTICE_REPLICATES``, of a randomly shifted rank-1 lattice rule:
+    coordinate k is frac(phi(i) a**k / 2**32 + shift[r, k]), phi the 32-bit
+    radical inverse and a the Korobov multiplier ``KOROBOV``, its product
+    taken modulo 2**32.  The shifts are the R rows of :func:`stream_uniforms`
+    under ``(seed, tag)``.  So draw j's point depends on (seed, j) alone,
+    every point is uniform on [0, 1)**per_draw, and the first 2**k points of
+    a replicate are a shifted lattice of 2**k points whatever k.
     """
-    return stream_uniforms(seed, hi - lo, per_draw, tag, start=lo).reshape(hi - lo, per_draw).T
+    r = LATTICE_REPLICATES
+    first, last = lo // r, -(-hi // r)
+    if last > 2**32:
+        raise ValidationError(f"the lattice rule has 2**32 points per replicate: draw {hi - 1} "
+                              f"is past its {r * 2**32} draws")
+    generator = np.array([pow(KOROBOV, k, 2**32) for k in range(per_draw)], dtype=np.uint64)
+    x = _radical_inverse(np.arange(first, last, dtype=np.uint64))[:, None] * generator
+    x = (x & 0xFFFFFFFF) * 2.0**-32
+    shift = stream_uniforms(seed, r, per_draw, tag).reshape(r, per_draw)
+    u = (x[:, None, :] + shift).reshape(-1, per_draw)[lo - first * r:hi - first * r]
+    u -= u >= 1.0
+    return u.T
 
 
 def histogram(values, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -186,9 +242,31 @@ def _counted_mean(values: np.ndarray, counts: np.ndarray, n: int) -> float:
     return float(shift + np.sum(counts * (values - shift)) / n)
 
 
-def _mean_and_se(values: np.ndarray, counts: np.ndarray | None, n: int) -> tuple[float, float]:
+def _replicate_se(deviations: np.ndarray, replicates: int) -> float:
+    """SE of the mean of n draws from their deviations from it, draw j in replicate j % replicates.
+
+    With D_r the sum of replicate r's deviations and k the number of
+    replicates that hold a draw, the variance of the mean is k / (k - 1)
+    sum_r D_r**2 / n**2.  That is the spread of the replicate means about
+    the mean, each weighted by its share of the draws, since
+    n_r / n (mean_r - mean) = D_r / n; so the replicates need not hold
+    equal numbers of draws.  With equal shares it is the variance of a
+    mean of k means, and at n = 2 it is the SE of two independent draws.
+    """
+    n = deviations.size
+    k = min(n, replicates)
+    padded = np.zeros(-(-n // replicates) * replicates)
+    padded[:n] = deviations
+    sums = padded.reshape(-1, replicates).sum(axis=0)
+    return math.sqrt(float(np.sum(sums * sums)) * k / (k - 1)) / n
+
+
+def _mean_and_se(values: np.ndarray, counts: np.ndarray | None, n: int,
+                 replicates: int | None = None) -> tuple[float, float]:
     """Mean of the draws and its standard error (inf below two draws).
 
+    With ``replicates``, the values are one per draw and the SE is
+    :func:`_replicate_se`'s; otherwise it is that of independent draws.
     Raises InstabilityError when the draws' mean overflows, or when the mean
     is finite but the squared deviations from it overflow, as they do for
     draws beyond about 1e154.
@@ -200,8 +278,10 @@ def _mean_and_se(values: np.ndarray, counts: np.ndarray | None, n: int) -> tuple
                                "range of doubles", {"n_draws": n})
     if n < 2:
         return mean, math.inf
-    with np.errstate(over="ignore"):
-        if counts is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if replicates is not None:
+            se = _replicate_se(values - mean, replicates)
+        elif counts is None:
             se = float(np.std(values, ddof=1) / math.sqrt(n))
         else:
             d = values - mean
@@ -212,15 +292,18 @@ def _mean_and_se(values: np.ndarray, counts: np.ndarray | None, n: int) -> tuple
     return mean, se
 
 
-def estimate_from_values(values: np.ndarray, counts: np.ndarray | None = None) -> MCEstimate:
+def estimate_from_values(values: np.ndarray, counts: np.ndarray | None = None,
+                         replicates: int | None = None) -> MCEstimate:
     """Mean/SE over draw values; a draw that is not finite is refused (DataIntegrityError).
 
     With ``counts``, ``values`` are the rows of a histogram and ``counts[r]``
-    the number of draws of row r.  Only ri-y defines sentinel draws, and it
+    the number of draws of row r.  With ``replicates``, ``values`` are draws
+    0..n-1 of :func:`draw_points`' replicates, in order, and the SE is taken
+    from the replicate means.  Only ri-y defines sentinel draws, and it
     sets them aside before it reduces (see :func:`relinfo.core.ri_y_samples`).
     """
     values, counts, n = _draws(values, counts)
-    mean, se = _mean_and_se(values, counts, n)
+    mean, se = _mean_and_se(values, counts, n, replicates)
     return MCEstimate(mean=mean, standard_error=se, n_effective=n)
 
 
@@ -248,7 +331,7 @@ def variance_from_values(values: np.ndarray, counts: np.ndarray | None = None) -
     return MCEstimate(mean=s2, standard_error=se, n_effective=n)
 
 
-def collect_blocks(evaluate: Callable, config: MCConfig):
+def collect_blocks(evaluate: Callable, config: MCConfig, replicates: int | None = None):
     """Draws 0..n-1, where ``evaluate(lo, hi)`` returns draws lo..hi-1.
 
     A block is either the values of its draws, in draw order, or a
@@ -258,7 +341,8 @@ def collect_blocks(evaluate: Callable, config: MCConfig):
     where it stops does not depend on how ``evaluate`` groups its draws,
     and stops once the running relative standard error falls below the
     target.  The histograms of successive batches are merged by
-    :func:`histogram`.
+    :func:`histogram`.  ``replicates`` selects the SE of the stopping rule,
+    as for :func:`estimate_from_values`.
     """
     if config.max_relative_se is None:
         return evaluate(0, config.n_draws)
@@ -274,13 +358,19 @@ def collect_blocks(evaluate: Callable, config: MCConfig):
             drawn = blocks[0]
         else:
             drawn = (np.concatenate(blocks),)
-        mean, se = _mean_and_se(*_draws(*drawn))
+        mean, se = _mean_and_se(*_draws(*drawn), replicates)
         if mean != 0.0 and se / abs(mean) <= config.max_relative_se:
             break
     return blocks[0] if isinstance(blocks[0], tuple) else np.concatenate(blocks)
 
 
-def mc_expectation(evaluate: Callable, config: MCConfig) -> MCEstimate:
-    """Monte Carlo mean over the draws that :func:`collect_blocks` evaluates."""
-    block = collect_blocks(evaluate, config)
-    return estimate_from_values(*block) if isinstance(block, tuple) else estimate_from_values(block)
+def mc_expectation(evaluate: Callable, config: MCConfig,
+                   replicates: int | None = None) -> MCEstimate:
+    """Monte Carlo mean over the draws that :func:`collect_blocks` evaluates.
+
+    ``replicates`` is as for :func:`estimate_from_values`.
+    """
+    block = collect_blocks(evaluate, config, replicates)
+    if isinstance(block, tuple):
+        return estimate_from_values(*block)
+    return estimate_from_values(block, replicates=replicates)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from relinfo.errors import DataIntegrityError, ValidationError
+from relinfo.errors import DataIntegrityError, InstabilityError, ValidationError
 from relinfo.mc import MCEstimate
 
 
@@ -56,3 +56,32 @@ def variance_from_values(values, counted=False):
     var_s2 = (m4 - (n - 3) / (n - 1) * s2 * s2) / n
     se = math.sqrt(max(var_s2, 0.0))
     return MCEstimate(mean=s2, standard_error=se, n_effective=n)
+
+
+def replicate_estimate_from_values(values, replicates):
+    """The mean of the draws and its SE from replicate means, draw j in replicate j % replicates.
+
+    A loop over the replicates: each one's sum of deviations D_r from the
+    mean of all draws, accumulated in draw order, gives the variance of
+    the mean k / (k - 1) sum_r D_r**2 / n**2 over the k replicates that
+    hold a draw, that is, the spread of the replicate means weighted by
+    their shares of the draws.
+    """
+    values = all_draws(values)
+    n = values.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+    if not math.isfinite(mean):
+        raise InstabilityError(f"Monte Carlo mean overflows: {n} finite draws sum past the "
+                               "range of doubles")
+    if n < 2:
+        return MCEstimate(mean=mean, standard_error=math.inf, n_effective=n)
+    sums = [0.0] * min(n, replicates)
+    for j, value in enumerate(values.tolist()):
+        sums[j % replicates] += value - mean
+    k = len(sums)
+    se = math.sqrt(math.fsum(d * d for d in sums) * k / (k - 1)) / n
+    if not math.isfinite(se):
+        raise InstabilityError(f"Monte Carlo standard error overflows: the draws near {mean:.3g} "
+                               "are too large to square")
+    return MCEstimate(mean=mean, standard_error=se, n_effective=n)

@@ -215,8 +215,8 @@ def test_criterion_10_block_determinism(monkeypatch):
     recorded = []
     collect_blocks = mc.collect_blocks
 
-    def recording(evaluate, config):
-        recorded.append((collect_blocks(evaluate, config), evaluate))
+    def recording(evaluate, config, *replicates):
+        recorded.append((collect_blocks(evaluate, config, *replicates), evaluate))
         return recorded[-1][0]
 
     def assert_same_draws(a, b):

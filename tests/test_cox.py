@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -871,8 +872,13 @@ def test_ordinary_data_is_never_refused():
     # and five n = 200 samples that a score-norm stop once refused.  A fit
     # may refuse only a one-covariate sample whose likelihood the
     # definition confirms to be monotone.
+    # Both Cox measures run on every sample too, with five new subjects at
+    # 64 draws (two points of each lattice replicate), and may refuse only
+    # what the fit refuses.
     grid = sweep_cells((1, 2))
     named = [(200, 0.25, 1, 0.5, seed) for seed in (1038, 1046, 1047, 1056, 1064)]
+    z_new = np.array([[0.0, -1.0], [1.0, 0.5], [1.0, 0.0], [0.0, 1.5], [1.0, -0.5]])
+    config = MCConfig(n_draws=64, seed=1)
     refused = []
     for case in (*grid, *named):
         data = philox_sample(*case)
@@ -882,9 +888,21 @@ def test_ordinary_data_is_never_refused():
             if not (isinstance(exc, SeparationError) and data.covariate_dim == 1
                     and monotone_by_definition(data.times, data.status, data.covariates[:, 0])):
                 refused.append(f"(n, rate, dim, beta, seed) = {case}: {exc!r}")
+            for measure in (ri1_cox_correct, ri1_cox_naive):
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    measure(data, 5, z_new[:, :data.covariate_dim], mc_config=config)
             continue
         if not (np.all(np.isfinite(beta)) and np.all(se > 0)):
             refused.append(f"(n, rate, dim, beta, seed) = {case}: beta {beta}, se {se}")
+        for measure in (ri1_cox_correct, ri1_cox_naive):
+            try:
+                result = measure(data, 5, z_new[:, :data.covariate_dim], mc_config=config)
+            except RelInfoError as exc:
+                refused.append(f"(n, rate, dim, beta, seed) = {case}: {measure.__name__} {exc!r}")
+                continue
+            if not (math.isfinite(result.estimate) and result.mc_standard_error > 0):
+                refused.append(f"(n, rate, dim, beta, seed) = {case}: {measure.__name__} "
+                               f"{result.estimate} +- {result.mc_standard_error}")
     assert not refused, "\n".join(refused)
 
 
@@ -1113,6 +1131,41 @@ class TestCorrectExact:
     def test_no_new_subjects_is_one(self):
         data, _, _ = fitted_sample(5, 0, 107)
         assert cox.ri1_cox_correct_exact(data, 0, None) == 1.0
+
+
+# Doss-shaped samples: n = 20, five binary new subjects, censoring rate 0.25.
+DOSS_SHAPED_SEEDS = (401, 403, 405, 407, 409)
+
+
+@pytest.mark.parametrize("seed", DOSS_SHAPED_SEEDS)
+def test_lattice_se_is_calibrated_against_the_exact_value(seed):
+    # Over 200 seeds, z = (estimate - exact) / SE spreads as the SE says, at
+    # 2,000 draws and adaptively: with 32 replicates z is about t with 31
+    # degrees of freedom, SD 1.03 and 5.8% beyond 1.96.
+    data, z_new, _ = fitted_sample(20, 5, seed, 0.25)
+    exact = cox.ri1_cox_correct_exact(data, 5, z_new)
+    lod_ob, completion = cox._augmentation(data, 5, z_new, None, naive=False)
+    for config in (functools.partial(MCConfig, n_draws=2000),
+                   functools.partial(MCConfig, n_draws=16 * 1024, max_relative_se=0.0214)):
+        z = np.array([(result.estimate - exact) / result.mc_standard_error for result in (
+            cox._ri1_cox(lod_ob, completion, config(seed=s), "rank data") for s in range(200))])
+        assert 0.85 <= np.std(z, ddof=1) <= 1.2
+        assert np.mean(np.abs(z) > 1.96) <= 0.10
+
+
+@pytest.mark.parametrize("seed", DOSS_SHAPED_SEEDS)
+def test_naive_lattice_mean_agrees_with_independent_draws(seed):
+    # The naive mean of 2,000 lattice draws against 20,000 independent ones
+    # of the same walk, at 3 combined standard errors.
+    data, z_new, _ = fitted_sample(20, 5, seed, 0.25)
+    result = ri1_cox_naive(data, 5, z_new, mc_config=MCConfig(n_draws=2000, seed=seed))
+    completion = cox._augmentation(data, 5, z_new, None, naive=True)[1]
+    n = 20_000
+    u = mc.stream_uniforms(seed, n, completion.per_draw, cox._COX_STREAM_TAG)
+    iid = completion._walk(u.reshape(n, completion.per_draw).T)[0]
+    diff = result.diagnostics["denominator_mean"] - iid.mean()
+    se = math.hypot(result.diagnostics["denominator_se"], iid.std(ddof=1) / math.sqrt(n))
+    assert abs(diff) <= 3 * se
 
 
 def walk_paths(completion):
@@ -1639,7 +1692,8 @@ class TestBlockKernelDeterminism:
     @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
     def test_adaptive_stop_does_not_depend_on_sub_block_size(self, monkeypatch, measure):
         data, z_new = kernel_case()
-        config = MCConfig(n_draws=20 * 1024, seed=9, max_relative_se=0.004)
+        # A target the lattice rule reaches after the first check (at 3072 draws).
+        config = MCConfig(n_draws=20 * 1024, seed=9, max_relative_se=0.002)
         a = measure(data, 4, z_new, mc_config=config)
         monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 1000)
         b = measure(data, 4, z_new, mc_config=config)

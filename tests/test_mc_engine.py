@@ -385,3 +385,157 @@ def test_adaptive_histograms_stop_where_the_draws_do():
     rows, counts = mc.collect_blocks(histogram_of(evaluate), config)
     assert counts.sum() == values.size < 100_000
     assert mc.mc_expectation(histogram_of(evaluate), config).n_draws == values.size
+
+
+def korobov_search(dims=27, decay=0.75, low=4, high=14, beam=64):
+    """The search that chose ``mc.KOROBOV``: its bits lowest first, ``beam`` kept at each.
+
+    The rule of 2**b points is i a**k / 2**b mod 1, i < 2**b, which depends
+    only on a mod 2**b; so adding bit b - 1 to a keeps the smaller rules'
+    errors, and each candidate a mod 2**b is scored by the sum of log e2
+    over the sizes 2**low..2**b.  e2 is the shift-averaged squared
+    worst-case error in the unanchored Sobolev space with product weights
+    decay**k: -1 + mean_i prod_k (1 + decay**k B2({i a**k / 2**b})).
+    """
+    weights = decay ** np.arange(dims)
+    scores = {1: 0.0}  # a mod 2**b -> its summed log e2
+    for b in range(2, high + 1):
+        n = 1 << b
+        candidates = np.array(sorted({a + t for a in scores for t in (0, n >> 1)}),
+                              dtype=np.int64)
+        if b < low:
+            scores = dict.fromkeys(candidates.tolist(), 0.0)
+            continue
+        grid = np.arange(n) / n
+        factor = 1.0 + weights[:, None] * (grid * grid - grid + 1.0 / 6.0)
+        i = np.arange(n, dtype=np.int64)
+        product = np.ones((candidates.size, n))
+        generator = np.ones(candidates.size, dtype=np.int64)
+        for k in range(dims):
+            product *= factor[k][(i * generator[:, None]) % n]
+            generator = generator * candidates % n
+        e2 = product.mean(axis=1) - 1.0
+        total = [scores[a % (n >> 1)] + math.log(e) for a, e in zip(candidates.tolist(), e2)]
+        kept = sorted(zip(total, candidates.tolist()))[:beam]
+        scores = {a: s for s, a in kept}
+    return min(scores, key=scores.get)
+
+
+def test_korobov_multiplier_is_the_documented_search():
+    assert korobov_search() == mc.KOROBOV
+    assert mc.KOROBOV % 2 == 1
+
+
+def lattice_point(seed, j, per_draw, tag):
+    """Draw j's point, from its definition with Python integers."""
+    r = mc.LATTICE_REPLICATES
+    phi = int(f"{j // r:032b}"[::-1], 2)
+    shift = mc.stream_uniforms(seed, r, per_draw, tag).reshape(r, per_draw)[j % r]
+    point = []
+    for k in range(per_draw):
+        u = phi * pow(mc.KOROBOV, k, 2**32) % 2**32 * 2.0**-32 + shift[k]
+        point.append(u - 1.0 if u >= 1.0 else u)
+    return point
+
+
+@pytest.mark.parametrize("per_draw", [1, 9, 27])
+def test_each_replicates_first_points_are_a_shifted_grid(per_draw):
+    # Coordinate k of replicate r's first 2**b points is frac(i / 2**b +
+    # shift[r, k]), i < 2**b, in some order: a**k is odd, so i a**k is a
+    # permutation of the i modulo 2**b.
+    r, top = mc.LATTICE_REPLICATES, 12
+    points = mc.draw_points(3, 0, r << top, per_draw, tag=1)
+    shift = mc.stream_uniforms(3, r, per_draw, tag=1).reshape(r, per_draw)
+    for b in range(top + 1):
+        grid = np.arange(1 << b)[None, None, :] * 2.0**-b + shift.T[:, :, None]
+        grid -= grid >= 1.0
+        got = points[:, :r << b].reshape(per_draw, 1 << b, r).transpose(0, 2, 1)
+        np.testing.assert_array_equal(np.sort(got, axis=2), np.sort(grid, axis=2))
+    assert points.min() >= 0.0 and points.max() < 1.0
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 70), (5, 77), (2**32 * 32 - 45, 2**32 * 32),
+                                    (2**31 * 32 - 3, 2**31 * 32 + 40)])
+def test_a_draws_point_depends_on_the_seed_and_its_index_alone(lo, hi):
+    # Near the last of the 2**32 points of a replicate too, with no walk
+    # from draw 0; any sub-range is the same columns.
+    per_draw = 5
+    points = mc.draw_points(11, lo, hi, per_draw, tag=2)
+    assert points.shape == (per_draw, hi - lo)
+    expected = np.array([lattice_point(11, j, per_draw, 2) for j in range(lo, hi)]).T
+    np.testing.assert_array_equal(points, expected)
+    np.testing.assert_array_equal(mc.draw_points(11, lo + 3, hi - 1, per_draw, tag=2),
+                                  points[:, 3:-1])
+    assert not np.array_equal(mc.draw_points(12, lo, hi, per_draw, tag=2), points)
+    assert not np.array_equal(mc.draw_points(11, lo, hi, per_draw, tag=3), points)
+
+
+def test_draws_past_the_lattice_are_refused():
+    last = mc.LATTICE_REPLICATES * 2**32
+    mc.draw_points(1, last - 1, last, 3, tag=1)
+    with pytest.raises(ValidationError, match="2\\*\\*32 points per replicate"):
+        mc.draw_points(1, last - 1, last + 1, 3, tag=1)
+
+
+def _replicate_outcome(reduce, values):
+    try:
+        return reduce(values)
+    except (DataIntegrityError, InstabilityError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("n", [2, 31, 33, 64, 2000])
+@pytest.mark.parametrize("kind", ["normal", "offset", "inf", "-inf", "nan", "squares overflow",
+                                  "replicate sums overflow", "mean overflows"])
+def test_replicate_reduction_equals_the_reference_loop(n, kind):
+    # The same mean and refusals; the SE's last sum runs in another order.
+    rng = np.random.default_rng(n)
+    values = rng.normal(0.0, 1.0, n)
+    if kind == "offset":
+        values = 1e6 + 1e-3 * values
+    elif kind in ("inf", "-inf", "nan"):
+        values[rng.integers(n)] = float(kind)
+    elif kind == "squares overflow":
+        values *= 1e160
+    elif kind == "replicate sums overflow":
+        # Each replicate of one sign, half of them each, so that at n = 2000
+        # the mean of all draws is finite and the replicates' sums are not.
+        values = np.where(np.arange(n) % 32 < 16, 1e307, -1e307)
+    elif kind == "mean overflows":
+        values = np.full(n, 1.7e308)
+    r = mc.LATTICE_REPLICATES
+    got = _replicate_outcome(lambda v: mc.estimate_from_values(v, replicates=r), values)
+    want = _replicate_outcome(
+        lambda v: reference_reductions.replicate_estimate_from_values(v, r), values)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.mean, got.n_effective) == (want.mean, want.n_effective)
+    assert got.standard_error == pytest.approx(want.standard_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 64, 2048])
+def test_replicate_se_of_equal_replicates_is_the_se_of_their_means(n):
+    # With equal shares it is the SE of the mean of the replicate means, and
+    # at n = 2 that of two independent draws.
+    r = mc.LATTICE_REPLICATES
+    values = np.random.default_rng(n).normal(5.0, 2.0, n)
+    est = mc.estimate_from_values(values, replicates=r)
+    means = values.reshape(-1, min(n, r)).mean(axis=0)
+    assert est.standard_error == pytest.approx(np.std(means, ddof=1) / math.sqrt(means.size),
+                                               rel=1e-12)
+
+
+def test_adaptive_stop_reads_the_replicate_se():
+    # Draws whose replicates agree on every mean but spread widely within
+    # themselves: the replicate SE is 0 at every batch, the independent
+    # SE is not, so only the first stops at its first batch.
+    def evaluate(lo, hi):
+        j = np.arange(lo, hi)
+        return 10.0 + np.where(j // mc.LATTICE_REPLICATES % 2 == 0, 1.0, -1.0)
+
+    config = MCConfig(n_draws=8192, seed=1, max_relative_se=1e-6)
+    assert mc.collect_blocks(evaluate, config, mc.LATTICE_REPLICATES).size == 1024
+    assert mc.collect_blocks(evaluate, config).size == 8192
+    est = mc.mc_expectation(evaluate, config, mc.LATTICE_REPLICATES)
+    assert (est.mean, est.standard_error, est.n_draws) == (10.0, 0.0, 1024)
