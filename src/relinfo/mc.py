@@ -13,7 +13,9 @@ mean stays unbiased, while the lattice spreads the points more evenly
 than independent ones.
 Measures hand :func:`collect_blocks` an ``evaluate(lo, hi)`` that returns
 draws lo..hi-1, as their values or as a histogram of rows and counts; it
-is the one adaptive-stopping loop.  Reduction takes every draw and
+is the one adaptive-stopping loop; it checks the target after each batch
+of 1024 draws, and lattice draws after each point of the replicates.
+Reduction takes every draw and
 refuses one that is not finite; only ri-y defines sentinel draws, and it
 sets them aside before it reduces.  It uses numpy's pairwise summation
 over the index-ordered values, or over a histogram's rows sorted by value
@@ -342,16 +344,22 @@ def collect_blocks(evaluate: Callable, config: MCConfig, replicates: int | None 
     and stops once the running relative standard error falls below the
     target.  The histograms of successive batches are merged by
     :func:`histogram`.  ``replicates`` selects the SE of the stopping rule,
-    as for :func:`estimate_from_values`.
+    as for :func:`estimate_from_values`, and the rule then also reads it
+    after every point of the replicates inside a batch: the draws end at
+    the first multiple of ``replicates`` that meets the target.  The SE of
+    lattice draws falls faster than n**-0.5 and is read from few
+    replicates, so a batch-end check would overshoot the target by a
+    margin that varies from seed to seed.
     """
     if config.max_relative_se is None:
         return evaluate(0, config.n_draws)
 
+    target = config.max_relative_se
     blocks: list = []
     done = 0
     while done < config.n_draws:
-        hi = min(done + _ADAPTIVE_BATCH, config.n_draws)
-        blocks.append(evaluate(done, hi))
+        lo, hi = done, min(done + _ADAPTIVE_BATCH, config.n_draws)
+        blocks.append(evaluate(lo, hi))
         done = hi
         if isinstance(blocks[0], tuple):
             blocks = [histogram(*map(np.concatenate, zip(*blocks)))]
@@ -359,9 +367,42 @@ def collect_blocks(evaluate: Callable, config: MCConfig, replicates: int | None 
         else:
             drawn = (np.concatenate(blocks),)
         mean, se = _mean_and_se(*_draws(*drawn), replicates)
-        if mean != 0.0 and se / abs(mean) <= config.max_relative_se:
+        if replicates is not None:
+            n = _first_replicate_stop(drawn[0], lo, mean, target, replicates)
+            if n is not None:
+                return drawn[0][:n]
+        if mean != 0.0 and se / abs(mean) <= target:
             break
     return blocks[0] if isinstance(blocks[0], tuple) else np.concatenate(blocks)
+
+
+def _first_replicate_stop(values: np.ndarray, lo: int, mean: float, target: float,
+                          replicates: int) -> int | None:
+    """The first n = p * replicates in (lo, values.size) whose replicate SE meets ``target``.
+
+    Each such n holds p draws of every replicate.  Their relative SEs are
+    screened at once from running replicate sums about ``mean``, the mean
+    of all the values; a prefix that passes the screen is confirmed by
+    :func:`_mean_and_se`, so the stop reads the SE the estimate reports.
+    """
+    r = replicates
+    first, last = lo // r + 1, -(-values.size // r)
+    if first >= last:
+        return None
+    rows = values[:(last - 1) * r].reshape(-1, r) - mean
+    sums = np.cumsum(rows, axis=0)[first - 1:]
+    p = np.arange(first, last)
+    n = p * r
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        shift = sums.sum(axis=1) / n
+        deviations = sums - p[:, None] * shift[:, None]
+        var = np.sum(deviations * deviations, axis=1) * r / (r - 1) / (n * n)
+        relative = np.sqrt(var) / np.abs(mean + shift)
+    for i in np.flatnonzero(relative <= target * (1 + 1e-9)):
+        prefix_mean, se = _mean_and_se(values[:n[i]], None, int(n[i]), r)
+        if prefix_mean != 0.0 and se / abs(prefix_mean) <= target:
+            return int(n[i])
+    return None
 
 
 def mc_expectation(evaluate: Callable, config: MCConfig,

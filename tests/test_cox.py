@@ -1692,7 +1692,8 @@ class TestBlockKernelDeterminism:
     @pytest.mark.parametrize("measure", [ri1_cox_correct, ri1_cox_naive])
     def test_adaptive_stop_does_not_depend_on_sub_block_size(self, monkeypatch, measure):
         data, z_new = kernel_case()
-        # A target the lattice rule reaches after the first check (at 3072 draws).
+        # A target the lattice rule reaches past the first batch, inside the
+        # third (at 3,040 draws correct and 2,976 naive).
         config = MCConfig(n_draws=20 * 1024, seed=9, max_relative_se=0.002)
         a = measure(data, 4, z_new, mc_config=config)
         monkeypatch.setattr(cox, "_BLOCK_ELEMENTS", 1000)

@@ -527,15 +527,45 @@ def test_replicate_se_of_equal_replicates_is_the_se_of_their_means(n):
 
 
 def test_adaptive_stop_reads_the_replicate_se():
-    # Draws whose replicates agree on every mean but spread widely within
-    # themselves: the replicate SE is 0 at every batch, the independent
-    # SE is not, so only the first stops at its first batch.
+    # Draws whose replicates agree on their means from the second point on
+    # but spread widely within themselves: the replicate SE is 0 at 2R
+    # draws, the independent SE never is, so only the first stops, and at
+    # that point rather than at the end of its batch.
+    r = mc.LATTICE_REPLICATES
+
     def evaluate(lo, hi):
         j = np.arange(lo, hi)
-        return 10.0 + np.where(j // mc.LATTICE_REPLICATES % 2 == 0, 1.0, -1.0)
+        return 10.0 + np.where((j // r + j % r) % 2 == 0, 1.0, -1.0)
 
     config = MCConfig(n_draws=8192, seed=1, max_relative_se=1e-6)
-    assert mc.collect_blocks(evaluate, config, mc.LATTICE_REPLICATES).size == 1024
+    assert mc.collect_blocks(evaluate, config, r).size == 2 * r
     assert mc.collect_blocks(evaluate, config).size == 8192
-    est = mc.mc_expectation(evaluate, config, mc.LATTICE_REPLICATES)
-    assert (est.mean, est.standard_error, est.n_draws) == (10.0, 0.0, 1024)
+    est = mc.mc_expectation(evaluate, config, r)
+    assert (est.mean, est.standard_error, est.n_draws) == (10.0, 0.0, 2 * r)
+
+
+@pytest.mark.parametrize("n_draws", [100_000, 5_000 + 7])
+def test_replicate_stop_is_the_first_point_count_that_meets_the_target(n_draws):
+    # With replicates the target is checked after every point of them (R
+    # draws), inside each batch too: the run stops at the first such count
+    # whose reported relative SE meets it, or at the cap.
+    r = mc.LATTICE_REPLICATES
+
+    def evaluate(lo, hi):
+        u = mc.stream_uniforms(8, hi - lo, 2, start=lo)
+        return np.where(u[:, 0] < 0.1, 40.0, 10.0 + 20.0 * (u[:, 1] - 0.5))
+
+    config = MCConfig(n_draws=n_draws, seed=8, max_relative_se=0.005)
+    values = mc.collect_blocks(evaluate, config, r)
+    full = evaluate(0, n_draws)
+    np.testing.assert_array_equal(values, full[:values.size])
+
+    def relative_se(n):
+        est = mc.estimate_from_values(full[:n], replicates=r)
+        return est.standard_error / abs(est.mean)
+
+    checks = [*range(r, n_draws, r), n_draws]
+    stop = next((n for n in checks if relative_se(n) <= 0.005), n_draws)
+    assert values.size == stop
+    assert (stop < n_draws) == (n_draws == 100_000)
+    assert stop % 1024 != 0 or stop == n_draws
