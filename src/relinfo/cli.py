@@ -26,19 +26,27 @@ from .errors import EstimationFailureError, RelInfoError, ValidationError
 
 LN10 = math.log(10.0)
 
+#: The generator of each command that draws; only these take ``--seed``.
+GENERATORS = {
+    "binom-ri": mc.GENERATOR_ID,
+    "ri-y": mc.GENERATOR_ID,
+    "lod-var": mc.GENERATOR_ID,
+    "cox-ri": mc.LATTICE_GENERATOR_ID,
+    "doss-replication": mc.LATTICE_GENERATOR_ID,
+}
+
 
 class Report:
     """Ordered key/value document with provenance."""
 
-    def __init__(self, command: str, seed: int | None = None,
-                 generator: str = mc.GENERATOR_ID):
+    def __init__(self, command: str, seed: int | None = None):
         self.pairs: list[tuple[str, str]] = []
         self.add("report.command", command)
         self.add("report.version", __version__)
         self.add("report.timestamp", datetime.datetime.now(datetime.timezone.utc).isoformat())
-        if seed is not None:
+        if command in GENERATORS:
             self.add("provenance.seed", seed)
-        self.add("provenance.generator", generator)
+            self.add("provenance.generator", GENERATORS[command])
         self._warnings = 0
 
     def add(self, key: str, value) -> None:
@@ -203,14 +211,6 @@ def _parse_new_covariates(spec: str | None, n_new: int, dim: int) -> np.ndarray:
     return z
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=mc.DEFAULT_SEED,
-                        help="RNG seed (fixed default keeps runs reproducible)")
-    parser.add_argument("--out", help="write the report to this path as well as stdout")
-    parser.add_argument("--log10", action="store_true",
-                        help="display lod scores in log10 (genetics convention)")
-
-
 def _binomial_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x", type=int, required=True, help="observed successes")
     parser.add_argument("--n-obs", type=int, required=True, help="observed trials")
@@ -232,18 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
     _binomial_args(p)
     p.add_argument("--p1", type=float, help="fixed (sharp) alternative; default: observed MLE")
     p.add_argument("--draws", type=int, help="also compute the Monte Carlo RI1 path")
-    _add_common(p)
+    p.add_argument("--log10", action="store_true",
+                   help="display the observed lod in log10 (genetics convention)")
 
     p = sub.add_parser("ri-y", help="per-draw lod ratios under a sharp alternative")
     _binomial_args(p)
     p.add_argument("--p1", type=float, required=True, help="fixed (sharp) alternative")
     p.add_argument("--draws", type=int, default=10_000)
-    _add_common(p)
 
     p = sub.add_parser("lod-var", help="conditional lod variance over squared observed lod")
     _binomial_args(p)
     p.add_argument("--draws", type=int, default=10_000)
-    _add_common(p)
 
     p = sub.add_parser("cox-ri", help="augmentation relative information for Cox regression")
     p.add_argument("--data", required=True, help="survival CSV: time,status,cov1..covK")
@@ -253,12 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV path or inline rows 'z1,..,zK;z1,..,zK' for the new subjects")
     p.add_argument("--beta0", help="comma-separated null coefficients (default: zeros)")
     p.add_argument("--draws", type=int, default=2000)
-    _add_common(p)
 
     p = sub.add_parser("combine", help="combine study summaries (weighted harmonic rule)")
     p.add_argument("--studies", required=True,
                    help="JSON list of {label, lod_observed, ri1}")
-    _add_common(p)
 
     p = sub.add_parser("design-eval", help="S_x information proxies for two designs")
     p.add_argument("--design-a", required=True)
@@ -266,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centered", action="store_true",
                    help="use centered S_x (off by default; the plain sum matches "
                         "through-the-origin regression)")
-    _add_common(p)
 
     p = sub.add_parser("doss-replication",
                        help="paired naive/correct Cox study over simulated datasets")
@@ -276,8 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-true", type=float, default=0.5)
     p.add_argument("--censoring-rate", type=float, default=0.25)
     p.add_argument("--draws", type=int, default=2000)
-    _add_common(p)
 
+    for name, p in sub.choices.items():
+        if name in GENERATORS:
+            p.add_argument("--seed", type=int, default=mc.DEFAULT_SEED,
+                           help="RNG seed (fixed default keeps runs reproducible)")
+        p.add_argument("--out", help="write the report to this path as well as stdout")
     return parser
 
 
@@ -294,7 +294,7 @@ def _cmd_binom_ri(args, report: Report) -> None:
     obs = _binomial_observed(args)
     model = binomial.binomial_model()
     for key in ("x", "n_obs", "n_missing", "p0", "p1", "draws"):
-        report.add(f"input.{key}", getattr(args, key.replace("-", "_"), None))
+        report.add(f"input.{key}", getattr(args, key))
     closed = binomial.ri1_closed_form(obs)
     report.add("result.ri1_closed_form", closed)
     exact = core.ri1(model, obs, args.p0, theta_alt=args.p1)
@@ -438,10 +438,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # The Cox measures draw from the lattice rule, the binomial ones from Philox.
-    generator = (mc.LATTICE_GENERATOR_ID if args.command in ("cox-ri", "doss-replication")
-                 else mc.GENERATOR_ID)
-    report = Report(args.command, seed=getattr(args, "seed", None), generator=generator)
+    report = Report(args.command, getattr(args, "seed", None))
     try:
         _COMMANDS[args.command](args, report)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
@@ -450,7 +447,7 @@ def run(argv=None) -> int:
     except RelInfoError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    report.emit(getattr(args, "out", None))
+    report.emit(args.out)
     return 0
 
 

@@ -131,6 +131,84 @@ class TestReportFormat:
         assert "philox" in pairs["provenance.generator"]
 
 
+BINOM = ["--x", "6", "--n-obs", "10", "--n-missing", "10", "--p0", "0.3"]
+# Each subcommand at a tiny size; "{dir}" stands for a directory that holds
+# surv.csv and studies.json.
+TINY = {
+    "binom-ri": ["binom-ri", *BINOM, "--log10"],
+    "ri-y": ["ri-y", *BINOM, "--p1", "0.7", "--draws", "50"],
+    "lod-var": ["lod-var", *BINOM, "--draws", "50"],
+    "cox-ri": ["cox-ri", "--data", "{dir}/surv.csv", "--n-new", "1", "--new-covariates", "1",
+               "--beta0", "0", "--draws", "50"],
+    "combine": ["combine", "--studies", "{dir}/studies.json"],
+    "design-eval": ["design-eval", "--design-a", "base", "--design-b", "base-doubled"],
+    "doss-replication": ["doss-replication", "--n-datasets", "2", "--n-subjects", "10",
+                         "--n-new", "1", "--draws", "50"],
+}
+GENERATOR_OF = {"binom-ri": mc.GENERATOR_ID, "ri-y": mc.GENERATOR_ID,
+                "lod-var": mc.GENERATOR_ID, "cox-ri": mc.LATTICE_GENERATOR_ID,
+                "doss-replication": mc.LATTICE_GENERATOR_ID}
+
+
+def tiny_argv(name, directory):
+    return [arg.replace("{dir}", str(directory)) for arg in TINY[name]]
+
+
+@pytest.fixture()
+def tiny_inputs(tmp_path):
+    """A directory holding the input files of ``TINY``."""
+    (tmp_path / "surv.csv").write_text(
+        "time,status,cov1\n" + "".join(f"{t},{t % 3 > 0:d},{t % 2}\n" for t in range(1, 13)))
+    (tmp_path / "studies.json").write_text(json.dumps([
+        {"label": "a", "lod_observed": 1.0, "ri1": 0.4},
+        {"label": "b", "lod_observed": 3.0, "ri1": 0.8}]))
+    return tmp_path
+
+
+def subcommand_parsers():
+    """Each subcommand's parser, by name."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+class TestCommonFlags:
+    def test_each_subcommand_takes_only_the_common_flags_it_reads(self):
+        parsers = subcommand_parsers()
+
+        def taking(flag):
+            return {name for name, p in parsers.items()
+                    if any(flag in action.option_strings for action in p._actions)}
+
+        assert set(parsers) == set(TINY)
+        assert taking("--out") == set(TINY)
+        assert taking("--seed") == set(GENERATOR_OF)
+        assert taking("--log10") == {"binom-ri"}
+
+    @pytest.mark.parametrize("name, flags", [
+        ("combine", ["--seed", "1"]), ("design-eval", ["--seed", "1"]),
+        *((name, ["--log10"]) for name in TINY if name != "binom-ri"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_a_flag_the_command_does_not_take_is_a_usage_error(self, capsys, tmp_path,
+                                                               name, flags):
+        code = cli.run([*tiny_argv(name, tmp_path), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: relinfo ")
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
+
+    @pytest.mark.parametrize("name", TINY)
+    def test_only_a_command_that_draws_records_a_seed_and_a_generator(self, capsys,
+                                                                      tiny_inputs, name):
+        code, pairs = run_report(capsys, tiny_argv(name, tiny_inputs))
+        assert code == 0
+        provenance = {key: value for key, value in pairs.items()
+                      if key.startswith("provenance.")}
+        assert provenance == ({"provenance.seed": str(mc.DEFAULT_SEED),
+                               "provenance.generator": GENERATOR_OF[name]}
+                              if name in GENERATOR_OF else {})
+
+
 class TestRiYAndLodVar:
     def test_ri_y_reciprocal_mean_tracks_inverse_ri1(self, capsys):
         code, pairs = run_report(capsys, [
