@@ -438,8 +438,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    report = Report(args.command, getattr(args, "seed", None))
+    seed = getattr(args, "seed", None)
+    report = Report(args.command, seed)
     try:
+        if seed is not None:
+            mc.check_seed(seed)  # before any computation, even one that draws nothing
         _COMMANDS[args.command](args, report)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

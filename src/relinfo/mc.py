@@ -73,6 +73,12 @@ LATTICE_GENERATOR_ID = (f"randomly shifted rank-1 lattice rule, Korobov a = {KOR
                         "vector key = (seed, tag)")
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64): the generators key on it as a uint64."""
+    if seed < 0 or seed > 2**64 - 1:
+        raise ValidationError("seed must fit in an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Monte Carlo run parameters."""
@@ -84,8 +90,7 @@ class MCConfig:
     def __post_init__(self):
         if self.n_draws < 2:
             raise ValidationError("n_draws must be >= 2 (standard errors are always reported)")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)
         if self.max_relative_se is not None and self.max_relative_se <= 0:
             raise ValidationError("max_relative_se must be positive when given")
 

@@ -208,6 +208,19 @@ class TestCommonFlags:
                                "provenance.generator": GENERATOR_OF[name]}
                               if name in GENERATOR_OF else {})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("name", GENERATOR_OF)
+    def test_out_of_range_seed_is_refused_before_any_computation(self, capsys, tmp_path,
+                                                                 uniforms_drawn, name, seed):
+        # cox-ri's data file does not exist and binom-ri draws nothing: the
+        # seed is refused before either matters.
+        code = cli.run([*tiny_argv(name, tmp_path / "absent"), "--seed", str(seed)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed must fit in an unsigned 64-bit integer\n"
+        assert uniforms_drawn == []
+
 
 class TestRiYAndLodVar:
     def test_ri_y_reciprocal_mean_tracks_inverse_ri1(self, capsys):
