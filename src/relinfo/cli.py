@@ -189,11 +189,12 @@ def _parse_numbers(text: str, where: str) -> list[float]:
 
 
 def _parse_new_covariates(spec: str | None, n_new: int, dim: int) -> np.ndarray:
+    """The new subjects' covariates: ``n_new`` rows of ``dim`` values, if any are given."""
     if n_new < 0:
         raise ValidationError("--n-new must be >= 0")
-    if n_new == 0:
-        return np.zeros((0, dim))
     if spec is None:
+        if n_new == 0:
+            return np.zeros((0, dim))
         raise ValidationError("--new-covariates is required when --n-new > 0")
     path = Path(spec)
     if path.exists():
@@ -204,11 +205,13 @@ def _parse_new_covariates(spec: str | None, n_new: int, dim: int) -> np.ndarray:
         ]
     else:
         rows = [_parse_numbers(chunk, "--new-covariates") for chunk in spec.split(";")]
-    z = np.asarray(rows, dtype=float)
-    if z.shape != (n_new, dim):
-        raise ValidationError(
-            f"new covariates must be {n_new} rows of {dim} values; got shape {z.shape}")
-    return z
+    if len(rows) != n_new:
+        raise ValidationError(f"--new-covariates gives {len(rows)} rows for --n-new {n_new}")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != dim:
+            raise ValidationError(f"--new-covariates row {i} gives {len(row)} values "
+                                  f"for {dim} covariates")
+    return np.array(rows, dtype=float).reshape(n_new, dim)
 
 
 def _binomial_args(parser: argparse.ArgumentParser) -> None:

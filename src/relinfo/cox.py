@@ -404,7 +404,7 @@ def _relative_baseline(shift: float, jump_times: np.ndarray,
 def _validate_new_covariates(new_covariates, n_new: int, dim: int) -> np.ndarray:
     if n_new < 0:
         raise ValidationError("n_new must be >= 0")
-    if n_new == 0:
+    if n_new == 0 and new_covariates is None:
         return np.zeros((0, dim))
     z = np.atleast_2d(np.asarray(new_covariates, dtype=float))
     if z.shape == (1, n_new) and dim == 1:

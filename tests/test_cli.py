@@ -504,6 +504,20 @@ class TestCoxRi:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("n_new, spec, message", [
+        ("0", "1;2;3", "gives 3 rows for --n-new 0"),
+        ("2", "1.0", "gives 1 rows for --n-new 2"),
+        ("2", "1.0;0.5,2", "row 2 gives 2 values for 1 covariates"),
+    ], ids=["rows without new subjects", "too few rows", "ragged rows"])
+    def test_covariates_that_do_not_fit_the_new_subjects_are_usage_error(
+            self, capsys, csv_path, n_new, spec, message):
+        code = cli.run(["cox-ri", "--data", str(csv_path), "--n-new", n_new,
+                        "--new-covariates", spec, "--draws", "64"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --new-covariates {message}\n"
+
     def test_non_number_in_new_covariates_file_reports_line(self, capsys, csv_path, tmp_path):
         covariates = tmp_path / "new.csv"
         covariates.write_text("1.0\n\nabc\n")

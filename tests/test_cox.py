@@ -518,6 +518,14 @@ class TestAugmentationMeasures:
         assert result.mc_standard_error == 0.0
         assert result.seed == config.seed
 
+    @pytest.mark.parametrize("measure", [ri1_cox_naive, ri1_cox_correct])
+    def test_covariates_for_no_new_subjects_are_refused(self, measure):
+        censored, _ = simulate_ph_binary(15, 0.5, np.random.default_rng(21), 0.2)
+        config = MCConfig(n_draws=200, seed=17)
+        assert measure(censored, 0, np.zeros((0, 1)), mc_config=config).estimate == 1.0
+        with pytest.raises(ValidationError, match=r"new_covariates must have shape \(0, 1\)"):
+            measure(censored, 0, np.ones((3, 1)), mc_config=config)
+
     def test_correct_no_new_no_censoring_is_one(self):
         rng = np.random.default_rng(23)
         _, uncensored = simulate_ph_binary(15, 0.5, rng, 0.0)
