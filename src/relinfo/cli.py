@@ -353,6 +353,9 @@ def _cmd_cox_ri(args, report: Report) -> None:
     report.add("input.data", args.data)
     report.add("input.mode", args.mode)
     report.add("input.n_new", args.n_new)
+    report.add("input.new_covariates", args.new_covariates)
+    report.add("input.beta0", args.beta0)
+    report.add("input.draws", args.draws)
     report.add("input.n_subjects", data.n)
     beta0 = None
     if args.beta0:

@@ -447,11 +447,15 @@ class TestCoxRi:
     def test_correct_mode_runs_and_warns(self, capsys, csv_path):
         code, pairs = run_report(capsys, [
             "cox-ri", "--data", str(csv_path), "--mode", "correct",
-            "--n-new", "2", "--new-covariates", "1.0;0.0",
+            "--n-new", "2", "--new-covariates", "1.0;0.0", "--beta0", "0",
             "--draws", "300", "--seed", "9"])
         assert code == 0
         assert float(pairs["result.ri1.estimate"]) > 0
         assert any(k.startswith("warning.") for k in pairs)
+        # The report echoes each input as given.
+        assert pairs["input.new_covariates"] == "1.0;0.0"
+        assert pairs["input.beta0"] == "0"
+        assert pairs["input.draws"] == "300"
 
     @pytest.mark.parametrize("flags", [["--new-covariates", "nan"],
                                        ["--new-covariates", "1.0", "--beta0", "inf"]])
