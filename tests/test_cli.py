@@ -208,6 +208,29 @@ class TestCommonFlags:
                                "provenance.generator": GENERATOR_OF[name]}
                               if name in GENERATOR_OF else {})
 
+    def test_every_flag_a_subcommand_takes_is_read(self, monkeypatch, capsys, tiny_inputs):
+        # A flag that neither its handler nor ``run`` reads is accepted and
+        # then ignored; this counts the reads of each parsed flag.
+        parsers, parser, reads = subcommand_parsers(), cli.build_parser(), set()
+
+        class RecordingNamespace(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        class RecordingParser:
+            def parse_args(self, argv):
+                return RecordingNamespace(**vars(parser.parse_args(argv)))
+
+        monkeypatch.setattr(cli, "build_parser", RecordingParser)
+        unread = {}
+        for name, p in parsers.items():
+            reads.clear()
+            assert cli.run([*tiny_argv(name, tiny_inputs), "--out", str(tiny_inputs / "r")]) == 0
+            unread[name] = {action.dest for action in p._actions} - {"help"} - reads
+        capsys.readouterr()
+        assert unread == {name: set() for name in TINY}
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("name", GENERATOR_OF)
     def test_out_of_range_seed_is_refused_before_any_computation(self, capsys, tmp_path,
