@@ -1,8 +1,11 @@
 """Command-line front end: data ingestion, orchestration, report emission.
 
 Reports are flat machine-readable ``key = value`` documents.  Every run
-echoes its inputs, so the report alone suffices to reproduce the results
-bit-exactly with the same package version.
+echoes its inputs, and a command that draws also its seed and generator,
+so the report alone suffices to reproduce the results bit-exactly with the
+same package version.  Each subcommand takes only the flags it reads:
+``--out`` on all, ``--seed`` on those in :data:`GENERATORS`, and
+``--log10`` on ``binom-ri``, the one command that displays a lod.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numerical or
 estimation error.
@@ -37,7 +40,11 @@ GENERATORS = {
 
 
 class Report:
-    """Ordered key/value document with provenance."""
+    """Ordered key/value document with provenance.
+
+    A command in :data:`GENERATORS` records its seed and generator; the
+    others draw nothing and record neither.
+    """
 
     def __init__(self, command: str, seed: int | None = None):
         self.pairs: list[tuple[str, str]] = []
