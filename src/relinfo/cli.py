@@ -46,7 +46,7 @@ class Report:
     others draw nothing and record neither.
     """
 
-    def __init__(self, command: str, seed: int | None = None):
+    def __init__(self, command: str, seed: int | None):
         self.pairs: list[tuple[str, str]] = []
         self.add("report.command", command)
         self.add("report.version", __version__)
